@@ -32,7 +32,6 @@ from .pipeline import (
     build_schedule,
     format_trace,
     parse_trace,
-    run_nofb_mid,
     run_scheme,
     verify_trace,
 )

@@ -120,6 +120,32 @@ class GfVec(tuple):
         return f"GfVec({str(self)!r})"
 
 
+def _superpose(zero, *terms):
+    """Shift each ``(levels, k)`` term by S^(L-k) and XOR the results.
+
+    Works on any level type with ``^``: ``int`` bits in the value engine,
+    ``frozenset`` payload-reference sets in the schedule builder; ``zero`` is
+    that type's empty level.  All terms have the same length L.
+    """
+    out = None
+    for levels, k in terms:
+        shifted = (zero,) * (len(levels) - k) + tuple(levels[:k])
+        out = shifted if out is None else tuple(a ^ b for a, b in zip(out, shifted))
+    return out
+
+
+def _first_hop(x_s1, x_s2, p: ChannelParams, zero):
+    return (_superpose(zero, (x_s1, p.n), (x_s2, p.m)),
+            _superpose(zero, (x_s1, p.m), (x_s2, p.n)))
+
+
+def _second_hop(x_r1, x_r2, p: ChannelParams, zero):
+    return (_superpose(zero, (x_r1, p.f)),
+            _superpose(zero, (x_r2, p.f)),
+            _superpose(zero, (x_r1, p.nbar), (x_r2, p.mbar)),
+            _superpose(zero, (x_r2, p.nbar), (x_r1, p.mbar)))
+
+
 def shift(x: GfVec, k: int) -> GfVec:
     """Multiply by the lower-shift matrix S^(L-k).
 
@@ -129,7 +155,7 @@ def shift(x: GfVec, k: int) -> GfVec:
     length = len(x)
     if not 0 <= k <= length:
         raise ChannelDomainError(f"shift amount {k} outside [0, {length}]")
-    return GfVec((0,) * (length - k) + tuple(x[:k]))
+    return GfVec(_superpose(0, (x, k)))
 
 
 def first_hop(x_s1: GfVec, x_s2: GfVec, p: ChannelParams):
@@ -140,9 +166,7 @@ def first_hop(x_s1: GfVec, x_s2: GfVec, p: ChannelParams):
     q = p.q
     if len(x_s1) != q or len(x_s2) != q:
         raise ChannelDomainError(f"hop-1 inputs must have length q={q}")
-    y_r1 = shift(x_s1, p.n) ^ shift(x_s2, p.m)
-    y_r2 = shift(x_s1, p.m) ^ shift(x_s2, p.n)
-    return y_r1, y_r2
+    return tuple(GfVec(y) for y in _first_hop(x_s1, x_s2, p, 0))
 
 
 def second_hop(x_r1: GfVec, x_r2: GfVec, p: ChannelParams):
@@ -154,8 +178,4 @@ def second_hop(x_r1: GfVec, x_r2: GfVec, p: ChannelParams):
     qbar = p.qbar
     if len(x_r1) != qbar or len(x_r2) != qbar:
         raise ChannelDomainError(f"hop-2 inputs must have length qbar={qbar}")
-    y_d1 = shift(x_r1, p.f)
-    y_d2 = shift(x_r2, p.f)
-    y_s1 = shift(x_r1, p.nbar) ^ shift(x_r2, p.mbar)
-    y_s2 = shift(x_r2, p.nbar) ^ shift(x_r1, p.mbar)
-    return y_d1, y_d2, y_s1, y_s2
+    return tuple(GfVec(y) for y in _second_hop(x_r1, x_r2, p, 0))

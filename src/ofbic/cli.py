@@ -19,6 +19,7 @@ from .pipeline import DEFAULT_SEED, format_trace, run_scheme, verify_trace
 from .rates import aux_quantities, dfb_reference, nofb_reference, rate_bundle
 from .sweep import (
     ALL_CHECKS,
+    DEFAULT_RANGES,
     SweepSpec,
     compare_csv,
     compare_curves,
@@ -53,6 +54,29 @@ def _fmt(value) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def _grid_ranges(text: str) -> dict:
+    """--grid value: comma list of key=lo:hi (or key=v) into {key: (lo, hi)}."""
+    grid = {}
+    for part in text.split(","):
+        key, _, span = part.strip().partition("=")
+        lo, _, hi = span.partition(":")
+        try:
+            grid[key.strip()] = (int(lo), int(hi or lo))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad range {part.strip()!r}, expected key=lo:hi"
+            ) from None
+    return grid
+
+
+def _alpha_list(text: str) -> list:
+    """--alphas value: comma list of rationals such as 0,1/2,3."""
+    try:
+        return [Fraction(a.strip()) for a in text.split(",") if a.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad rational in {text!r}") from None
 
 
 def cmd_rates(args) -> int:
@@ -124,17 +148,9 @@ def cmd_sweep(args) -> int:
             return cast(config[name])
         return default
 
-    grid_flag = {}
-    if args.grid:
-        for part in args.grid.split(","):
-            key, _, span = part.strip().partition("=")
-            lo, _, hi = span.partition(":")
-            grid_flag[key.strip()] = (int(lo), int(hi or lo))
+    grid_flag = args.grid or {}
     ranges = {}
-    for key, (lo_default, hi_default) in (
-        ("m", (0, 8)), ("n", (0, 8)), ("mbar", (0, 4)),
-        ("nbar", (0, 4)), ("f", (0, 8)),
-    ):
+    for key, (lo_default, hi_default) in DEFAULT_RANGES.items():
         lo = setting(f"{key}_min", getattr(args, f"{key}_min"), int, lo_default)
         hi = setting(f"{key}_max", getattr(args, f"{key}_max"), int, hi_default)
         ranges[key] = grid_flag.get(key, (lo, hi))
@@ -164,10 +180,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.alphas:
-        grid = [Fraction(a.strip()) for a in args.alphas.split(",") if a.strip()]
-    else:
-        grid = default_alpha_grid()
+    grid = args.alphas or default_alpha_grid()
     rows = compare_curves(args.n, args.mbar, args.nbar, args.f, grid)
     text = compare_csv(rows)
     if args.out:
@@ -215,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in ("m", "n", "mbar", "nbar", "f"):
         p_sweep.add_argument(f"--{key}-min", type=int, default=None)
         p_sweep.add_argument(f"--{key}-max", type=int, default=None)
-    p_sweep.add_argument("--grid", default=None,
+    p_sweep.add_argument("--grid", type=_grid_ranges, default=None,
                          help="compact ranges, e.g. m=0:6,n=0:6,f=0:6")
     p_sweep.add_argument("--checks", default=None,
                          help="comma list (default: all checks)")
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--mbar", type=int, default=0)
     p_cmp.add_argument("--nbar", type=int, default=0)
     p_cmp.add_argument("--f", type=int, required=True)
-    p_cmp.add_argument("--alphas", default=None,
+    p_cmp.add_argument("--alphas", type=_alpha_list, default=None,
                        help="comma list of rationals (default 0..3 step 1/8)")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)

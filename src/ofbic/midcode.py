@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .channel import _superpose
+
 
 class MidCodeError(ValueError):
     """The mid-regime code construction failed verification."""
@@ -31,9 +33,19 @@ def _mask(levels) -> int:
     return out
 
 
+def column_levels(cols, base: int, q: int) -> tuple:
+    """Per level (top first), the message-bit indices base+k whose column k
+    sets that level: the levels a source transmits for one column set."""
+    return tuple(
+        tuple(base + k for k, col in enumerate(cols) if (col >> j) & 1)
+        for j in range(q)
+    )
+
+
 def _chain_families_low(length: int):
     """Per-chain bases for m < n (chain coordinate L-1 is the private level)."""
-    assert length >= 3
+    if length < 3:
+        raise MidCodeError(f"chain of length {length} is too short for m < n")
     if length % 2:
         base = [{length - 1}, {0}] + [{i} for i in range(2, length - 2, 2)]
         return base, list(base)
@@ -44,7 +56,8 @@ def _chain_families_low(length: int):
 
 def _chain_families_high(length: int):
     """Per-chain bases for m > n (chain coordinate L-1 is unusable)."""
-    assert length >= 2
+    if length < 2:
+        raise MidCodeError(f"chain of length {length} is too short for m > n")
     if length % 2 == 0:
         base = [{0}] + [{2 * i - 1, 2 * i} for i in range(1, (length - 2) // 2 + 1)]
         return base, list(base)
@@ -129,32 +142,20 @@ def _observation_rows(m, n, q, cols_a, cols_b, relay):
     """Row masks of the 2q block observations at one relay.
 
     Unknowns are ordered own bits then interferer bits; relay 0 serves the
-    user that transmits cols_a in the first slot.
+    user that transmits cols_a in the first slot.  Each row is one received
+    level, formed by the channel's hop-1 geometry on unknown-bit masks.
     """
-    a, b = len(cols_a), len(cols_b)
-    r = a + b
-    rows = [0] * (2 * q)
+    a, r = len(cols_a), len(cols_a) + len(cols_b)
 
-    def land(slot, pos, bit):
-        if 0 <= pos < q:
-            rows[slot * q + pos] |= 1 << bit
+    def sent(cols, base):
+        return tuple(_mask(bits) for bits in column_levels(cols, base, q))
 
-    def place(slot, cols, strength, base):
-        for k, col in enumerate(cols):
-            for j in range(q):
-                if (col >> j) & 1:
-                    land(slot, (q - strength) + j, base + k)
-
-    if relay == 0:
-        place(0, cols_a, n, 0)          # own user, slot A, direct
-        place(1, cols_b, n, a)          # own user, slot B, direct
-        place(1, cols_a, m, r)          # interferer, slot B, cross
-        place(0, cols_b, m, r + a)      # interferer, slot A, cross
-    else:
-        place(1, cols_a, n, 0)
-        place(0, cols_b, n, a)
-        place(0, cols_a, m, r)
-        place(1, cols_b, m, r + a)
+    own = (sent(cols_a, 0), sent(cols_b, a))
+    interferer = (sent(cols_a, r), sent(cols_b, r + a))
+    rows = []
+    for slot in (0, 1):
+        use = slot ^ relay              # 0: the own user sends cols_a now
+        rows += _superpose(0, (own[use], n), (interferer[1 - use], m))
     return rows, r
 
 
@@ -167,7 +168,8 @@ def build_mid_code(m: int, n: int, rate: int) -> MidCode:
         raise MidCodeError(f"rate {rate} outside [0, {cap}] for (m={m}, n={n})")
     q = max(m, n)
     cols_x, cols_y = _column_sets(m, n) if rate else ([], [])
-    assert rate == 0 or len(cols_x) + len(cols_y) == cap
+    if rate and len(cols_x) + len(cols_y) != cap:
+        raise MidCodeError(f"column sets miss the rate cap {cap} for (m={m}, n={n})")
     while len(cols_x) + len(cols_y) > rate:
         (cols_x if len(cols_x) >= len(cols_y) else cols_y).pop()
 

@@ -2,14 +2,17 @@
 
 The run is split into two layers:
 
-* A *schedule builder* walks the four-phase timeline symbolically.  Every
-  transmitted level is a set of payload-bit references (an XOR combination),
-  receptions are computed through the same shift-and-superpose geometry as
-  the value channel, and decoding is modelled as knowledge-set propagation:
-  a node may learn a bit only from a reception in which every other
-  contributing bit is already in its knowledge set.  The builder asserts
-  causality and side-information soundness and emits an explicit list of
-  decode steps.
+* A *schedule builder* walks the timeline symbolically.  Every transmitted
+  level is a set of payload-bit references (an XOR combination), and
+  receptions come from ``ofbic.channel``'s one shift-and-superpose geometry,
+  the same code the value engine uses, applied to reference sets instead of
+  bits.  Decoding is modelled as knowledge-set propagation: a node may learn
+  a bit only from a reception in which every other contributing bit is
+  already in its knowledge set.  The builder asserts causality and
+  side-information soundness and emits an explicit list of decode steps.
+  One slot loop serves all four schemes; nofb-mid differs from the packet
+  schemes only in its hop-1 emission (MidCode columns) and in how its relays
+  decode (two-slot recipes instead of single receptions).
 * An *engine* evaluates the schedule on concrete payload bits, pushing real
   GfVec signals through first_hop/second_hop and executing the decode steps
   against the actually received vectors.  verify_trace replays a recorded
@@ -19,7 +22,8 @@ The run is split into two layers:
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
 carries one hop-1 and one hop-2 transmission; consecutive packets overlap.
-After the last phase-4 slot the relays drain their forwarding queues.
+A nofb-mid block i uses hop 1 at slots 2i-1 and 2i.  After the last hop-1
+slot the relays drain their forwarding queues.
 """
 
 from __future__ import annotations
@@ -40,8 +44,16 @@ from .allocation import (
     allocate,
     level_map,
 )
-from .channel import ChannelDomainError, ChannelParams, GfVec, first_hop, second_hop
-from .midcode import MidCode, build_mid_code
+from .channel import (
+    ChannelDomainError,
+    ChannelParams,
+    GfVec,
+    _first_hop,
+    _second_hop,
+    first_hop,
+    second_hop,
+)
+from .midcode import MidCode, build_mid_code, column_levels
 from .rates import Regime, pos, r_nom, regime_of
 
 SIGNALS = (
@@ -57,16 +69,6 @@ WARMUP_PACKETS = 2
 
 class PipelineError(AssertionError):
     """Internal scheduling invariant violated (a bug, not bad input)."""
-
-
-# --- symbolic level algebra (mirrors channel.shift / superposition) --------
-
-def _sym_shift(levels, k):
-    return ((frozenset(),) * (len(levels) - k)) + tuple(levels[:k])
-
-
-def _sym_add(a, b):
-    return tuple(x ^ y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -111,32 +113,62 @@ class Schedule:
     formula_rate: int
 
 
-def _ref_order_packet(alloc: BitAllocation, packets: int):
-    kinds = (
-        ("n1", alloc.noncoop), ("cp", alloc.coop), ("v1", alloc.private),
-        ("n4", alloc.noncoop), ("v4", alloc.private),
+def _payload_plan(scheme: str, p: ChannelParams, packets: int):
+    """(alloc, formula_rate, payload_refs) of a run; alloc is None for nofb-mid.
+
+    Payload references are (source, packet, kind, index) in transmission-plan
+    order: packet by packet, then source, then band.  nofb-mid blocks use the
+    single kind 'mb'.
+    """
+    if scheme not in ALL_SCHEMES:
+        raise ChannelDomainError(f"unknown scheme {scheme!r}")
+    if packets < 4:
+        raise ChannelDomainError("need at least 4 packets to fill the pipeline")
+    if scheme == SCHEME_NOFB_MID:
+        tags = regime_of(p)
+        if Regime.MID not in tags and Regime.DEGENERATE not in tags:
+            raise RegimeError(
+                f"scheme {SCHEME_NOFB_MID} needs the mid regime at {p.short()}"
+            )
+        rate = r_nom(p)
+        kinds = (("mb", rate),)
+        alloc = None
+    else:
+        alloc = allocate(scheme, p)
+        rate = alloc.bits_per_packet
+        kinds = (
+            ("n1", alloc.noncoop), ("cp", alloc.coop), ("v1", alloc.private),
+            ("n4", alloc.noncoop), ("v4", alloc.private),
+        )
+    refs = tuple(
+        (src, pkt, kind, j)
+        for pkt in range(1, packets + 1)
+        for src in (1, 2)
+        for kind, count in kinds
+        for j in range(count)
     )
-    refs = []
-    for pkt in range(1, packets + 1):
-        for src in (1, 2):
-            for kind, count in kinds:
-                refs.extend((src, pkt, kind, j) for j in range(count))
-    return tuple(refs)
+    return alloc, rate, refs
 
 
-class _PacketBuilder:
-    """Schedule construction for the fbxw / rsw / rss pipelines."""
+class _Builder:
+    """Schedule construction for all four schemes."""
 
     def __init__(self, scheme: str, p: ChannelParams, packets: int):
         self.scheme = scheme
         self.p = p
         self.packets = packets
-        self.alloc = allocate(scheme, p)
-        self.lmap1 = level_map(self.alloc, p, 1)
-        self.lmap4 = level_map(self.alloc, p, 4)
-        self.fb_plan = self._feedback_plan()
+        self.mid = scheme == SCHEME_NOFB_MID
+        self.alloc, self.formula_rate, self.payload_refs = _payload_plan(
+            scheme, p, packets)
+        if self.mid:
+            self.code = build_mid_code(p.m, p.n, self.formula_rate)
+            self.fb_plan = {2: (), 3: ()}
+        else:
+            self.code = None
+            self.lmap1 = level_map(self.alloc, p, 1)
+            self.lmap4 = level_map(self.alloc, p, 4)
+            self.fb_plan = self._feedback_plan()
         self.know = {node: set() for node in _NODES}
-        self.payload_refs = _ref_order_packet(self.alloc, packets)
         self.refs_by_packet = {}
         for ref in self.payload_refs:
             self.know[f"S{ref[0]}"].add(ref)
@@ -160,7 +192,8 @@ class _PacketBuilder:
             return plans
         if self.scheme == SCHEME_FBXW:
             first = (cp + 1) // 2
-            assert first <= min(p.mbar, p.f)
+            if first > min(p.mbar, p.f):
+                raise PipelineError(f"fbxw feedback overflows at {p.short()}")
             plans[2] = tuple((lvl, lvl) for lvl in range(first))
             plans[3] = tuple((lvl, first + lvl) for lvl in range(cp - first))
             return plans
@@ -168,7 +201,8 @@ class _PacketBuilder:
         bottom = min(cp, 2 * loss)
         top = cp - bottom
         top2, bot2 = (top + 1) // 2, (bottom + 1) // 2
-        assert top2 <= min(p.nbar, p.f) and bot2 <= loss
+        if top2 > min(p.nbar, p.f) or bot2 > loss:
+            raise PipelineError(f"{self.scheme} feedback overflows at {p.short()}")
         j = 0
         for phase, (kt, kb) in ((2, (top2, bot2)), (3, (top - top2, bottom - bot2))):
             levels = list(range(kt)) + [p.nbar - kb + i for i in range(kb)]
@@ -192,7 +226,7 @@ class _PacketBuilder:
         if target in self.know[node]:
             raise PipelineError(f"{node} relearns {target} at slot {slot}")
         self.know[node].add(target)
-        self._add_step(slot, DecodeStep(node, slot, (obs,), side, target))
+        self._add_step(slot, DecodeStep(node, slot, obs, side, target))
         if node in ("R1", "R2"):
             own = 1 if node == "R1" else 2
             if target[0] == own and not (
@@ -213,7 +247,7 @@ class _PacketBuilder:
                 if len(unknown) <= 1:
                     self.pending[node].remove(entry)
                     if len(unknown) == 1:
-                        self._learn(node, slot, obs, refs, next(iter(unknown)))
+                        self._learn(node, slot, (obs,), refs, next(iter(unknown)))
                     progress = True
 
     def _scan_relay(self, node, signal, slot, sym_vec):
@@ -221,7 +255,7 @@ class _PacketBuilder:
         for position, refs in enumerate(sym_vec):
             unknown = refs - self.know[node]
             if len(unknown) == 1:
-                self._learn(node, slot, (signal, slot, position), refs,
+                self._learn(node, slot, ((signal, slot, position),), refs,
                             next(iter(unknown)))
             elif len(unknown) == 2:
                 entry = ((signal, slot, position), frozenset(refs))
@@ -233,9 +267,6 @@ class _PacketBuilder:
 
     # -- per-slot planning ---------------------------------------------------
 
-    def _ref(self, src, pkt, kind, j):
-        return (src, pkt, kind, j)
-
     def _hop1_emits(self, t):
         q = self.p.q
         emits = {1: [None] * q, 2: [None] * q}
@@ -245,8 +276,7 @@ class _PacketBuilder:
             pkt = (t + 1) // 2
             for src in (1, 2):
                 for level, (band, j) in self.lmap1.items():
-                    ref = self._ref(src, pkt, kind1[band], j)
-                    emits[src][level] = Emit(frozenset({ref}))
+                    emits[src][level] = Emit(frozenset({(src, pkt, kind1[band], j)}))
         if t % 2 == 0 and 1 <= t // 2 - 1 <= self.packets:
             pkt = t // 2 - 1
             for src in (1, 2):
@@ -255,13 +285,27 @@ class _PacketBuilder:
                     if band == "coop_relay":
                         emits[src][level] = self._coop_relay_emit(node, other, pkt, j, t)
                     else:
-                        ref = self._ref(src, pkt, kind4[band], j)
+                        ref = (src, pkt, kind4[band], j)
                         emits[src][level] = Emit(frozenset({ref}))
+        return emits
+
+    def _mid_hop1_emits(self, t):
+        """Block (t+1)//2: user 1 sends the slot-A columns in the odd slot and
+        the slot-B columns in the even one, user 2 the other way round."""
+        q, code, blk = self.p.q, self.code, (t + 1) // 2
+        emits = {1: [None] * q, 2: [None] * q}
+        if blk > self.packets:
+            return emits
+        for src in (1, 2):
+            use_a = (t % 2 == 1) == (src == 1)
+            cols, base = (code.cols_a, 0) if use_a else (code.cols_b, code.split)
+            emits[src] = [Emit(frozenset((src, blk, "mb", k) for k in bits))
+                          if bits else None for bits in column_levels(cols, base, q)]
         return emits
 
     def _coop_relay_emit(self, node, other, pkt, j, t):
         if self.scheme in (SCHEME_FBXW, SCHEME_RSW):
-            ref = self._ref(other, pkt, "cp", j)
+            ref = (other, pkt, "cp", j)
             if ref not in self.know[node]:
                 raise PipelineError(f"{node} has not learned {ref} by slot {t}")
             return Emit(frozenset({ref}))
@@ -300,7 +344,7 @@ class _PacketBuilder:
 
     def _feedback_emit(self, relay, own, pkt, j):
         if self.scheme == SCHEME_FBXW:
-            ref = self._ref(own, pkt, "cp", j)
+            ref = (own, pkt, "cp", j)
             if ref not in self.know[relay]:
                 raise PipelineError(f"{relay} misses own coop bit {ref}")
             return Emit(frozenset({ref}))
@@ -308,7 +352,7 @@ class _PacketBuilder:
             residuals = self.residual_store.get((relay, pkt), ())
             obs, refs = residuals[j]
             return Emit(refs, mode="echo", echo_src=obs)
-        ref = self._ref(3 - own, pkt, "cp", j)
+        ref = (3 - own, pkt, "cp", j)
         if ref not in self.know[relay]:
             raise PipelineError(f"{relay} misses cross coop bit {ref}")
         return Emit(frozenset({ref}))
@@ -319,7 +363,7 @@ class _PacketBuilder:
         p = self.p
         for src in (1, 2):
             node = f"S{src}"
-            sym_vec = y_s[src]
+            sym_vec = y_s[src - 1]
             if self.scheme == SCHEME_RSS and phase in (2, 3):
                 relay_sig = f"X_R{src}"
                 for level, j in self.feedback_levels.get((relay_sig, t), ()):
@@ -335,15 +379,41 @@ class _PacketBuilder:
             for position, refs in enumerate(sym_vec):
                 unknown = refs - self.know[node]
                 if len(unknown) == 1:
-                    self._learn(node, t, (f"Y_S{src}", t, position), refs,
+                    self._learn(node, t, ((f"Y_S{src}", t, position),), refs,
                                 next(iter(unknown)))
                 elif len(unknown) > 1 and self.scheme != SCHEME_RSS:
                     raise PipelineError(f"{node} cannot track slot {t} pos {position}")
 
+    def _process_relays(self, t, y_r):
+        # literal names: one shared string object per signal across all steps
+        fresh = [self._scan_relay("R1", "Y_R1", t, y_r[0]),
+                 self._scan_relay("R2", "Y_R2", t, y_r[1])]
+        if self.scheme == SCHEME_RSW and t % 2 == 1 and (t + 1) // 2 <= self.packets:
+            cur = (t + 1) // 2
+            for relay, residuals in zip(("R1", "R2"), fresh):
+                if len(residuals) != self.alloc.coop:
+                    raise PipelineError(
+                        f"{relay} holds {len(residuals)} residuals for packet {cur}"
+                    )
+                self.residual_store[(relay, cur)] = tuple(residuals)
+
+    def _mid_decode_relays(self, t):
+        """At the end of a block each relay solves for its own user's bits;
+        the two-slot recipes cancel the interferer, so no side information."""
+        if t % 2 or t // 2 > self.packets:
+            return
+        done = t // 2
+        for relay_idx, (relay, signal) in enumerate((("R1", "Y_R1"), ("R2", "Y_R2"))):
+            for k, recipe in enumerate(self.code.own_recipes[relay_idx]):
+                obs = tuple((signal, t - 1 + s_off, position)
+                            for s_off, position in recipe)
+                target = (relay_idx + 1, done, "mb", k)
+                self._learn(relay, t, obs, frozenset({target}), target)
+
     def _process_dest(self, t, y_d):
         for dst in (1, 2):
             node = f"D{dst}"
-            for position, refs in enumerate(y_d[dst]):
+            for position, refs in enumerate(y_d[dst - 1]):
                 if len(refs) != 1:
                     continue
                 ref = next(iter(refs))
@@ -363,50 +433,37 @@ class _PacketBuilder:
 
     def build(self) -> Schedule:
         p, P = self.p, self.packets
-        core = 2 * P + 2
+        lag = 0 if self.mid else 1  # hop 1 of packet i ends at 2i+2, of block i at 2i
         budget = 2 * P + 4
-        t, n_slots = 1, core
+        t, n_slots = 1, 2 * (P + lag)
+        none = frozenset()
         while t <= n_slots:
-            hop1 = self._hop1_emits(t)
+            hop1 = self._mid_hop1_emits(t) if self.mid else self._hop1_emits(t)
             hop2, phase, pkt = self._hop2_emits(t)
-            self.tx[("X_S1", t)] = tuple(hop1[1])
-            self.tx[("X_S2", t)] = tuple(hop1[2])
-            self.tx[("X_R1", t)] = tuple(hop2["R1"])
-            self.tx[("X_R2", t)] = tuple(hop2["R2"])
+            sent = (hop1[1], hop1[2], hop2["R1"], hop2["R2"])
+            for signal, emits in zip(_TX_NODE, sent):
+                self.tx[(signal, t)] = tuple(emits)
+            s1, s2, r1, r2 = (tuple(e.refs if e else none for e in emits)
+                              for emits in sent)
+            y_r = _first_hop(s1, s2, p, none)
+            y_d1, y_d2, y_s1, y_s2 = _second_hop(r1, r2, p, none)
 
-            s1 = tuple(e.refs if e else frozenset() for e in hop1[1])
-            s2 = tuple(e.refs if e else frozenset() for e in hop1[2])
-            r1 = tuple(e.refs if e else frozenset() for e in hop2["R1"])
-            r2 = tuple(e.refs if e else frozenset() for e in hop2["R2"])
-            y_r1 = _sym_add(_sym_shift(s1, p.n), _sym_shift(s2, p.m))
-            y_r2 = _sym_add(_sym_shift(s1, p.m), _sym_shift(s2, p.n))
-            y_d = {1: _sym_shift(r1, p.f), 2: _sym_shift(r2, p.f)}
-            y_s = {
-                1: _sym_add(_sym_shift(r1, p.nbar), _sym_shift(r2, p.mbar)),
-                2: _sym_add(_sym_shift(r2, p.nbar), _sym_shift(r1, p.mbar)),
-            }
+            if self.mid:
+                # sources do not listen: nothing they overhear is used
+                self._mid_decode_relays(t)
+            else:
+                # sources first: echo capture must use start-of-slot knowledge
+                self._process_sources(t, (y_s1, y_s2), phase, pkt)
+                self._process_relays(t, y_r)
+            self._process_dest(t, (y_d1, y_d2))
 
-            # sources first: echo capture must use start-of-slot knowledge
-            self._process_sources(t, y_s, phase, pkt)
-            fresh1 = self._scan_relay("R1", "Y_R1", t, y_r1)
-            fresh2 = self._scan_relay("R2", "Y_R2", t, y_r2)
-            if self.scheme == SCHEME_RSW and t % 2 == 1 and (t + 1) // 2 <= P:
-                cur = (t + 1) // 2
-                for relay, fresh in (("R1", fresh1), ("R2", fresh2)):
-                    if len(fresh) != self.alloc.coop:
-                        raise PipelineError(
-                            f"{relay} holds {len(fresh)} residuals for packet {cur}"
-                        )
-                    self.residual_store[(relay, cur)] = tuple(fresh)
-            self._process_dest(t, y_d)
-
-            if t % 2 == 0 and 1 <= t // 2 - 1 <= P:
-                done = t // 2 - 1
+            if t % 2 == 0 and 1 <= t // 2 - lag <= P:
+                done = t // 2 - lag
                 for relay, src in (("R1", 1), ("R2", 2)):
                     missing = [r for r in self.refs_by_packet.get((src, done), ())
                                if r not in self.know[relay]]
                     if missing:
-                        raise PipelineError(f"{relay} missing {missing} after phase 4")
+                        raise PipelineError(f"{relay} missing {missing} after hop 1")
 
             if t == n_slots and any(self.fifo.values()):
                 n_slots += 1
@@ -423,133 +480,19 @@ class _PacketBuilder:
             p=p,
             packets=P,
             alloc=self.alloc,
-            code=None,
+            code=self.code,
             n_slots=n_slots,
             tx=self.tx,
             steps=self.steps,
             payload_refs=self.payload_refs,
             deliveries=tuple(self.deliveries),
             feedback_levels=self.feedback_levels,
-            formula_rate=self.alloc.bits_per_packet,
+            formula_rate=self.formula_rate,
         )
-
-
-def _build_mid_schedule(p: ChannelParams, packets: int) -> Schedule:
-    tags = regime_of(p)
-    if Regime.MID not in tags and Regime.DEGENERATE not in tags:
-        raise RegimeError(
-            f"scheme {SCHEME_NOFB_MID} needs the mid regime at {p.short()}"
-        )
-    rate = r_nom(p)
-    code = build_mid_code(p.m, p.n, rate)
-    q, qbar, f = p.q, p.qbar, p.f
-    refs = tuple(
-        (src, blk, "mb", k)
-        for blk in range(1, packets + 1)
-        for src in (1, 2)
-        for k in range(rate)
-    )
-    know = {node: set() for node in _NODES}
-    for ref in refs:
-        know[f"S{ref[0]}"].add(ref)
-    fifo = {"R1": deque(), "R2": deque()}
-    tx, steps, deliveries, delivered = {}, {}, [], {}
-
-    def col_emits(src, blk, slot_role):
-        levels = [frozenset() for _ in range(q)]
-        role_a = slot_role == "A"
-        use_a = role_a if src == 1 else not role_a
-        cols = code.cols_a if use_a else code.cols_b
-        base = 0 if use_a else code.split
-        for k, col in enumerate(cols):
-            for j in range(q):
-                if (col >> j) & 1:
-                    levels[j] = levels[j] ^ {(src, blk, "mb", base + k)}
-        return [Emit(frozenset(s)) if s else None for s in levels]
-
-    core = 2 * packets
-    budget = 2 * packets + 4
-    t, n_slots = 1, core
-    while t <= n_slots:
-        blk = (t + 1) // 2
-        role = "A" if t % 2 == 1 else "B"
-        if blk <= packets and rate:
-            tx[("X_S1", t)] = tuple(col_emits(1, blk, role))
-            tx[("X_S2", t)] = tuple(col_emits(2, blk, role))
-        else:
-            tx[("X_S1", t)] = (None,) * q
-            tx[("X_S2", t)] = (None,) * q
-        emits = {"R1": [None] * qbar, "R2": [None] * qbar}
-        for relay in ("R1", "R2"):
-            for level in range(f):
-                if fifo[relay] and fifo[relay][0][1] < t:
-                    ref, _ = fifo[relay].popleft()
-                    emits[relay][level] = Emit(frozenset({ref}))
-        tx[("X_R1", t)] = tuple(emits["R1"])
-        tx[("X_R2", t)] = tuple(emits["R2"])
-
-        if t % 2 == 0 and t // 2 <= packets and rate:
-            done = t // 2
-            for relay_idx, (relay, src) in enumerate((("R1", 1), ("R2", 2))):
-                for k in range(rate):
-                    obs = tuple(
-                        (f"Y_{relay}", t - 1 + s_off, position)
-                        for s_off, position in code.own_recipes[relay_idx][k]
-                    )
-                    target = (src, done, "mb", k)
-                    steps.setdefault(t, []).append(
-                        DecodeStep(relay, t, obs, frozenset(), target)
-                    )
-                    know[relay].add(target)
-                    fifo[relay].append((target, t))
-
-        for relay, dst in (("R1", 1), ("R2", 2)):
-            sym = tuple(
-                e.refs if e else frozenset() for e in tx[(f"X_{relay}", t)]
-            )
-            for position, s in enumerate(_sym_shift(sym, f)):
-                if len(s) == 1:
-                    ref = next(iter(s))
-                    assert ref not in delivered
-                    delivered[ref] = t
-                    deliveries.append((t, f"D{dst}", ref))
-                    steps.setdefault(t, []).append(
-                        DecodeStep(f"D{dst}", t, ((f"Y_D{dst}", t, position),),
-                                   frozenset(), ref, deliver=True)
-                    )
-
-        if t == n_slots and any(fifo.values()):
-            n_slots += 1
-            if n_slots > budget:
-                raise PipelineError(f"drain exceeds slot budget {budget}")
-        t += 1
-
-    if len(delivered) != len(refs):
-        raise PipelineError("not every block bit was delivered")
-    return Schedule(
-        scheme=SCHEME_NOFB_MID,
-        p=p,
-        packets=packets,
-        alloc=None,
-        code=code,
-        n_slots=n_slots,
-        tx=tx,
-        steps=steps,
-        payload_refs=refs,
-        deliveries=tuple(deliveries),
-        feedback_levels={},
-        formula_rate=rate,
-    )
 
 
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
-    if scheme not in ALL_SCHEMES:
-        raise ChannelDomainError(f"unknown scheme {scheme!r}")
-    if packets < 4:
-        raise ChannelDomainError("need at least 4 packets to fill the pipeline")
-    if scheme == SCHEME_NOFB_MID:
-        return _build_mid_schedule(p, packets)
-    return _PacketBuilder(scheme, p, packets).build()
+    return _Builder(scheme, p, packets).build()
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +537,13 @@ class SimulationTrace:
         return Fraction(count, hi - lo + 1)
 
 
-def generate_payload(schedule: Schedule, seed: int) -> dict:
+def _draw_payload(payload_refs, seed: int) -> dict:
     rng = random.Random(seed)
-    return {ref: rng.getrandbits(1) for ref in schedule.payload_refs}
+    return {ref: rng.getrandbits(1) for ref in payload_refs}
+
+
+def generate_payload(schedule: Schedule, seed: int) -> dict:
+    return _draw_payload(schedule.payload_refs, seed)
 
 
 def _emit_value(emit, node_store, vectors):
@@ -704,12 +651,6 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     )
 
 
-def run_nofb_mid(p: ChannelParams, packets: int,
-                 seed: int = DEFAULT_SEED) -> SimulationTrace:
-    """Run the mid-regime no-feedback scheme (run_scheme shorthand)."""
-    return run_scheme(SCHEME_NOFB_MID, p, packets, seed=seed)
-
-
 @dataclass
 class VerifyReport:
     ok: bool
@@ -812,30 +753,52 @@ def format_trace(trace: SimulationTrace) -> str:
 
 
 def parse_trace(text: str) -> SimulationTrace:
-    header = {}
+    """Read a trace written by format_trace; reject anything malformed.
+
+    Errors name the 1-based line they were found on.  Only the recorded
+    vectors are read back: the payload and the formula rate follow from the
+    header, and verify_trace rebuilds the schedule to replay the vectors.
+    """
+    header = {}                       # key -> (value, line number)
     slots = []
-    for line in text.splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             for token in line[1:].split():
                 if "=" in token:
                     key, _, value = token.partition("=")
-                    header.setdefault(key, value)
+                    header.setdefault(key, (value, lineno))
             continue
         fields = line.split()
-        slots.append({s: GfVec.from_string(v) for s, v in zip(SIGNALS, fields[1:])})
-    try:
-        p = ChannelParams(int(header["m"]), int(header["n"]), int(header["mbar"]),
-                          int(header["nbar"]), int(header["f"]))
-        scheme = header["scheme"]
-        packets = int(header["packets"])
-        seed = int(header["seed"])
-    except KeyError as exc:
-        raise ChannelDomainError(f"trace header missing {exc}") from exc
-    schedule = build_schedule(scheme, p, packets)
-    payload = generate_payload(schedule, seed)
+        if len(fields) != 1 + len(SIGNALS):
+            raise ChannelDomainError(
+                f"line {lineno}: {len(fields)} columns, expected {1 + len(SIGNALS)}"
+            )
+        if fields[0] != str(len(slots) + 1):
+            raise ChannelDomainError(
+                f"line {lineno}: slot index {fields[0]!r}, expected {len(slots) + 1}"
+            )
+        try:
+            slots.append({s: GfVec.from_string(v) for s, v in zip(SIGNALS, fields[1:])})
+        except ChannelDomainError as exc:
+            raise ChannelDomainError(f"line {lineno}: {exc}") from exc
+
+    def field(key, cast=int):
+        if key not in header:
+            raise ChannelDomainError(f"trace header missing {key!r}")
+        value, lineno = header[key]
+        try:
+            return cast(value)
+        except ValueError:
+            raise ChannelDomainError(
+                f"line {lineno}: header field {key}={value!r} is not an integer"
+            ) from None
+
+    p = ChannelParams(field("m"), field("n"), field("mbar"), field("nbar"), field("f"))
+    scheme, packets, seed = field("scheme", str), field("packets"), field("seed")
+    alloc, formula_rate, payload_refs = _payload_plan(scheme, p, packets)
     return SimulationTrace(
         scheme=scheme,
         p=p,
@@ -843,8 +806,8 @@ def parse_trace(text: str) -> SimulationTrace:
         seed=seed,
         n_slots=len(slots),
         slots=slots,
-        payload=payload,
+        payload=_draw_payload(payload_refs, seed),
         deliveries=[],
-        formula_rate=schedule.formula_rate,
-        alloc=schedule.alloc,
+        formula_rate=formula_rate,
+        alloc=alloc,
     )

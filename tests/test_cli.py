@@ -231,6 +231,12 @@ class TestSweep:
         assert code == 0
         assert "grid: m 0..2 n 0..2 mbar 0..1 nbar 0..1 f 0..2" in out
 
+    def test_bad_grid_is_usage_error_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--grid", "m=0:x"])
+        assert info.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_counterexample_csv_header(self, capsys, tmp_path):
         out_file = tmp_path / "ce.csv"
         code, _, _ = run_cli(
@@ -249,6 +255,12 @@ class TestCompareAndFreq:
             "--nbar", "1", "--alphas", "0,1/2,1,2",
         )
         assert code == 0 and out == COMPARE_SMALL_F
+
+    def test_bad_alphas_is_usage_error_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--n", "4", "--f", "1", "--alphas", "abc"])
+        assert info.value.code == 2
+        assert "--alphas" in capsys.readouterr().err
 
     def test_compare_weak_ofb_dfb_region(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """End-to-end scheme runs: exact rates, replay, fault injection, structure."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -122,12 +123,102 @@ def test_trace_format_frozen_golden():
     assert format_trace(trace) == FROZEN_TRACE
 
 
+# (scheme, point, packets) -> number of decode steps in the schedule and
+# SHA-256 of the formatted trace: the five worked examples, the nofb-mid points
+# (3,4,1,1,3 is the case where a source overhears the other user's relay), and
+# short, medium and long runs.
+FROZEN_DIGESTS = [
+    ("fbxw", (2, 4, 1, 1, 3), 4, 134,
+     "e4f22881586b4d11813227b04982be1d47dc0b0c9a4b1d764011ba7d9b2af530"),
+    ("fbxw", (2, 4, 1, 1, 3), 8, 262,
+     "e44cc6e9dadc92ba18ef2c154aece6c4aaa4a05e2c362946c045e830b4c626d9"),
+    ("fbxw", (2, 4, 1, 1, 3), 30, 966,
+     "06e401a482d059bd9147693ea212a8f4a393dd32f0d67a42f0abf9f543c1bbaa"),
+    ("rsw", (2, 4, 0, 1, 3), 4, 96,
+     "5ea18c977e3e2f864d990298e9d62f588b165299bc5053a0d34d3a0a52ee38ca"),
+    ("rsw", (2, 4, 0, 1, 3), 8, 192,
+     "ac8c22702a08d4e4950ea0b563564063c897cdbbfc54546c6a76285ba630b654"),
+    ("rsw", (2, 4, 0, 1, 3), 30, 720,
+     "9bceb0cf748f7b7ba79775ec1031531532c9162620e6ca70bfa649a37c48981e"),
+    ("rss", (4, 1, 1, 1, 2), 4, 80,
+     "6effbb52185c136e19cd0383e471a1df2f025ecdc21e5fddb73361f748794c8f"),
+    ("rss", (4, 1, 1, 1, 2), 8, 160,
+     "69405ffb6e377dfa2837ff28a46134acb4ef915eb2042c5ad004f56ff9108116"),
+    ("rss", (4, 1, 1, 1, 2), 30, 600,
+     "ef15c07666e09ff9dabfc7bd36bc175b4bfe539e4f0464f3a0491e6ce2839724"),
+    ("rsw", (2, 4, 0, 4, 3), 4, 128,
+     "008a14ce119b951b6a5602c12e86003960ff83e9391919429ae44b0b0a7bf135"),
+    ("rsw", (2, 4, 0, 4, 3), 8, 256,
+     "eb27d51d6542a3ed234a8eb9c119b93e00c78e5ea78b07ddd7af850a8b74c531"),
+    ("rsw", (2, 4, 0, 4, 3), 30, 960,
+     "dba4f55cda00747aeefc1156a9310bfb01daf6d1af9ea83ae4ba21fd1a554cae"),
+    ("rss", (4, 1, 1, 3, 2), 4, 104,
+     "f36f8b8e7fd22cb1344254455e17f6bda7e268975670593d1a5409f65c051ca0"),
+    ("rss", (4, 1, 1, 3, 2), 8, 200,
+     "29684eb1348159e7c2cb430f89ce115aa764b0a28f9f22fc7a4d5227f622f942"),
+    ("rss", (4, 1, 1, 3, 2), 30, 728,
+     "b06f20b7601f4e531ad87c207187d87e1f4b299a9501ff55f94eaed043d594ad"),
+    ("nofb-mid", (3, 3, 0, 0, 10), 4, 48,
+     "27d07a516b55b8d1aa318546e3386a7c02fdb0689ff0cfab2b4abef4979aa32a"),
+    ("nofb-mid", (3, 3, 0, 0, 10), 8, 96,
+     "7b7ca57cc4baa4208603aa7fe5399e712d2d324de93ca518454dc9de95361423"),
+    ("nofb-mid", (3, 3, 0, 0, 10), 30, 360,
+     "c3d2a1d99e909fc72fed75a6a576a741740fbd3b10b790b996c6991fb29aa6f3"),
+    ("nofb-mid", (2, 3, 0, 0, 1), 4, 32,
+     "16f6dc83095727158109207a1243c604fd94a4ab57f813c212f07886960a33da"),
+    ("nofb-mid", (2, 3, 0, 0, 1), 8, 64,
+     "32dc4e4098b14b71c348decc9f7695e522036a81b6713c579b2a8c4698aaf870"),
+    ("nofb-mid", (2, 3, 0, 0, 1), 30, 240,
+     "91129df2a0b646dd923268f30d11dbc92d089d347e29b5c47d56db7097f14c24"),
+    ("nofb-mid", (3, 4, 0, 0, 8), 4, 80,
+     "19b9d20e6145080e71d64a2e30cf2edae82b68d663fe5cce691b804ab7ce3df3"),
+    ("nofb-mid", (3, 4, 0, 0, 8), 8, 160,
+     "8509d834620b5fd605b16bcc2406da0634d9339dc79a01369adb8d08c82b6201"),
+    ("nofb-mid", (3, 4, 0, 0, 8), 30, 600,
+     "376ba638e59de6dc16132bba633495cd88e5160bcf5edc8a30279b5aa17ef427"),
+    ("nofb-mid", (3, 4, 1, 1, 3), 4, 80,
+     "5cf0e15597cbd8a370685d34e34eaaed0b22fa359ea57864a014dc2118db71ff"),
+    ("nofb-mid", (3, 4, 1, 1, 3), 8, 160,
+     "6f7ad669fc8b1895591838f50b5a232df1b8a0bc3f466fb16f919765dd5184dd"),
+    ("nofb-mid", (3, 4, 1, 1, 3), 30, 600,
+     "4c6f0bda43533fcf7b91adec42b1c2f55061c851fc1ff5ed5561e4694450d8f5"),
+]
+
+
+@pytest.mark.parametrize("scheme,point,packets,steps,digest", FROZEN_DIGESTS)
+def test_trace_digest_golden(scheme, point, packets, steps, digest):
+    p = ChannelParams(*point)
+    text = format_trace(run_scheme(scheme, p, packets))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    schedule = build_schedule(scheme, p, packets)
+    assert sum(len(s) for s in schedule.steps.values()) == steps
+
+
 def test_trace_header_carries_run_identity():
     trace = run_scheme("rss", ChannelParams(4, 1, 1, 1, 2), 8, seed=77)
     text = format_trace(trace)
     assert "scheme=rss" in text and "seed=77" in text and "packets=8" in text
     parsed = parse_trace(text)
     assert parsed.seed == 77 and parsed.scheme == "rss"
+
+
+def _edit_line(text, lineno, edit):
+    lines = text.splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("lineno,edit", [
+    (8, lambda line: line.rsplit(" ", 1)[0] + "\n"),       # too few columns
+    (8, lambda line: line.rstrip("\n") + " 00\n"),         # extra column
+    (8, lambda line: "4" + line[1:]),                       # slot index skips 3
+    (2, lambda line: line.replace("m=4", "m=two")),         # non-integer field
+], ids=["short-line", "extra-column", "slot-index", "header-not-int"])
+def test_parse_trace_rejects_malformed_line(lineno, edit):
+    assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
+    text = _edit_line(FROZEN_TRACE, lineno, edit)
+    with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
+        parse_trace(text)
 
 
 class TestFaultInjection:
