@@ -16,7 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelDomainError, ChannelParams
-from .rates import Regime, f_prime, f_star, pos, r_fbxw, r_rss, r_rsw, regime_of
+from .rates import (
+    InvariantError,
+    Regime,
+    f_prime,
+    f_star,
+    pos,
+    r_fbxw,
+    r_rss,
+    r_rsw,
+    regime_of,
+)
 
 
 class RegimeError(ChannelDomainError):
@@ -63,12 +73,21 @@ def _weak_common_counts(p: ChannelParams):
 
 def _finish(scheme: str, p: ChannelParams, noncoop: int, coop: int,
             private: int, rate: int) -> BitAllocation:
-    assert min(noncoop, coop, private) >= 0
-    assert 2 * noncoop + 2 * private + coop == rate, (
-        f"{scheme} allocation does not add up at {p.short()}: "
-        f"2*{noncoop}+2*{private}+{coop} != {rate}"
-    )
-    assert noncoop + private <= p.q
+    if min(noncoop, coop, private) < 0:
+        raise InvariantError(
+            f"{scheme} allocation has a negative count at {p.short()}: "
+            f"noncoop={noncoop} coop={coop} private={private}"
+        )
+    if 2 * noncoop + 2 * private + coop != rate:
+        raise InvariantError(
+            f"{scheme} allocation does not add up at {p.short()}: "
+            f"2*{noncoop}+2*{private}+{coop} != {rate}"
+        )
+    if noncoop + private > p.q:
+        raise InvariantError(
+            f"{scheme} allocation exceeds q at {p.short()}: "
+            f"{noncoop}+{private} > {p.q}"
+        )
     per_phase = ((coop + 1) // 2, coop // 2)
     return BitAllocation(
         scheme=scheme,
@@ -95,7 +114,8 @@ def allocate_rsw(p: ChannelParams) -> BitAllocation:
     noncoop, private = _weak_common_counts(p)
     m0 = max(p.n - p.m, p.m)
     two_fs = 2 * f_star(p)
-    assert two_fs.denominator == 1
+    if two_fs.denominator != 1:
+        raise InvariantError(f"2*f_star = {two_fs} is not an integer at {p.short()}")
     coop = min(
         2 * pos(p.nbar - p.f) + int(two_fs),
         2 * p.n - p.m - 2 * m0,
@@ -108,14 +128,18 @@ def allocate_rss(p: ChannelParams) -> BitAllocation:
     _require(p, Regime.STRONG, SCHEME_RSS)
     noncoop = min(p.n, p.f)
     two_fp = 2 * f_prime(p)
-    assert two_fp.denominator == 1
+    if two_fp.denominator != 1:
+        raise InvariantError(f"2*f_prime = {two_fp} is not an integer at {p.short()}")
     coop = min(
         2 * pos(p.nbar - p.f) + int(two_fp),
         p.m - 2 * p.n,
         pos(2 * p.f - 2 * p.n),
     )
     # common bits must clear the other source's direct band at the cross relay
-    assert noncoop + coop <= p.m - p.n or coop == 0
+    if coop and noncoop + coop > p.m - p.n:
+        raise InvariantError(
+            f"{SCHEME_RSS} common bits overlap the direct band at {p.short()}"
+        )
     return _finish(SCHEME_RSS, p, noncoop, coop, 0, r_rss(p))
 
 
@@ -149,9 +173,15 @@ def level_map(alloc: BitAllocation, p: ChannelParams, phase: int) -> dict:
         assignment[p.m + j] = ("private", j)
     if assignment:
         top = max(assignment)
-        assert top < p.q, f"allocation spills past q at {p.short()}"
+        if top >= p.q:
+            raise InvariantError(f"allocation spills past q at {p.short()}")
         if alloc.scheme in (SCHEME_FBXW, SCHEME_RSW):
-            assert nc + cp <= p.n - p.m
+            fits = nc + cp <= p.n - p.m
         else:
-            assert pv == 0 and nc + cp <= max(p.m - p.n, p.n)
+            fits = pv == 0 and nc + cp <= max(p.m - p.n, p.n)
+        if not fits:
+            raise InvariantError(
+                f"{alloc.scheme} bands do not fit at {p.short()}: "
+                f"noncoop={nc} coop={cp} private={pv}"
+            )
     return assignment

@@ -8,8 +8,13 @@ The run is split into two layers:
   the same code the value engine uses, applied to reference sets instead of
   bits.  Decoding is modelled as knowledge-set propagation: a node may learn
   a bit only from a reception in which every other contributing bit is
-  already in its knowledge set.  The builder asserts causality and
-  side-information soundness and emits an explicit list of decode steps.
+  already in its knowledge set.  A relay reception with two unknown bits
+  waits in a pending set indexed by its unknown refs; learning a bit wakes
+  only the receptions waiting on it, which resolve in insertion order, so
+  the build is linear in the packet count.  Levels are immutable and shared:
+  one ``Emit`` per payload bit serves its hop-1 emission and its relay
+  forwarding.  The builder checks causality and side-information soundness
+  (raising PipelineError) and emits an explicit list of decode steps.
   One slot loop serves all four schemes; nofb-mid differs from the packet
   schemes only in its hop-1 emission (MidCode columns) and in how its relays
   decode (two-slot recipes instead of single receptions).
@@ -28,6 +33,8 @@ slot the relays drain their forwarding queues.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -65,13 +72,14 @@ _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
+_EMPTY = frozenset()                  # the one empty level and side set
 
 
 class PipelineError(AssertionError):
     """Internal scheduling invariant violated (a bug, not bad input)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Emit:
     """One transmitted level: an XOR of payload bits plus how to produce it.
 
@@ -84,10 +92,10 @@ class Emit:
     refs: frozenset
     mode: str = "known"
     echo_src: tuple = None
-    cancel: frozenset = frozenset()
+    cancel: frozenset = _EMPTY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeStep:
     node: str
     slot: int
@@ -170,11 +178,20 @@ class _Builder:
             self.fb_plan = self._feedback_plan()
         self.know = {node: set() for node in _NODES}
         self.refs_by_packet = {}
+        # one immutable Emit per payload bit, shared by every level that
+        # carries that bit alone (hop-1 emission and relay forwarding)
+        self.unit = {}
         for ref in self.payload_refs:
             self.know[f"S{ref[0]}"].add(ref)
             self.refs_by_packet.setdefault((ref[0], ref[1]), []).append(ref)
+            self.unit[ref] = Emit(frozenset((ref,)))
         self.fifo = {"R1": deque(), "R2": deque()}
-        self.pending = {"R1": [], "R2": []}
+        # relay receptions with two unknown bits: insertion number ->
+        # (obs, refs), and each unknown ref -> the insertion numbers waiting
+        # on it, ascending
+        self.pending = {"R1": {}, "R2": {}}
+        self.waiting = {"R1": {}, "R2": {}}
+        self.arrivals = itertools.count()
         self.echo = {"S1": {}, "S2": {}}
         self.residual_store = {}
         self.tx = {}
@@ -220,7 +237,14 @@ class _Builder:
         self.steps.setdefault(slot, []).append(step)
 
     def _learn(self, node, slot, obs, refs, target):
-        side = frozenset(refs - {target})
+        self._record(node, slot, obs, refs, target)
+        if node in ("R1", "R2"):
+            self._drain_pending(node, slot, target)
+
+    def _record(self, node, slot, obs, refs, target):
+        side = refs - {target}
+        if len(side) <= 1:                   # share the one-ref or empty set
+            side = self.unit[next(iter(side))].refs if side else _EMPTY
         if not side <= self.know[node]:
             raise PipelineError(f"{node} lacks side info for {target} at slot {slot}")
         if target in self.know[node]:
@@ -233,33 +257,43 @@ class _Builder:
                 self.scheme == SCHEME_FBXW and target[2] == "cp"
             ):
                 self.fifo[node].append((target, slot))
-            self._drain_pending(node, slot)
 
-    def _drain_pending(self, node, slot):
-        progress = True
-        while progress:
-            progress = False
-            for entry in list(self.pending[node]):
-                if entry not in self.pending[node]:
-                    continue  # resolved by a nested learn
-                obs, refs = entry
-                unknown = refs - self.know[node]
-                if len(unknown) <= 1:
-                    self.pending[node].remove(entry)
-                    if len(unknown) == 1:
-                        self._learn(node, slot, (obs,), refs, next(iter(unknown)))
-                    progress = True
+    def _drain_pending(self, node, slot, learned):
+        """Resolve the pending receptions that ``learned`` unlocks, and the
+        ones those unlock in turn, earliest arrival first.
+
+        A pending entry has two unknown refs when it arrives, so it becomes
+        resolvable exactly when one of them is learned: only the entries
+        indexed under a learned ref are woken, never the whole pending set.
+        """
+        pending, waiting, know = self.pending[node], self.waiting[node], self.know[node]
+        ready = waiting.pop(learned, [])     # ascending, so already a heap
+        while ready:
+            entry = pending.pop(heapq.heappop(ready), None)
+            if entry is None:
+                continue                     # resolved through its other ref
+            obs, refs = entry
+            unknown = refs - know
+            if unknown:                      # else both refs known: nothing new
+                target = next(iter(unknown))
+                self._record(node, slot, (obs,), refs, target)
+                for arrival in waiting.pop(target, ()):
+                    heapq.heappush(ready, arrival)
 
     def _scan_relay(self, node, signal, slot, sym_vec):
         fresh = []
+        know = self.know[node]
         for position, refs in enumerate(sym_vec):
-            unknown = refs - self.know[node]
+            unknown = refs - know
             if len(unknown) == 1:
                 self._learn(node, slot, ((signal, slot, position),), refs,
                             next(iter(unknown)))
             elif len(unknown) == 2:
-                entry = ((signal, slot, position), frozenset(refs))
-                self.pending[node].append(entry)
+                entry = ((signal, slot, position), refs)
+                arrival = next(self.arrivals)
+                self.pending[node][arrival] = entry
+                for ref in unknown:
+                    self.waiting[node].setdefault(ref, []).append(arrival)
                 fresh.append(entry)
             elif len(unknown) > 2:
                 raise PipelineError(f"{node} sees {len(unknown)} unknowns at slot {slot}")
@@ -276,7 +310,7 @@ class _Builder:
             pkt = (t + 1) // 2
             for src in (1, 2):
                 for level, (band, j) in self.lmap1.items():
-                    emits[src][level] = Emit(frozenset({(src, pkt, kind1[band], j)}))
+                    emits[src][level] = self.unit[(src, pkt, kind1[band], j)]
         if t % 2 == 0 and 1 <= t // 2 - 1 <= self.packets:
             pkt = t // 2 - 1
             for src in (1, 2):
@@ -285,8 +319,7 @@ class _Builder:
                     if band == "coop_relay":
                         emits[src][level] = self._coop_relay_emit(node, other, pkt, j, t)
                     else:
-                        ref = (src, pkt, kind4[band], j)
-                        emits[src][level] = Emit(frozenset({ref}))
+                        emits[src][level] = self.unit[(src, pkt, kind4[band], j)]
         return emits
 
     def _mid_hop1_emits(self, t):
@@ -308,7 +341,7 @@ class _Builder:
             ref = (other, pkt, "cp", j)
             if ref not in self.know[node]:
                 raise PipelineError(f"{node} has not learned {ref} by slot {t}")
-            return Emit(frozenset({ref}))
+            return self.unit[ref]
         items = self.echo[node].get(pkt, [])
         if len(items) != self.alloc.coop:
             raise PipelineError(f"{node} captured {len(items)} echoes for packet {pkt}")
@@ -339,7 +372,7 @@ class _Builder:
                     continue
                 if self.fifo[relay] and self.fifo[relay][0][1] < t:
                     ref, _ = self.fifo[relay].popleft()
-                    emits[relay][level] = Emit(frozenset({ref}))
+                    emits[relay][level] = self.unit[ref]
         return emits, phase, pkt
 
     def _feedback_emit(self, relay, own, pkt, j):
@@ -347,7 +380,7 @@ class _Builder:
             ref = (own, pkt, "cp", j)
             if ref not in self.know[relay]:
                 raise PipelineError(f"{relay} misses own coop bit {ref}")
-            return Emit(frozenset({ref}))
+            return self.unit[ref]
         if self.scheme == SCHEME_RSW:
             residuals = self.residual_store.get((relay, pkt), ())
             obs, refs = residuals[j]
@@ -355,17 +388,15 @@ class _Builder:
         ref = (3 - own, pkt, "cp", j)
         if ref not in self.know[relay]:
             raise PipelineError(f"{relay} misses cross coop bit {ref}")
-        return Emit(frozenset({ref}))
+        return self.unit[ref]
 
     # -- per-slot reception processing ----------------------------------------
 
     def _process_sources(self, t, y_s, phase, pkt):
         p = self.p
-        for src in (1, 2):
-            node = f"S{src}"
-            sym_vec = y_s[src - 1]
+        for node, signal, relay_sig, sym_vec in (("S1", "Y_S1", "X_R1", y_s[0]),
+                                                 ("S2", "Y_S2", "X_R2", y_s[1])):
             if self.scheme == SCHEME_RSS and phase in (2, 3):
-                relay_sig = f"X_R{src}"
                 for level, j in self.feedback_levels.get((relay_sig, t), ()):
                     position = p.qbar - p.nbar + level
                     refs = sym_vec[position]
@@ -374,12 +405,12 @@ class _Builder:
                     if not remaining:
                         raise PipelineError(f"{node} echo at slot {t} carries nothing new")
                     self.echo[node].setdefault(pkt, []).append(
-                        ((f"Y_S{src}", t, position), remaining, known)
+                        ((signal, t, position), remaining, known)
                     )
             for position, refs in enumerate(sym_vec):
                 unknown = refs - self.know[node]
                 if len(unknown) == 1:
-                    self._learn(node, t, ((f"Y_S{src}", t, position),), refs,
+                    self._learn(node, t, ((signal, t, position),), refs,
                                 next(iter(unknown)))
                 elif len(unknown) > 1 and self.scheme != SCHEME_RSS:
                     raise PipelineError(f"{node} cannot track slot {t} pos {position}")
@@ -408,12 +439,12 @@ class _Builder:
                 obs = tuple((signal, t - 1 + s_off, position)
                             for s_off, position in recipe)
                 target = (relay_idx + 1, done, "mb", k)
-                self._learn(relay, t, obs, frozenset({target}), target)
+                self._learn(relay, t, obs, self.unit[target].refs, target)
 
     def _process_dest(self, t, y_d):
-        for dst in (1, 2):
-            node = f"D{dst}"
-            for position, refs in enumerate(y_d[dst - 1]):
+        for dst, node, signal, sym_vec in ((1, "D1", "Y_D1", y_d[0]),
+                                           (2, "D2", "Y_D2", y_d[1])):
+            for position, refs in enumerate(sym_vec):
                 if len(refs) != 1:
                     continue
                 ref = next(iter(refs))
@@ -425,8 +456,8 @@ class _Builder:
                 self.deliveries.append((t, node, ref))
                 self._add_step(
                     t,
-                    DecodeStep(node, t, ((f"Y_D{dst}", t, position),),
-                               frozenset(), ref, deliver=True),
+                    DecodeStep(node, t, ((signal, t, position),),
+                               _EMPTY, ref, deliver=True),
                 )
 
     # -- main loop -------------------------------------------------------------
@@ -436,17 +467,16 @@ class _Builder:
         lag = 0 if self.mid else 1  # hop 1 of packet i ends at 2i+2, of block i at 2i
         budget = 2 * P + 4
         t, n_slots = 1, 2 * (P + lag)
-        none = frozenset()
         while t <= n_slots:
             hop1 = self._mid_hop1_emits(t) if self.mid else self._hop1_emits(t)
             hop2, phase, pkt = self._hop2_emits(t)
             sent = (hop1[1], hop1[2], hop2["R1"], hop2["R2"])
             for signal, emits in zip(_TX_NODE, sent):
                 self.tx[(signal, t)] = tuple(emits)
-            s1, s2, r1, r2 = (tuple(e.refs if e else none for e in emits)
+            s1, s2, r1, r2 = (tuple(e.refs if e else _EMPTY for e in emits)
                               for emits in sent)
-            y_r = _first_hop(s1, s2, p, none)
-            y_d1, y_d2, y_s1, y_s2 = _second_hop(r1, r2, p, none)
+            y_r = _first_hop(s1, s2, p, _EMPTY)
+            y_d1, y_d2, y_s1, y_s2 = _second_hop(r1, r2, p, _EMPTY)
 
             if self.mid:
                 # sources do not listen: nothing they overhear is used
@@ -728,13 +758,17 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Trace file format: header comments then one line per slot, each signal a
-# '0'/'1' string top level first ('-' when the vector is empty).
+# Trace file format: a version line, header comments, then one line per slot,
+# each signal a '0'/'1' string top level first ('-' when the vector is empty).
+
+_TRACE_VERSION = "# ofbic-trace v1"
+_HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")     # length q; the rest qbar
+
 
 def format_trace(trace: SimulationTrace) -> str:
     p = trace.p
     lines = [
-        "# ofbic-trace v1",
+        _TRACE_VERSION,
         f"# scheme={trace.scheme} m={p.m} n={p.n} mbar={p.mbar} "
         f"nbar={p.nbar} f={p.f} packets={trace.packets} seed={trace.seed}",
     ]
@@ -759,9 +793,13 @@ def parse_trace(text: str) -> SimulationTrace:
     vectors are read back: the payload and the formula rate follow from the
     header, and verify_trace rebuilds the schedule to replay the vectors.
     """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != _TRACE_VERSION:
+        raise ChannelDomainError(f"line 1: expected {_TRACE_VERSION!r}")
     header = {}                       # key -> (value, line number)
     slots = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    slot_lines = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -784,6 +822,7 @@ def parse_trace(text: str) -> SimulationTrace:
             slots.append({s: GfVec.from_string(v) for s, v in zip(SIGNALS, fields[1:])})
         except ChannelDomainError as exc:
             raise ChannelDomainError(f"line {lineno}: {exc}") from exc
+        slot_lines.append(lineno)
 
     def field(key, cast=int):
         if key not in header:
@@ -798,6 +837,14 @@ def parse_trace(text: str) -> SimulationTrace:
 
     p = ChannelParams(field("m"), field("n"), field("mbar"), field("nbar"), field("f"))
     scheme, packets, seed = field("scheme", str), field("packets"), field("seed")
+    lengths = {s: p.q if s in _HOP1_SIGNALS else p.qbar for s in SIGNALS}
+    for lineno, row in zip(slot_lines, slots):
+        for signal, vec in row.items():
+            if len(vec) != lengths[signal]:
+                raise ChannelDomainError(
+                    f"line {lineno}: {signal} has length {len(vec)}, "
+                    f"expected {lengths[signal]}"
+                )
     alloc, formula_rate, payload_refs = _payload_plan(scheme, p, packets)
     return SimulationTrace(
         scheme=scheme,

@@ -2,7 +2,7 @@
 
 Everything here is exact integer (or half-integer Fraction) arithmetic; no
 floating point.  Regime boundaries are closed on both sides, so boundary
-points evaluate both adjacent pieces and assert they agree.
+points evaluate both adjacent pieces and check that they agree.
 """
 
 from __future__ import annotations
@@ -12,6 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import ChannelDomainError, ChannelParams
+
+
+class InvariantError(AssertionError):
+    """A closed-form or allocation identity failed (a bug, not bad input).
+
+    Raised explicitly rather than asserted, so the check survives ``python -O``.
+    """
 
 
 class Regime(enum.Enum):
@@ -150,7 +157,8 @@ def outer_bound(p: ChannelParams) -> int:
     if tags == (Regime.DEGENERATE,):
         return 0
     values = {_outer_piece(p, tag) for tag in tags}
-    assert len(values) == 1, f"regime pieces disagree at {p.short()}: {values}"
+    if len(values) != 1:
+        raise InvariantError(f"regime pieces disagree at {p.short()}: {values}")
     value = values.pop()
     if p.mbar == 0:
         value = min(value, p.f + _m0(p) + pos(p.nbar - p.f))
@@ -178,7 +186,8 @@ def inner_bound(p: ChannelParams) -> int:
     if tags == (Regime.DEGENERATE,):
         return 0
     values = {_inner_piece(p, tag) for tag in tags}
-    assert len(values) == 1, f"inner pieces disagree at {p.short()}: {values}"
+    if len(values) != 1:
+        raise InvariantError(f"inner pieces disagree at {p.short()}: {values}")
     return values.pop()
 
 
@@ -195,7 +204,8 @@ def capacity_mbar0(p: ChannelParams) -> int:
         Regime.STRONG: r_rss,
     }
     values = {pieces[tag](p) for tag in tags}
-    assert len(values) == 1, f"capacity pieces disagree at {p.short()}: {values}"
+    if len(values) != 1:
+        raise InvariantError(f"capacity pieces disagree at {p.short()}: {values}")
     return values.pop()
 
 
@@ -265,7 +275,8 @@ def rate_bundle(p: ChannelParams) -> RateBundle:
     components.update(general_bounds(p))
     components.update(_inner_terms(p, tags))
     open_regime = 3 * p.m < 2 * p.n and p.mbar < p.nbar
-    assert inner <= outer, f"inner > outer at {p.short()}"
+    if inner > outer:
+        raise InvariantError(f"inner > outer at {p.short()}")
     return RateBundle(
         outer=outer,
         inner=inner,

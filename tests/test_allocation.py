@@ -1,5 +1,6 @@
 """Bit allocations: worked examples, rate identities, level placement."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -17,7 +18,8 @@ from ofbic import (
     r_rsw,
     regime_of,
 )
-from ofbic.rates import pos
+from ofbic.allocation import _finish
+from ofbic.rates import InvariantError, pos
 
 
 def cp(m, n, mbar=0, nbar=0, f=0):
@@ -159,3 +161,12 @@ class TestLevelMap:
         p = cp(2, 4, 1, 1, 3)
         with pytest.raises(Exception):
             level_map(allocate_fbxw(p), p, 2)
+
+    def test_broken_allocation_raises_under_any_optimisation(self):
+        # raised, not asserted, so these hold under python -O as well
+        p = cp(2, 4, 1, 1, 3)
+        with pytest.raises(InvariantError, match="does not add up"):
+            _finish("fbxw", p, 0, 2, 2, 7)
+        spilled = dataclasses.replace(allocate_fbxw(p), private=3)
+        with pytest.raises(InvariantError, match="spills past q"):
+            level_map(spilled, p, 1)

@@ -18,7 +18,7 @@ from ofbic import (
     run_scheme,
     verify_trace,
 )
-from ofbic.pipeline import WARMUP_PACKETS
+from ofbic.pipeline import SIGNALS, WARMUP_PACKETS
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -194,6 +194,96 @@ def test_trace_digest_golden(scheme, point, packets, steps, digest):
     assert sum(len(s) for s in schedule.steps.values()) == steps
 
 
+# (scheme, point, packets) -> SHA-256 of a canonical rendering of the whole
+# Schedule: the trace digests above cannot see the order of decode steps
+# inside a slot, and this pins it, with every tx level, delivery and feedback
+# level.  Ref sets are rendered sorted, so only the order the protocol fixes
+# counts.
+FROZEN_SCHEDULE_DIGESTS = {
+    ("fbxw", (2, 4, 1, 1, 3), 4):
+        "7500b8a6d2f674085e3b952aa1001de0c608e08458c3c42be1d8d3711955cd30",
+    ("fbxw", (2, 4, 1, 1, 3), 8):
+        "b21ccff78224600ea50b1a2641c2ffb89f9d0749d57b5071f1d7c35f8f3b599a",
+    ("fbxw", (2, 4, 1, 1, 3), 30):
+        "e4065401e08fa8c5dee6f09ab4ee36faf17be781ad12e778e13bf48eca73dd34",
+    ("rsw", (2, 4, 0, 1, 3), 4):
+        "b0b9d4ad875deb6814a89e5a90c0121db50561f9acfc1eadf566e399382541f4",
+    ("rsw", (2, 4, 0, 1, 3), 8):
+        "d0e26064b1ce06a9c61e7f3784af87dfc45b579cbf90252819c364572a5dd4f6",
+    ("rsw", (2, 4, 0, 1, 3), 30):
+        "1c7e246f86a082662ab97e059d3b7aafcaa8350fed872b7d21bc5f2f64a7a9e2",
+    ("rss", (4, 1, 1, 1, 2), 4):
+        "230015866630a65baf0ba8bd1ca256aaa5315452e366521295477941eb0fb7d4",
+    ("rss", (4, 1, 1, 1, 2), 8):
+        "204c39a6b4a516c3dba893573154c0ec597deb1b54b567c9a3d2a0c5f83e63cb",
+    ("rss", (4, 1, 1, 1, 2), 30):
+        "add285abdcbc51b8210531c4b6fc1c30f6aaae1ce6637dfba1d7ffae3d3a38ac",
+    ("rsw", (2, 4, 0, 4, 3), 4):
+        "1e2124125588fc15e1c2c01231c1fc11cb511e083d0a4e8fdf10ddd07e4349b0",
+    ("rsw", (2, 4, 0, 4, 3), 8):
+        "099239edbb97e1c0bdc9f4e8b51f8605faf2a82fdbf9f2cdb2f225514eb5a24f",
+    ("rsw", (2, 4, 0, 4, 3), 30):
+        "251c13089d94d041b9d7b8a6871d189d29b93e16f0acac17ae9ea89b226f0ece",
+    ("rss", (4, 1, 1, 3, 2), 4):
+        "ec08bfce3a9494e2f9ae95fa47892a4dcdd0225b52b81290a0ec92db1331c58e",
+    ("rss", (4, 1, 1, 3, 2), 8):
+        "caf886392994786f407abf9561d7ed948dfc6a513f3454a3a21735332b4a1c71",
+    ("rss", (4, 1, 1, 3, 2), 30):
+        "c58336e4f8f27a9980056172a590584c049522b94988c8975cbf05065a1ad7c4",
+    ("nofb-mid", (3, 3, 0, 0, 10), 4):
+        "02c289355ce09da8486ff15c8a02c62d1ce5612ce38c9a4095b1208c5bc04f08",
+    ("nofb-mid", (3, 3, 0, 0, 10), 8):
+        "846e0b9d85f39b1f5685390b9aa0681d4be3e2bed1eed8c7ad7bb3e0ac958c70",
+    ("nofb-mid", (3, 3, 0, 0, 10), 30):
+        "a8e2a67eb4e48cccf808761ccd919574dc20492462a20dcf780e596dfaca58fb",
+    ("nofb-mid", (2, 3, 0, 0, 1), 4):
+        "e1047b36dd8a0b70116c4e8ef22c9229b3479fef0b82b557d51c96f3ebc06e94",
+    ("nofb-mid", (2, 3, 0, 0, 1), 8):
+        "4c1d45c0ddafe8a05079471a9f145215179f053582be0f59cea92df586508304",
+    ("nofb-mid", (2, 3, 0, 0, 1), 30):
+        "6f8637df460d96cdbe8b36c94ba086f42d82fc97cc724f3e11190abc739c39aa",
+    ("nofb-mid", (3, 4, 0, 0, 8), 4):
+        "b9b6493bd4d972a5bb8fc049400f9dfefc1162582655c7d978324c8bfc46899e",
+    ("nofb-mid", (3, 4, 0, 0, 8), 8):
+        "e0313e3a731bfee5c55ab03f6898cc6aff39a0b65d125334ef0cee317fc86bee",
+    ("nofb-mid", (3, 4, 0, 0, 8), 30):
+        "453923d9770e844587c8be98e0baaf6d5d5bc84ea9b3714f6c0a870d20ec5236",
+    ("nofb-mid", (3, 4, 1, 1, 3), 4):
+        "a8e55d076286aab4f4e77a80646b836d49123b337a0b166ca577d25fccfd5466",
+    ("nofb-mid", (3, 4, 1, 1, 3), 8):
+        "b49025ffb480ac0cd4e15fc976a50e50c6ff17423b47f51be3c994d01b76472e",
+    ("nofb-mid", (3, 4, 1, 1, 3), 30):
+        "2b8d8d471367b0743613c250b4d28c8e260c3f7322e8483360a57ec11180b8c8",
+    ("fbxw", (16, 32, 8, 8, 24), 12):
+        "803f2c494f251697506f21851b78bcd6250c080e03d0f013ea65fafdea5b178f",
+}
+
+
+def _emit_key(emit):
+    if emit is None:
+        return None
+    return (sorted(emit.refs), emit.mode, emit.echo_src, sorted(emit.cancel))
+
+
+def _schedule_digest(schedule):
+    tx = [(key, [_emit_key(e) for e in schedule.tx[key]])
+          for key in sorted(schedule.tx)]
+    steps = [(slot, [(d.node, d.slot, d.obs, sorted(d.side), d.target, d.deliver)
+                     for d in schedule.steps[slot]])
+             for slot in sorted(schedule.steps)]
+    text = repr((tx, steps, schedule.deliveries,
+                 sorted(schedule.feedback_levels.items()), schedule.n_slots))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", FROZEN_SCHEDULE_DIGESTS,
+                         ids=lambda c: f"{c[0]}-{'.'.join(map(str, c[1]))}-P{c[2]}")
+def test_schedule_order_golden(case):
+    scheme, point, packets = case
+    schedule = build_schedule(scheme, ChannelParams(*point), packets)
+    assert _schedule_digest(schedule) == FROZEN_SCHEDULE_DIGESTS[case]
+
+
 def test_trace_header_carries_run_identity():
     trace = run_scheme("rss", ChannelParams(4, 1, 1, 1, 2), 8, seed=77)
     text = format_trace(trace)
@@ -213,7 +303,12 @@ def _edit_line(text, lineno, edit):
     (8, lambda line: line.rstrip("\n") + " 00\n"),         # extra column
     (8, lambda line: "4" + line[1:]),                       # slot index skips 3
     (2, lambda line: line.replace("m=4", "m=two")),         # non-integer field
-], ids=["short-line", "extra-column", "slot-index", "header-not-int"])
+    (1, lambda line: ""),                                   # no version line
+    (1, lambda line: line.replace("v1", "v2")),             # wrong version
+    (8, lambda line: line.replace(" 1000 ", " 100 ", 1)),   # X_S1 shorter than q
+    (8, lambda line: line.rstrip("\n") + "0\n"),            # Y_S2 longer than qbar
+], ids=["short-line", "extra-column", "slot-index", "header-not-int",
+        "version-missing", "version-wrong", "length-q", "length-qbar"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
@@ -264,6 +359,19 @@ class TestFaultInjection:
     def test_clean_run_verifies(self):
         trace = run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 10)
         assert verify_trace(trace).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.integers(0, len(WORKED) - 1), data=st.data())
+    def test_any_single_flip_located_exactly(self, case, data):
+        scheme, p, _ = WORKED[case]
+        n_slots = build_schedule(scheme, p, 6).n_slots
+        lengths = {s: p.q if s[:3] in ("X_S", "Y_R") else p.qbar for s in SIGNALS}
+        slot = data.draw(st.integers(1, n_slots), label="slot")
+        signal = data.draw(st.sampled_from([s for s in SIGNALS if lengths[s]]),
+                           label="signal")
+        level = data.draw(st.integers(0, lengths[signal] - 1), label="level")
+        trace = run_scheme(scheme, p, 6, faults={(slot, signal): level})
+        assert verify_trace(trace).faults == [(slot, signal, level)]
 
 
 class TestGates:
