@@ -1,7 +1,8 @@
 """Command-line front end: rate evaluation, scheme simulation, sweeps,
 comparison-curve export.
 
-Exit codes: 0 success, 2 usage error, 3 domain/regime error.  Every run is
+Exit codes: 0 success, 2 usage error (bad flags, config lines or values,
+files that cannot be read or written), 3 domain/regime error.  Every run is
 fully determined by its flags; the default seed is 1009.  Relative --out
 paths are resolved against $OFBIC_OUT_DIR when that variable is set.
 """
@@ -29,6 +30,10 @@ from .sweep import (
 )
 
 OUT_DIR_ENV = "OFBIC_OUT_DIR"
+
+
+class UsageError(Exception):
+    """A bad value found after argument parsing (exit 2)."""
 
 
 def _out_path(path: str) -> str:
@@ -61,9 +66,15 @@ def _grid_ranges(text: str) -> dict:
     grid = {}
     for part in text.split(","):
         key, _, span = part.strip().partition("=")
+        key = key.strip()
+        if key not in DEFAULT_RANGES:
+            raise argparse.ArgumentTypeError(
+                f"unknown grid key {key!r}, expected one of "
+                f"{', '.join(DEFAULT_RANGES)}"
+            )
         lo, _, hi = span.partition(":")
         try:
-            grid[key.strip()] = (int(lo), int(hi or lo))
+            grid[key] = (int(lo), int(hi or lo))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad range {part.strip()!r}, expected key=lo:hi"
@@ -127,12 +138,15 @@ def cmd_simulate(args) -> int:
 def _read_config(path: str) -> dict:
     config = {}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ChannelDomainError(f"bad config line {raw.strip()!r}")
+                raise UsageError(
+                    f"config {path} line {lineno}: expected key = value, "
+                    f"got {raw.strip()!r}"
+                )
             key, _, value = line.partition("=")
             config[key.strip()] = value.strip()
     return config
@@ -145,7 +159,13 @@ def cmd_sweep(args) -> int:
         if flag_value is not None:
             return flag_value
         if name in config:
-            return cast(config[name])
+            try:
+                return cast(config[name])
+            except ValueError:
+                raise UsageError(
+                    f"config {args.config}: {name} = {config[name]!r} "
+                    "is not an integer"
+                ) from None
         return default
 
     grid_flag = args.grid or {}
@@ -269,6 +289,9 @@ def main(argv=None) -> int:
     except ChannelDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

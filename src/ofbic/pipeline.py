@@ -24,6 +24,10 @@ The run is split into two layers:
   trace through the same engine and reports the first point where the
   recording deviates from what the protocol would have produced.
 
+A run builds its schedule once: a trace from run_scheme carries that
+schedule until it is verified, and verify_trace releases it, so no trace
+holds one afterwards.  A parsed trace is verified against a fresh build.
+
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
 carries one hop-1 and one hop-2 transmission; consecutive packets overlap.
@@ -37,7 +41,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .allocation import (
@@ -541,6 +545,10 @@ class SimulationTrace:
     formula_rate: int
     alloc: BitAllocation = None
     decode_errors: int = 0
+    # the Schedule run_scheme built, held for the one verify_trace that
+    # follows and dropped by it; never set by parse_trace
+    _schedule: Schedule = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def delivered_bits(self) -> int:
@@ -666,7 +674,7 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     payload = generate_payload(schedule, seed)
     slot_rows, deliveries, _, _ = _run_engine(schedule, payload, faults=faults)
     errors = sum(1 for d in deliveries if not d[4])
-    return SimulationTrace(
+    trace = SimulationTrace(
         scheme=scheme,
         p=p,
         packets=packets,
@@ -679,6 +687,8 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
         alloc=schedule.alloc,
         decode_errors=errors,
     )
+    trace._schedule = schedule
+    return trace
 
 
 @dataclass
@@ -718,8 +728,16 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     Checks, in order of severity: every recorded signal equals what the
     protocol produces from the recorded inputs (locating any injected
     fault), and every delivered bit matches the seeded payload.
+
+    A trace from run_scheme carries the schedule it was run on; the replay
+    uses it when the trace still names the same (scheme, p, packets), and
+    the trace gives it up here either way, so it is freed with this call.
+    A parsed trace, a changed one or a second verification builds afresh.
     """
-    schedule = build_schedule(trace.scheme, trace.p, trace.packets)
+    schedule, trace._schedule = trace._schedule, None
+    if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
+            trace.scheme, trace.p, trace.packets):
+        schedule = build_schedule(trace.scheme, trace.p, trace.packets)
     payload = generate_payload(schedule, trace.seed)
     if len(trace.slots) != schedule.n_slots:
         raise ChannelDomainError(
@@ -791,7 +809,8 @@ def parse_trace(text: str) -> SimulationTrace:
 
     Errors name the 1-based line they were found on.  Only the recorded
     vectors are read back: the payload and the formula rate follow from the
-    header, and verify_trace rebuilds the schedule to replay the vectors.
+    header.  A parsed trace carries no schedule, so verify_trace builds a
+    fresh one to replay the vectors.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _TRACE_VERSION:

@@ -68,6 +68,8 @@ class SweepSpec:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ChannelDomainError(f"unknown checks {sorted(unknown)}")
+        if self.sample < 0:
+            raise ChannelDomainError(f"sample must be non-negative, got {self.sample}")
         if "SCHEME_VS_FORMULA" in self.checks and self.scheme_packets < 8:
             raise ChannelDomainError("simulation checks need scheme_packets >= 8")
 

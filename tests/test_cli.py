@@ -1,6 +1,8 @@
 """CLI surface: golden outputs, exit codes, config file, output directory."""
 
 import os
+import runpy
+import sys
 
 import pytest
 
@@ -186,6 +188,15 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "rel.txt").exists()
 
+    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--scheme", "fbxw", "--m", "2", "--n", "4",
+            "--mbar", "1", "--nbar", "1", "--f", "3", "--packets", "8",
+            "--out", str(tmp_path / "missing" / "t.txt"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "missing" in err
+
 
 class TestSweep:
     def test_small_clean_sweep(self, capsys):
@@ -237,6 +248,47 @@ class TestSweep:
         assert info.value.code == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_unknown_grid_key_is_usage_error_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--grid", "zz=1:2"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "'zz'" in err
+
+    def test_negative_sample_is_domain_error_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--sample", "-1")
+        assert code == 3
+        assert err.startswith("error: ") and "sample" in err
+
+    def test_bad_config_value_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("sample = abc\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and "sample" in err
+
+    def test_malformed_config_line_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("m_max = 2\ngarbage line\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and "line 2" in err
+
+    def test_missing_config_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--config",
+                               str(tmp_path / "absent.cfg"))
+        assert code == 2
+        assert err.startswith("error: ") and "absent.cfg" in err
+
+    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--m-max", "1", "--n-max", "1", "--mbar-max", "0",
+            "--nbar-max", "0", "--f-max", "1", "--checks", "corollary1",
+            "--out", str(tmp_path / "missing" / "ce.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "missing" in err
+
     def test_counterexample_csv_header(self, capsys, tmp_path):
         out_file = tmp_path / "ce.csv"
         code, _, _ = run_cli(
@@ -286,6 +338,15 @@ class TestCompareAndFreq:
                                "--m", "2", "--n", "4", "--f", "10")
         assert code == 0
         assert "verdict: direct" not in out
+
+
+def test_python_m_ofbic_runs_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ofbic", "freq-choice", "--theta", "1",
+                                      "--m", "4", "--n", "1", "--f", "10"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("ofbic", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == FREQ_STRONG
 
 
 def test_domain_error_exit_3(capsys):

@@ -18,7 +18,7 @@ from ofbic import (
     run_scheme,
     verify_trace,
 )
-from ofbic.pipeline import SIGNALS, WARMUP_PACKETS
+from ofbic.pipeline import SIGNALS, WARMUP_PACKETS, _Builder
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -364,14 +364,20 @@ class TestFaultInjection:
     @given(case=st.integers(0, len(WORKED) - 1), data=st.data())
     def test_any_single_flip_located_exactly(self, case, data):
         scheme, p, _ = WORKED[case]
-        n_slots = build_schedule(scheme, p, 6).n_slots
-        lengths = {s: p.q if s[:3] in ("X_S", "Y_R") else p.qbar for s in SIGNALS}
-        slot = data.draw(st.integers(1, n_slots), label="slot")
-        signal = data.draw(st.sampled_from([s for s in SIGNALS if lengths[s]]),
-                           label="signal")
-        level = data.draw(st.integers(0, lengths[signal] - 1), label="level")
+        slot, signal, level = _draw_flip(data, scheme, p, 6)
         trace = run_scheme(scheme, p, 6, faults={(slot, signal): level})
         assert verify_trace(trace).faults == [(slot, signal, level)]
+
+
+def _draw_flip(data, scheme, p, packets):
+    """Any (slot, signal, level) of a run, on a signal with a non-empty vector."""
+    n_slots = build_schedule(scheme, p, packets).n_slots
+    lengths = {s: p.q if s[:3] in ("X_S", "Y_R") else p.qbar for s in SIGNALS}
+    slot = data.draw(st.integers(1, n_slots), label="slot")
+    signal = data.draw(st.sampled_from([s for s in SIGNALS if lengths[s]]),
+                       label="signal")
+    level = data.draw(st.integers(0, lengths[signal] - 1), label="level")
+    return slot, signal, level
 
 
 class TestGates:
@@ -514,3 +520,91 @@ def test_full_regime_coverage_small_grid():
             assert trace.steady_state_rate == want, (scheme, p.short())
             assert trace.n_slots <= 2 * 8 + 4
             assert verify_trace(trace).ok, (scheme, p.short())
+
+
+# ---------------------------------------------------------------------------
+# Schedule handoff: run_scheme -> verify_trace builds the schedule once.
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (scheme, packets) of every schedule build, in order."""
+    calls = []
+    real = _Builder.build
+
+    def counting(self):
+        calls.append((self.scheme, self.packets))
+        return real(self)
+
+    monkeypatch.setattr(_Builder, "build", counting)
+    return calls
+
+
+FBXW_SMALL = ChannelParams(2, 4, 1, 1, 3)
+
+
+def test_run_then_verify_builds_once(builds):
+    trace = run_scheme("fbxw", FBXW_SMALL, 8)
+    assert verify_trace(trace).ok
+    assert builds == [("fbxw", 8)]
+
+
+def test_parsed_trace_verify_builds_once(builds):
+    text = format_trace(run_scheme("fbxw", FBXW_SMALL, 8))
+    del builds[:]
+    parsed = parse_trace(text)
+    assert builds == []
+    assert verify_trace(parsed).ok
+    assert builds == [("fbxw", 8)]
+
+
+def test_second_verify_rebuilds_and_agrees(builds):
+    trace = run_scheme("rsw", ChannelParams(2, 4, 0, 1, 3), 8,
+                       faults={(7, "Y_R1"): 0})
+    first = verify_trace(trace)
+    assert len(builds) == 1           # the run's build, carried to verify
+    second = verify_trace(trace)
+    assert len(builds) == 2           # released by the first verify
+    assert second == first and not first.ok
+
+
+def test_changed_trace_verified_against_fresh_build(builds):
+    trace = run_scheme("fbxw", FBXW_SMALL, 8)
+    trace.packets = 9
+    # a 9-packet schedule needs more slots than the 8-packet run recorded;
+    # the carried 8-packet schedule would have verified it as clean
+    with pytest.raises(ChannelDomainError, match="slots"):
+        verify_trace(trace)
+    assert builds == [("fbxw", 8), ("fbxw", 9)]
+    trace.packets = 8
+    assert verify_trace(trace).ok
+    assert builds == [("fbxw", 8), ("fbxw", 9), ("fbxw", 8)]
+
+
+def test_carried_schedule_outside_repr_and_eq():
+    carried = run_scheme("fbxw", FBXW_SMALL, 8)
+    released = run_scheme("fbxw", FBXW_SMALL, 8)
+    verify_trace(released)
+    assert carried._schedule is not None and released._schedule is None
+    assert carried == released
+    assert repr(carried) == repr(released)
+    assert "Schedule" not in repr(carried)
+    assert parse_trace(format_trace(carried))._schedule is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(WORKED) - 1), packets=st.integers(4, 12),
+       seed=st.integers(0, 2**32 - 1), faulty=st.booleans(), data=st.data())
+def test_trace_roundtrip_property(case, packets, seed, faulty, data):
+    """format/parse keeps every vector, and the carried and built schedules
+    give the same report, faults included."""
+    scheme, p, _ = WORKED[case]
+    faults = None
+    if faulty:
+        slot, signal, level = _draw_flip(data, scheme, p, packets)
+        faults = {(slot, signal): level}
+    trace = run_scheme(scheme, p, packets, seed=seed, faults=faults)
+    parsed = parse_trace(format_trace(trace))
+    assert parsed.slots == trace.slots
+    carried = verify_trace(trace)
+    assert verify_trace(parsed) == carried
+    assert carried.ok == (faults is None)
