@@ -16,30 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelDomainError, ChannelParams
-from .rates import (
+from .rates import (  # the scheme names and RegimeError are re-exported
+    ALL_SCHEMES,
+    PACKET_SCHEMES,
+    SCHEME_FBXW,
+    SCHEME_NOFB_MID,
+    SCHEME_RSS,
+    SCHEME_RSW,
     InvariantError,
-    Regime,
+    RegimeError,
     f_prime,
     f_star,
     pos,
     r_fbxw,
     r_rss,
     r_rsw,
-    regime_of,
+    require_scheme,
 )
-
-
-class RegimeError(ChannelDomainError):
-    """Scheme applied outside its interference regime."""
-
-
-SCHEME_FBXW = "fbxw"
-SCHEME_RSW = "rsw"
-SCHEME_RSS = "rss"
-SCHEME_NOFB_MID = "nofb-mid"
-
-PACKET_SCHEMES = (SCHEME_FBXW, SCHEME_RSW, SCHEME_RSS)
-ALL_SCHEMES = PACKET_SCHEMES + (SCHEME_NOFB_MID,)
 
 
 @dataclass(frozen=True)
@@ -55,14 +48,6 @@ class BitAllocation:
     def bits_per_packet(self) -> int:
         """Fresh payload bits per packet per source."""
         return 2 * (self.noncoop + self.private) + self.coop
-
-
-def _require(p: ChannelParams, tag: Regime, scheme: str) -> None:
-    if tag not in regime_of(p):
-        raise RegimeError(
-            f"scheme {scheme} needs the {tag} regime, "
-            f"got {'+'.join(str(t) for t in regime_of(p))} at {p.short()}"
-        )
 
 
 def _weak_common_counts(p: ChannelParams):
@@ -100,7 +85,7 @@ def _finish(scheme: str, p: ChannelParams, noncoop: int, coop: int,
 
 
 def allocate_fbxw(p: ChannelParams) -> BitAllocation:
-    _require(p, Regime.WEAK, SCHEME_FBXW)
+    require_scheme(SCHEME_FBXW, p)
     noncoop, private = _weak_common_counts(p)
     m0 = max(p.n - p.m, p.m)
     coop = min(2 * p.mbar, 2 * p.n - p.m - 2 * m0, pos(2 * p.f - 2 * m0))
@@ -108,9 +93,7 @@ def allocate_fbxw(p: ChannelParams) -> BitAllocation:
 
 
 def allocate_rsw(p: ChannelParams) -> BitAllocation:
-    _require(p, Regime.WEAK, SCHEME_RSW)
-    if p.mbar != 0:
-        raise RegimeError(f"scheme {SCHEME_RSW} needs mbar = 0 at {p.short()}")
+    require_scheme(SCHEME_RSW, p)
     noncoop, private = _weak_common_counts(p)
     m0 = max(p.n - p.m, p.m)
     two_fs = 2 * f_star(p)
@@ -125,7 +108,7 @@ def allocate_rsw(p: ChannelParams) -> BitAllocation:
 
 
 def allocate_rss(p: ChannelParams) -> BitAllocation:
-    _require(p, Regime.STRONG, SCHEME_RSS)
+    require_scheme(SCHEME_RSS, p)
     noncoop = min(p.n, p.f)
     two_fp = 2 * f_prime(p)
     if two_fp.denominator != 1:
@@ -143,14 +126,14 @@ def allocate_rss(p: ChannelParams) -> BitAllocation:
     return _finish(SCHEME_RSS, p, noncoop, coop, 0, r_rss(p))
 
 
+_ALLOCATORS = {SCHEME_FBXW: allocate_fbxw, SCHEME_RSW: allocate_rsw,
+               SCHEME_RSS: allocate_rss}
+
+
 def allocate(scheme: str, p: ChannelParams) -> BitAllocation:
-    if scheme == SCHEME_FBXW:
-        return allocate_fbxw(p)
-    if scheme == SCHEME_RSW:
-        return allocate_rsw(p)
-    if scheme == SCHEME_RSS:
-        return allocate_rss(p)
-    raise ChannelDomainError(f"no bit allocation for scheme {scheme!r}")
+    if scheme not in _ALLOCATORS:
+        raise ChannelDomainError(f"no bit allocation for scheme {scheme!r}")
+    return _ALLOCATORS[scheme](p)
 
 
 def level_map(alloc: BitAllocation, p: ChannelParams, phase: int) -> dict:

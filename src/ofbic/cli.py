@@ -10,6 +10,7 @@ paths are resolved against $OFBIC_OUT_DIR when that variable is set.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +20,6 @@ from .channel import ChannelDomainError, ChannelParams
 from .pipeline import DEFAULT_SEED, format_trace, run_scheme, verify_trace
 from .rates import aux_quantities, dfb_reference, nofb_reference, rate_bundle
 from .sweep import (
-    ALL_CHECKS,
     DEFAULT_RANGES,
     SweepSpec,
     compare_csv,
@@ -37,9 +37,12 @@ class UsageError(Exception):
 
 
 def _out_path(path: str) -> str:
+    """Resolve an --out path; its directory must exist, so check before a run."""
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     return path
 
 
@@ -113,13 +116,12 @@ def cmd_rates(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _params(args)
-    trace = run_scheme(args.scheme, p, args.packets, seed=args.seed)
-    report = verify_trace(trace)
-    out = args.out or (
+    out = _out_path(args.out or (
         f"trace_{args.scheme}_m{p.m}n{p.n}mb{p.mbar}nb{p.nbar}f{p.f}"
         f"_p{args.packets}_s{args.seed}.txt"
-    )
-    out = _out_path(out)
+    ))
+    trace = run_scheme(args.scheme, p, args.packets, seed=args.seed)
+    report = verify_trace(trace)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(format_trace(trace))
     print(f"scheme: {args.scheme}")
@@ -155,7 +157,7 @@ def _read_config(path: str) -> dict:
 def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
 
-    def setting(name, flag_value, cast, default):
+    def setting(name, flag_value, cast, default=None):
         if flag_value is not None:
             return flag_value
         if name in config:
@@ -174,19 +176,21 @@ def cmd_sweep(args) -> int:
         lo = setting(f"{key}_min", getattr(args, f"{key}_min"), int, lo_default)
         hi = setting(f"{key}_max", getattr(args, f"{key}_max"), int, hi_default)
         ranges[key] = grid_flag.get(key, (lo, hi))
-    checks_raw = setting("checks", args.checks, str, ",".join(ALL_CHECKS))
-    checks = tuple(c.strip().upper() for c in checks_raw.split(",") if c.strip())
-    spec = SweepSpec(
-        ranges=ranges,
-        checks=checks,
-        scheme_packets=setting("packets", args.packets, int, 8),
-        sample=setting("sample", args.sample, int, 200),
-        seed=setting("seed", args.seed, int, DEFAULT_SEED),
-    )
+    checks = setting("checks", args.checks, str)
+    given = {
+        "ranges": ranges,
+        "checks": None if checks is None else tuple(
+            c.strip().upper() for c in checks.split(",") if c.strip()),
+        "scheme_packets": setting("packets", args.packets, int),
+        "sample": setting("sample", args.sample, int),
+        "seed": setting("seed", args.seed, int),
+    }
+    # Unset values are left out so that SweepSpec's defaults apply.
+    spec = SweepSpec(**{k: v for k, v in given.items() if v is not None})
+    out = _out_path(args.out) if args.out else None
     report = sweep(spec)
     print(report.render())
-    if args.out:
-        out = _out_path(args.out)
+    if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write("check,m,n,mbar,nbar,f,detail,replay\n")
             for ce in report.counterexamples:

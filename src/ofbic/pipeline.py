@@ -51,7 +51,6 @@ from .allocation import (
     SCHEME_RSS,
     SCHEME_RSW,
     BitAllocation,
-    RegimeError,
     allocate,
     level_map,
 )
@@ -65,7 +64,7 @@ from .channel import (
     second_hop,
 )
 from .midcode import MidCode, build_mid_code, column_levels
-from .rates import Regime, pos, r_nom, regime_of
+from .rates import pos, r_nom, require_scheme
 
 SIGNALS = (
     "X_S1", "X_S2", "Y_R1", "Y_R2", "X_R1", "X_R2",
@@ -137,11 +136,7 @@ def _payload_plan(scheme: str, p: ChannelParams, packets: int):
     if packets < 4:
         raise ChannelDomainError("need at least 4 packets to fill the pipeline")
     if scheme == SCHEME_NOFB_MID:
-        tags = regime_of(p)
-        if Regime.MID not in tags and Regime.DEGENERATE not in tags:
-            raise RegimeError(
-                f"scheme {SCHEME_NOFB_MID} needs the mid regime at {p.short()}"
-            )
+        require_scheme(scheme, p)
         rate = r_nom(p)
         kinds = (("mb", rate),)
         alloc = None

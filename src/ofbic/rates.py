@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .channel import ChannelDomainError, ChannelParams
 
@@ -19,6 +20,10 @@ class InvariantError(AssertionError):
 
     Raised explicitly rather than asserted, so the check survives ``python -O``.
     """
+
+
+class RegimeError(ChannelDomainError):
+    """Scheme applied outside its interference regime."""
 
 
 class Regime(enum.Enum):
@@ -55,8 +60,8 @@ def _m0(p: ChannelParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Achievable-rate formulas (evaluable for any p; regime gating is the
-# caller's job).
+# Achievable-rate formulas (evaluable for any p; SCHEMES below says where
+# each scheme runs).
 
 def r_fbxw(p: ChannelParams) -> int:
     """Weak-regime scheme using cross-link overhearing."""
@@ -135,6 +140,8 @@ def general_bounds(p: ChannelParams) -> dict:
     return bounds
 
 
+# The outer pieces keep their own formulas, never the scheme rates, so that
+# the sweep's COROLLARY1 and INNER_LE_OUTER checks compare two derivations.
 def _outer_piece(p: ChannelParams, tag: Regime) -> int:
     if tag is Regime.WEAK:
         return min(2 * _m0(p) + 2 * max(p.nbar, p.mbar), 2 * p.n - p.m, 2 * p.f)
@@ -147,66 +154,110 @@ def _outer_piece(p: ChannelParams, tag: Regime) -> int:
     return 0
 
 
+def _agreed(p: ChannelParams, tags, piece, what: str) -> int:
+    """The one value that every regime piece of p gives; 0 at m = n = 0."""
+    if tags == (Regime.DEGENERATE,):
+        return 0
+    values = {piece(p, tag) for tag in tags}
+    if len(values) != 1:
+        raise InvariantError(f"{what} pieces disagree at {p.short()}: {values}")
+    return values.pop()
+
+
+def _outer(p: ChannelParams, tags) -> int:
+    value = _agreed(p, tags, _outer_piece, "regime")
+    if p.mbar == 0:
+        value = min(value, p.f + _m0(p) + pos(p.nbar - p.f))
+    return value
+
+
 def outer_bound(p: ChannelParams) -> int:
     """Regime-piecewise sum-capacity upper bound.
 
     For mbar = 0 the extra direct-link bound also applies and is
     intersected in.
     """
-    tags = regime_of(p)
-    if tags == (Regime.DEGENERATE,):
-        return 0
-    values = {_outer_piece(p, tag) for tag in tags}
-    if len(values) != 1:
-        raise InvariantError(f"regime pieces disagree at {p.short()}: {values}")
-    value = values.pop()
-    if p.mbar == 0:
-        value = min(value, p.f + _m0(p) + pos(p.nbar - p.f))
-    return value
+    return _outer(p, regime_of(p))
+
+
+# ---------------------------------------------------------------------------
+# The achievable schemes: where each runs and the sum rate it reaches.  This
+# table is the one place that decides which scheme serves which regime.
+
+SCHEME_FBXW = "fbxw"
+SCHEME_RSW = "rsw"
+SCHEME_RSS = "rss"
+SCHEME_NOFB_MID = "nofb-mid"
+
+
+class SchemeSpec(NamedTuple):
+    regimes: tuple          # the scheme runs where p has any of these regimes
+    mbar0: bool             # ... and, when set, only if mbar = 0
+    rate: Callable          # its closed-form sum rate there
+
+
+SCHEMES = {
+    SCHEME_FBXW: SchemeSpec((Regime.WEAK,), False, r_fbxw),
+    SCHEME_RSW: SchemeSpec((Regime.WEAK,), True, r_rsw),
+    SCHEME_RSS: SchemeSpec((Regime.STRONG,), False, r_rss),
+    SCHEME_NOFB_MID: SchemeSpec((Regime.MID, Regime.DEGENERATE), False, r_nom),
+}
+PACKET_SCHEMES = (SCHEME_FBXW, SCHEME_RSW, SCHEME_RSS)
+ALL_SCHEMES = tuple(SCHEMES)
+
+
+def _runs_at(spec: SchemeSpec, p: ChannelParams, tags) -> bool:
+    """Does the scheme of ``spec`` run at p, whose regimes are ``tags``?"""
+    return (p.mbar == 0 or not spec.mbar0) and any(t in tags for t in spec.regimes)
+
+
+def _schemes_at(p: ChannelParams, tags) -> list:
+    return [(name, spec.rate(p)) for name, spec in SCHEMES.items()
+            if _runs_at(spec, p, tags)]
+
+
+def schemes_at(p: ChannelParams) -> list:
+    """(scheme, closed-form rate) for every scheme that runs at p, in table order."""
+    return _schemes_at(p, regime_of(p))
+
+
+def require_scheme(scheme: str, p: ChannelParams) -> None:
+    """Raise RegimeError unless ``scheme`` runs at p."""
+    spec, tags = SCHEMES[scheme], regime_of(p)
+    if _runs_at(spec, p, tags):
+        return
+    if any(t in tags for t in spec.regimes):
+        raise RegimeError(f"scheme {scheme} needs mbar = 0 at {p.short()}")
+    raise RegimeError(
+        f"scheme {scheme} needs the {spec.regimes[0]} regime, "
+        f"got {'+'.join(str(t) for t in tags)} at {p.short()}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Inner bound and the mbar = 0 capacity.
 
 def _inner_piece(p: ChannelParams, tag: Regime) -> int:
-    if tag is Regime.WEAK:
-        if p.mbar == 0:
-            return max(r_fbxw(p), r_rsw(p))
-        return r_fbxw(p)
-    if tag is Regime.MID:
-        return r_nom(p)
-    if tag is Regime.STRONG:
-        return r_rss(p)
-    return 0
+    """The best rate among the schemes that run in regime ``tag`` at p."""
+    return max(rate for _, rate in _schemes_at(p, (tag,)))
 
 
 def inner_bound(p: ChannelParams) -> int:
     """Best achievable sum rate among the implemented schemes."""
-    tags = regime_of(p)
-    if tags == (Regime.DEGENERATE,):
-        return 0
-    values = {_inner_piece(p, tag) for tag in tags}
-    if len(values) != 1:
-        raise InvariantError(f"inner pieces disagree at {p.short()}: {values}")
-    return values.pop()
+    return _agreed(p, regime_of(p), _inner_piece, "inner")
+
+
+# Theorem 3's pieces, kept apart from the scheme table so that the sweep's
+# THEOREM3 check compares two independent derivations.
+_CAPACITY_PIECES = {Regime.WEAK: r_rsw, Regime.MID: r_nom, Regime.STRONG: r_rss}
 
 
 def capacity_mbar0(p: ChannelParams) -> int:
     """Exact sum capacity for channels without a backward cross-link."""
     if p.mbar != 0:
         raise ChannelDomainError("capacity_mbar0 requires mbar = 0")
-    tags = regime_of(p)
-    if tags == (Regime.DEGENERATE,):
-        return 0
-    pieces = {
-        Regime.WEAK: r_rsw,
-        Regime.MID: r_nom,
-        Regime.STRONG: r_rss,
-    }
-    values = {pieces[tag](p) for tag in tags}
-    if len(values) != 1:
-        raise InvariantError(f"capacity pieces disagree at {p.short()}: {values}")
-    return values.pop()
+    return _agreed(p, regime_of(p), lambda p, tag: _CAPACITY_PIECES[tag](p),
+                   "capacity")
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +316,8 @@ def _inner_terms(p: ChannelParams, tags) -> dict:
 def rate_bundle(p: ChannelParams) -> RateBundle:
     """Evaluate outer/inner bounds plus every contributing min-term."""
     tags = regime_of(p)
-    outer = outer_bound(p)
-    inner = inner_bound(p)
+    outer = _outer(p, tags)
+    inner = _agreed(p, tags, _inner_piece, "inner")
     components = {
         "2n-m": 2 * p.n - p.m,
         "2f": 2 * p.f,

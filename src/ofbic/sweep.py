@@ -12,15 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .allocation import (
-    SCHEME_FBXW,
-    SCHEME_NOFB_MID,
-    SCHEME_RSS,
-    SCHEME_RSW,
-    allocate_fbxw,
-    allocate_rss,
-    allocate_rsw,
-)
+from .allocation import ALL_SCHEMES, PACKET_SCHEMES, allocate
 from .channel import ChannelDomainError, ChannelParams
 from .pipeline import DEFAULT_SEED, run_scheme, verify_trace
 from .rates import (
@@ -30,14 +22,9 @@ from .rates import (
     inner_bound,
     nofb_reference,
     outer_bound,
-    r_fbxw,
-    r_nom,
-    r_rss,
-    r_rsw,
     rate_bundle,
-    regime_of,
 )
-from .rates import _inner_piece, _outer_piece
+from .rates import _inner_piece, _outer_piece, _schemes_at
 
 ALL_CHECKS = (
     "INNER_LE_OUTER",
@@ -128,35 +115,19 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _in_regime_schemes(p: ChannelParams):
-    tags = regime_of(p)
-    jobs = []
-    if Regime.WEAK in tags:
-        jobs.append((SCHEME_FBXW, r_fbxw(p)))
-        if p.mbar == 0:
-            jobs.append((SCHEME_RSW, r_rsw(p)))
-    if Regime.STRONG in tags:
-        jobs.append((SCHEME_RSS, r_rss(p)))
-    if Regime.MID in tags or Regime.DEGENERATE in tags:
-        jobs.append((SCHEME_NOFB_MID, r_nom(p)))
-    return jobs
-
-
-def _check_point(check: str, p: ChannelParams):
-    """Evaluate one formula check; returns (applicable, failure detail)."""
-    tags = regime_of(p)
+def _check_point(check: str, p: ChannelParams, bundle):
+    """Evaluate one formula check from p's rate_bundle; (applicable, detail)."""
+    tags, inner, outer = bundle.regimes, bundle.inner, bundle.outer
     if check == "INNER_LE_OUTER":
-        inner, outer = inner_bound(p), outer_bound(p)
         return True, None if inner <= outer else f"inner {inner} > outer {outer}"
     if check == "COROLLARY1":
-        if 3 * p.m < 2 * p.n and p.mbar < p.nbar:
+        if bundle.open_regime:
             return False, None
-        inner, outer = inner_bound(p), outer_bound(p)
         return True, None if inner == outer else f"inner {inner} != outer {outer}"
     if check == "THEOREM3":
         if p.mbar != 0:
             return False, None
-        cap, outer = capacity_mbar0(p), outer_bound(p)
+        cap = capacity_mbar0(p)
         return True, None if cap == outer else f"capacity {cap} != outer {outer}"
     if check == "BOUNDARY_CONTINUITY":
         if len(tags) < 2:
@@ -167,25 +138,17 @@ def _check_point(check: str, p: ChannelParams):
             return True, f"pieces disagree: outer {outs} inner {ins}"
         return True, None
     if check == "APPENDIX_IDENTITIES":
-        if Regime.WEAK not in tags and Regime.STRONG not in tags:
+        jobs = [(s, rate) for s, rate in _schemes_at(p, tags) if s in PACKET_SCHEMES]
+        if not jobs:
             return False, None
         problems = []
-        if Regime.WEAK in tags:
-            alloc = allocate_fbxw(p)
-            if alloc.bits_per_packet != r_fbxw(p):
-                problems.append(f"fbxw {alloc.bits_per_packet} != {r_fbxw(p)}")
-            if p.mbar == 0:
-                alloc = allocate_rsw(p)
-                if alloc.bits_per_packet != r_rsw(p):
-                    problems.append(f"rsw {alloc.bits_per_packet} != {r_rsw(p)}")
-        if Regime.STRONG in tags:
-            alloc = allocate_rss(p)
-            if alloc.bits_per_packet != r_rss(p):
-                problems.append(f"rss {alloc.bits_per_packet} != {r_rss(p)}")
+        for scheme, rate in jobs:
+            bits = allocate(scheme, p).bits_per_packet
+            if bits != rate:
+                problems.append(f"{scheme} {bits} != {rate}")
         return True, "; ".join(problems) or None
     if check == "OFB_EQ_DFB_WEAK":
         dfb = dfb_reference(p)
-        inner = inner_bound(p)
         if dfb < inner:
             return True, f"dfb {dfb} < inner {inner}"
         if Regime.WEAK in tags and p.mbar >= p.nbar and inner != dfb:
@@ -198,28 +161,26 @@ def sweep(spec: SweepSpec) -> SweepReport:
     evaluated = {check: 0 for check in spec.checks}
     counterexamples = []
     gap_histogram = {}
-    points = list(spec.points())
+    formula_checks = [c for c in spec.checks if c != "SCHEME_VS_FORMULA"]
+    simulate = "SCHEME_VS_FORMULA" in spec.checks
+    by_scheme = {s: [] for s in ALL_SCHEMES}       # in-regime (p, formula rate)
 
-    for p in points:
-        for check in spec.checks:
-            if check == "SCHEME_VS_FORMULA":
-                continue
-            applicable, detail = _check_point(check, p)
+    for p in spec.points():
+        bundle = rate_bundle(p)
+        for check in formula_checks:
+            applicable, detail = _check_point(check, p, bundle)
             if applicable:
                 evaluated[check] += 1
                 if detail:
                     counterexamples.append(Counterexample(check, p, detail))
-        bundle = rate_bundle(p)
         if bundle.open_regime:
             gap_histogram[bundle.gap] = gap_histogram.get(bundle.gap, 0) + 1
-
-    if "SCHEME_VS_FORMULA" in spec.checks:
-        rng = random.Random(spec.seed)
-        by_scheme = {s: [] for s in (SCHEME_FBXW, SCHEME_RSW, SCHEME_RSS,
-                                     SCHEME_NOFB_MID)}
-        for p in points:
-            for scheme, want in _in_regime_schemes(p):
+        if simulate:
+            for scheme, want in _schemes_at(p, bundle.regimes):
                 by_scheme[scheme].append((p, want))
+
+    if simulate:
+        rng = random.Random(spec.seed)
         for scheme, pool in by_scheme.items():
             if not pool:
                 continue

@@ -18,8 +18,9 @@ from ofbic import (
     r_rsw,
     regime_of,
 )
-from ofbic.allocation import _finish
-from ofbic.rates import InvariantError, pos
+from ofbic.allocation import PACKET_SCHEMES, _finish, allocate
+from ofbic.pipeline import _payload_plan
+from ofbic.rates import SCHEMES, InvariantError, pos, schemes_at
 
 
 def cp(m, n, mbar=0, nbar=0, f=0):
@@ -170,3 +171,24 @@ class TestLevelMap:
         spilled = dataclasses.replace(allocate_fbxw(p), private=3)
         with pytest.raises(InvariantError, match="spills past q"):
             level_map(spilled, p, 1)
+
+
+def test_scheme_table_agrees_with_every_gate():
+    """run_scheme's gate and allocate refuse exactly the schemes that
+    schemes_at leaves out, and agree with the table's rate where they run."""
+    for m, n, mbar, nbar, f in itertools.product(
+        range(5), range(5), range(3), range(3), range(5)
+    ):
+        p = cp(m, n, mbar, nbar, f)
+        runs = dict(schemes_at(p))
+        for scheme in SCHEMES:
+            if scheme not in runs:
+                with pytest.raises(RegimeError):
+                    _payload_plan(scheme, p, 4)
+                if scheme in PACKET_SCHEMES:
+                    with pytest.raises(RegimeError):
+                        allocate(scheme, p)
+                continue
+            assert _payload_plan(scheme, p, 4)[1] == runs[scheme], (scheme, p)
+            if scheme in PACKET_SCHEMES:
+                assert allocate(scheme, p).bits_per_packet == runs[scheme]

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from ofbic import cli
 from ofbic.cli import main
+from ofbic.sweep import SweepReport, SweepSpec
 
 RATES_DEGENERATE = """\
 params: m=0 n=0 mbar=0 nbar=0 f=5
@@ -96,6 +98,10 @@ sweep results
 """
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran although --out cannot be written")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -173,6 +179,7 @@ class TestSimulate:
         )
         assert code == 3
         assert "strong" in err
+        assert not (tmp_path / "t.txt").exists()
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -196,6 +203,15 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error: ") and "missing" in err
+
+    def test_out_in_missing_directory_is_checked_before_the_run(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scheme", _never_called)
+        code, _, err = run_cli(
+            capsys, "simulate", "--scheme", "fbxw", "--m", "2", "--n", "4",
+            "--out", str(tmp_path / "missing" / "t.txt"),
+        )
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestSweep:
@@ -288,6 +304,24 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("error: ") and "missing" in err
+
+    def test_out_in_missing_directory_is_checked_before_the_sweep(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", _never_called)
+        code, _, err = run_cli(
+            capsys, "sweep", "--out", str(tmp_path / "missing" / "ce.csv"))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_no_flags_builds_the_default_spec(self, capsys, monkeypatch):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            return SweepReport(spec, {}, [], {})
+
+        monkeypatch.setattr(cli, "sweep", capture)
+        assert run_cli(capsys, "sweep")[0] == 0
+        assert specs == [SweepSpec()]
 
     def test_counterexample_csv_header(self, capsys, tmp_path):
         out_file = tmp_path / "ce.csv"

@@ -388,8 +388,10 @@ class TestGates:
             run_scheme("fbxw", ChannelParams(4, 1, 1, 1, 2), 8)
         with pytest.raises(RegimeError):
             run_scheme("rsw", ChannelParams(2, 4, 1, 1, 3), 8)
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="needs the mid regime, got weak at"):
             run_scheme("nofb-mid", ChannelParams(1, 4, 0, 0, 3), 8)
+        with pytest.raises(RegimeError, match="needs the mid regime, got strong at"):
+            run_scheme("nofb-mid", ChannelParams(4, 1, 0, 0, 3), 8)
 
     def test_pipeline_needs_four_packets(self):
         with pytest.raises(ChannelDomainError):
