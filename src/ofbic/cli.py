@@ -2,9 +2,12 @@
 comparison-curve export.
 
 Exit codes: 0 success, 2 usage error (bad flags, config lines or values,
-files that cannot be read or written), 3 domain/regime error.  Every run is
-fully determined by its flags; the default seed is 1009.  Relative --out
-paths are resolved against $OFBIC_OUT_DIR when that variable is set.
+files that cannot be read or written), 3 domain/regime error, 4 a failed
+internal invariant (``InvariantError``, ``PipelineError`` or
+``MidCodeError``: a bug, reported as one ``error: internal invariant
+failed: ...`` line).  Every run is fully determined by its flags; the
+default seed is 1009.  Relative --out paths are resolved against
+$OFBIC_OUT_DIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from fractions import Fraction
 
 from .allocation import ALL_SCHEMES
 from .channel import ChannelDomainError, ChannelParams
-from .pipeline import DEFAULT_SEED, format_trace, run_scheme, verify_trace
+from .pipeline import (
+    DEFAULT_SEED,
+    INVARIANT_ERRORS,
+    format_trace,
+    run_scheme,
+    verify_trace,
+)
 from .rates import aux_quantities, dfb_reference, nofb_reference, rate_bundle
 from .sweep import (
     DEFAULT_RANGES,
@@ -296,6 +305,9 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INVARIANT_ERRORS as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ from .channel import (
     first_hop,
     second_hop,
 )
-from .midcode import MidCode, build_mid_code, column_levels
-from .rates import pos, r_nom, require_scheme
+from .midcode import MidCode, MidCodeError, build_mid_code, column_levels
+from .rates import InvariantError, pos, r_nom, require_scheme
 
 SIGNALS = (
     "X_S1", "X_S2", "Y_R1", "Y_R2", "X_R1", "X_R2",
@@ -80,6 +80,11 @@ _EMPTY = frozenset()                  # the one empty level and side set
 
 class PipelineError(AssertionError):
     """Internal scheduling invariant violated (a bug, not bad input)."""
+
+
+# Every raised internal invariant of the rates, the mid-regime code and the
+# pipeline: a bug, never bad input.
+INVARIANT_ERRORS = (InvariantError, MidCodeError, PipelineError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -563,11 +568,14 @@ class SimulationTrace:
 
     @property
     def steady_state_rate(self) -> Fraction:
-        lo, hi = self.steady_window
-        if hi < lo:
-            return Fraction(0)
-        count = sum(1 for d in self.deliveries if lo <= d[0] <= hi)
-        return Fraction(count, hi - lo + 1)
+        return _steady_rate(self.deliveries, *self.steady_window)
+
+
+def _steady_rate(deliveries, lo: int, hi: int) -> Fraction:
+    """Deliveries per slot in slots lo..hi; 0 when the window is empty."""
+    if hi < lo:
+        return Fraction(0)
+    return Fraction(sum(1 for d in deliveries if lo <= d[0] <= hi), hi - lo + 1)
 
 
 def _draw_payload(payload_refs, seed: int) -> dict:
@@ -754,8 +762,6 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
                                   and value == payload[ref])
     for pkt in range(1, trace.packets + 1):
         verdicts.setdefault(pkt, True)
-    lo, hi = trace.steady_window
-    steady = sum(1 for d in deliveries if lo <= d[0] <= hi)
     report = VerifyReport(
         ok=not found and not errors and missing == 0,
         faults=sorted(found),
@@ -765,7 +771,7 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
         packet_verdicts=verdicts,
         node_verdicts=node_verdicts,
         measured_sum_rate=Fraction(len(deliveries), schedule.n_slots),
-        steady_state_rate=Fraction(steady, max(hi - lo + 1, 1)),
+        steady_state_rate=_steady_rate(deliveries, *trace.steady_window),
     )
     return report
 

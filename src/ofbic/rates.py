@@ -1,8 +1,14 @@
 """Closed-form sum-rate expressions: outer bound, inner bounds, capacities.
 
 Everything here is exact integer (or half-integer Fraction) arithmetic; no
-floating point.  Regime boundaries are closed on both sides, so boundary
-points evaluate both adjacent pieces and check that they agree.
+floating point.  Regime boundaries are closed on both sides, so a boundary
+point carries the outer, inner and capacity pieces of both adjacent regimes.
+
+Each point is evaluated once, by ``_evaluate``, which records every piece
+and never raises.  The public ``rate_bundle``, ``outer_bound``,
+``inner_bound`` and ``capacity_mbar0`` read that evaluation and raise
+``InvariantError`` when pieces disagree; the sweep reads the same evaluation
+and reports a disagreement as a counterexample of the check that owns it.
 """
 
 from __future__ import annotations
@@ -154,32 +160,6 @@ def _outer_piece(p: ChannelParams, tag: Regime) -> int:
     return 0
 
 
-def _agreed(p: ChannelParams, tags, piece, what: str) -> int:
-    """The one value that every regime piece of p gives; 0 at m = n = 0."""
-    if tags == (Regime.DEGENERATE,):
-        return 0
-    values = {piece(p, tag) for tag in tags}
-    if len(values) != 1:
-        raise InvariantError(f"{what} pieces disagree at {p.short()}: {values}")
-    return values.pop()
-
-
-def _outer(p: ChannelParams, tags) -> int:
-    value = _agreed(p, tags, _outer_piece, "regime")
-    if p.mbar == 0:
-        value = min(value, p.f + _m0(p) + pos(p.nbar - p.f))
-    return value
-
-
-def outer_bound(p: ChannelParams) -> int:
-    """Regime-piecewise sum-capacity upper bound.
-
-    For mbar = 0 the extra direct-link bound also applies and is
-    intersected in.
-    """
-    return _outer(p, regime_of(p))
-
-
 # ---------------------------------------------------------------------------
 # The achievable schemes: where each runs and the sum rate it reaches.  This
 # table is the one place that decides which scheme serves which regime.
@@ -234,30 +214,14 @@ def require_scheme(scheme: str, p: ChannelParams) -> None:
     )
 
 
-# ---------------------------------------------------------------------------
-# Inner bound and the mbar = 0 capacity.
-
-def _inner_piece(p: ChannelParams, tag: Regime) -> int:
-    """The best rate among the schemes that run in regime ``tag`` at p."""
-    return max(rate for _, rate in _schemes_at(p, (tag,)))
-
-
-def inner_bound(p: ChannelParams) -> int:
-    """Best achievable sum rate among the implemented schemes."""
-    return _agreed(p, regime_of(p), _inner_piece, "inner")
-
-
 # Theorem 3's pieces, kept apart from the scheme table so that the sweep's
 # THEOREM3 check compares two independent derivations.
-_CAPACITY_PIECES = {Regime.WEAK: r_rsw, Regime.MID: r_nom, Regime.STRONG: r_rss}
-
-
-def capacity_mbar0(p: ChannelParams) -> int:
-    """Exact sum capacity for channels without a backward cross-link."""
-    if p.mbar != 0:
-        raise ChannelDomainError("capacity_mbar0 requires mbar = 0")
-    return _agreed(p, regime_of(p), lambda p, tag: _CAPACITY_PIECES[tag](p),
-                   "capacity")
+_CAPACITY_PIECES = {
+    Regime.WEAK: r_rsw,
+    Regime.MID: r_nom,
+    Regime.STRONG: r_rss,
+    Regime.DEGENERATE: lambda p: 0,     # m = n = 0: nothing gets through
+}
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +249,13 @@ def nofb_reference(p: ChannelParams) -> int:
 
 @dataclass(frozen=True)
 class RateBundle:
+    """Every rate at one point, with the per-regime pieces it was read from.
+
+    With correct formulas the pieces of a boundary point agree.  When they
+    do not, ``outer`` and ``inner`` are the first regime's pieces (``outer``
+    still capped by the mbar = 0 bound).
+    """
+
     outer: int
     inner: int
     regimes: tuple
@@ -292,6 +263,10 @@ class RateBundle:
     matches: bool
     open_regime: bool
     gap: int
+    outer_pieces: dict          # regime -> outer-bound piece
+    inner_pieces: dict          # regime -> best scheme rate in that regime
+    capacity_pieces: dict       # regime -> Theorem 3 piece; empty unless mbar = 0
+    schemes: list               # (scheme, rate) for each scheme that runs at p
 
     @property
     def regime(self) -> str:
@@ -313,11 +288,19 @@ def _inner_terms(p: ChannelParams, tags) -> dict:
     return terms
 
 
-def rate_bundle(p: ChannelParams) -> RateBundle:
-    """Evaluate outer/inner bounds plus every contributing min-term."""
+def _evaluate(p: ChannelParams) -> RateBundle:
+    """The one evaluation of p: every piece and min-term; never raises."""
     tags = regime_of(p)
-    outer = _outer(p, tags)
-    inner = _agreed(p, tags, _inner_piece, "inner")
+    schemes = _schemes_at(p, tags)
+    outer_pieces, inner_pieces, capacity_pieces = {}, {}, {}
+    for t in tags:
+        outer_pieces[t] = _outer_piece(p, t)
+        inner_pieces[t] = max([rate for s, rate in schemes if t in SCHEMES[s].regimes])
+        if p.mbar == 0:
+            capacity_pieces[t] = _CAPACITY_PIECES[t](p)
+    outer, inner = outer_pieces[tags[0]], inner_pieces[tags[0]]
+    if p.mbar == 0:
+        outer = min(outer, p.f + _m0(p) + pos(p.nbar - p.f))
     components = {
         "2n-m": 2 * p.n - p.m,
         "2f": 2 * p.f,
@@ -325,15 +308,59 @@ def rate_bundle(p: ChannelParams) -> RateBundle:
     }
     components.update(general_bounds(p))
     components.update(_inner_terms(p, tags))
-    open_regime = 3 * p.m < 2 * p.n and p.mbar < p.nbar
-    if inner > outer:
-        raise InvariantError(f"inner > outer at {p.short()}")
     return RateBundle(
         outer=outer,
         inner=inner,
         regimes=tags,
         components=components,
         matches=inner == outer,
-        open_regime=open_regime,
+        open_regime=3 * p.m < 2 * p.n and p.mbar < p.nbar,
         gap=outer - inner,
+        outer_pieces=outer_pieces,
+        inner_pieces=inner_pieces,
+        capacity_pieces=capacity_pieces,
+        schemes=schemes,
     )
+
+
+def _agree(p: ChannelParams, what: str, pieces: dict) -> None:
+    values = set(pieces.values())
+    if len(values) != 1:
+        raise InvariantError(f"{what} pieces disagree at {p.short()}: {values}")
+
+
+def rate_bundle(p: ChannelParams) -> RateBundle:
+    """Evaluate outer/inner bounds plus every contributing min-term."""
+    bundle = _evaluate(p)
+    _agree(p, "regime", bundle.outer_pieces)
+    _agree(p, "inner", bundle.inner_pieces)
+    if bundle.inner > bundle.outer:
+        raise InvariantError(f"inner > outer at {p.short()}")
+    return bundle
+
+
+def outer_bound(p: ChannelParams) -> int:
+    """Regime-piecewise sum-capacity upper bound.
+
+    For mbar = 0 the extra direct-link bound also applies and is
+    intersected in.
+    """
+    bundle = _evaluate(p)
+    _agree(p, "regime", bundle.outer_pieces)
+    return bundle.outer
+
+
+def inner_bound(p: ChannelParams) -> int:
+    """Best achievable sum rate among the implemented schemes."""
+    bundle = _evaluate(p)
+    _agree(p, "inner", bundle.inner_pieces)
+    return bundle.inner
+
+
+def capacity_mbar0(p: ChannelParams) -> int:
+    """Exact sum capacity for channels without a backward cross-link."""
+    if p.mbar != 0:
+        raise ChannelDomainError("capacity_mbar0 requires mbar = 0")
+    bundle = _evaluate(p)
+    _agree(p, "capacity", bundle.capacity_pieces)
+    return bundle.capacity_pieces[bundle.regimes[0]]

@@ -2,8 +2,14 @@
 
 Each check evaluates one claim at every applicable grid point and collects
 counterexamples instead of aborting; a failed tuple is rendered with a CLI
-command that reproduces it.  The default grid is small enough for a
-sub-minute full formula sweep; simulation checks run on a seeded subsample.
+command that reproduces it.  Every point is evaluated once, without raising
+(``rates._evaluate``), and every formula check reads that evaluation: pieces
+of a boundary point that disagree are a BOUNDARY_CONTINUITY counterexample,
+not an exception.  A failed internal invariant raised while a check runs
+(an allocation in APPENDIX_IDENTITIES, a run or its replay in
+SCHEME_VS_FORMULA) is reported by that check, with the error as its detail.
+The default grid is small enough for a sub-minute full formula sweep;
+simulation checks run on a seeded subsample.
 """
 
 from __future__ import annotations
@@ -14,17 +20,9 @@ from fractions import Fraction
 
 from .allocation import ALL_SCHEMES, PACKET_SCHEMES, allocate
 from .channel import ChannelDomainError, ChannelParams
-from .pipeline import DEFAULT_SEED, run_scheme, verify_trace
-from .rates import (
-    Regime,
-    capacity_mbar0,
-    dfb_reference,
-    inner_bound,
-    nofb_reference,
-    outer_bound,
-    rate_bundle,
-)
-from .rates import _inner_piece, _outer_piece, _schemes_at
+from .pipeline import DEFAULT_SEED, INVARIANT_ERRORS, run_scheme, verify_trace
+from .rates import Regime, dfb_reference, nofb_reference, rate_bundle
+from .rates import _evaluate
 
 ALL_CHECKS = (
     "INNER_LE_OUTER",
@@ -52,6 +50,11 @@ class SweepSpec:
         for key, (lo, hi) in self.ranges.items():
             if key not in DEFAULT_RANGES or lo > hi or lo < 0:
                 raise ChannelDomainError(f"bad sweep range {key}={lo}..{hi}")
+        missing = [key for key in DEFAULT_RANGES if key not in self.ranges]
+        if missing:
+            raise ChannelDomainError(f"sweep ranges lack {', '.join(missing)}")
+        if not self.checks:
+            raise ChannelDomainError("no sweep checks selected")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ChannelDomainError(f"unknown checks {sorted(unknown)}")
@@ -115,8 +118,12 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def _by_regime(pieces: dict) -> str:
+    return " ".join(f"{tag}={value}" for tag, value in pieces.items())
+
+
 def _check_point(check: str, p: ChannelParams, bundle):
-    """Evaluate one formula check from p's rate_bundle; (applicable, detail)."""
+    """Evaluate one formula check from p's one evaluation; (applicable, detail)."""
     tags, inner, outer = bundle.regimes, bundle.inner, bundle.outer
     if check == "INNER_LE_OUTER":
         return True, None if inner <= outer else f"inner {inner} > outer {outer}"
@@ -127,23 +134,29 @@ def _check_point(check: str, p: ChannelParams, bundle):
     if check == "THEOREM3":
         if p.mbar != 0:
             return False, None
-        cap = capacity_mbar0(p)
-        return True, None if cap == outer else f"capacity {cap} != outer {outer}"
+        caps = bundle.capacity_pieces
+        if set(caps.values()) == {outer}:
+            return True, None
+        return True, f"capacity {_by_regime(caps)} != outer {outer}"
     if check == "BOUNDARY_CONTINUITY":
         if len(tags) < 2:
             return False, None
-        outs = {t: _outer_piece(p, t) for t in tags}
-        ins = {t: _inner_piece(p, t) for t in tags}
+        outs, ins = bundle.outer_pieces, bundle.inner_pieces
         if len(set(outs.values())) > 1 or len(set(ins.values())) > 1:
-            return True, f"pieces disagree: outer {outs} inner {ins}"
+            return True, (f"pieces disagree: outer {_by_regime(outs)} "
+                          f"inner {_by_regime(ins)}")
         return True, None
     if check == "APPENDIX_IDENTITIES":
-        jobs = [(s, rate) for s, rate in _schemes_at(p, tags) if s in PACKET_SCHEMES]
+        jobs = [(s, rate) for s, rate in bundle.schemes if s in PACKET_SCHEMES]
         if not jobs:
             return False, None
         problems = []
         for scheme, rate in jobs:
-            bits = allocate(scheme, p).bits_per_packet
+            try:
+                bits = allocate(scheme, p).bits_per_packet
+            except INVARIANT_ERRORS as exc:
+                problems.append(str(exc))
+                continue
             if bits != rate:
                 problems.append(f"{scheme} {bits} != {rate}")
         return True, "; ".join(problems) or None
@@ -166,7 +179,7 @@ def sweep(spec: SweepSpec) -> SweepReport:
     by_scheme = {s: [] for s in ALL_SCHEMES}       # in-regime (p, formula rate)
 
     for p in spec.points():
-        bundle = rate_bundle(p)
+        bundle = _evaluate(p)
         for check in formula_checks:
             applicable, detail = _check_point(check, p, bundle)
             if applicable:
@@ -176,7 +189,7 @@ def sweep(spec: SweepSpec) -> SweepReport:
         if bundle.open_regime:
             gap_histogram[bundle.gap] = gap_histogram.get(bundle.gap, 0) + 1
         if simulate:
-            for scheme, want in _schemes_at(p, bundle.regimes):
+            for scheme, want in bundle.schemes:
                 by_scheme[scheme].append((p, want))
 
     if simulate:
@@ -187,15 +200,18 @@ def sweep(spec: SweepSpec) -> SweepReport:
             chosen = pool if len(pool) <= spec.sample else rng.sample(pool, spec.sample)
             for p, want in chosen:
                 evaluated["SCHEME_VS_FORMULA"] += 1
-                trace = run_scheme(scheme, p, spec.scheme_packets, seed=spec.seed)
-                report = verify_trace(trace)
-                rate = trace.steady_state_rate
-                if rate != want or not report.ok:
-                    counterexamples.append(Counterexample(
-                        "SCHEME_VS_FORMULA", p,
-                        f"{scheme} steady {rate} vs formula {want}; "
-                        f"{report.summary()}",
-                    ))
+                try:
+                    trace = run_scheme(scheme, p, spec.scheme_packets, seed=spec.seed)
+                    report = verify_trace(trace)
+                except INVARIANT_ERRORS as exc:
+                    detail = f"{scheme} failed: {exc}"
+                else:
+                    rate = trace.steady_state_rate
+                    if rate == want and report.ok:
+                        continue
+                    detail = (f"{scheme} steady {rate} vs formula {want}; "
+                              f"{report.summary()}")
+                counterexamples.append(Counterexample("SCHEME_VS_FORMULA", p, detail))
 
     counterexamples.sort(key=lambda c: (c.check, c.p.m, c.p.n, c.p.mbar,
                                         c.p.nbar, c.p.f))
@@ -226,7 +242,8 @@ def compare_curves(n: int, mbar: int, nbar: int, f: int, alpha_grid):
             raise ChannelDomainError("alpha must be non-negative")
         m = _round_half_up(alpha * n)
         p = ChannelParams(m, n, mbar, nbar, f)
-        inner, outer = inner_bound(p), outer_bound(p)
+        bundle = rate_bundle(p)
+        inner, outer = bundle.inner, bundle.outer
         dfb, nofb = dfb_reference(p), nofb_reference(p)
         rows.append({
             "alpha": alpha,

@@ -137,16 +137,16 @@ def test_criterion_06_ofb_vs_dfb():
 
 
 def test_criterion_07_boundary_continuity():
-    from ofbic.rates import _inner_piece, _outer_piece
+    from ofbic.rates import _evaluate
 
     bad = []
     for p in GRID:
-        tags = regime_of(p)
-        if len(tags) < 2:
+        bundle = _evaluate(p)
+        if len(bundle.regimes) < 2:
             continue
-        if len({_outer_piece(p, t) for t in tags}) > 1:
+        if len(set(bundle.outer_pieces.values())) > 1:
             bad.append(f"outer at {p.short()}")
-        if len({_inner_piece(p, t) for t in tags}) > 1:
+        if len(set(bundle.inner_pieces.values())) > 1:
             bad.append(f"inner at {p.short()}")
     report(7, "regime boundary pieces agree", not bad, "; ".join(bad[:3]))
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ofbic import cli
+from ofbic import cli, rates
 from ofbic.cli import main
 from ofbic.sweep import SweepReport, SweepSpec
 
@@ -102,6 +102,13 @@ def _never_called(*args, **kwargs):
     raise AssertionError("ran although --out cannot be written")
 
 
+def _break_fbxw_rate(monkeypatch):
+    """Add 1 to the scheme table's fbxw rate, so inner > outer where it is best."""
+    spec = rates.SCHEMES["fbxw"]
+    monkeypatch.setitem(rates.SCHEMES, "fbxw",
+                        spec._replace(rate=lambda p: spec.rate(p) + 1))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -131,6 +138,14 @@ class TestRates:
                                "--mbar", "1", "--nbar", "2", "--f", "5")
         assert code == 0
         assert "open_regime: yes" in out and "gap: 1" in out
+
+    def test_broken_invariant_exit_4(self, capsys, monkeypatch):
+        _break_fbxw_rate(monkeypatch)
+        code, out, err = run_cli(capsys, "rates", "--m", "2", "--n", "4",
+                                 "--mbar", "1", "--nbar", "1", "--f", "3")
+        assert code == 4 and out == ""
+        assert err == ("error: internal invariant failed: "
+                       "inner > outer at m=2 n=4 mbar=1 nbar=1 f=3\n")
 
     def test_byte_identical_reruns(self, capsys):
         args = ("rates", "--m", "3", "--n", "5", "--mbar", "2", "--nbar", "1",
@@ -270,6 +285,24 @@ class TestSweep:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--grid" in err and "'zz'" in err
+
+    def test_empty_checks_is_domain_error_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--checks", "")
+        assert code == 3
+        assert err == "error: no sweep checks selected\n"
+
+    def test_broken_formula_is_a_counterexample_exit_1(self, capsys,
+                                                        monkeypatch):
+        _break_fbxw_rate(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "sweep", "--grid", "m=0:2,n=0:3,mbar=0:1,nbar=0:1,f=0:3",
+            "--checks", "inner_le_outer,boundary_continuity",
+        )
+        assert code == 1 and err == ""
+        status = {line.split()[0]: line.split()[-1] for line in out.splitlines()
+                  if line.strip().endswith(("pass", "FAIL"))}
+        assert status == {"INNER_LE_OUTER": "FAIL", "BOUNDARY_CONTINUITY": "FAIL"}
+        assert "[INNER_LE_OUTER] m=0 n=1 mbar=0 nbar=0 f=0: inner 1 > outer 0" in out
 
     def test_negative_sample_is_domain_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--sample", "-1")

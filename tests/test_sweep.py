@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ofbic import ChannelParams, ChannelDomainError
+from ofbic import ChannelParams, ChannelDomainError, allocation, pipeline, rates
+from ofbic.rates import Regime
 from ofbic.sweep import (
     ALL_CHECKS,
     FORMULA_CHECKS,
@@ -76,11 +77,106 @@ class TestSweep:
             small_spec(checks=("NOT_A_CHECK",))
         with pytest.raises(ChannelDomainError):
             small_spec(checks=ALL_CHECKS, scheme_packets=4)
+        with pytest.raises(ChannelDomainError, match="lack n, mbar, nbar, f"):
+            SweepSpec(ranges={"m": (0, 1)})
+        with pytest.raises(ChannelDomainError, match="no sweep checks"):
+            small_spec(checks=())
 
     def test_render_mentions_every_check(self):
         report = sweep(small_spec(checks=("COROLLARY1",)))
         text = report.render()
         assert "COROLLARY1" in text and "0 counterexamples" in text
+
+
+# ---------------------------------------------------------------------------
+# Mutation matrix: each deliberately broken formula or step must be reported
+# as counterexamples by the checks named for it, and the sweep must finish.
+
+CI_GRID = {"m": (0, 4), "n": (0, 4), "mbar": (0, 2), "nbar": (0, 2), "f": (0, 4)}
+
+
+def _shift_scheme_rate(scheme, delta):
+    # rates.SCHEMES holds the rate functions themselves, so patch the entry
+    def apply(monkeypatch):
+        spec = rates.SCHEMES[scheme]
+        monkeypatch.setitem(rates.SCHEMES, scheme,
+                            spec._replace(rate=lambda p: spec.rate(p) + delta))
+    return apply
+
+
+def _shift_outer_piece(regime, delta):
+    def apply(monkeypatch):
+        piece = rates._outer_piece
+        monkeypatch.setattr(
+            rates, "_outer_piece",
+            lambda p, tag: piece(p, tag) + (delta if tag is regime else 0))
+    return apply
+
+
+def _shift_mid_capacity(monkeypatch):
+    monkeypatch.setitem(rates._CAPACITY_PIECES, Regime.MID,
+                        lambda p: rates.r_nom(p) + 1)
+
+
+def _shift_weak_private(monkeypatch):
+    counts = allocation._weak_common_counts
+
+    def shifted(p):
+        noncoop, private = counts(p)
+        return noncoop, private + 1
+    monkeypatch.setattr(allocation, "_weak_common_counts", shifted)
+
+
+def _flip_echo_levels(monkeypatch):
+    emit_value = pipeline._emit_value
+
+    def flipped(emit, node_store, vectors):
+        value = emit_value(emit, node_store, vectors)
+        return value ^ 1 if emit is not None and emit.mode == "echo" else value
+    monkeypatch.setattr(pipeline, "_emit_value", flipped)
+
+
+_IO, _C1, _T3, _BC = "INNER_LE_OUTER", "COROLLARY1", "THEOREM3", "BOUNDARY_CONTINUITY"
+_AI, _DFB, _SVF = "APPENDIX_IDENTITIES", "OFB_EQ_DFB_WEAK", "SCHEME_VS_FORMULA"
+
+MUTANTS = {
+    "fbxw+1": (_shift_scheme_rate("fbxw", 1), {_IO, _C1, _BC, _AI, _DFB, _SVF}),
+    "fbxw-1": (_shift_scheme_rate("fbxw", -1), {_C1, _BC, _AI, _DFB, _SVF}),
+    "rsw+1": (_shift_scheme_rate("rsw", 1), {_IO, _C1, _BC, _AI, _DFB, _SVF}),
+    "rsw-1": (_shift_scheme_rate("rsw", -1), {_AI, _SVF}),
+    "rss+1": (_shift_scheme_rate("rss", 1), {_IO, _C1, _BC, _AI, _DFB, _SVF}),
+    "rss-1": (_shift_scheme_rate("rss", -1), {_C1, _BC, _AI, _SVF}),
+    "nofb-mid+1": (_shift_scheme_rate("nofb-mid", 1), {_IO, _C1, _BC, _DFB, _SVF}),
+    "nofb-mid-1": (_shift_scheme_rate("nofb-mid", -1), {_C1, _BC, _SVF}),
+    "outer-weak+1": (_shift_outer_piece(Regime.WEAK, 1), {_C1, _T3, _BC}),
+    "outer-weak-1": (_shift_outer_piece(Regime.WEAK, -1), {_IO, _C1, _T3, _BC}),
+    "outer-mid+1": (_shift_outer_piece(Regime.MID, 1), {_C1, _T3, _BC}),
+    "outer-mid-1": (_shift_outer_piece(Regime.MID, -1), {_IO, _C1, _T3, _BC}),
+    "outer-strong+1": (_shift_outer_piece(Regime.STRONG, 1), {_C1, _T3, _BC}),
+    "outer-strong-1": (_shift_outer_piece(Regime.STRONG, -1), {_IO, _C1, _T3, _BC}),
+    "capacity-mid+1": (_shift_mid_capacity, {_T3}),
+    "weak-private+1": (_shift_weak_private, {_AI, _SVF}),
+    "echo-level-flip": (_flip_echo_levels, {_SVF}),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_reported_by_its_checks(name, monkeypatch):
+    apply, checks = MUTANTS[name]
+    apply(monkeypatch)
+    report = sweep(SweepSpec(ranges=CI_GRID, sample=20))
+    reported = {c.check for c in report.counterexamples}
+    assert checks <= reported, f"{name}: missed {sorted(checks - reported)}"
+    if name == "echo-level-flip":       # only a simulated run can see it
+        assert reported == {_SVF}
+    if name == "weak-private+1":        # raised invariants became details
+        assert all("allocation does not add up" in c.detail
+                   for c in report.counterexamples)
+
+
+def test_every_check_reports_some_mutant():
+    named = set().union(*(checks for _, checks in MUTANTS.values()))
+    assert named == set(ALL_CHECKS)
 
 
 class TestCompareCurves:
