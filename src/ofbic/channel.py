@@ -125,12 +125,14 @@ def _superpose(zero, *terms):
 
     Works on any level type with ``^``: ``int`` bits in the value engine,
     ``frozenset`` payload-reference sets in the schedule builder; ``zero`` is
-    that type's empty level.  All terms have the same length L.
+    that type's empty level.  All terms have the same length L.  A level XORed
+    with an empty one is returned as it is, not copied.
     """
     out = None
     for levels, k in terms:
         shifted = (zero,) * (len(levels) - k) + tuple(levels[:k])
-        out = shifted if out is None else tuple(a ^ b for a, b in zip(out, shifted))
+        out = shifted if out is None else tuple(
+            a ^ b if a and b else a or b for a, b in zip(out, shifted))
     return out
 
 

@@ -24,6 +24,17 @@ The run is split into two layers:
   trace through the same engine and reports the first point where the
   recording deviates from what the protocol would have produced.
 
+Every scheme repeats itself after a short warm-up: one period is two
+superframes (two or four slots), and the next period is the same with packet
+indices raised by a superframe.  So build_schedule builds a run of more than
+TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1 packets, finds
+the period by checking that the builder's live state recurs, and tiles it:
+build time and schedule memory do not grow with the packet count.  The
+Schedule's ``tx``, ``steps`` and ``feedback_levels`` are read-only views that
+expand the tiling on access, exactly as a full build would have them; the
+engine walks the tiling directly.  A run whose period check fails is built
+in full.
+
 A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
 holds one afterwards.  A parsed trace is verified against a fresh build.
@@ -41,8 +52,11 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .allocation import (
     ALL_SCHEMES,
@@ -71,10 +85,12 @@ SIGNALS = (
     "Y_D1", "Y_D2", "Y_S1", "Y_S2",
 )
 _TX_NODE = {"X_S1": "S1", "X_S2": "S2", "X_R1": "R1", "X_R2": "R2"}
+_TX_SIGNALS = tuple(_TX_NODE)
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
+TILE_PACKETS = 12                     # P0: longer runs tile a build of this size
 _EMPTY = frozenset()                  # the one empty level and side set
 
 
@@ -113,20 +129,140 @@ class DecodeStep:
     deliver: bool = False
 
 
-@dataclass
+class _Built(NamedTuple):
+    """What one _Builder run emits, keyed by its own slots."""
+
+    tx: dict                    # (signal, slot) -> tuple of Emit-or-None
+    steps: dict                 # slot -> [DecodeStep] in execution order
+    feedback_levels: dict       # (relay signal, slot) -> ((level, coop j), ...)
+
+
+@dataclass(eq=False)
 class Schedule:
+    """A run's slot-by-slot plan: what each node sends and decodes.
+
+    It is one _Builder run, ``built``, laid out over ``n_slots`` slots by
+    ``tiling = (start, period, shift)``: slots up to ``start + period`` are
+    the build's own, the next ``2 * shift`` slots repeat its slots
+    ``start + 1 .. start + period`` with packet indices advanced by
+    ``period // 2`` per repetition, and the remaining slots are the build's
+    last ones with packets advanced by ``shift`` and slots by ``2 * shift``.
+    A full build has tiling ``(0, 0, 0)``.  ``tx``, ``steps`` and
+    ``feedback_levels`` are read-only mappings, expanded on access, with the
+    keys, values and order a full build at ``packets`` would have; the
+    engine reads ``built`` and the tiling directly instead.
+    """
+
     scheme: str
     p: ChannelParams
     packets: int
     alloc: BitAllocation
     code: MidCode
     n_slots: int
-    tx: dict                    # (signal, slot) -> tuple of Emit-or-None
-    steps: dict                 # slot -> [DecodeStep] in execution order
-    payload_refs: tuple
-    deliveries: tuple           # (slot, dest, ref)
-    feedback_levels: dict       # (relay signal, slot) -> ((level, coop j), ...)
     formula_rate: int
+    built: _Built = field(repr=False)
+    tiling: tuple = (0, 0, 0)
+
+    def _source(self, t):
+        """(built slot, packet shift) that slot ``t`` copies."""
+        if not 1 <= t <= self.n_slots:
+            raise KeyError(t)
+        start, period, shift = self.tiling
+        own = start + period
+        if t <= own:
+            return t, 0
+        if t <= own + 2 * shift:
+            k, r = divmod(t - start - 1, period)
+            return start + 1 + r, k * period // 2
+        return t - 2 * shift, shift
+
+    @cached_property
+    def payload_refs(self):
+        return _payload_refs(self.alloc, self.formula_rate, self.packets)
+
+    @property
+    def tx(self):
+        return _SlotView(self, self.built.tx, _TX_SIGNALS, _shift_emits)
+
+    @property
+    def steps(self):
+        return _SlotView(self, self.built.steps, None, _shift_steps)
+
+    @property
+    def feedback_levels(self):
+        return _SlotView(self, self.built.feedback_levels, ("X_R1", "X_R2"),
+                         lambda levels, d: levels)
+
+    @cached_property
+    def deliveries(self):
+        """(slot, dest, ref) of every delivering decode step, in order."""
+        return tuple((step.slot, step.node, step.target)
+                     for steps in self.steps.values() for step in steps
+                     if step.deliver)
+
+
+# -- packet shifts of built values ---------------------------------------------
+# Shifting by d packets adds d to every ref's packet index and 2d to every
+# slot an observation or echo names.
+
+def _shift_ref(ref, d):
+    return (ref[0], ref[1] + d, ref[2], ref[3]) if d else ref
+
+
+def _shift_refs(refs, d):
+    return frozenset(_shift_ref(r, d) for r in refs) if d and refs else refs
+
+
+def _shift_obs(obs, d):
+    return (obs[0], obs[1] + 2 * d, obs[2]) if d else obs
+
+
+def _shift_emits(emits, d):
+    if not d:
+        return emits
+    return tuple(e and Emit(_shift_refs(e.refs, d), e.mode,
+                            e.echo_src and _shift_obs(e.echo_src, d),
+                            _shift_refs(e.cancel, d)) for e in emits)
+
+
+def _shift_steps(steps, d):
+    return [DecodeStep(s.node, s.slot + 2 * d,
+                       tuple(_shift_obs(o, d) for o in s.obs),
+                       _shift_refs(s.side, d), _shift_ref(s.target, d),
+                       s.deliver) for s in steps] if d else list(steps)
+
+
+class _SlotView(Mapping):
+    """One table of a Schedule, keyed by slot (``signals`` None) or by
+    (signal, slot), read through the tiling from the build's table."""
+
+    def __init__(self, schedule, table, signals, shift):
+        self._schedule = schedule
+        self._table = table
+        self._signals = signals
+        self._shift = shift
+
+    def __getitem__(self, key):
+        try:
+            signal, t = (None, key) if self._signals is None else key
+            tt, d = self._schedule._source(t)
+            value = self._table[tt if signal is None else (signal, tt)]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._shift(value, d)
+
+    def __iter__(self):
+        table, signals, source = self._table, self._signals, self._schedule._source
+        for t in range(1, self._schedule.n_slots + 1):
+            tt, _ = source(t)
+            if signals is None:
+                if tt in table:
+                    yield t
+            else:
+                yield from ((s, t) for s in signals if (s, tt) in table)
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
@@ -142,24 +278,28 @@ def _payload_plan(scheme: str, p: ChannelParams, packets: int):
         raise ChannelDomainError("need at least 4 packets to fill the pipeline")
     if scheme == SCHEME_NOFB_MID:
         require_scheme(scheme, p)
-        rate = r_nom(p)
-        kinds = (("mb", rate),)
-        alloc = None
+        alloc, rate = None, r_nom(p)
     else:
         alloc = allocate(scheme, p)
         rate = alloc.bits_per_packet
+    return alloc, rate, _payload_refs(alloc, rate, packets)
+
+
+def _payload_refs(alloc: BitAllocation, rate: int, packets: int) -> tuple:
+    if alloc is None:
+        kinds = (("mb", rate),)
+    else:
         kinds = (
             ("n1", alloc.noncoop), ("cp", alloc.coop), ("v1", alloc.private),
             ("n4", alloc.noncoop), ("v4", alloc.private),
         )
-    refs = tuple(
+    return tuple(
         (src, pkt, kind, j)
         for pkt in range(1, packets + 1)
         for src in (1, 2)
         for kind, count in kinds
         for j in range(count)
     )
-    return alloc, rate, refs
 
 
 class _Builder:
@@ -200,9 +340,14 @@ class _Builder:
         self.residual_store = {}
         self.tx = {}
         self.steps = {}
-        self.deliveries = []
         self.delivered = {}
         self.feedback_levels = {}
+        # build_schedule sets watch: look for the first slot whose state
+        # recurs one period (two superframes) later, shifted by a superframe
+        self.watch = False
+        self.period = 2 * (self.alloc.superframe if self.alloc else 1)
+        self.period_start = None
+        self.states = {}
 
     # -- static plans -------------------------------------------------------
 
@@ -457,12 +602,79 @@ class _Builder:
                 if ref in self.delivered:
                     raise PipelineError(f"{ref} delivered twice")
                 self.delivered[ref] = t
-                self.deliveries.append((t, node, ref))
                 self._add_step(
                     t,
                     DecodeStep(node, t, ((signal, t, position),),
                                _EMPTY, ref, deliver=True),
                 )
+
+    # -- period detection ------------------------------------------------------
+
+    def _state(self, t):
+        """Everything that decides the build after slot ``t``, with packet
+        indices counted from ``t // 2`` and slots from ``t``.
+
+        That is the relay FIFOs with their enqueue slots, the pending relay
+        decodes and their waiting index (arrivals as ranks), the rss echo and
+        rsw residual stores of packets not yet past their use, and what each
+        node knows or has delivered of the packets from the oldest one any of
+        these names up to the newest one sent.  No later slot reads anything
+        older, and of newer packets only the sources' own bits are known.
+        """
+        base = t // 2
+
+        def ref(r):
+            return (r[0], r[1] - base, r[2], r[3])
+
+        def refs(rs):
+            return frozenset(map(ref, rs))
+
+        def obs(o):
+            return (o[0], o[1] - t, o[2])
+
+        fifo = tuple(tuple((ref(r), slot - t) for r, slot in self.fifo[relay])
+                     for relay in ("R1", "R2"))
+        pending = []
+        for relay in ("R1", "R2"):
+            rank = {arrival: i for i, arrival in enumerate(self.pending[relay])}
+            pending.append((
+                tuple((obs(o), refs(rs)) for o, rs in self.pending[relay].values()),
+                {ref(r): tuple(rank.get(a, -1) for a in arrivals)
+                 for r, arrivals in self.waiting[relay].items()},
+            ))
+        echo = {(node, pkt - base): tuple((obs(o), refs(rest), refs(known))
+                                          for o, rest, known in items)
+                for node, by_packet in self.echo.items()
+                for pkt, items in by_packet.items() if pkt >= base}
+        residual = {(relay, pkt - base): tuple((obs(o), refs(rs)) for o, rs in items)
+                    for (relay, pkt), items in self.residual_store.items()
+                    if pkt >= base}
+        named = [r for queue in fifo for r, _ in queue]
+        named += [r for entries, _ in pending for _, rs in entries for r in rs]
+        named += [r for items in echo.values() for item in items
+                  for rs in item[1:] for r in rs]
+        named += [r for items in residual.values() for _, rs in items for r in rs]
+        oldest = min([0] + [r[1] for r in named])
+        window = [r for pkt in range(base + oldest, (t + 1) // 2 + 1)
+                  for src in (1, 2) for r in self.refs_by_packet.get((src, pkt), ())]
+        know = tuple(frozenset(ref(r) for r in window if r in self.know[node])
+                     for node in _NODES)
+        delivered = frozenset(ref(r) for r in window if r in self.delivered)
+        return oldest, fifo, pending, echo, residual, know, delivered
+
+    def _watch_period(self, t):
+        """Snapshot the state after slot ``t`` and take ``t - period`` as the
+        period start if it matches.  Only slots whose next two periods are
+        still run as in an endless build count (phase 1 of the last packet
+        is at slot 2P - 1)."""
+        if t + self.period > 2 * self.packets - 1:
+            self.watch = False
+            return
+        self.states[t] = self._state(t)
+        if self.states.get(t - self.period) == self.states[t]:
+            self.period_start = t - self.period
+            self.watch = False
+            self.states = {}
 
     # -- main loop -------------------------------------------------------------
 
@@ -498,6 +710,8 @@ class _Builder:
                                if r not in self.know[relay]]
                     if missing:
                         raise PipelineError(f"{relay} missing {missing} after hop 1")
+            if self.watch:
+                self._watch_period(t)
 
             if t == n_slots and any(self.fifo.values()):
                 n_slots += 1
@@ -516,17 +730,72 @@ class _Builder:
             alloc=self.alloc,
             code=self.code,
             n_slots=n_slots,
-            tx=self.tx,
-            steps=self.steps,
-            payload_refs=self.payload_refs,
-            deliveries=tuple(self.deliveries),
-            feedback_levels=self.feedback_levels,
             formula_rate=self.formula_rate,
+            built=_Built(self.tx, self.steps, self.feedback_levels),
         )
 
 
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
-    return _Builder(scheme, p, packets).build()
+    """The schedule of a ``packets``-packet run.
+
+    Up to TILE_PACKETS packets it is one full build.  A longer run is built
+    at P0 = TILE_PACKETS or TILE_PACKETS + 1, whichever has the parity of
+    ``packets`` (so P - P0 is a whole number of superframes), and tiled out
+    to ``packets``.  Why that is the full build at ``packets``:
+
+    The builder is deterministic, and its input at slot t, the hop-1
+    emissions and the phase of the slot, is its input at slot t + 2k with
+    every packet index raised by k, as long as neither slot reaches past the
+    last packet's first hop-1 slot.  Suppose the state after slot b + L (L
+    slots = one period = two superframes, see _Builder._state for what the
+    state holds) is the state after slot b shifted by one superframe.  Then
+    each following period emits the slots b+1..b+L again, shifted by one
+    more superframe, and ends in a state shifted once more, for as long as
+    the input stays shift-invariant: up to packet P.  A run at P therefore
+    reaches, after slot b + L + 2(P - P0), the P0 run's state after slot
+    b + L shifted by P - P0 packets; from there its input is the P0 run's
+    shifted too, last packet and drain included, so its remaining slots are
+    the P0 run's remaining slots shifted.  The state comparison only counts
+    where the next two periods of the P0 run are still far from its end.
+    As a second guard the two periods' emitted slots must agree, and the
+    tiled deliveries must cover every payload bit.  When any of this fails,
+    or no state recurs, the run is built in full at ``packets``.
+    """
+    if packets <= TILE_PACKETS:
+        return _Builder(scheme, p, packets).build()
+    builder = _Builder(scheme, p, TILE_PACKETS + (packets - TILE_PACKETS) % 2)
+    builder.watch = True
+    base = builder.build()
+    if builder.packets == packets:
+        return base
+    tiled = _tile(base, builder.period_start, builder.period, packets)
+    return tiled or _Builder(scheme, p, packets).build()
+
+
+def _tile(base: Schedule, start, period: int, packets: int):
+    """``base`` tiled out to ``packets`` by repeating its slots
+    ``start + 1 .. start + period``, or None if the tiling does not give the
+    build's own slots one period later or would not deliver every bit."""
+    if start is None:
+        return None
+    shift = packets - base.packets
+    tiled = replace(base, packets=packets, n_slots=base.n_slots + 2 * shift,
+                    tiling=(start, period, shift))
+    built = base.built
+    later = range(start + period + 1, start + 2 * period + 1)
+    tables = (
+        (tiled.tx, built.tx, [(s, t) for t in later for s in _TX_SIGNALS]),
+        (tiled.steps, built.steps, later),
+        (tiled.feedback_levels, built.feedback_levels,
+         [(s, t) for t in later for s in ("X_R1", "X_R2")]),
+    )
+    if any(view.get(key) != table.get(key)
+           for view, table, keys in tables for key in keys):
+        return None
+    # the P0 build delivered its 2 * formula_rate bits per packet
+    delivered = sum(step.deliver for t in range(start + 1, start + period + 1)
+                    for step in built.steps.get(t, ()))
+    return tiled if delivered == period * base.formula_rate else None
 
 
 # ---------------------------------------------------------------------------
@@ -587,63 +856,76 @@ def generate_payload(schedule: Schedule, seed: int) -> dict:
     return _draw_payload(schedule.payload_refs, seed)
 
 
-def _emit_value(emit, node_store, vectors):
+def _emit_value(emit, node_store, rows, moved):
+    """One sent bit: the XOR of known bits, or a received level replayed with
+    its cancel bits removed.  ``moved = (dt, off, index, refs)`` carries the
+    level to a slot that repeats its built slot (see _run_engine)."""
     if emit is None:
         return 0
-    if emit.mode == "known":
-        value = 0
-        for ref in emit.refs:
-            value ^= node_store[ref]
-        return value
-    signal, slot, position = emit.echo_src
-    value = vectors[(signal, slot)][position]
-    for ref in emit.cancel:
-        value ^= node_store[ref]
+    dt, off, index, refs = moved
+    value = 0
+    bits = emit.refs
+    if emit.mode == "echo":
+        signal, slot, position = emit.echo_src
+        value = rows[slot + dt - 1][signal][position]
+        bits = emit.cancel
+    for ref in bits:
+        value ^= node_store[refs[index[ref] + off] if off else ref]
     return value
 
 
 def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given).
 
-    Returns (slot_vectors, deliveries, faults_found).  In replay mode the
-    recorded vectors drive all node behaviour, so a corrupted level shows up
-    exactly where the recording first deviates from the protocol.
+    Returns (slot_vectors, deliveries, faults_found, stores).  In replay mode
+    the recorded vectors drive all node behaviour, so a corrupted level shows
+    up exactly where the recording first deviates from the protocol.
+
+    The engine walks the tiling itself.  A slot that repeats its built slot
+    d packets on reads the built Emits and DecodeSteps as they are: each
+    slot they name moves by dt = 2d, and each payload ref by off = d * (refs
+    per packet) places in ``payload_refs``, which are packet by packet.
     """
     p = schedule.p
     faults = faults or {}
+    built, refs = schedule.built, schedule.payload_refs
+    per_packet = len(refs) // schedule.packets
+    index = None
+    if schedule.tiling[2]:
+        index = {ref: i for i, ref in enumerate(
+            refs[:per_packet * (schedule.packets - schedule.tiling[2])])}
     store = {node: {} for node in _NODES}
     for ref, bit in payload.items():
         store[f"S{ref[0]}"][ref] = bit
-    vectors = {}
     slot_rows = []
     deliveries = []
     found = []
 
     def settle(signal, t, computed):
-        key = (signal, t)
         if (t, signal) in faults and recorded is None:
             computed = computed.flip(faults[(t, signal)])
-        if recorded is not None:
-            actual = recorded[t - 1][signal]
-            if len(actual) != len(computed):
-                raise ChannelDomainError(
-                    f"recorded {signal} at slot {t} has length {len(actual)}"
-                )
-            if actual != computed:
-                level = next(i for i, (a, b) in enumerate(zip(actual, computed))
-                             if a != b)
-                found.append((t, signal, level))
-            vectors[key] = actual
-        else:
-            vectors[key] = computed
-        return vectors[key]
+        if recorded is None:
+            return computed
+        actual = recorded[t - 1][signal]
+        if len(actual) != len(computed):
+            raise ChannelDomainError(
+                f"recorded {signal} at slot {t} has length {len(actual)}"
+            )
+        if actual != computed:
+            level = next(i for i, (a, b) in enumerate(zip(actual, computed))
+                         if a != b)
+            found.append((t, signal, level))
+        return actual
 
     for t in range(1, schedule.n_slots + 1):
+        built_slot, d = schedule._source(t)
+        dt, off = 2 * d, d * per_packet
+        moved = (dt, off, index, refs)
         row = {}
-        for signal in ("X_S1", "X_S2", "X_R1", "X_R2"):
-            emits = schedule.tx[(signal, t)]
-            bits = GfVec(_emit_value(e, store[_TX_NODE[signal]], vectors)
-                         for e in emits)
+        for signal in _TX_SIGNALS:
+            node_store = store[_TX_NODE[signal]]
+            bits = GfVec(_emit_value(e, node_store, slot_rows, moved)
+                         for e in built.tx[(signal, built_slot)])
             row[signal] = settle(signal, t, bits)
         y_r1, y_r2 = first_hop(row["X_S1"], row["X_S2"], p)
         row["Y_R1"] = settle("Y_R1", t, y_r1)
@@ -653,16 +935,18 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
                             ("Y_S1", y_s1), ("Y_S2", y_s2)):
             row[signal] = settle(signal, t, vec)
         slot_rows.append(row)
-        for step in schedule.steps.get(t, ()):
+        for step in built.steps.get(built_slot, ()):
             value = 0
             for signal, slot, position in step.obs:
-                value ^= vectors[(signal, slot)][position]
+                value ^= slot_rows[slot + dt - 1][signal][position]
+            node_store = store[step.node]
             for ref in step.side:
-                value ^= store[step.node][ref]
-            store[step.node][step.target] = value
+                value ^= node_store[refs[index[ref] + off] if off else ref]
+            target = refs[index[step.target] + off] if off else step.target
+            node_store[target] = value
             if step.deliver:
-                ok = value == payload[step.target]
-                deliveries.append((t, step.node, step.target, value, ok))
+                ok = value == payload[target]
+                deliveries.append((t, step.node, target, value, ok))
     return slot_rows, deliveries, found, store
 
 

@@ -78,13 +78,17 @@ class Counterexample:
     check: str
     p: ChannelParams
     detail: str
+    # the failed run of a SCHEME_VS_FORMULA counterexample
+    scheme: str = None
+    packets: int = None
+    seed: int = None
 
     def replay(self) -> str:
         base = (f"--m {self.p.m} --n {self.p.n} --mbar {self.p.mbar} "
                 f"--nbar {self.p.nbar} --f {self.p.f}")
-        if self.check == "SCHEME_VS_FORMULA":
-            scheme = self.detail.split()[0]
-            return f"ofbic simulate --scheme {scheme} {base}"
+        if self.scheme is not None:
+            return (f"ofbic simulate --scheme {self.scheme} {base} "
+                    f"--packets {self.packets} --seed {self.seed}")
         return f"ofbic rates {base}"
 
 
@@ -211,7 +215,9 @@ def sweep(spec: SweepSpec) -> SweepReport:
                         continue
                     detail = (f"{scheme} steady {rate} vs formula {want}; "
                               f"{report.summary()}")
-                counterexamples.append(Counterexample("SCHEME_VS_FORMULA", p, detail))
+                counterexamples.append(Counterexample(
+                    "SCHEME_VS_FORMULA", p, detail, scheme=scheme,
+                    packets=spec.scheme_packets, seed=spec.seed))
 
     counterexamples.sort(key=lambda c: (c.check, c.p.m, c.p.n, c.p.mbar,
                                         c.p.nbar, c.p.f))

@@ -18,7 +18,7 @@ from ofbic import (
     run_scheme,
     verify_trace,
 )
-from ofbic.pipeline import SIGNALS, WARMUP_PACKETS, _Builder
+from ofbic.pipeline import SIGNALS, TILE_PACKETS, WARMUP_PACKETS, _Builder, _tile
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -610,3 +610,85 @@ def test_trace_roundtrip_property(case, packets, seed, faulty, data):
     carried = verify_trace(trace)
     assert verify_trace(parsed) == carried
     assert carried.ok == (faults is None)
+
+
+# ---------------------------------------------------------------------------
+# Tiling: a run longer than TILE_PACKETS is one small build, repeated.
+
+FBXW_WIDE = ChannelParams(16, 32, 8, 8, 24)
+TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
+    ("nofb-mid", ChannelParams(3, 4, 1, 1, 3)),
+    ("fbxw", FBXW_WIDE),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(TILE_CASES) - 1),
+       packets=st.integers(4, TILE_PACKETS + 6))
+def test_tiled_schedule_equals_full_build(case, packets):
+    """Up to three two-packet periods past TILE_PACKETS, the tiled schedule
+    renders as the full build, its tables list their keys in the build's
+    order, and it delivers the same bits in the same slots."""
+    scheme, p = TILE_CASES[case]
+    tiled = build_schedule(scheme, p, packets)
+    full = _Builder(scheme, p, packets).build()
+    assert _schedule_digest(tiled) == _schedule_digest(full)
+    assert list(tiled.tx) == list(full.built.tx)
+    assert list(tiled.steps) == list(full.built.steps)
+    assert list(tiled.feedback_levels.items()) == list(full.built.feedback_levels.items())
+    assert tiled.deliveries == full.deliveries
+    assert tiled.payload_refs == full.payload_refs
+    assert len(tiled.tx) == len(full.built.tx)
+
+
+def test_superframe_two_points_tile_by_two_packets():
+    for scheme, p in (("rsw", ChannelParams(2, 4, 0, 1, 3)),
+                      ("rss", ChannelParams(4, 1, 1, 1, 2))):
+        assert build_schedule(scheme, p, 30).tiling[1] == 4   # slots per period
+
+
+def test_long_run_builds_once_at_tile_size(builds):
+    short = build_schedule("fbxw", FBXW_WIDE, 1000)
+    long = build_schedule("fbxw", FBXW_WIDE, 2000)
+    assert len(builds) == 2
+    assert all(packets <= TILE_PACKETS + 2 for _, packets in builds)
+    assert long.n_slots - short.n_slots == 2 * 1000
+    assert long.built.tx is not short.built.tx
+    assert len(long.built.tx) == len(short.built.tx)   # the same small build
+
+
+def test_failed_period_check_builds_in_full(builds, monkeypatch):
+    monkeypatch.setattr(_Builder, "_state", lambda self, t: object())
+    case = ("rsw", (2, 4, 0, 1, 3), 30)
+    schedule = build_schedule("rsw", ChannelParams(2, 4, 0, 1, 3), 30)
+    assert builds == [("rsw", TILE_PACKETS), ("rsw", 30)]
+    assert schedule.tiling == (0, 0, 0)
+    assert _schedule_digest(schedule) == FROZEN_SCHEDULE_DIGESTS[case]
+
+
+def test_period_whose_slots_do_not_recur_is_refused():
+    builder = _Builder("fbxw", FBXW_SMALL, TILE_PACKETS)
+    builder.watch = True
+    base = builder.build()
+    assert builder.period_start is not None
+    assert _tile(base, builder.period_start, builder.period, 30) is not None
+    # slots 1-2 (hop 1 only) do not recur in slots 3-4
+    assert _tile(base, 0, builder.period, 30) is None
+    assert _tile(base, None, builder.period, 30) is None
+
+
+def test_short_runs_build_once(builds):
+    build_schedule("fbxw", FBXW_SMALL, TILE_PACKETS)
+    build_schedule("fbxw", FBXW_SMALL, 5)
+    assert builds == [("fbxw", TILE_PACKETS), ("fbxw", 5)]
+
+
+def test_schedule_views_are_read_only_mappings():
+    schedule = build_schedule("rsw", ChannelParams(2, 4, 0, 1, 3), 30)
+    for view in (schedule.tx, schedule.steps, schedule.feedback_levels):
+        assert not hasattr(view, "__setitem__")
+    assert ("X_S1", 0) not in schedule.tx
+    assert ("X_S1", schedule.n_slots + 1) not in schedule.tx
+    assert ("Y_R1", 5) not in schedule.tx and "X_S1" not in schedule.tx
+    assert schedule.steps.get(schedule.n_slots + 1) is None
+    assert ("X_S1", 40) in schedule.tx and 40 in schedule.steps

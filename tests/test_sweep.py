@@ -66,8 +66,10 @@ class TestSweep:
         ce = Counterexample("COROLLARY1", ChannelParams(1, 2, 0, 1, 3), "x")
         assert ce.replay() == "ofbic rates --m 1 --n 2 --mbar 0 --nbar 1 --f 3"
         ce = Counterexample("SCHEME_VS_FORMULA", ChannelParams(1, 2, 0, 1, 3),
-                            "rsw steady 1 vs formula 2")
-        assert ce.replay().startswith("ofbic simulate --scheme rsw --m 1")
+                            "steady 1 vs formula 2", scheme="rsw", packets=8,
+                            seed=1009)
+        assert ce.replay() == ("ofbic simulate --scheme rsw --m 1 --n 2 --mbar 0 "
+                               "--nbar 1 --f 3 --packets 8 --seed 1009")
 
     def test_spec_validation(self):
         with pytest.raises(ChannelDomainError):
@@ -130,9 +132,9 @@ def _shift_weak_private(monkeypatch):
 def _flip_echo_levels(monkeypatch):
     emit_value = pipeline._emit_value
 
-    def flipped(emit, node_store, vectors):
-        value = emit_value(emit, node_store, vectors)
-        return value ^ 1 if emit is not None and emit.mode == "echo" else value
+    def flipped(level, *where):
+        value = emit_value(level, *where)
+        return value ^ 1 if level is not None and level.mode == "echo" else value
     monkeypatch.setattr(pipeline, "_emit_value", flipped)
 
 
@@ -169,6 +171,9 @@ def test_mutant_is_reported_by_its_checks(name, monkeypatch):
     assert checks <= reported, f"{name}: missed {sorted(checks - reported)}"
     if name == "echo-level-flip":       # only a simulated run can see it
         assert reported == {_SVF}
+        for c in report.counterexamples:    # the replay re-runs that run
+            assert c.replay().startswith(f"ofbic simulate --scheme {c.scheme} ")
+            assert c.replay().endswith(f"--packets 8 --seed {pipeline.DEFAULT_SEED}")
     if name == "weak-private+1":        # raised invariants became details
         assert all("allocation does not add up" in c.detail
                    for c in report.counterexamples)
