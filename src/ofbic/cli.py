@@ -97,9 +97,12 @@ def _grid_ranges(text: str) -> dict:
 def _alpha_list(text: str) -> list:
     """--alphas value: comma list of rationals such as 0,1/2,3."""
     try:
-        return [Fraction(a.strip()) for a in text.split(",") if a.strip()]
+        alphas = [Fraction(a.strip()) for a in text.split(",") if a.strip()]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad rational in {text!r}") from None
+    if not alphas:
+        raise argparse.ArgumentTypeError(f"no alpha in {text!r}")
+    return alphas
 
 
 def cmd_rates(args) -> int:

@@ -30,10 +30,10 @@ indices raised by a superframe.  So build_schedule builds a run of more than
 TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1 packets, finds
 the period by checking that the builder's live state recurs, and tiles it:
 build time and schedule memory do not grow with the packet count.  The
-Schedule's ``tx``, ``steps`` and ``feedback_levels`` are read-only views that
-expand the tiling on access, exactly as a full build would have them; the
-engine walks the tiling directly.  A run whose period check fails is built
-in full.
+engine walks the tiling directly, so nothing in a run reads the Schedule's
+``tx``, ``steps`` and ``feedback_levels``: they are read-only tables with the
+keys, values and order of a full build, built once on first read.  A run
+whose period check fails is built in full.
 
 A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
@@ -52,10 +52,10 @@ import heapq
 import itertools
 import random
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .allocation import (
@@ -77,7 +77,7 @@ from .channel import (
     first_hop,
     second_hop,
 )
-from .midcode import MidCode, MidCodeError, build_mid_code, column_levels
+from .midcode import MidCodeError, build_mid_code, column_levels
 from .rates import InvariantError, pos, r_nom, require_scheme
 
 SIGNALS = (
@@ -86,6 +86,7 @@ SIGNALS = (
 )
 _TX_NODE = {"X_S1": "S1", "X_S2": "S2", "X_R1": "R1", "X_R2": "R2"}
 _TX_SIGNALS = tuple(_TX_NODE)
+_FEEDBACK_SIGNALS = ("X_R1", "X_R2")
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 
 DEFAULT_SEED = 1009
@@ -133,7 +134,7 @@ class _Built(NamedTuple):
     """What one _Builder run emits, keyed by its own slots."""
 
     tx: dict                    # (signal, slot) -> tuple of Emit-or-None
-    steps: dict                 # slot -> [DecodeStep] in execution order
+    steps: dict                 # slot -> (DecodeStep, ...) in execution order
     feedback_levels: dict       # (relay signal, slot) -> ((level, coop j), ...)
 
 
@@ -148,16 +149,16 @@ class Schedule:
     ``period // 2`` per repetition, and the remaining slots are the build's
     last ones with packets advanced by ``shift`` and slots by ``2 * shift``.
     A full build has tiling ``(0, 0, 0)``.  ``tx``, ``steps`` and
-    ``feedback_levels`` are read-only mappings, expanded on access, with the
-    keys, values and order a full build at ``packets`` would have; the
-    engine reads ``built`` and the tiling directly instead.
+    ``feedback_levels`` are read-only tables with the keys, values and order
+    a full build at ``packets`` would have, built once on first read.
+    Nothing in a run reads them: the engine reads ``built`` and the tiling
+    directly.
     """
 
     scheme: str
     p: ChannelParams
     packets: int
     alloc: BitAllocation
-    code: MidCode
     n_slots: int
     formula_rate: int
     built: _Built = field(repr=False)
@@ -165,8 +166,6 @@ class Schedule:
 
     def _source(self, t):
         """(built slot, packet shift) that slot ``t`` copies."""
-        if not 1 <= t <= self.n_slots:
-            raise KeyError(t)
         start, period, shift = self.tiling
         own = start + period
         if t <= own:
@@ -180,18 +179,24 @@ class Schedule:
     def payload_refs(self):
         return _payload_refs(self.alloc, self.formula_rate, self.packets)
 
-    @property
+    @cached_property
     def tx(self):
-        return _SlotView(self, self.built.tx, _TX_SIGNALS, _shift_emits)
+        return self._expand(self.built.tx, _TX_SIGNALS, _shift_emits)
 
-    @property
+    @cached_property
     def steps(self):
-        return _SlotView(self, self.built.steps, None, _shift_steps)
+        return self._expand(self.built.steps, None, _shift_steps)
 
-    @property
+    @cached_property
     def feedback_levels(self):
-        return _SlotView(self, self.built.feedback_levels, ("X_R1", "X_R2"),
-                         lambda levels, d: levels)
+        return self._expand(self.built.feedback_levels, _FEEDBACK_SIGNALS, _same)
+
+    def _expand(self, table, signals, shift):
+        """One table of the build laid out over every slot of the run."""
+        expanded = {}
+        for t in range(1, self.n_slots + 1):
+            expanded.update(_slot_entries(table, signals, shift, t, *self._source(t)))
+        return MappingProxyType(expanded)
 
     @cached_property
     def deliveries(self):
@@ -203,7 +208,8 @@ class Schedule:
 
 # -- packet shifts of built values ---------------------------------------------
 # Shifting by d packets adds d to every ref's packet index and 2d to every
-# slot an observation or echo names.
+# slot an observation or echo names.  The expanded tables, _tile's period
+# check and _Builder._state all move values this way.
 
 def _shift_ref(ref, d):
     return (ref[0], ref[1] + d, ref[2], ref[3]) if d else ref
@@ -226,43 +232,24 @@ def _shift_emits(emits, d):
 
 
 def _shift_steps(steps, d):
-    return [DecodeStep(s.node, s.slot + 2 * d,
-                       tuple(_shift_obs(o, d) for o in s.obs),
-                       _shift_refs(s.side, d), _shift_ref(s.target, d),
-                       s.deliver) for s in steps] if d else list(steps)
+    return tuple(DecodeStep(s.node, s.slot + 2 * d,
+                            tuple(_shift_obs(o, d) for o in s.obs),
+                            _shift_refs(s.side, d), _shift_ref(s.target, d),
+                            s.deliver) for s in steps) if d else steps
 
 
-class _SlotView(Mapping):
-    """One table of a Schedule, keyed by slot (``signals`` None) or by
-    (signal, slot), read through the tiling from the build's table."""
+def _same(levels, d):
+    """Feedback levels name no packet: a shift leaves them as they are."""
+    return levels
 
-    def __init__(self, schedule, table, signals, shift):
-        self._schedule = schedule
-        self._table = table
-        self._signals = signals
-        self._shift = shift
 
-    def __getitem__(self, key):
-        try:
-            signal, t = (None, key) if self._signals is None else key
-            tt, d = self._schedule._source(t)
-            value = self._table[tt if signal is None else (signal, tt)]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        return self._shift(value, d)
-
-    def __iter__(self):
-        table, signals, source = self._table, self._signals, self._schedule._source
-        for t in range(1, self._schedule.n_slots + 1):
-            tt, _ = source(t)
-            if signals is None:
-                if tt in table:
-                    yield t
-            else:
-                yield from ((s, t) for s in signals if (s, tt) in table)
-
-    def __len__(self):
-        return sum(1 for _ in self)
+def _slot_entries(table, signals, shift, t, tt, d):
+    """The entries of slot ``t`` when it copies slot ``tt`` of ``table``
+    moved by ``d`` packets; keyed by slot (``signals`` None) or by
+    (signal, slot), in the build's order."""
+    if signals is None:
+        return [(t, shift(table[tt], d))] if tt in table else []
+    return [((s, t), shift(table[(s, tt)], d)) for s in signals if (s, tt) in table]
 
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
@@ -316,7 +303,6 @@ class _Builder:
             self.code = build_mid_code(p.m, p.n, self.formula_rate)
             self.fb_plan = {2: (), 3: ()}
         else:
-            self.code = None
             self.lmap1 = level_map(self.alloc, p, 1)
             self.lmap4 = level_map(self.alloc, p, 4)
             self.fb_plan = self._feedback_plan()
@@ -611,8 +597,11 @@ class _Builder:
     # -- period detection ------------------------------------------------------
 
     def _state(self, t):
-        """Everything that decides the build after slot ``t``, with packet
-        indices counted from ``t // 2`` and slots from ``t``.
+        """Everything that decides the build after slot ``t``, moved by
+        d = -(t // 2) packets: packets count from ``t // 2`` and slots from
+        ``2 * (t // 2)``.  The period is even, so the two states _watch_period
+        compares are offset by the same ``t % 2``: the period found is the one
+        found with slots counted from ``t``.
 
         That is the relay FIFOs with their enqueue slots, the pending relay
         decodes and their waiting index (arrivals as ranks), the rss echo and
@@ -622,31 +611,26 @@ class _Builder:
         older, and of newer packets only the sources' own bits are known.
         """
         base = t // 2
-
-        def ref(r):
-            return (r[0], r[1] - base, r[2], r[3])
-
-        def refs(rs):
-            return frozenset(map(ref, rs))
-
-        def obs(o):
-            return (o[0], o[1] - t, o[2])
-
-        fifo = tuple(tuple((ref(r), slot - t) for r, slot in self.fifo[relay])
+        d = -base
+        fifo = tuple(tuple((_shift_ref(r, d), slot + 2 * d)
+                           for r, slot in self.fifo[relay])
                      for relay in ("R1", "R2"))
         pending = []
         for relay in ("R1", "R2"):
             rank = {arrival: i for i, arrival in enumerate(self.pending[relay])}
             pending.append((
-                tuple((obs(o), refs(rs)) for o, rs in self.pending[relay].values()),
-                {ref(r): tuple(rank.get(a, -1) for a in arrivals)
+                tuple((_shift_obs(o, d), _shift_refs(rs, d))
+                      for o, rs in self.pending[relay].values()),
+                {_shift_ref(r, d): tuple(rank.get(a, -1) for a in arrivals)
                  for r, arrivals in self.waiting[relay].items()},
             ))
-        echo = {(node, pkt - base): tuple((obs(o), refs(rest), refs(known))
-                                          for o, rest, known in items)
+        echo = {(node, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rest, d),
+                                        _shift_refs(known, d))
+                                       for o, rest, known in items)
                 for node, by_packet in self.echo.items()
                 for pkt, items in by_packet.items() if pkt >= base}
-        residual = {(relay, pkt - base): tuple((obs(o), refs(rs)) for o, rs in items)
+        residual = {(relay, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rs, d))
+                                            for o, rs in items)
                     for (relay, pkt), items in self.residual_store.items()
                     if pkt >= base}
         named = [r for queue in fifo for r, _ in queue]
@@ -657,9 +641,9 @@ class _Builder:
         oldest = min([0] + [r[1] for r in named])
         window = [r for pkt in range(base + oldest, (t + 1) // 2 + 1)
                   for src in (1, 2) for r in self.refs_by_packet.get((src, pkt), ())]
-        know = tuple(frozenset(ref(r) for r in window if r in self.know[node])
+        know = tuple(frozenset(_shift_ref(r, d) for r in window if r in self.know[node])
                      for node in _NODES)
-        delivered = frozenset(ref(r) for r in window if r in self.delivered)
+        delivered = frozenset(_shift_ref(r, d) for r in window if r in self.delivered)
         return oldest, fifo, pending, echo, residual, know, delivered
 
     def _watch_period(self, t):
@@ -728,10 +712,10 @@ class _Builder:
             p=p,
             packets=P,
             alloc=self.alloc,
-            code=self.code,
             n_slots=n_slots,
             formula_rate=self.formula_rate,
-            built=_Built(self.tx, self.steps, self.feedback_levels),
+            built=_Built(self.tx, {t: tuple(s) for t, s in self.steps.items()},
+                         self.feedback_levels),
         )
 
 
@@ -774,28 +758,27 @@ def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
 
 def _tile(base: Schedule, start, period: int, packets: int):
     """``base`` tiled out to ``packets`` by repeating its slots
-    ``start + 1 .. start + period``, or None if the tiling does not give the
-    build's own slots one period later or would not deliver every bit."""
+    ``start + 1 .. start + period``, or None if those slots, moved by one
+    period (``period // 2`` packets), are not the build's own next period or
+    do not deliver every bit."""
     if start is None:
         return None
-    shift = packets - base.packets
-    tiled = replace(base, packets=packets, n_slots=base.n_slots + 2 * shift,
-                    tiling=(start, period, shift))
-    built = base.built
-    later = range(start + period + 1, start + 2 * period + 1)
-    tables = (
-        (tiled.tx, built.tx, [(s, t) for t in later for s in _TX_SIGNALS]),
-        (tiled.steps, built.steps, later),
-        (tiled.feedback_levels, built.feedback_levels,
-         [(s, t) for t in later for s in ("X_R1", "X_R2")]),
-    )
-    if any(view.get(key) != table.get(key)
-           for view, table, keys in tables for key in keys):
+    built, period_slots = base.built, range(start + 1, start + period + 1)
+    tables = ((built.tx, _TX_SIGNALS, _shift_emits),
+              (built.steps, None, _shift_steps),
+              (built.feedback_levels, _FEEDBACK_SIGNALS, _same))
+    if any(_slot_entries(*table, t + period, t, period // 2)
+           != _slot_entries(*table, t + period, t + period, 0)
+           for table in tables for t in period_slots):
         return None
     # the P0 build delivered its 2 * formula_rate bits per packet
-    delivered = sum(step.deliver for t in range(start + 1, start + period + 1)
+    delivered = sum(step.deliver for t in period_slots
                     for step in built.steps.get(t, ()))
-    return tiled if delivered == period * base.formula_rate else None
+    if delivered != period * base.formula_rate:
+        return None
+    shift = packets - base.packets
+    return replace(base, packets=packets, n_slots=base.n_slots + 2 * shift,
+                   tiling=(start, period, shift))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ floating point.  Regime boundaries are closed on both sides, so a boundary
 point carries the outer, inner and capacity pieces of both adjacent regimes.
 
 Each point is evaluated once, by ``_evaluate``, which records every piece
-and never raises.  The public ``rate_bundle``, ``outer_bound``,
-``inner_bound`` and ``capacity_mbar0`` read that evaluation and raise
-``InvariantError`` when pieces disagree; the sweep reads the same evaluation
-and reports a disagreement as a counterexample of the check that owns it.
+and never raises.  ``rate_bundle`` reads that evaluation, and
+``outer_bound``, ``inner_bound`` and ``capacity_mbar0`` compute only their
+own pieces with the same piece functions; each raises ``InvariantError``
+when pieces disagree.  The sweep reads the evaluation and reports a
+disagreement as a counterexample of the check that owns it.
 """
 
 from __future__ import annotations
@@ -273,6 +274,17 @@ class RateBundle:
         return "+".join(str(t) for t in self.regimes)
 
 
+def _mbar0_cap(p: ChannelParams, outer: int) -> int:
+    """``outer`` with the mbar = 0 direct-link bound intersected in."""
+    return min(outer, p.f + _m0(p) + pos(p.nbar - p.f)) if p.mbar == 0 else outer
+
+
+def _inner_pieces(tags, schemes) -> dict:
+    """Regime -> the best rate among ``schemes`` that serve it."""
+    return {t: max([rate for s, rate in schemes if t in SCHEMES[s].regimes])
+            for t in tags}
+
+
 def _inner_terms(p: ChannelParams, tags) -> dict:
     terms = {}
     if Regime.WEAK in tags:
@@ -292,15 +304,11 @@ def _evaluate(p: ChannelParams) -> RateBundle:
     """The one evaluation of p: every piece and min-term; never raises."""
     tags = regime_of(p)
     schemes = _schemes_at(p, tags)
-    outer_pieces, inner_pieces, capacity_pieces = {}, {}, {}
-    for t in tags:
-        outer_pieces[t] = _outer_piece(p, t)
-        inner_pieces[t] = max([rate for s, rate in schemes if t in SCHEMES[s].regimes])
-        if p.mbar == 0:
-            capacity_pieces[t] = _CAPACITY_PIECES[t](p)
-    outer, inner = outer_pieces[tags[0]], inner_pieces[tags[0]]
-    if p.mbar == 0:
-        outer = min(outer, p.f + _m0(p) + pos(p.nbar - p.f))
+    outer_pieces = {t: _outer_piece(p, t) for t in tags}
+    inner_pieces = _inner_pieces(tags, schemes)
+    capacity_pieces = {t: _CAPACITY_PIECES[t](p) for t in tags} if p.mbar == 0 else {}
+    outer = _mbar0_cap(p, outer_pieces[tags[0]])
+    inner = inner_pieces[tags[0]]
     components = {
         "2n-m": 2 * p.n - p.m,
         "2f": 2 * p.f,
@@ -345,22 +353,25 @@ def outer_bound(p: ChannelParams) -> int:
     For mbar = 0 the extra direct-link bound also applies and is
     intersected in.
     """
-    bundle = _evaluate(p)
-    _agree(p, "regime", bundle.outer_pieces)
-    return bundle.outer
+    tags = regime_of(p)
+    pieces = {t: _outer_piece(p, t) for t in tags}
+    _agree(p, "regime", pieces)
+    return _mbar0_cap(p, pieces[tags[0]])
 
 
 def inner_bound(p: ChannelParams) -> int:
     """Best achievable sum rate among the implemented schemes."""
-    bundle = _evaluate(p)
-    _agree(p, "inner", bundle.inner_pieces)
-    return bundle.inner
+    tags = regime_of(p)
+    pieces = _inner_pieces(tags, _schemes_at(p, tags))
+    _agree(p, "inner", pieces)
+    return pieces[tags[0]]
 
 
 def capacity_mbar0(p: ChannelParams) -> int:
     """Exact sum capacity for channels without a backward cross-link."""
     if p.mbar != 0:
         raise ChannelDomainError("capacity_mbar0 requires mbar = 0")
-    bundle = _evaluate(p)
-    _agree(p, "capacity", bundle.capacity_pieces)
-    return bundle.capacity_pieces[bundle.regimes[0]]
+    tags = regime_of(p)
+    pieces = {t: _CAPACITY_PIECES[t](p) for t in tags}
+    _agree(p, "capacity", pieces)
+    return pieces[tags[0]]

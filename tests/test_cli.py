@@ -381,6 +381,14 @@ class TestCompareAndFreq:
         assert info.value.code == 2
         assert "--alphas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", ["", ",", " , "])
+    def test_empty_alphas_is_usage_error_exit_2(self, capsys, alphas):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--n", "4", "--f", "1", "--alphas", alphas])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--alphas" in captured.err and captured.out == ""
+
     def test_compare_weak_ofb_dfb_region(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--n", "4", "--f", "12", "--mbar", "2",

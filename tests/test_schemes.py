@@ -12,6 +12,7 @@ from ofbic import (
     ChannelDomainError,
     ChannelParams,
     RegimeError,
+    Schedule,
     build_schedule,
     format_trace,
     parse_trace,
@@ -641,6 +642,19 @@ def test_tiled_schedule_equals_full_build(case, packets):
     assert len(tiled.tx) == len(full.built.tx)
 
 
+# (start, period, shift) of each TILE_CASES point at 30 packets
+TILING_AT_30 = [(4, 2, 18), (3, 4, 18), (3, 4, 18), (4, 2, 18), (8, 2, 18),
+                (2, 2, 18), (2, 2, 18), (2, 2, 18), (4, 2, 18)]
+
+
+@pytest.mark.parametrize("case,tiling", zip(TILE_CASES, TILING_AT_30),
+                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
+                              for s, p in TILE_CASES])
+def test_tiling_at_30_packets_is_pinned(case, tiling):
+    scheme, p = case
+    assert build_schedule(scheme, p, 30).tiling == tiling
+
+
 def test_superframe_two_points_tile_by_two_packets():
     for scheme, p in (("rsw", ChannelParams(2, 4, 0, 1, 3)),
                       ("rss", ChannelParams(4, 1, 1, 1, 2))):
@@ -687,8 +701,31 @@ def test_schedule_views_are_read_only_mappings():
     schedule = build_schedule("rsw", ChannelParams(2, 4, 0, 1, 3), 30)
     for view in (schedule.tx, schedule.steps, schedule.feedback_levels):
         assert not hasattr(view, "__setitem__")
+    # built once, on first read
+    assert schedule.tx is schedule.tx and schedule.steps is schedule.steps
+    assert schedule.feedback_levels is schedule.feedback_levels
+    assert all(type(steps) is tuple for steps in schedule.steps.values())
+    assert all(type(steps) is tuple for steps in schedule.built.steps.values())
     assert ("X_S1", 0) not in schedule.tx
     assert ("X_S1", schedule.n_slots + 1) not in schedule.tx
     assert ("Y_R1", 5) not in schedule.tx and "X_S1" not in schedule.tx
     assert schedule.steps.get(schedule.n_slots + 1) is None
     assert ("X_S1", 40) in schedule.tx and 40 in schedule.steps
+
+
+@pytest.mark.parametrize("scheme,p", [
+    ("fbxw", ChannelParams(2, 4, 1, 1, 3)),
+    ("rsw", ChannelParams(2, 4, 0, 1, 3)),
+    ("rss", ChannelParams(4, 1, 1, 1, 2)),
+    ("nofb-mid", ChannelParams(3, 3, 0, 0, 10)),
+])
+def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
+    """A tiled run, its replay and the parse round trip never expand tx,
+    steps or feedback_levels."""
+    def refuse(self, *args):
+        raise AssertionError("a schedule table was expanded")
+    monkeypatch.setattr(Schedule, "_expand", refuse)
+    trace = run_scheme(scheme, p, 30)
+    text = format_trace(trace)
+    assert verify_trace(trace).ok
+    assert verify_trace(parse_trace(text)).ok
