@@ -9,7 +9,8 @@ Conventions used across the whole package:
 * Hop-1 vectors have length ``q = max(m, n)``; hop-2 vectors have length
   ``qbar = max(mbar, nbar, f)``.
 
-All operations are pure functions on immutable values.
+All operations are pure functions on immutable values.  ``GfVec`` is the
+checked public type; ``ofbic.pipeline`` runs the private geometry on tuples.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ class ChannelParams:
         )
 
 
+def _vec_str(levels) -> str:
+    """The trace encoding of a vector: '0'/'1' top-first, '-' for empty."""
+    return "".join(map(str, levels)) or "-"
+
+
 class GfVec(tuple):
     """Fixed-length binary column vector over GF(2).
 
@@ -95,7 +101,7 @@ class GfVec(tuple):
 
     @classmethod
     def from_string(cls, text: str) -> "GfVec":
-        """Parse the trace encoding: '0'/'1' top-first, '-' for empty."""
+        """Parse the trace encoding written by ``_vec_str``."""
         if text == "-":
             return cls()
         if not all(c in "01" for c in text):
@@ -113,8 +119,7 @@ class GfVec(tuple):
             raise ChannelDomainError(f"level {level} outside vector")
         return GfVec(b ^ 1 if i == level else b for i, b in enumerate(self))
 
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self) or "-"
+    __str__ = _vec_str
 
     def __repr__(self) -> str:
         return f"GfVec({str(self)!r})"

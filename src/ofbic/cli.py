@@ -84,6 +84,8 @@ def _grid_ranges(text: str) -> dict:
                 f"unknown grid key {key!r}, expected one of "
                 f"{', '.join(DEFAULT_RANGES)}"
             )
+        if key in grid:
+            raise argparse.ArgumentTypeError(f"grid key {key!r} given twice")
         lo, _, hi = span.partition(":")
         try:
             grid[key] = (int(lo), int(hi or lo))
@@ -150,7 +152,7 @@ def cmd_simulate(args) -> int:
 
 
 def _read_config(path: str) -> dict:
-    config = {}
+    config = {}                       # key -> (value, line number)
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -162,7 +164,7 @@ def _read_config(path: str) -> dict:
                     f"got {raw.strip()!r}"
                 )
             key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
+            config[key.strip()] = (value.strip(), lineno)
     return config
 
 
@@ -170,14 +172,15 @@ def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
 
     def setting(name, flag_value, cast, default=None):
+        value, lineno = config.pop(name, (None, 0))
         if flag_value is not None:
             return flag_value
-        if name in config:
+        if value is not None:
             try:
-                return cast(config[name])
+                return cast(value)
             except ValueError:
                 raise UsageError(
-                    f"config {args.config}: {name} = {config[name]!r} "
+                    f"config {args.config} line {lineno}: {name} = {value!r} "
                     "is not an integer"
                 ) from None
         return default
@@ -197,6 +200,8 @@ def cmd_sweep(args) -> int:
         "sample": setting("sample", args.sample, int),
         "seed": setting("seed", args.seed, int),
     }
+    for key, (_, lineno) in config.items():     # setting() popped the rest
+        raise UsageError(f"config {args.config} line {lineno}: unknown key {key!r}")
     # Unset values are left out so that SweepSpec's defaults apply.
     spec = SweepSpec(**{k: v for k, v in given.items() if v is not None})
     out = _out_path(args.out) if args.out else None

@@ -18,11 +18,11 @@ The run is split into two layers:
   One slot loop serves all four schemes; nofb-mid differs from the packet
   schemes only in its hop-1 emission (MidCode columns) and in how its relays
   decode (two-slot recipes instead of single receptions).
-* An *engine* evaluates the schedule on concrete payload bits, pushing real
-  GfVec signals through first_hop/second_hop and executing the decode steps
-  against the actually received vectors.  verify_trace replays a recorded
-  trace through the same engine and reports the first point where the
-  recording deviates from what the protocol would have produced.
+* An *engine* evaluates the schedule on concrete payload bits, pushing
+  tuples of 0/1 levels through the same geometry and executing the decode
+  steps against the actually received vectors.  verify_trace replays a
+  recorded trace through the same engine and reports the first point where
+  the recording deviates from what the protocol would have produced.
 
 Every scheme repeats itself after a short warm-up: one period is two
 superframes (two or four slots), and the next period is the same with packet
@@ -74,8 +74,7 @@ from .channel import (
     GfVec,
     _first_hop,
     _second_hop,
-    first_hop,
-    second_hop,
+    _vec_str,
 )
 from .midcode import MidCodeError, build_mid_code, column_levels
 from .rates import InvariantError, pos, r_nom, require_scheme
@@ -791,7 +790,7 @@ class SimulationTrace:
     packets: int
     seed: int
     n_slots: int
-    slots: list                       # per slot: dict signal -> GfVec
+    slots: list                       # per slot: dict signal -> 0/1 tuple
     payload: dict
     deliveries: list                  # (slot, dest, ref, value, ok)
     formula_rate: int
@@ -871,6 +870,10 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
     """
     p = schedule.p
     faults = faults or {}
+    lengths = _signal_lengths(p)
+    for (t, signal), level in faults.items():
+        if not (1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
+            raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
     built, refs = schedule.built, schedule.payload_refs
     per_packet = len(refs) // schedule.packets
     index = None
@@ -886,7 +889,8 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
 
     def settle(signal, t, computed):
         if (t, signal) in faults and recorded is None:
-            computed = computed.flip(faults[(t, signal)])
+            level = faults[(t, signal)]
+            computed = (*computed[:level], computed[level] ^ 1, *computed[level + 1:])
         if recorded is None:
             return computed
         actual = recorded[t - 1][signal]
@@ -907,15 +911,13 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
         row = {}
         for signal in _TX_SIGNALS:
             node_store = store[_TX_NODE[signal]]
-            bits = GfVec(_emit_value(e, node_store, slot_rows, moved)
+            bits = tuple(_emit_value(e, node_store, slot_rows, moved)
                          for e in built.tx[(signal, built_slot)])
             row[signal] = settle(signal, t, bits)
-        y_r1, y_r2 = first_hop(row["X_S1"], row["X_S2"], p)
-        row["Y_R1"] = settle("Y_R1", t, y_r1)
-        row["Y_R2"] = settle("Y_R2", t, y_r2)
-        y_d1, y_d2, y_s1, y_s2 = second_hop(row["X_R1"], row["X_R2"], p)
-        for signal, vec in (("Y_D1", y_d1), ("Y_D2", y_d2),
-                            ("Y_S1", y_s1), ("Y_S2", y_s2)):
+        received = zip(("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2"),
+                       (*_first_hop(row["X_S1"], row["X_S2"], p, 0),
+                        *_second_hop(row["X_R1"], row["X_R2"], p, 0)))
+        for signal, vec in received:
             row[signal] = settle(signal, t, vec)
         slot_rows.append(row)
         for step in built.steps.get(built_slot, ()):
@@ -938,24 +940,17 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     """Run a scheme end to end and return the full per-slot trace.
 
     ``faults`` maps (slot, signal) -> level to flip after that signal is
-    formed; the corruption then propagates through the rest of the run.
+    formed; the corruption then propagates through the rest of the run.  A
+    slot, signal or level the run does not have is a ChannelDomainError.
     """
     schedule = build_schedule(scheme, p, packets)
     payload = generate_payload(schedule, seed)
     slot_rows, deliveries, _, _ = _run_engine(schedule, payload, faults=faults)
-    errors = sum(1 for d in deliveries if not d[4])
     trace = SimulationTrace(
-        scheme=scheme,
-        p=p,
-        packets=packets,
-        seed=seed,
-        n_slots=schedule.n_slots,
-        slots=slot_rows,
-        payload=payload,
-        deliveries=deliveries,
-        formula_rate=schedule.formula_rate,
-        alloc=schedule.alloc,
-        decode_errors=errors,
+        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
+        slots=slot_rows, payload=payload, deliveries=deliveries,
+        formula_rate=schedule.formula_rate, alloc=schedule.alloc,
+        decode_errors=sum(1 for d in deliveries if not d[4]),
     )
     trace._schedule = schedule
     return trace
@@ -1016,10 +1011,9 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     _, deliveries, found, stores = _run_engine(schedule, payload,
                                                recorded=trace.slots)
     errors = [(t, dest, ref) for (t, dest, ref, _, ok) in deliveries if not ok]
-    verdicts = {}
-    for (_, _, ref, _, ok) in deliveries:
-        pkt = ref[1]
-        verdicts[pkt] = verdicts.get(pkt, True) and ok
+    verdicts = dict.fromkeys(range(1, trace.packets + 1), True)
+    for _, _, ref, _, ok in deliveries:
+        verdicts[ref[1]] &= ok
     missing = len(schedule.payload_refs) - len(deliveries)
     node_verdicts = {}
     for node in ("R1", "R2", "D1", "D2"):
@@ -1027,9 +1021,7 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
             key = (node, ref[1])
             node_verdicts[key] = (node_verdicts.get(key, True)
                                   and value == payload[ref])
-    for pkt in range(1, trace.packets + 1):
-        verdicts.setdefault(pkt, True)
-    report = VerifyReport(
+    return VerifyReport(
         ok=not found and not errors and missing == 0,
         faults=sorted(found),
         payload_errors=errors,
@@ -1040,7 +1032,6 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
         measured_sum_rate=Fraction(len(deliveries), schedule.n_slots),
         steady_state_rate=_steady_rate(deliveries, *trace.steady_window),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1049,6 +1040,10 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
 
 _TRACE_VERSION = "# ofbic-trace v1"
 _HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")     # length q; the rest qbar
+
+
+def _signal_lengths(p: ChannelParams) -> dict:
+    return {s: p.q if s in _HOP1_SIGNALS else p.qbar for s in SIGNALS}
 
 
 def format_trace(trace: SimulationTrace) -> str:
@@ -1068,7 +1063,7 @@ def format_trace(trace: SimulationTrace) -> str:
     lines.append(f"# formula_rate={trace.formula_rate}")
     lines.append("# columns: slot " + " ".join(SIGNALS))
     for t, row in enumerate(trace.slots, start=1):
-        lines.append(f"{t} " + " ".join(str(row[s]) for s in SIGNALS))
+        lines.append(f"{t} " + " ".join(_vec_str(row[s]) for s in SIGNALS))
     return "\n".join(lines) + "\n"
 
 
@@ -1124,7 +1119,7 @@ def parse_trace(text: str) -> SimulationTrace:
 
     p = ChannelParams(field("m"), field("n"), field("mbar"), field("nbar"), field("f"))
     scheme, packets, seed = field("scheme", str), field("packets"), field("seed")
-    lengths = {s: p.q if s in _HOP1_SIGNALS else p.qbar for s in SIGNALS}
+    lengths = _signal_lengths(p)
     for lineno, row in zip(slot_lines, slots):
         for signal, vec in row.items():
             if len(vec) != lengths[signal]:
@@ -1134,14 +1129,7 @@ def parse_trace(text: str) -> SimulationTrace:
                 )
     alloc, formula_rate, payload_refs = _payload_plan(scheme, p, packets)
     return SimulationTrace(
-        scheme=scheme,
-        p=p,
-        packets=packets,
-        seed=seed,
-        n_slots=len(slots),
-        slots=slots,
-        payload=_draw_payload(payload_refs, seed),
-        deliveries=[],
-        formula_rate=formula_rate,
-        alloc=alloc,
+        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
+        slots=slots, payload=_draw_payload(payload_refs, seed), deliveries=[],
+        formula_rate=formula_rate, alloc=alloc,
     )

@@ -286,6 +286,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--grid" in err and "'zz'" in err
 
+    def test_repeated_grid_key_is_usage_error_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--grid", "m=0:1,m=0:3", "--checks", "inner_le_outer"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "'m'" in err and "twice" in err
+
     def test_empty_checks_is_domain_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--checks", "")
         assert code == 3
@@ -322,6 +329,14 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert err.startswith("error: ") and "line 2" in err
+
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("m_max = 1\nn_max = 1\nmbar_max = 0\nnbar_max = 0\n"
+                          "checks = inner_le_outer\nf_mx = 1\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and "line 6" in err and "'f_mx'" in err
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config",

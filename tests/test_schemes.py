@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ofbic import (
     ChannelDomainError,
     ChannelParams,
+    GfVec,
     RegimeError,
     Schedule,
     build_schedule,
@@ -370,6 +371,19 @@ class TestFaultInjection:
         assert verify_trace(trace).faults == [(slot, signal, level)]
 
 
+@pytest.mark.parametrize("fault", [
+    (999, "X_R1", 0), (0, "X_R1", 0), (5, "X_R9", 0), (5, "x_r1", 0),
+    (5, "X_R1", 3), (5, "X_R1", -1), (5, "Y_R1", 4),
+], ids=["slot-late", "slot-zero", "signal-unknown", "signal-lowercase",
+        "level-past-qbar", "level-negative", "level-past-q"])
+def test_fault_outside_the_run_is_rejected(fault):
+    """A fault the run would never reach is bad input, not a clean control."""
+    slot, signal, level = fault
+    with pytest.raises(ChannelDomainError, match="outside the run"):
+        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8,
+                   faults={(slot, signal): level})
+
+
 def _draw_flip(data, scheme, p, packets):
     """Any (slot, signal, level) of a run, on a signal with a non-empty vector."""
     n_slots = build_schedule(scheme, p, packets).n_slots
@@ -713,12 +727,15 @@ def test_schedule_views_are_read_only_mappings():
     assert ("X_S1", 40) in schedule.tx and 40 in schedule.steps
 
 
-@pytest.mark.parametrize("scheme,p", [
+ONE_PER_SCHEME = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3)),
     ("rsw", ChannelParams(2, 4, 0, 1, 3)),
     ("rss", ChannelParams(4, 1, 1, 1, 2)),
     ("nofb-mid", ChannelParams(3, 3, 0, 0, 10)),
-])
+]
+
+
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
     """A tiled run, its replay and the parse round trip never expand tx,
     steps or feedback_levels."""
@@ -729,3 +746,18 @@ def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
     text = format_trace(trace)
     assert verify_trace(trace).ok
     assert verify_trace(parse_trace(text)).ok
+
+
+@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
+    """A run, its replay and its formatting pass plain level tuples through
+    the channel's private geometry, full build (8) and tiled (30) alike;
+    only parse_trace, which reads outside input, makes GfVecs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GfVec was constructed")
+    monkeypatch.setattr(GfVec, "__new__", refuse)
+    trace = run_scheme(scheme, p, packets)
+    assert verify_trace(trace).ok
+    last = format_trace(trace).splitlines()[-1]
+    assert last.startswith(f"{trace.n_slots} ")
