@@ -164,7 +164,13 @@ def _read_config(path: str) -> dict:
                     f"got {raw.strip()!r}"
                 )
             key, _, value = line.partition("=")
-            config[key.strip()] = (value.strip(), lineno)
+            key = key.strip()
+            if key in config:
+                raise UsageError(
+                    f"config {path} line {lineno}: {key!r} already set on "
+                    f"line {config[key][1]}"
+                )
+            config[key] = (value.strip(), lineno)
     return config
 
 
@@ -188,8 +194,11 @@ def cmd_sweep(args) -> int:
     grid_flag = args.grid or {}
     ranges = {}
     for key, (lo_default, hi_default) in DEFAULT_RANGES.items():
-        lo = setting(f"{key}_min", getattr(args, f"{key}_min"), int, lo_default)
-        hi = setting(f"{key}_max", getattr(args, f"{key}_max"), int, hi_default)
+        lo_flag, hi_flag = getattr(args, f"{key}_min"), getattr(args, f"{key}_max")
+        if key in grid_flag and (lo_flag, hi_flag) != (None, None):
+            raise UsageError(f"{key} given by both --grid and --{key}-min/--{key}-max")
+        lo = setting(f"{key}_min", lo_flag, int, lo_default)
+        hi = setting(f"{key}_max", hi_flag, int, hi_default)
         ranges[key] = grid_flag.get(key, (lo, hi))
     checks = setting("checks", args.checks, str)
     given = {

@@ -24,16 +24,20 @@ The run is split into two layers:
   recorded trace through the same engine and reports the first point where
   the recording deviates from what the protocol would have produced.
 
-Every scheme repeats itself after a short warm-up: one period is two
-superframes (two or four slots), and the next period is the same with packet
-indices raised by a superframe.  So build_schedule builds a run of more than
-TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1 packets, finds
-the period by checking that the builder's live state recurs, and tiles it:
+A build is one _Slot record per slot: what the slot sends, its decode steps
+in execution order and its feedback levels.  Every scheme repeats itself
+after a short warm-up: one period is two superframes (two or four slots),
+and the next period is the same with packet indices raised by a superframe,
+which is what _Slot.shifted computes.  So build_schedule builds a run of
+more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
+packets, finds the period by checking that the builder's live state recurs
+and that the next period's records are the shifted ones, and tiles it:
 build time and schedule memory do not grow with the packet count.  The
-engine walks the tiling directly, so nothing in a run reads the Schedule's
-``tx``, ``steps`` and ``feedback_levels``: they are read-only tables with the
-keys, values and order of a full build, built once on first read.  A run
-whose period check fails is built in full.
+engine walks the tiling over the records directly, so nothing in a run
+reads the Schedule's ``tx``, ``steps`` and ``feedback_levels``: they are
+read-only views of the records with the keys, values and order of a full
+build, built once on first read.  A run whose period check fails is built
+in full.
 
 A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
@@ -129,29 +133,44 @@ class DecodeStep:
     deliver: bool = False
 
 
-class _Built(NamedTuple):
-    """What one _Builder run emits, keyed by its own slots."""
+class _Slot(NamedTuple):
+    """One built slot: what it sends, decodes and feeds back."""
 
-    tx: dict                    # (signal, slot) -> tuple of Emit-or-None
-    steps: dict                 # slot -> (DecodeStep, ...) in execution order
-    feedback_levels: dict       # (relay signal, slot) -> ((level, coop j), ...)
+    tx: tuple                   # per _TX_SIGNALS: tuple of Emit-or-None
+    steps: tuple                # (DecodeStep, ...) in execution order
+    feedback: tuple             # per _FEEDBACK_SIGNALS: ((level, coop j), ...), or ()
+
+    def shifted(self, d):
+        """This slot moved by ``d`` packets (see the packet shifts below)."""
+        if not d:
+            return self
+        tx = tuple(tuple(e and Emit(_shift_refs(e.refs, d), e.mode,
+                                    e.echo_src and _shift_obs(e.echo_src, d),
+                                    _shift_refs(e.cancel, d)) for e in emits)
+                   for emits in self.tx)
+        steps = tuple(DecodeStep(s.node, s.slot + 2 * d,
+                                 tuple(_shift_obs(o, d) for o in s.obs),
+                                 _shift_refs(s.side, d), _shift_ref(s.target, d),
+                                 s.deliver) for s in self.steps)
+        return _Slot(tx, steps, self.feedback)
 
 
 @dataclass(eq=False)
 class Schedule:
     """A run's slot-by-slot plan: what each node sends and decodes.
 
-    It is one _Builder run, ``built``, laid out over ``n_slots`` slots by
+    It is one _Builder run, ``built`` (one _Slot per built slot, slot t at
+    index t - 1), laid out over ``n_slots`` slots by
     ``tiling = (start, period, shift)``: slots up to ``start + period`` are
     the build's own, the next ``2 * shift`` slots repeat its slots
     ``start + 1 .. start + period`` with packet indices advanced by
     ``period // 2`` per repetition, and the remaining slots are the build's
     last ones with packets advanced by ``shift`` and slots by ``2 * shift``.
     A full build has tiling ``(0, 0, 0)``.  ``tx``, ``steps`` and
-    ``feedback_levels`` are read-only tables with the keys, values and order
-    a full build at ``packets`` would have, built once on first read.
-    Nothing in a run reads them: the engine reads ``built`` and the tiling
-    directly.
+    ``feedback_levels`` are read-only views of those slot records with the
+    keys, values and order a full build at ``packets`` would have, filled
+    together by one walk on the first read of any of them.  Nothing in a
+    run reads them: the engine reads ``built`` and the tiling directly.
     """
 
     scheme: str
@@ -160,7 +179,7 @@ class Schedule:
     alloc: BitAllocation
     n_slots: int
     formula_rate: int
-    built: _Built = field(repr=False)
+    built: tuple = field(repr=False)
     tiling: tuple = (0, 0, 0)
 
     def _source(self, t):
@@ -178,24 +197,27 @@ class Schedule:
     def payload_refs(self):
         return _payload_refs(self.alloc, self.formula_rate, self.packets)
 
-    @cached_property
-    def tx(self):
-        return self._expand(self.built.tx, _TX_SIGNALS, _shift_emits)
-
-    @cached_property
-    def steps(self):
-        return self._expand(self.built.steps, None, _shift_steps)
-
-    @cached_property
-    def feedback_levels(self):
-        return self._expand(self.built.feedback_levels, _FEEDBACK_SIGNALS, _same)
-
-    def _expand(self, table, signals, shift):
-        """One table of the build laid out over every slot of the run."""
-        expanded = {}
+    def _expand(self):
+        """(t, slot record) for every slot of the run, in order."""
         for t in range(1, self.n_slots + 1):
-            expanded.update(_slot_entries(table, signals, shift, t, *self._source(t)))
-        return MappingProxyType(expanded)
+            tt, d = self._source(t)
+            yield t, self.built[tt - 1].shifted(d)
+
+    @cached_property
+    def _tables(self):
+        """tx, steps and feedback_levels, filled in one walk of the run."""
+        tx, steps, feedback = {}, {}, {}
+        for t, slot in self._expand():
+            tx.update(((s, t), emits) for s, emits in zip(_TX_SIGNALS, slot.tx))
+            if slot.steps:
+                steps[t] = slot.steps
+            feedback.update(((s, t), plan)
+                            for s, plan in zip(_FEEDBACK_SIGNALS, slot.feedback))
+        return MappingProxyType(tx), MappingProxyType(steps), MappingProxyType(feedback)
+
+    tx = property(lambda self: self._tables[0])
+    steps = property(lambda self: self._tables[1])
+    feedback_levels = property(lambda self: self._tables[2])
 
     @cached_property
     def deliveries(self):
@@ -207,8 +229,8 @@ class Schedule:
 
 # -- packet shifts of built values ---------------------------------------------
 # Shifting by d packets adds d to every ref's packet index and 2d to every
-# slot an observation or echo names.  The expanded tables, _tile's period
-# check and _Builder._state all move values this way.
+# slot an observation or echo names.  _Slot.shifted (behind the expanded
+# tables, _tile's period check) and _Builder._state all move values this way.
 
 def _shift_ref(ref, d):
     return (ref[0], ref[1] + d, ref[2], ref[3]) if d else ref
@@ -220,35 +242,6 @@ def _shift_refs(refs, d):
 
 def _shift_obs(obs, d):
     return (obs[0], obs[1] + 2 * d, obs[2]) if d else obs
-
-
-def _shift_emits(emits, d):
-    if not d:
-        return emits
-    return tuple(e and Emit(_shift_refs(e.refs, d), e.mode,
-                            e.echo_src and _shift_obs(e.echo_src, d),
-                            _shift_refs(e.cancel, d)) for e in emits)
-
-
-def _shift_steps(steps, d):
-    return tuple(DecodeStep(s.node, s.slot + 2 * d,
-                            tuple(_shift_obs(o, d) for o in s.obs),
-                            _shift_refs(s.side, d), _shift_ref(s.target, d),
-                            s.deliver) for s in steps) if d else steps
-
-
-def _same(levels, d):
-    """Feedback levels name no packet: a shift leaves them as they are."""
-    return levels
-
-
-def _slot_entries(table, signals, shift, t, tt, d):
-    """The entries of slot ``t`` when it copies slot ``tt`` of ``table``
-    moved by ``d`` packets; keyed by slot (``signals`` None) or by
-    (signal, slot), in the build's order."""
-    if signals is None:
-        return [(t, shift(table[tt], d))] if tt in table else []
-    return [((s, t), shift(table[(s, tt)], d)) for s in signals if (s, tt) in table]
 
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
@@ -323,10 +316,9 @@ class _Builder:
         self.arrivals = itertools.count()
         self.echo = {"S1": {}, "S2": {}}
         self.residual_store = {}
-        self.tx = {}
-        self.steps = {}
+        self.built = []                # one _Slot per slot
+        self.slot_steps = []           # this slot's decode steps so far
         self.delivered = {}
-        self.feedback_levels = {}
         # build_schedule sets watch: look for the first slot whose state
         # recurs one period (two superframes) later, shifted by a superframe
         self.watch = False
@@ -367,9 +359,6 @@ class _Builder:
 
     # -- knowledge propagation ----------------------------------------------
 
-    def _add_step(self, slot, step):
-        self.steps.setdefault(slot, []).append(step)
-
     def _learn(self, node, slot, obs, refs, target):
         self._record(node, slot, obs, refs, target)
         if node in ("R1", "R2"):
@@ -384,7 +373,7 @@ class _Builder:
         if target in self.know[node]:
             raise PipelineError(f"{node} relearns {target} at slot {slot}")
         self.know[node].add(target)
-        self._add_step(slot, DecodeStep(node, slot, obs, side, target))
+        self.slot_steps.append(DecodeStep(node, slot, obs, side, target))
         if node in ("R1", "R2"):
             own = 1 if node == "R1" else 2
             if target[0] == own and not (
@@ -494,12 +483,8 @@ class _Builder:
         if phase is not None:
             for relay in ("R1", "R2"):
                 own = 1 if relay == "R1" else 2
-                audit = []
                 for level, j in self.fb_plan[phase]:
                     emits[relay][level] = self._feedback_emit(relay, own, pkt, j)
-                    audit.append((level, j))
-                if audit:
-                    self.feedback_levels[(f"X_{relay}", t)] = tuple(audit)
         for relay in ("R1", "R2"):
             for level in range(f):
                 if emits[relay][level] is not None:
@@ -528,10 +513,9 @@ class _Builder:
 
     def _process_sources(self, t, y_s, phase, pkt):
         p = self.p
-        for node, signal, relay_sig, sym_vec in (("S1", "Y_S1", "X_R1", y_s[0]),
-                                                 ("S2", "Y_S2", "X_R2", y_s[1])):
+        for node, signal, sym_vec in (("S1", "Y_S1", y_s[0]), ("S2", "Y_S2", y_s[1])):
             if self.scheme == SCHEME_RSS and phase in (2, 3):
-                for level, j in self.feedback_levels.get((relay_sig, t), ()):
+                for level, j in self.fb_plan[phase]:
                     position = p.qbar - p.nbar + level
                     refs = sym_vec[position]
                     known = frozenset(refs & self.know[node])
@@ -587,11 +571,8 @@ class _Builder:
                 if ref in self.delivered:
                     raise PipelineError(f"{ref} delivered twice")
                 self.delivered[ref] = t
-                self._add_step(
-                    t,
-                    DecodeStep(node, t, ((signal, t, position),),
-                               _EMPTY, ref, deliver=True),
-                )
+                self.slot_steps.append(DecodeStep(
+                    node, t, ((signal, t, position),), _EMPTY, ref, deliver=True))
 
     # -- period detection ------------------------------------------------------
 
@@ -670,8 +651,6 @@ class _Builder:
             hop1 = self._mid_hop1_emits(t) if self.mid else self._hop1_emits(t)
             hop2, phase, pkt = self._hop2_emits(t)
             sent = (hop1[1], hop1[2], hop2["R1"], hop2["R2"])
-            for signal, emits in zip(_TX_NODE, sent):
-                self.tx[(signal, t)] = tuple(emits)
             s1, s2, r1, r2 = (tuple(e.refs if e else _EMPTY for e in emits)
                               for emits in sent)
             y_r = _first_hop(s1, s2, p, _EMPTY)
@@ -685,6 +664,10 @@ class _Builder:
                 self._process_sources(t, (y_s1, y_s2), phase, pkt)
                 self._process_relays(t, y_r)
             self._process_dest(t, (y_d1, y_d2))
+            plan = self.fb_plan[phase] if phase else ()
+            self.built.append(_Slot(tuple(map(tuple, sent)), tuple(self.slot_steps),
+                                    (plan, plan) if plan else ()))
+            self.slot_steps = []
 
             if t % 2 == 0 and 1 <= t // 2 - lag <= P:
                 done = t // 2 - lag
@@ -713,8 +696,7 @@ class _Builder:
             alloc=self.alloc,
             n_slots=n_slots,
             formula_rate=self.formula_rate,
-            built=_Built(self.tx, {t: tuple(s) for t, s in self.steps.items()},
-                         self.feedback_levels),
+            built=tuple(self.built),
         )
 
 
@@ -762,17 +744,12 @@ def _tile(base: Schedule, start, period: int, packets: int):
     do not deliver every bit."""
     if start is None:
         return None
-    built, period_slots = base.built, range(start + 1, start + period + 1)
-    tables = ((built.tx, _TX_SIGNALS, _shift_emits),
-              (built.steps, None, _shift_steps),
-              (built.feedback_levels, _FEEDBACK_SIGNALS, _same))
-    if any(_slot_entries(*table, t + period, t, period // 2)
-           != _slot_entries(*table, t + period, t + period, 0)
-           for table in tables for t in period_slots):
+    one = base.built[start:start + period]
+    two = base.built[start + period:start + 2 * period]
+    if len(two) < period or any(a.shifted(period // 2) != b for a, b in zip(one, two)):
         return None
     # the P0 build delivered its 2 * formula_rate bits per packet
-    delivered = sum(step.deliver for t in period_slots
-                    for step in built.steps.get(t, ()))
+    delivered = sum(step.deliver for slot in one for step in slot.steps)
     if delivered != period * base.formula_rate:
         return None
     shift = packets - base.packets
@@ -906,13 +883,13 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
 
     for t in range(1, schedule.n_slots + 1):
         built_slot, d = schedule._source(t)
+        slot = built[built_slot - 1]
         dt, off = 2 * d, d * per_packet
         moved = (dt, off, index, refs)
         row = {}
-        for signal in _TX_SIGNALS:
+        for signal, emits in zip(_TX_SIGNALS, slot.tx):
             node_store = store[_TX_NODE[signal]]
-            bits = tuple(_emit_value(e, node_store, slot_rows, moved)
-                         for e in built.tx[(signal, built_slot)])
+            bits = tuple(_emit_value(e, node_store, slot_rows, moved) for e in emits)
             row[signal] = settle(signal, t, bits)
         received = zip(("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2"),
                        (*_first_hop(row["X_S1"], row["X_S2"], p, 0),
@@ -920,10 +897,10 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
         for signal, vec in received:
             row[signal] = settle(signal, t, vec)
         slot_rows.append(row)
-        for step in built.steps.get(built_slot, ()):
+        for step in slot.steps:
             value = 0
-            for signal, slot, position in step.obs:
-                value ^= slot_rows[slot + dt - 1][signal][position]
+            for signal, seen, position in step.obs:
+                value ^= slot_rows[seen + dt - 1][signal][position]
             node_store = store[step.node]
             for ref in step.side:
                 value ^= node_store[refs[index[ref] + off] if off else ref]
@@ -1089,7 +1066,12 @@ def parse_trace(text: str) -> SimulationTrace:
             for token in line[1:].split():
                 if "=" in token:
                     key, _, value = token.partition("=")
-                    header.setdefault(key, (value, lineno))
+                    if key in header:
+                        raise ChannelDomainError(
+                            f"line {lineno}: header key {key!r} repeated "
+                            f"(first on line {header[key][1]})"
+                        )
+                    header[key] = (value, lineno)
             continue
         fields = line.split()
         if len(fields) != 1 + len(SIGNALS):

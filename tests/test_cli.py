@@ -293,6 +293,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--grid" in err and "'m'" in err and "twice" in err
 
+    @pytest.mark.parametrize("flag", ["--m-min", "--m-max"])
+    def test_grid_and_range_flag_for_one_key_exit_2(self, capsys, flag):
+        code, _, err = run_cli(capsys, "sweep", "--grid", "m=0:1,n=0:1,f=0:1",
+                               flag, "0", "--checks", "inner_le_outer")
+        assert code == 2
+        assert err == "error: m given by both --grid and --m-min/--m-max\n"
+
     def test_empty_checks_is_domain_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--checks", "")
         assert code == 3
@@ -337,6 +344,15 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 2
         assert err.startswith("error: ") and "line 6" in err and "'f_mx'" in err
+
+    def test_repeated_config_key_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("m_max = 1\nn_max = 1\nmbar_max = 0\nnbar_max = 0\n"
+                          "f_max = 1\nchecks = inner_le_outer\nf_max = 3\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and "line 7" in err
+        assert "'f_max'" in err and "line 5" in err
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config",

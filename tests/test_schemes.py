@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -309,8 +310,10 @@ def _edit_line(text, lineno, edit):
     (1, lambda line: line.replace("v1", "v2")),             # wrong version
     (8, lambda line: line.replace(" 1000 ", " 100 ", 1)),   # X_S1 shorter than q
     (8, lambda line: line.rstrip("\n") + "0\n"),            # Y_S2 longer than qbar
+    (2, lambda line: line.rstrip("\n") + " m=5\n"),         # header key repeated
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
-        "version-missing", "version-wrong", "length-q", "length-qbar"])
+        "version-missing", "version-wrong", "length-q", "length-qbar",
+        "header-key-repeated"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
@@ -648,12 +651,12 @@ def test_tiled_schedule_equals_full_build(case, packets):
     tiled = build_schedule(scheme, p, packets)
     full = _Builder(scheme, p, packets).build()
     assert _schedule_digest(tiled) == _schedule_digest(full)
-    assert list(tiled.tx) == list(full.built.tx)
-    assert list(tiled.steps) == list(full.built.steps)
-    assert list(tiled.feedback_levels.items()) == list(full.built.feedback_levels.items())
+    assert list(tiled.tx) == list(full.tx)
+    assert list(tiled.steps) == list(full.steps)
+    assert list(tiled.feedback_levels.items()) == list(full.feedback_levels.items())
     assert tiled.deliveries == full.deliveries
     assert tiled.payload_refs == full.payload_refs
-    assert len(tiled.tx) == len(full.built.tx)
+    assert len(tiled.tx) == len(full.tx)
 
 
 # (start, period, shift) of each TILE_CASES point at 30 packets
@@ -681,8 +684,8 @@ def test_long_run_builds_once_at_tile_size(builds):
     assert len(builds) == 2
     assert all(packets <= TILE_PACKETS + 2 for _, packets in builds)
     assert long.n_slots - short.n_slots == 2 * 1000
-    assert long.built.tx is not short.built.tx
-    assert len(long.built.tx) == len(short.built.tx)   # the same small build
+    assert long.built is not short.built
+    assert len(long.built) == len(short.built)   # the same small build
 
 
 def test_failed_period_check_builds_in_full(builds, monkeypatch):
@@ -705,6 +708,33 @@ def test_period_whose_slots_do_not_recur_is_refused():
     assert _tile(base, None, builder.period, 30) is None
 
 
+def _watched_build():
+    builder = _Builder("fbxw", FBXW_SMALL, TILE_PACKETS)
+    builder.watch = True
+    return builder.build(), builder.period_start, builder.period
+
+
+def test_period_past_the_end_of_the_build_is_refused():
+    """A next period cut short by the end of the build is refused, although
+    every slot it does have repeats the period."""
+    base, start, period = _watched_build()
+    whole = replace(base, built=base.built[:start + 2 * period])
+    cut = replace(base, built=base.built[:start + 2 * period - 1])
+    assert _tile(whole, start, period, 30) is not None
+    assert _tile(cut, start, period, 30) is None
+
+
+def test_period_differing_only_in_feedback_is_refused():
+    base, start, period = _watched_build()
+    built = list(base.built)
+    slot = built[start + period]             # first slot of the next period
+    *kept, (level, j) = slot.feedback[1]
+    built[start + period] = slot._replace(
+        feedback=(slot.feedback[0], (*kept, (level, j + 1))))
+    assert _tile(base, start, period, 30) is not None
+    assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
+
+
 def test_short_runs_build_once(builds):
     build_schedule("fbxw", FBXW_SMALL, TILE_PACKETS)
     build_schedule("fbxw", FBXW_SMALL, 5)
@@ -719,7 +749,7 @@ def test_schedule_views_are_read_only_mappings():
     assert schedule.tx is schedule.tx and schedule.steps is schedule.steps
     assert schedule.feedback_levels is schedule.feedback_levels
     assert all(type(steps) is tuple for steps in schedule.steps.values())
-    assert all(type(steps) is tuple for steps in schedule.built.steps.values())
+    assert all(type(slot.steps) is tuple for slot in schedule.built)
     assert ("X_S1", 0) not in schedule.tx
     assert ("X_S1", schedule.n_slots + 1) not in schedule.tx
     assert ("Y_R1", 5) not in schedule.tx and "X_S1" not in schedule.tx
