@@ -20,15 +20,20 @@ The run is split into two layers:
   decode (two-slot recipes instead of single receptions).
 * An *engine* evaluates the schedule on concrete payload bits, pushing
   tuples of 0/1 levels through the same geometry and executing the decode
-  steps against the actually received vectors.  verify_trace replays a
-  recorded trace through the same engine and reports the first point where
-  the recording deviates from what the protocol would have produced.
+  steps against the actually received vectors.  It never looks at a
+  reference: the builder writes each bit's position in ``payload_refs``
+  next to its reference where it creates a record (``Emit.at``,
+  ``DecodeStep.side_at`` and ``target_at``), and every node's store is one
+  list over those positions.  verify_trace replays a recorded trace through
+  the same engine and reports the first point where the recording deviates
+  from what the protocol would have produced.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order and its feedback levels.  Every scheme repeats itself
 after a short warm-up: one period is two superframes (two or four slots),
 and the next period is the same with packet indices raised by a superframe,
-which is what _Slot.shifted computes.  So build_schedule builds a run of
+which is what _Slot.shifted computes, for references and their positions
+alike.  So build_schedule builds a run of
 more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
 packets, finds the period by checking that the builder's live state recurs
 and that the next period's records are the shifted ones, and tiles it:
@@ -107,29 +112,34 @@ class PipelineError(AssertionError):
 INVARIANT_ERRORS = (InvariantError, MidCodeError, PipelineError)
 
 
-@dataclass(frozen=True, slots=True)
-class Emit:
+class Emit(NamedTuple):
     """One transmitted level: an XOR of payload bits plus how to produce it.
 
     mode 'known': the transmitter XORs bit values it already holds.
     mode 'echo': the transmitter replays a previously received level value,
     after cancelling the ``cancel`` bits it knows (received combination
     forwarding).
+
+    Emit and DecodeStep are immutable tuples, not frozen dataclasses, because
+    a build makes one per decode and per coded level, and a tuple is built
+    in about a third of the time.
     """
 
     refs: frozenset
     mode: str = "known"
     echo_src: tuple = None
     cancel: frozenset = _EMPTY
+    at: tuple = ()              # payload_refs positions XORed: refs if known, cancel if echo
 
 
-@dataclass(frozen=True, slots=True)
-class DecodeStep:
+class DecodeStep(NamedTuple):
     node: str
     slot: int
     obs: tuple                  # ((signal, slot, pos), ...)
     side: frozenset             # bits XOR-cancelled out of the observation
     target: tuple
+    side_at: tuple              # payload_refs positions of side, ascending
+    target_at: int              # payload_refs position of target
     deliver: bool = False
 
 
@@ -140,17 +150,21 @@ class _Slot(NamedTuple):
     steps: tuple                # (DecodeStep, ...) in execution order
     feedback: tuple             # per _FEEDBACK_SIGNALS: ((level, coop j), ...), or ()
 
-    def shifted(self, d):
-        """This slot moved by ``d`` packets (see the packet shifts below)."""
+    def shifted(self, d, per_packet):
+        """This slot moved by ``d`` packets (see the packet shifts below) in
+        a run of ``per_packet`` payload refs per packet."""
         if not d:
             return self
+        off = d * per_packet
         tx = tuple(tuple(e and Emit(_shift_refs(e.refs, d), e.mode,
                                     e.echo_src and _shift_obs(e.echo_src, d),
-                                    _shift_refs(e.cancel, d)) for e in emits)
+                                    _shift_refs(e.cancel, d),
+                                    tuple(i + off for i in e.at)) for e in emits)
                    for emits in self.tx)
         steps = tuple(DecodeStep(s.node, s.slot + 2 * d,
                                  tuple(_shift_obs(o, d) for o in s.obs),
                                  _shift_refs(s.side, d), _shift_ref(s.target, d),
+                                 tuple(i + off for i in s.side_at), s.target_at + off,
                                  s.deliver) for s in self.steps)
         return _Slot(tx, steps, self.feedback)
 
@@ -201,7 +215,7 @@ class Schedule:
         """(t, slot record) for every slot of the run, in order."""
         for t in range(1, self.n_slots + 1):
             tt, d = self._source(t)
-            yield t, self.built[tt - 1].shifted(d)
+            yield t, self.built[tt - 1].shifted(d, 2 * self.formula_rate)
 
     @cached_property
     def _tables(self):
@@ -229,8 +243,10 @@ class Schedule:
 
 # -- packet shifts of built values ---------------------------------------------
 # Shifting by d packets adds d to every ref's packet index and 2d to every
-# slot an observation or echo names.  _Slot.shifted (behind the expanded
-# tables, _tile's period check) and _Builder._state all move values this way.
+# slot an observation or echo names; a ref's position in payload_refs, which
+# run packet by packet, moves by d times the refs per packet.  _Slot.shifted
+# (behind the expanded tables, _tile's period check) and _Builder._state all
+# move values this way.
 
 def _shift_ref(ref, d):
     return (ref[0], ref[1] + d, ref[2], ref[3]) if d else ref
@@ -301,12 +317,13 @@ class _Builder:
         self.know = {node: set() for node in _NODES}
         self.refs_by_packet = {}
         # one immutable Emit per payload bit, shared by every level that
-        # carries that bit alone (hop-1 emission and relay forwarding)
+        # carries that bit alone (hop-1 emission and relay forwarding); its
+        # ``at`` is the bit's position in payload_refs
         self.unit = {}
-        for ref in self.payload_refs:
+        for i, ref in enumerate(self.payload_refs):
             self.know[f"S{ref[0]}"].add(ref)
             self.refs_by_packet.setdefault((ref[0], ref[1]), []).append(ref)
-            self.unit[ref] = Emit(frozenset((ref,)))
+            self.unit[ref] = Emit(frozenset((ref,)), at=(i,))
         self.fifo = {"R1": deque(), "R2": deque()}
         # relay receptions with two unknown bits: insertion number ->
         # (obs, refs), and each unknown ref -> the insertion numbers waiting
@@ -325,6 +342,11 @@ class _Builder:
         self.period = 2 * (self.alloc.superframe if self.alloc else 1)
         self.period_start = None
         self.states = {}
+
+    def _at(self, refs):
+        """The payload_refs positions of ``refs``, ascending, so that a set
+        and the same set moved by whole packets list them alike."""
+        return tuple(sorted(self.unit[ref].at[0] for ref in refs))
 
     # -- static plans -------------------------------------------------------
 
@@ -366,14 +388,20 @@ class _Builder:
 
     def _record(self, node, slot, obs, refs, target):
         side = refs - {target}
-        if len(side) <= 1:                   # share the one-ref or empty set
-            side = self.unit[next(iter(side))].refs if side else _EMPTY
+        if len(side) > 1:
+            side_at = self._at(side)
+        elif side:                           # share the one-ref set
+            unit = self.unit[next(iter(side))]
+            side, side_at = unit.refs, unit.at
+        else:                                # and the one empty set
+            side, side_at = _EMPTY, ()
         if not side <= self.know[node]:
             raise PipelineError(f"{node} lacks side info for {target} at slot {slot}")
         if target in self.know[node]:
             raise PipelineError(f"{node} relearns {target} at slot {slot}")
         self.know[node].add(target)
-        self.slot_steps.append(DecodeStep(node, slot, obs, side, target))
+        self.slot_steps.append(DecodeStep(node, slot, obs, side, target, side_at,
+                                          self.unit[target].at[0]))
         if node in ("R1", "R2"):
             own = 1 if node == "R1" else 2
             if target[0] == own and not (
@@ -455,8 +483,10 @@ class _Builder:
         for src in (1, 2):
             use_a = (t % 2 == 1) == (src == 1)
             cols, base = (code.cols_a, 0) if use_a else (code.cols_b, code.split)
-            emits[src] = [Emit(frozenset((src, blk, "mb", k) for k in bits))
-                          if bits else None for bits in column_levels(cols, base, q)]
+            for level, bits in enumerate(column_levels(cols, base, q)):
+                if bits:
+                    refs = frozenset((src, blk, "mb", k) for k in bits)
+                    emits[src][level] = Emit(refs, at=self._at(refs))
         return emits
 
     def _coop_relay_emit(self, node, other, pkt, j, t):
@@ -469,7 +499,7 @@ class _Builder:
         if len(items) != self.alloc.coop:
             raise PipelineError(f"{node} captured {len(items)} echoes for packet {pkt}")
         obs, refs, cancel = items[j]
-        return Emit(refs, mode="echo", echo_src=obs, cancel=cancel)
+        return Emit(refs, mode="echo", echo_src=obs, cancel=cancel, at=self._at(cancel))
 
     def _hop2_emits(self, t):
         qbar, f = self.p.qbar, self.p.f
@@ -572,7 +602,8 @@ class _Builder:
                     raise PipelineError(f"{ref} delivered twice")
                 self.delivered[ref] = t
                 self.slot_steps.append(DecodeStep(
-                    node, t, ((signal, t, position),), _EMPTY, ref, deliver=True))
+                    node, t, ((signal, t, position),), _EMPTY, ref, (),
+                    self.unit[ref].at[0], deliver=True))
 
     # -- period detection ------------------------------------------------------
 
@@ -746,7 +777,9 @@ def _tile(base: Schedule, start, period: int, packets: int):
         return None
     one = base.built[start:start + period]
     two = base.built[start + period:start + 2 * period]
-    if len(two) < period or any(a.shifted(period // 2) != b for a, b in zip(one, two)):
+    per_packet = 2 * base.formula_rate
+    if len(two) < period or any(a.shifted(period // 2, per_packet) != b
+                                for a, b in zip(one, two)):
         return None
     # the P0 build delivered its 2 * formula_rate bits per packet
     delivered = sum(step.deliver for slot in one for step in slot.steps)
@@ -815,22 +848,11 @@ def generate_payload(schedule: Schedule, seed: int) -> dict:
     return _draw_payload(schedule.payload_refs, seed)
 
 
-def _emit_value(emit, node_store, rows, moved):
-    """One sent bit: the XOR of known bits, or a received level replayed with
-    its cancel bits removed.  ``moved = (dt, off, index, refs)`` carries the
-    level to a slot that repeats its built slot (see _run_engine)."""
-    if emit is None:
-        return 0
-    dt, off, index, refs = moved
-    value = 0
-    bits = emit.refs
-    if emit.mode == "echo":
-        signal, slot, position = emit.echo_src
-        value = rows[slot + dt - 1][signal][position]
-        bits = emit.cancel
-    for ref in bits:
-        value ^= node_store[refs[index[ref] + off] if off else ref]
-    return value
+def _echo_value(emit, rows, dt):
+    """The received level an echo Emit replays, before its cancel bits come
+    off: its ``echo_src`` read ``dt`` slots on (see _run_engine)."""
+    signal, slot, position = emit.echo_src
+    return rows[slot + dt - 1][signal][position]
 
 
 def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
@@ -840,10 +862,14 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
     the recorded vectors drive all node behaviour, so a corrupted level shows
     up exactly where the recording first deviates from the protocol.
 
-    The engine walks the tiling itself.  A slot that repeats its built slot
-    d packets on reads the built Emits and DecodeSteps as they are: each
-    slot they name moves by dt = 2d, and each payload ref by off = d * (refs
-    per packet) places in ``payload_refs``, which are packet by packet.
+    Every payload bit is addressed by its position in ``payload_refs``, which
+    the builder wrote into each Emit (``at``) and DecodeStep (``side_at``,
+    ``target_at``).  A node's store is one list over those positions, None
+    where the node does not know the bit.  The engine walks the tiling
+    itself: a slot that repeats its built slot d packets on reads the built
+    records as they are, each slot they name moved by dt = 2d and each
+    position by off = d * (refs per packet), as ``payload_refs`` run packet
+    by packet.  Deliveries name their bit by its ref.
     """
     p = schedule.p
     faults = faults or {}
@@ -852,14 +878,15 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
         if not (1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
             raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
     built, refs = schedule.built, schedule.payload_refs
-    per_packet = len(refs) // schedule.packets
-    index = None
-    if schedule.tiling[2]:
-        index = {ref: i for i, ref in enumerate(
-            refs[:per_packet * (schedule.packets - schedule.tiling[2])])}
-    store = {node: {} for node in _NODES}
-    for ref, bit in payload.items():
-        store[f"S{ref[0]}"][ref] = bit
+    rate = schedule.formula_rate
+    per_packet = 2 * rate
+    bits = [payload[ref] for ref in refs]
+    stores = {node: [None] * len(refs) for node in _NODES}
+    for lo in range(0, schedule.packets * per_packet, per_packet or 1):
+        mid, hi = lo + rate, lo + per_packet          # source 1's bits, then 2's
+        stores["S1"][lo:mid] = bits[lo:mid]
+        stores["S2"][mid:hi] = bits[mid:hi]
+    senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
     slot_rows = []
     deliveries = []
     found = []
@@ -885,12 +912,18 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
         built_slot, d = schedule._source(t)
         slot = built[built_slot - 1]
         dt, off = 2 * d, d * per_packet
-        moved = (dt, off, index, refs)
         row = {}
-        for signal, emits in zip(_TX_SIGNALS, slot.tx):
-            node_store = store[_TX_NODE[signal]]
-            bits = tuple(_emit_value(e, node_store, slot_rows, moved) for e in emits)
-            row[signal] = settle(signal, t, bits)
+        for signal, store, emits in zip(_TX_SIGNALS, senders, slot.tx):
+            levels = []
+            for emit in emits:
+                if emit is None:
+                    levels.append(0)
+                    continue
+                value = _echo_value(emit, slot_rows, dt) if emit.echo_src else 0
+                for i in emit.at:
+                    value ^= store[i + off]
+                levels.append(value)
+            row[signal] = settle(signal, t, tuple(levels))
         received = zip(("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2"),
                        (*_first_hop(row["X_S1"], row["X_S2"], p, 0),
                         *_second_hop(row["X_R1"], row["X_R2"], p, 0)))
@@ -901,15 +934,15 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
             value = 0
             for signal, seen, position in step.obs:
                 value ^= slot_rows[seen + dt - 1][signal][position]
-            node_store = store[step.node]
-            for ref in step.side:
-                value ^= node_store[refs[index[ref] + off] if off else ref]
-            target = refs[index[step.target] + off] if off else step.target
-            node_store[target] = value
+            store = stores[step.node]
+            for i in step.side_at:
+                value ^= store[i + off]
+            target = step.target_at + off
+            store[target] = value
             if step.deliver:
-                ok = value == payload[target]
-                deliveries.append((t, step.node, target, value, ok))
-    return slot_rows, deliveries, found, store
+                deliveries.append((t, step.node, refs[target], value,
+                                   value == bits[target]))
+    return slot_rows, deliveries, found, stores
 
 
 def run_scheme(scheme: str, p: ChannelParams, packets: int,
@@ -992,12 +1025,16 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     for _, _, ref, _, ok in deliveries:
         verdicts[ref[1]] &= ok
     missing = len(schedule.payload_refs) - len(deliveries)
+    bits = list(payload.values())                 # drawn in payload_refs order
+    per_packet = 2 * schedule.formula_rate
     node_verdicts = {}
     for node in ("R1", "R2", "D1", "D2"):
-        for ref, value in stores[node].items():
-            key = (node, ref[1])
-            node_verdicts[key] = (node_verdicts.get(key, True)
-                                  and value == payload[ref])
+        values = stores[node]
+        for pkt in range(1, trace.packets + 1):
+            lo, hi = (pkt - 1) * per_packet, pkt * per_packet
+            known = [v == b for v, b in zip(values[lo:hi], bits[lo:hi]) if v is not None]
+            if known:
+                node_verdicts[(node, pkt)] = all(known)
     return VerifyReport(
         ok=not found and not errors and missing == 0,
         faults=sorted(found),
@@ -1023,6 +1060,19 @@ def _signal_lengths(p: ChannelParams) -> dict:
     return {s: p.q if s in _HOP1_SIGNALS else p.qbar for s in SIGNALS}
 
 
+_ALLOC_KEYS = ("noncoop", "coop", "private", "per_phase_coop", "superframe")
+
+
+def _alloc_fields(alloc: BitAllocation) -> dict:
+    """The ``# alloc`` header fields of a run as written, by _ALLOC_KEYS;
+    none for nofb-mid, which has no allocation."""
+    if alloc is None:
+        return {}
+    return dict(zip(_ALLOC_KEYS, (
+        str(alloc.noncoop), str(alloc.coop), str(alloc.private),
+        f"{alloc.per_phase_coop[0]},{alloc.per_phase_coop[1]}", str(alloc.superframe))))
+
+
 def format_trace(trace: SimulationTrace) -> str:
     p = trace.p
     lines = [
@@ -1030,13 +1080,9 @@ def format_trace(trace: SimulationTrace) -> str:
         f"# scheme={trace.scheme} m={p.m} n={p.n} mbar={p.mbar} "
         f"nbar={p.nbar} f={p.f} packets={trace.packets} seed={trace.seed}",
     ]
-    if trace.alloc is not None:
-        a = trace.alloc
-        lines.append(
-            f"# alloc noncoop={a.noncoop} coop={a.coop} private={a.private} "
-            f"per_phase_coop={a.per_phase_coop[0]},{a.per_phase_coop[1]} "
-            f"superframe={a.superframe}"
-        )
+    alloc = _alloc_fields(trace.alloc)
+    if alloc:
+        lines.append("# alloc " + " ".join(f"{k}={v}" for k, v in alloc.items()))
     lines.append(f"# formula_rate={trace.formula_rate}")
     lines.append("# columns: slot " + " ".join(SIGNALS))
     for t, row in enumerate(trace.slots, start=1):
@@ -1048,9 +1094,11 @@ def parse_trace(text: str) -> SimulationTrace:
     """Read a trace written by format_trace; reject anything malformed.
 
     Errors name the 1-based line they were found on.  Only the recorded
-    vectors are read back: the payload and the formula rate follow from the
-    header.  A parsed trace carries no schedule, so verify_trace builds a
-    fresh one to replay the vectors.
+    vectors are read back: the payload, the allocation and the formula rate
+    follow from the scheme and parameters, and a ``# alloc`` or
+    ``formula_rate`` field that says otherwise is rejected.  A parsed trace
+    carries no schedule, so verify_trace builds a fresh one to replay the
+    vectors.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _TRACE_VERSION:
@@ -1110,6 +1158,16 @@ def parse_trace(text: str) -> SimulationTrace:
                     f"expected {lengths[signal]}"
                 )
     alloc, formula_rate, payload_refs = _payload_plan(scheme, p, packets)
+    planned = dict.fromkeys(_ALLOC_KEYS)
+    planned.update(_alloc_fields(alloc), formula_rate=str(formula_rate))
+    for key, want in planned.items():
+        if key in header and header[key][0] != want:
+            value, lineno = header[key]
+            expected = f"{key}={want}" if want else f"no {key} in a {scheme} run"
+            raise ChannelDomainError(
+                f"line {lineno}: header field {key}={value!r} contradicts the "
+                f"run's plan: expected {expected}"
+            )
     return SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
         slots=slots, payload=_draw_payload(payload_refs, seed), deliveries=[],

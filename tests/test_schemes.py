@@ -21,7 +21,15 @@ from ofbic import (
     run_scheme,
     verify_trace,
 )
-from ofbic.pipeline import SIGNALS, TILE_PACKETS, WARMUP_PACKETS, _Builder, _tile
+from ofbic.pipeline import (
+    SIGNALS,
+    TILE_PACKETS,
+    WARMUP_PACKETS,
+    _Builder,
+    _run_engine,
+    _tile,
+    generate_payload,
+)
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -311,14 +319,35 @@ def _edit_line(text, lineno, edit):
     (8, lambda line: line.replace(" 1000 ", " 100 ", 1)),   # X_S1 shorter than q
     (8, lambda line: line.rstrip("\n") + "0\n"),            # Y_S2 longer than qbar
     (2, lambda line: line.rstrip("\n") + " m=5\n"),         # header key repeated
+    (4, lambda line: line.replace("=3", "=99")),            # formula_rate not the plan's
+    (3, lambda line: line.replace("noncoop=1", "noncoop=7")),
+    (3, lambda line: line.replace(" coop=1", " coop=7")),
+    (3, lambda line: line.replace("private=0", "private=1")),
+    (3, lambda line: line.replace("=1,0", "=0,1")),
+    (3, lambda line: line.replace("superframe=2", "superframe=4")),
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
         "version-missing", "version-wrong", "length-q", "length-qbar",
-        "header-key-repeated"])
+        "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
+        "alloc-private", "alloc-per-phase-coop", "alloc-superframe"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
     with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
         parse_trace(text)
+
+
+def test_parse_trace_rejects_header_against_the_plan():
+    """formula_rate=99 with noncoop=7 coop=7 once verified as a pass; the
+    first contradicting line is named.  A nofb-mid run has no allocation."""
+    text = format_trace(run_scheme("rss", ChannelParams(4, 1, 1, 1, 2), 8))
+    text = text.replace("formula_rate=3", "formula_rate=99")
+    text = text.replace("noncoop=1 coop=1", "noncoop=7 coop=7")
+    with pytest.raises(ChannelDomainError, match="^line 3: header field noncoop='7'"):
+        parse_trace(text)
+    mid = format_trace(run_scheme("nofb-mid", ChannelParams(3, 4, 0, 0, 8), 4))
+    assert "# alloc" not in mid
+    with pytest.raises(ChannelDomainError, match="^line 3: .* no coop in a nofb-mid run"):
+        parse_trace(_edit_line(mid, 3, lambda line: "# alloc coop=0\n" + line))
 
 
 class TestFaultInjection:
@@ -646,7 +675,9 @@ TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
 def test_tiled_schedule_equals_full_build(case, packets):
     """Up to three two-packet periods past TILE_PACKETS, the tiled schedule
     renders as the full build, its tables list their keys in the build's
-    order, and it delivers the same bits in the same slots."""
+    order, and it delivers the same bits in the same slots.  The engine,
+    which moves the built positions itself, gives the same rows,
+    deliveries and node stores on both."""
     scheme, p = TILE_CASES[case]
     tiled = build_schedule(scheme, p, packets)
     full = _Builder(scheme, p, packets).build()
@@ -657,6 +688,9 @@ def test_tiled_schedule_equals_full_build(case, packets):
     assert tiled.deliveries == full.deliveries
     assert tiled.payload_refs == full.payload_refs
     assert len(tiled.tx) == len(full.tx)
+    payload = generate_payload(full, 1)
+    # rows, deliveries, no faults found, stores
+    assert _run_engine(tiled, payload) == _run_engine(full, payload)
 
 
 # (start, period, shift) of each TILE_CASES point at 30 packets
@@ -731,6 +765,17 @@ def test_period_differing_only_in_feedback_is_refused():
     *kept, (level, j) = slot.feedback[1]
     built[start + period] = slot._replace(
         feedback=(slot.feedback[0], (*kept, (level, j + 1))))
+    assert _tile(base, start, period, 30) is not None
+    assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
+
+
+def test_period_differing_only_in_a_target_position_is_refused():
+    base, start, period = _watched_build()
+    built = list(base.built)
+    k = next(k for k in range(start + period, start + 2 * period) if built[k].steps)
+    step, *rest = built[k].steps
+    built[k] = built[k]._replace(
+        steps=(step._replace(target_at=step.target_at + 1), *rest))
     assert _tile(base, start, period, 30) is not None
     assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
 

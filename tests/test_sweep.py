@@ -130,12 +130,12 @@ def _shift_weak_private(monkeypatch):
 
 
 def _flip_echo_levels(monkeypatch):
-    emit_value = pipeline._emit_value
+    echo_value = pipeline._echo_value
 
     def flipped(level, *where):
-        value = emit_value(level, *where)
-        return value ^ 1 if level is not None and level.mode == "echo" else value
-    monkeypatch.setattr(pipeline, "_emit_value", flipped)
+        value = echo_value(level, *where)
+        return value ^ 1 if level.mode == "echo" else value
+    monkeypatch.setattr(pipeline, "_echo_value", flipped)
 
 
 _IO, _C1, _T3, _BC = "INNER_LE_OUTER", "COROLLARY1", "THEOREM3", "BOUNDARY_CONTINUITY"
