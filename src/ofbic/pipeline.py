@@ -2,14 +2,15 @@
 
 The run is split into two layers:
 
-* A *schedule builder* walks the timeline symbolically.  Every transmitted
-  level is a set of payload-bit references (an XOR combination), and
-  receptions come from ``ofbic.channel``'s one shift-and-superpose geometry,
-  the same code the value engine uses, applied to reference sets instead of
-  bits.  Decoding is modelled as knowledge-set propagation: a node may learn
-  a bit only from a reception in which every other contributing bit is
-  already in its knowledge set.  A relay reception with two unknown bits
-  waits in a pending set indexed by its unknown refs; learning a bit wakes
+* A *schedule builder* walks the timeline symbolically.  A payload bit is
+  addressed by its position in ``payload_refs``, every transmitted level is
+  a set of such positions (an XOR combination), and receptions come from
+  ``ofbic.channel``'s one shift-and-superpose geometry, the same code the
+  value engine uses, applied to position sets instead of bits.  Decoding is
+  modelled as knowledge-set propagation: a node may learn a bit only from a
+  reception in which every other contributing bit is already in its
+  knowledge set.  A relay reception with two unknown bits waits in a
+  pending set indexed by its unknown positions; learning a bit wakes
   only the receptions waiting on it, which resolve in insertion order, so
   the build is linear in the packet count.  Levels are immutable and shared:
   one ``Emit`` per payload bit serves its hop-1 emission and its relay
@@ -20,11 +21,12 @@ The run is split into two layers:
   decode (two-slot recipes instead of single receptions).
 * An *engine* evaluates the schedule on concrete payload bits, pushing
   tuples of 0/1 levels through the same geometry and executing the decode
-  steps against the actually received vectors.  It never looks at a
-  reference: the builder writes each bit's position in ``payload_refs``
-  next to its reference where it creates a record (``Emit.at``,
-  ``DecodeStep.side_at`` and ``target_at``), and every node's store is one
-  list over those positions.  verify_trace replays a recorded trace through
+  steps against the actually received vectors.  It reads the records'
+  positions as they are, and every node's store is one list over them.
+  Reference tuples ``(source, packet, kind, index)`` appear only at the
+  edge: the builder looks up a position where it reads its plan, and
+  deliveries, the payload dict and error texts name bits by
+  ``payload_refs[i]``.  verify_trace replays a recorded trace through
   the same engine and reports the first point where the recording deviates
   from what the protocol would have produced.
 
@@ -32,8 +34,7 @@ A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order and its feedback levels.  Every scheme repeats itself
 after a short warm-up: one period is two superframes (two or four slots),
 and the next period is the same with packet indices raised by a superframe,
-which is what _Slot.shifted computes, for references and their positions
-alike.  So build_schedule builds a run of
+which is what _Slot.shifted computes.  So build_schedule builds a run of
 more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
 packets, finds the period by checking that the builder's live state recurs
 and that the next period's records are the shifted ones, and tiles it:
@@ -125,21 +126,18 @@ class Emit(NamedTuple):
     in about a third of the time.
     """
 
-    refs: frozenset
+    refs: frozenset             # payload_refs positions of the bits it carries
     mode: str = "known"
     echo_src: tuple = None
-    cancel: frozenset = _EMPTY
-    at: tuple = ()              # payload_refs positions XORed: refs if known, cancel if echo
+    cancel: frozenset = _EMPTY  # positions XORed off the echo
 
 
 class DecodeStep(NamedTuple):
     node: str
     slot: int
     obs: tuple                  # ((signal, slot, pos), ...)
-    side: frozenset             # bits XOR-cancelled out of the observation
-    target: tuple
-    side_at: tuple              # payload_refs positions of side, ascending
-    target_at: int              # payload_refs position of target
+    side: frozenset             # positions XOR-cancelled out of the observation
+    target: int                 # payload_refs position of the decoded bit
     deliver: bool = False
 
 
@@ -156,15 +154,13 @@ class _Slot(NamedTuple):
         if not d:
             return self
         off = d * per_packet
-        tx = tuple(tuple(e and Emit(_shift_refs(e.refs, d), e.mode,
+        tx = tuple(tuple(e and Emit(_shift_refs(e.refs, off), e.mode,
                                     e.echo_src and _shift_obs(e.echo_src, d),
-                                    _shift_refs(e.cancel, d),
-                                    tuple(i + off for i in e.at)) for e in emits)
+                                    _shift_refs(e.cancel, off)) for e in emits)
                    for emits in self.tx)
         steps = tuple(DecodeStep(s.node, s.slot + 2 * d,
                                  tuple(_shift_obs(o, d) for o in s.obs),
-                                 _shift_refs(s.side, d), _shift_ref(s.target, d),
-                                 tuple(i + off for i in s.side_at), s.target_at + off,
+                                 _shift_refs(s.side, off), s.target + off,
                                  s.deliver) for s in self.steps)
         return _Slot(tx, steps, self.feedback)
 
@@ -235,25 +231,22 @@ class Schedule:
 
     @cached_property
     def deliveries(self):
-        """(slot, dest, ref) of every delivering decode step, in order."""
-        return tuple((step.slot, step.node, step.target)
+        """(slot, dest, ref) of every delivering decode step, in order; the
+        step's ``target`` position named by its ``payload_refs`` entry."""
+        refs = self.payload_refs
+        return tuple((step.slot, step.node, refs[step.target])
                      for steps in self.steps.values() for step in steps
                      if step.deliver)
 
 
 # -- packet shifts of built values ---------------------------------------------
-# Shifting by d packets adds d to every ref's packet index and 2d to every
-# slot an observation or echo names; a ref's position in payload_refs, which
-# run packet by packet, moves by d times the refs per packet.  _Slot.shifted
-# (behind the expanded tables, _tile's period check) and _Builder._state all
-# move values this way.
+# Shifting by d packets moves every payload_refs position, which run packet
+# by packet, by off = d times the refs per packet, and adds 2d to every slot
+# an observation or echo names.  _Slot.shifted (behind the expanded tables,
+# _tile's period check) and _Builder._state all move values this way.
 
-def _shift_ref(ref, d):
-    return (ref[0], ref[1] + d, ref[2], ref[3]) if d else ref
-
-
-def _shift_refs(refs, d):
-    return frozenset(_shift_ref(r, d) for r in refs) if d and refs else refs
+def _shift_refs(refs, off):
+    return frozenset(i + off for i in refs) if off and refs else refs
 
 
 def _shift_obs(obs, d):
@@ -314,20 +307,21 @@ class _Builder:
             self.lmap1 = level_map(self.alloc, p, 1)
             self.lmap4 = level_map(self.alloc, p, 4)
             self.fb_plan = self._feedback_plan()
+        self.per_packet = 2 * self.formula_rate
+        # every set below holds payload_refs positions; index maps a ref of
+        # the plan to its position
+        self.index = {ref: i for i, ref in enumerate(self.payload_refs)}
         self.know = {node: set() for node in _NODES}
-        self.refs_by_packet = {}
         # one immutable Emit per payload bit, shared by every level that
-        # carries that bit alone (hop-1 emission and relay forwarding); its
-        # ``at`` is the bit's position in payload_refs
-        self.unit = {}
+        # carries that bit alone (hop-1 emission and relay forwarding)
+        self.unit = []
         for i, ref in enumerate(self.payload_refs):
-            self.know[f"S{ref[0]}"].add(ref)
-            self.refs_by_packet.setdefault((ref[0], ref[1]), []).append(ref)
-            self.unit[ref] = Emit(frozenset((ref,)), at=(i,))
+            self.know[f"S{ref[0]}"].add(i)
+            self.unit.append(Emit(frozenset((i,))))
         self.fifo = {"R1": deque(), "R2": deque()}
         # relay receptions with two unknown bits: insertion number ->
-        # (obs, refs), and each unknown ref -> the insertion numbers waiting
-        # on it, ascending
+        # (obs, refs), and each unknown position -> the insertion numbers
+        # waiting on it, ascending
         self.pending = {"R1": {}, "R2": {}}
         self.waiting = {"R1": {}, "R2": {}}
         self.arrivals = itertools.count()
@@ -335,18 +329,13 @@ class _Builder:
         self.residual_store = {}
         self.built = []                # one _Slot per slot
         self.slot_steps = []           # this slot's decode steps so far
-        self.delivered = {}
+        self.delivered = set()
         # build_schedule sets watch: look for the first slot whose state
         # recurs one period (two superframes) later, shifted by a superframe
         self.watch = False
         self.period = 2 * (self.alloc.superframe if self.alloc else 1)
         self.period_start = None
         self.states = {}
-
-    def _at(self, refs):
-        """The payload_refs positions of ``refs``, ascending, so that a set
-        and the same set moved by whole packets list them alike."""
-        return tuple(sorted(self.unit[ref].at[0] for ref in refs))
 
     # -- static plans -------------------------------------------------------
 
@@ -388,24 +377,21 @@ class _Builder:
 
     def _record(self, node, slot, obs, refs, target):
         side = refs - {target}
-        if len(side) > 1:
-            side_at = self._at(side)
-        elif side:                           # share the one-ref set
-            unit = self.unit[next(iter(side))]
-            side, side_at = unit.refs, unit.at
-        else:                                # and the one empty set
-            side, side_at = _EMPTY, ()
+        if len(side) == 1:                   # share the one-bit set
+            side = self.unit[next(iter(side))].refs
+        elif not side:                       # and the one empty set
+            side = _EMPTY
+        ref = self.payload_refs[target]
         if not side <= self.know[node]:
-            raise PipelineError(f"{node} lacks side info for {target} at slot {slot}")
+            raise PipelineError(f"{node} lacks side info for {ref} at slot {slot}")
         if target in self.know[node]:
-            raise PipelineError(f"{node} relearns {target} at slot {slot}")
+            raise PipelineError(f"{node} relearns {ref} at slot {slot}")
         self.know[node].add(target)
-        self.slot_steps.append(DecodeStep(node, slot, obs, side, target, side_at,
-                                          self.unit[target].at[0]))
+        self.slot_steps.append(DecodeStep(node, slot, obs, side, target))
         if node in ("R1", "R2"):
             own = 1 if node == "R1" else 2
-            if target[0] == own and not (
-                self.scheme == SCHEME_FBXW and target[2] == "cp"
+            if ref[0] == own and not (
+                self.scheme == SCHEME_FBXW and ref[2] == "cp"
             ):
                 self.fifo[node].append((target, slot))
 
@@ -413,19 +399,20 @@ class _Builder:
         """Resolve the pending receptions that ``learned`` unlocks, and the
         ones those unlock in turn, earliest arrival first.
 
-        A pending entry has two unknown refs when it arrives, so it becomes
+        A pending entry has two unknown bits when it arrives, so it becomes
         resolvable exactly when one of them is learned: only the entries
-        indexed under a learned ref are woken, never the whole pending set.
+        indexed under a learned position are woken, never the whole pending
+        set.
         """
         pending, waiting, know = self.pending[node], self.waiting[node], self.know[node]
         ready = waiting.pop(learned, [])     # ascending, so already a heap
         while ready:
             entry = pending.pop(heapq.heappop(ready), None)
             if entry is None:
-                continue                     # resolved through its other ref
+                continue                     # resolved through its other bit
             obs, refs = entry
             unknown = refs - know
-            if unknown:                      # else both refs known: nothing new
+            if unknown:                      # else both bits known: nothing new
                 target = next(iter(unknown))
                 self._record(node, slot, (obs,), refs, target)
                 for arrival in waiting.pop(target, ()):
@@ -443,8 +430,8 @@ class _Builder:
                 entry = ((signal, slot, position), refs)
                 arrival = next(self.arrivals)
                 self.pending[node][arrival] = entry
-                for ref in unknown:
-                    self.waiting[node].setdefault(ref, []).append(arrival)
+                for i in unknown:
+                    self.waiting[node].setdefault(i, []).append(arrival)
                 fresh.append(entry)
             elif len(unknown) > 2:
                 raise PipelineError(f"{node} sees {len(unknown)} unknowns at slot {slot}")
@@ -457,11 +444,12 @@ class _Builder:
         emits = {1: [None] * q, 2: [None] * q}
         kind1 = {"noncoop": "n1", "coop": "cp", "private": "v1"}
         kind4 = {"noncoop": "n4", "private": "v4"}
+        unit, index = self.unit, self.index
         if t % 2 == 1 and (t + 1) // 2 <= self.packets:
             pkt = (t + 1) // 2
             for src in (1, 2):
                 for level, (band, j) in self.lmap1.items():
-                    emits[src][level] = self.unit[(src, pkt, kind1[band], j)]
+                    emits[src][level] = unit[index[(src, pkt, kind1[band], j)]]
         if t % 2 == 0 and 1 <= t // 2 - 1 <= self.packets:
             pkt = t // 2 - 1
             for src in (1, 2):
@@ -470,7 +458,7 @@ class _Builder:
                     if band == "coop_relay":
                         emits[src][level] = self._coop_relay_emit(node, other, pkt, j, t)
                     else:
-                        emits[src][level] = self.unit[(src, pkt, kind4[band], j)]
+                        emits[src][level] = unit[index[(src, pkt, kind4[band], j)]]
         return emits
 
     def _mid_hop1_emits(self, t):
@@ -485,21 +473,21 @@ class _Builder:
             cols, base = (code.cols_a, 0) if use_a else (code.cols_b, code.split)
             for level, bits in enumerate(column_levels(cols, base, q)):
                 if bits:
-                    refs = frozenset((src, blk, "mb", k) for k in bits)
-                    emits[src][level] = Emit(refs, at=self._at(refs))
+                    emits[src][level] = Emit(frozenset(
+                        self.index[(src, blk, "mb", k)] for k in bits))
         return emits
 
     def _coop_relay_emit(self, node, other, pkt, j, t):
         if self.scheme in (SCHEME_FBXW, SCHEME_RSW):
             ref = (other, pkt, "cp", j)
-            if ref not in self.know[node]:
+            if self.index[ref] not in self.know[node]:
                 raise PipelineError(f"{node} has not learned {ref} by slot {t}")
-            return self.unit[ref]
+            return self.unit[self.index[ref]]
         items = self.echo[node].get(pkt, [])
         if len(items) != self.alloc.coop:
             raise PipelineError(f"{node} captured {len(items)} echoes for packet {pkt}")
         obs, refs, cancel = items[j]
-        return Emit(refs, mode="echo", echo_src=obs, cancel=cancel, at=self._at(cancel))
+        return Emit(refs, mode="echo", echo_src=obs, cancel=cancel)
 
     def _hop2_emits(self, t):
         qbar, f = self.p.qbar, self.p.f
@@ -520,24 +508,24 @@ class _Builder:
                 if emits[relay][level] is not None:
                     continue
                 if self.fifo[relay] and self.fifo[relay][0][1] < t:
-                    ref, _ = self.fifo[relay].popleft()
-                    emits[relay][level] = self.unit[ref]
+                    i, _ = self.fifo[relay].popleft()
+                    emits[relay][level] = self.unit[i]
         return emits, phase, pkt
 
     def _feedback_emit(self, relay, own, pkt, j):
         if self.scheme == SCHEME_FBXW:
             ref = (own, pkt, "cp", j)
-            if ref not in self.know[relay]:
+            if self.index[ref] not in self.know[relay]:
                 raise PipelineError(f"{relay} misses own coop bit {ref}")
-            return self.unit[ref]
+            return self.unit[self.index[ref]]
         if self.scheme == SCHEME_RSW:
             residuals = self.residual_store.get((relay, pkt), ())
             obs, refs = residuals[j]
             return Emit(refs, mode="echo", echo_src=obs)
         ref = (3 - own, pkt, "cp", j)
-        if ref not in self.know[relay]:
+        if self.index[ref] not in self.know[relay]:
             raise PipelineError(f"{relay} misses cross coop bit {ref}")
-        return self.unit[ref]
+        return self.unit[self.index[ref]]
 
     # -- per-slot reception processing ----------------------------------------
 
@@ -586,7 +574,7 @@ class _Builder:
             for k, recipe in enumerate(self.code.own_recipes[relay_idx]):
                 obs = tuple((signal, t - 1 + s_off, position)
                             for s_off, position in recipe)
-                target = (relay_idx + 1, done, "mb", k)
+                target = self.index[(relay_idx + 1, done, "mb", k)]
                 self._learn(relay, t, obs, self.unit[target].refs, target)
 
     def _process_dest(self, t, y_d):
@@ -595,24 +583,24 @@ class _Builder:
             for position, refs in enumerate(sym_vec):
                 if len(refs) != 1:
                     continue
-                ref = next(iter(refs))
-                if ref[0] != dst:
+                i = next(iter(refs))
+                if self.payload_refs[i][0] != dst:
                     continue
-                if ref in self.delivered:
-                    raise PipelineError(f"{ref} delivered twice")
-                self.delivered[ref] = t
+                if i in self.delivered:
+                    raise PipelineError(f"{self.payload_refs[i]} delivered twice")
+                self.delivered.add(i)
                 self.slot_steps.append(DecodeStep(
-                    node, t, ((signal, t, position),), _EMPTY, ref, (),
-                    self.unit[ref].at[0], deliver=True))
+                    node, t, ((signal, t, position),), _EMPTY, i, deliver=True))
 
     # -- period detection ------------------------------------------------------
 
     def _state(self, t):
         """Everything that decides the build after slot ``t``, moved by
-        d = -(t // 2) packets: packets count from ``t // 2`` and slots from
-        ``2 * (t // 2)``.  The period is even, so the two states _watch_period
-        compares are offset by the same ``t % 2``: the period found is the one
-        found with slots counted from ``t``.
+        d = -(t // 2) packets: packets count from ``t // 2``, slots from
+        ``2 * (t // 2)`` and payload_refs positions from the first bit of
+        packet ``t // 2 + 1``.  The period is even, so the two states
+        _watch_period compares are offset by the same ``t % 2``: the period
+        found is the one found with slots counted from ``t``.
 
         That is the relay FIFOs with their enqueue slots, the pending relay
         decodes and their waiting index (arrivals as ranks), the rss echo and
@@ -621,40 +609,38 @@ class _Builder:
         these names up to the newest one sent.  No later slot reads anything
         older, and of newer packets only the sources' own bits are known.
         """
-        base = t // 2
-        d = -base
-        fifo = tuple(tuple((_shift_ref(r, d), slot + 2 * d)
-                           for r, slot in self.fifo[relay])
+        base, per_packet = t // 2, self.per_packet
+        d, off = -base, -base * per_packet
+        fifo = tuple(tuple((i + off, slot + 2 * d) for i, slot in self.fifo[relay])
                      for relay in ("R1", "R2"))
         pending = []
         for relay in ("R1", "R2"):
             rank = {arrival: i for i, arrival in enumerate(self.pending[relay])}
             pending.append((
-                tuple((_shift_obs(o, d), _shift_refs(rs, d))
+                tuple((_shift_obs(o, d), _shift_refs(rs, off))
                       for o, rs in self.pending[relay].values()),
-                {_shift_ref(r, d): tuple(rank.get(a, -1) for a in arrivals)
-                 for r, arrivals in self.waiting[relay].items()},
+                {i + off: tuple(rank.get(a, -1) for a in arrivals)
+                 for i, arrivals in self.waiting[relay].items()},
             ))
-        echo = {(node, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rest, d),
-                                        _shift_refs(known, d))
+        echo = {(node, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rest, off),
+                                        _shift_refs(known, off))
                                        for o, rest, known in items)
                 for node, by_packet in self.echo.items()
                 for pkt, items in by_packet.items() if pkt >= base}
-        residual = {(relay, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rs, d))
+        residual = {(relay, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rs, off))
                                             for o, rs in items)
                     for (relay, pkt), items in self.residual_store.items()
                     if pkt >= base}
-        named = [r for queue in fifo for r, _ in queue]
-        named += [r for entries, _ in pending for _, rs in entries for r in rs]
-        named += [r for items in echo.values() for item in items
-                  for rs in item[1:] for r in rs]
-        named += [r for items in residual.values() for _, rs in items for r in rs]
-        oldest = min([0] + [r[1] for r in named])
-        window = [r for pkt in range(base + oldest, (t + 1) // 2 + 1)
-                  for src in (1, 2) for r in self.refs_by_packet.get((src, pkt), ())]
-        know = tuple(frozenset(_shift_ref(r, d) for r in window if r in self.know[node])
+        named = [i for queue in fifo for i, _ in queue]
+        named += [i for entries, _ in pending for _, rs in entries for i in rs]
+        named += [i for items in echo.values() for item in items
+                  for rs in item[1:] for i in rs]
+        named += [i for items in residual.values() for _, rs in items for i in rs]
+        oldest = min([0] + [i // per_packet + 1 for i in named])
+        window = range((base + oldest - 1) * per_packet, (t + 1) // 2 * per_packet)
+        know = tuple(frozenset(i + off for i in window if i in self.know[node])
                      for node in _NODES)
-        delivered = frozenset(_shift_ref(r, d) for r in window if r in self.delivered)
+        delivered = frozenset(i + off for i in window if i in self.delivered)
         return oldest, fifo, pending, echo, residual, know, delivered
 
     def _watch_period(self, t):
@@ -703,8 +689,10 @@ class _Builder:
             if t % 2 == 0 and 1 <= t // 2 - lag <= P:
                 done = t // 2 - lag
                 for relay, src in (("R1", 1), ("R2", 2)):
-                    missing = [r for r in self.refs_by_packet.get((src, done), ())
-                               if r not in self.know[relay]]
+                    lo = (done - 1) * self.per_packet + (src - 1) * self.formula_rate
+                    missing = [self.payload_refs[i]
+                               for i in range(lo, lo + self.formula_rate)
+                               if i not in self.know[relay]]
                     if missing:
                         raise PipelineError(f"{relay} missing {missing} after hop 1")
             if self.watch:
@@ -862,14 +850,16 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
     the recorded vectors drive all node behaviour, so a corrupted level shows
     up exactly where the recording first deviates from the protocol.
 
-    Every payload bit is addressed by its position in ``payload_refs``, which
-    the builder wrote into each Emit (``at``) and DecodeStep (``side_at``,
-    ``target_at``).  A node's store is one list over those positions, None
+    Every payload bit is addressed by its position in ``payload_refs``, the
+    one address the builder writes into the records: a known Emit XORs its
+    ``refs``, an echo XORs its ``cancel`` off the level it replays, and a
+    DecodeStep XORs its ``side`` into the observation and stores the result
+    at ``target``.  A node's store is one list over those positions, None
     where the node does not know the bit.  The engine walks the tiling
     itself: a slot that repeats its built slot d packets on reads the built
     records as they are, each slot they name moved by dt = 2d and each
     position by off = d * (refs per packet), as ``payload_refs`` run packet
-    by packet.  Deliveries name their bit by its ref.
+    by packet.  Deliveries name their bit by its ref, ``payload_refs[i]``.
     """
     p = schedule.p
     faults = faults or {}
@@ -919,8 +909,11 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
                 if emit is None:
                     levels.append(0)
                     continue
-                value = _echo_value(emit, slot_rows, dt) if emit.echo_src else 0
-                for i in emit.at:
+                if emit.echo_src:
+                    value, known = _echo_value(emit, slot_rows, dt), emit.cancel
+                else:
+                    value, known = 0, emit.refs
+                for i in known:
                     value ^= store[i + off]
                 levels.append(value)
             row[signal] = settle(signal, t, tuple(levels))
@@ -935,9 +928,9 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
             for signal, seen, position in step.obs:
                 value ^= slot_rows[seen + dt - 1][signal][position]
             store = stores[step.node]
-            for i in step.side_at:
+            for i in step.side:
                 value ^= store[i + off]
-            target = step.target_at + off
+            target = step.target + off
             store[target] = value
             if step.deliver:
                 deliveries.append((t, step.node, refs[target], value,

@@ -30,6 +30,7 @@ from ofbic.pipeline import (
     _tile,
     generate_payload,
 )
+from ofbic.rates import schemes_at
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -270,16 +271,20 @@ FROZEN_SCHEDULE_DIGESTS = {
 }
 
 
-def _emit_key(emit):
+def _emit_key(emit, refs):
+    """An Emit with its payload_refs positions named by their refs."""
     if emit is None:
         return None
-    return (sorted(emit.refs), emit.mode, emit.echo_src, sorted(emit.cancel))
+    return (sorted(refs[i] for i in emit.refs), emit.mode, emit.echo_src,
+            sorted(refs[i] for i in emit.cancel))
 
 
 def _schedule_digest(schedule):
-    tx = [(key, [_emit_key(e) for e in schedule.tx[key]])
+    refs = schedule.payload_refs
+    tx = [(key, [_emit_key(e, refs) for e in schedule.tx[key]])
           for key in sorted(schedule.tx)]
-    steps = [(slot, [(d.node, d.slot, d.obs, sorted(d.side), d.target, d.deliver)
+    steps = [(slot, [(d.node, d.slot, d.obs, sorted(refs[i] for i in d.side),
+                      refs[d.target], d.deliver)
                      for d in schedule.steps[slot]])
              for slot in sorted(schedule.steps)]
     text = repr((tx, steps, schedule.deliveries,
@@ -494,12 +499,17 @@ class TestStructure:
             sched = build_schedule(scheme, p, 8)
             known = {node: set() for node in ("S1", "S2", "R1", "R2",
                                               "D1", "D2")}
-            for ref in sched.payload_refs:
-                known[f"S{ref[0]}"].add(ref)
+            for i, ref in enumerate(sched.payload_refs):
+                known[f"S{ref[0]}"].add(i)
+            delivered = []
             for slot in sorted(sched.steps):
                 for step in sched.steps[slot]:
                     assert step.side <= known[step.node], (scheme, slot)
                     known[step.node].add(step.target)
+                    if step.deliver:
+                        delivered.append(
+                            (slot, step.node, sched.payload_refs[step.target]))
+            assert tuple(delivered) == sched.deliveries, scheme
 
     def test_causality_of_schedule(self):
         for scheme, p, _ in WORKED:
@@ -706,6 +716,20 @@ def test_tiling_at_30_packets_is_pinned(case, tiling):
     assert build_schedule(scheme, p, 30).tiling == tiling
 
 
+def test_every_ci_grid_pair_tiles():
+    """Every in-regime (scheme, point) of the CI grid finds its period, so a
+    long run never falls back to a full build without notice."""
+    pairs, untiled = 0, []
+    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
+        p = ChannelParams(*point)
+        for scheme, _ in schemes_at(p):
+            pairs += 1
+            if build_schedule(scheme, p, 30).tiling == (0, 0, 0):
+                untiled.append((scheme, point))
+    assert pairs == 1395
+    assert untiled == []
+
+
 def test_superframe_two_points_tile_by_two_packets():
     for scheme, p in (("rsw", ChannelParams(2, 4, 0, 1, 3)),
                       ("rss", ChannelParams(4, 1, 1, 1, 2))):
@@ -775,7 +799,7 @@ def test_period_differing_only_in_a_target_position_is_refused():
     k = next(k for k in range(start + period, start + 2 * period) if built[k].steps)
     step, *rest = built[k].steps
     built[k] = built[k]._replace(
-        steps=(step._replace(target_at=step.target_at + 1), *rest))
+        steps=(step._replace(target=step.target + 1), *rest))
     assert _tile(base, start, period, 30) is not None
     assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
 
