@@ -75,9 +75,18 @@ class ChannelParams:
         )
 
 
+_LEVEL_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _vec_str(levels) -> str:
-    """The trace encoding of a vector: '0'/'1' top-first, '-' for empty."""
-    return "".join(map(str, levels)) or "-"
+    """The trace encoding of a vector: '0'/'1' top-first, '-' for empty.
+
+    Every level must be the int 0 or 1, as in every ``GfVec`` and every
+    engine row.  ``bytes`` then holds one byte per level, and one
+    ``translate`` turns the whole vector into text in C, with no Python-level
+    pass per level.
+    """
+    return bytes(levels).translate(_LEVEL_TEXT).decode() or "-"
 
 
 class GfVec(tuple):
@@ -101,12 +110,18 @@ class GfVec(tuple):
 
     @classmethod
     def from_string(cls, text: str) -> "GfVec":
-        """Parse the trace encoding written by ``_vec_str``."""
+        """Parse the trace encoding written by ``_vec_str``.
+
+        ``strip`` leaves text over exactly when a character is not ``0`` or
+        ``1``; that check comes first, because ``int`` also takes other
+        Unicode digits.  The levels are then known to be 0 or 1, so the
+        tuple is made directly, without ``__new__``'s per-level checks.
+        """
         if text == "-":
             return cls()
-        if not all(c in "01" for c in text):
+        if text.strip("01"):
             raise ChannelDomainError(f"bad vector string {text!r}")
-        return cls(int(c) for c in text)
+        return tuple.__new__(cls, map(int, text))
 
     def __xor__(self, other):
         if not isinstance(other, tuple) or len(other) != len(self):

@@ -1046,6 +1046,7 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
 # each signal a '0'/'1' string top level first ('-' when the vector is empty).
 
 _TRACE_VERSION = "# ofbic-trace v1"
+_COLUMNS = "slot " + " ".join(SIGNALS)                # the "# columns:" line
 _HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")     # length q; the rest qbar
 
 
@@ -1077,7 +1078,7 @@ def format_trace(trace: SimulationTrace) -> str:
     if alloc:
         lines.append("# alloc " + " ".join(f"{k}={v}" for k, v in alloc.items()))
     lines.append(f"# formula_rate={trace.formula_rate}")
-    lines.append("# columns: slot " + " ".join(SIGNALS))
+    lines.append("# columns: " + _COLUMNS)
     for t, row in enumerate(trace.slots, start=1):
         lines.append(f"{t} " + " ".join(_vec_str(row[s]) for s in SIGNALS))
     return "\n".join(lines) + "\n"
@@ -1086,17 +1087,23 @@ def format_trace(trace: SimulationTrace) -> str:
 def parse_trace(text: str) -> SimulationTrace:
     """Read a trace written by format_trace; reject anything malformed.
 
-    Errors name the 1-based line they were found on.  Only the recorded
-    vectors are read back: the payload, the allocation and the formula rate
-    follow from the scheme and parameters, and a ``# alloc`` or
-    ``formula_rate`` field that says otherwise is rejected.  A parsed trace
-    carries no schedule, so verify_trace builds a fresh one to replay the
-    vectors.
+    Errors name the 1-based line they were found on, and a vector error
+    names its signal too.  The ``# columns:`` line must list ``slot`` and
+    then SIGNALS in order, so vectors are never read into the wrong signal.
+    Each distinct vector string is parsed once by ``GfVec.from_string``, the
+    one reader; rows that repeat it share that ``GfVec``.  A bad string
+    raises before it is kept, so its error names the first line it is on.
+    Only the recorded vectors are read back: the payload, the allocation and
+    the formula rate follow from the scheme and parameters, and a ``# alloc``
+    or ``formula_rate`` field that says otherwise is rejected.  A parsed
+    trace carries no schedule, so verify_trace builds a fresh one to replay
+    the vectors.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _TRACE_VERSION:
         raise ChannelDomainError(f"line 1: expected {_TRACE_VERSION!r}")
     header = {}                       # key -> (value, line number)
+    vectors = {}                      # field text -> GfVec, for this call only
     slots = []
     slot_lines = []
     for lineno, raw in enumerate(lines, start=1):
@@ -1104,7 +1111,15 @@ def parse_trace(text: str) -> SimulationTrace:
         if not line:
             continue
         if line.startswith("#"):
-            for token in line[1:].split():
+            tokens = line[1:].split()
+            if tokens[:1] == ["columns:"]:
+                columns = " ".join(tokens[1:])
+                if columns != _COLUMNS:
+                    raise ChannelDomainError(
+                        f"line {lineno}: columns {columns!r}, expected {_COLUMNS!r}"
+                    )
+                continue
+            for token in tokens:
                 if "=" in token:
                     key, _, value = token.partition("=")
                     if key in header:
@@ -1123,10 +1138,16 @@ def parse_trace(text: str) -> SimulationTrace:
             raise ChannelDomainError(
                 f"line {lineno}: slot index {fields[0]!r}, expected {len(slots) + 1}"
             )
-        try:
-            slots.append({s: GfVec.from_string(v) for s, v in zip(SIGNALS, fields[1:])})
-        except ChannelDomainError as exc:
-            raise ChannelDomainError(f"line {lineno}: {exc}") from exc
+        row = {}
+        for signal, field_text in zip(SIGNALS, fields[1:]):
+            vec = vectors.get(field_text)
+            if vec is None:
+                try:
+                    vec = vectors[field_text] = GfVec.from_string(field_text)
+                except ChannelDomainError as exc:
+                    raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
+            row[signal] = vec
+        slots.append(row)
         slot_lines.append(lineno)
 
     def field(key, cast=int):

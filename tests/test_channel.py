@@ -12,6 +12,7 @@ from ofbic import (
     second_hop,
     shift,
 )
+from ofbic.channel import _vec_str
 
 
 def vec(*bits):
@@ -177,3 +178,14 @@ def test_gfvec_value_semantics():
         v ^ vec(1, 0)
     with pytest.raises(ChannelDomainError):
         GfVec((0, 2))
+
+
+@given(st.lists(st.integers(0, 1), min_size=0, max_size=40).map(tuple))
+def test_vec_str_round_trip(levels):
+    """The bytes writer matches the per-level writer it replaced, and the
+    reader inverts it, for plain tuples and GfVec alike."""
+    text = _vec_str(levels)
+    assert text == ("".join(map(str, levels)) or "-")
+    assert _vec_str(GfVec(levels)) == text
+    assert GfVec.from_string(text) == levels
+    assert type(GfVec.from_string(text)) is GfVec
