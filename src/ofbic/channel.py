@@ -16,6 +16,7 @@ checked public type; ``ofbic.pipeline`` runs the private geometry on tuples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,14 +146,15 @@ def _superpose(zero, *terms):
 
     Works on any level type with ``^``: ``int`` bits in the value engine,
     ``frozenset`` payload-reference sets in the schedule builder; ``zero`` is
-    that type's empty level.  All terms have the same length L.  A level XORed
-    with an empty one is returned as it is, not copied.
+    that type's empty level.  All terms have the same length L.  The XOR is
+    one ``map(operator.xor, ...)`` over the levels, so it runs in C for both
+    types; a frozenset level XORed with an empty one comes back as an equal
+    new set.
     """
     out = None
     for levels, k in terms:
         shifted = (zero,) * (len(levels) - k) + tuple(levels[:k])
-        out = shifted if out is None else tuple(
-            a ^ b if a and b else a or b for a, b in zip(out, shifted))
+        out = shifted if out is None else tuple(map(operator.xor, out, shifted))
     return out
 
 

@@ -49,6 +49,18 @@ A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
 holds one afterwards.  A parsed trace is verified against a fresh build.
 
+A Schedule also caches the channel map at its ``p`` for the engine
+(``channel_maps``): a dict per hop from the two transmitted vectors of a
+slot to the vectors they are received as.  Each received vector is a fixed
+function of the two transmitted ones, and a small point has only a few
+hundred distinct pairs in a whole run.  run_scheme fills the maps, the
+verify_trace it hands the schedule to finds every unchanged slot there, and
+they are freed with the schedule; a fresh build starts with empty maps.
+They cannot change a result: a miss calls the same geometry, the key is the
+vectors the slot actually sent (after a fault flip, or as recorded), and a
+fault or recorded deviation in a received vector is applied after the
+lookup, so the maps only ever hold what the geometry returns.
+
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
 carries one hop-1 and one hop-2 transmission; consecutive packets overlap.
@@ -60,6 +72,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -95,6 +108,7 @@ SIGNALS = (
 )
 _TX_NODE = {"X_S1": "S1", "X_S2": "S2", "X_R1": "R1", "X_R2": "R2"}
 _TX_SIGNALS = tuple(_TX_NODE)
+_RX_SIGNALS = ("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")   # hop 1, then hop 2
 _FEEDBACK_SIGNALS = ("X_R1", "X_R2")
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 
@@ -207,6 +221,14 @@ class Schedule:
     def payload_refs(self):
         return _payload_refs(self.alloc, self.formula_rate, self.packets)
 
+    @cached_property
+    def channel_maps(self):
+        """The engine's memo of the channel map at ``p``: hop 1
+        ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
+        ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by settled
+        transmit vectors and filled by every engine pass on this schedule."""
+        return {}, {}
+
     def _expand(self):
         """(t, slot record) for every slot of the run, in order."""
         for t in range(1, self.n_slots + 1):
@@ -281,13 +303,10 @@ def _payload_refs(alloc: BitAllocation, rate: int, packets: int) -> tuple:
             ("n1", alloc.noncoop), ("cp", alloc.coop), ("v1", alloc.private),
             ("n4", alloc.noncoop), ("v4", alloc.private),
         )
-    return tuple(
-        (src, pkt, kind, j)
-        for pkt in range(1, packets + 1)
-        for src in (1, 2)
-        for kind, count in kinds
-        for j in range(count)
-    )
+    # (src, pkt) + (kind, j) in that nesting order, each ref joined in C
+    senders = [(src, pkt) for pkt in range(1, packets + 1) for src in (1, 2)]
+    bands = [(kind, j) for kind, count in kinds for j in range(count)]
+    return tuple(itertools.starmap(operator.add, itertools.product(senders, bands)))
 
 
 class _Builder:
@@ -827,9 +846,23 @@ def _steady_rate(deliveries, lo: int, hi: int) -> Fraction:
     return Fraction(sum(1 for d in deliveries if lo <= d[0] <= hi), hi - lo + 1)
 
 
+_TOP_BIT = bytes(b >> 7 for b in range(256))   # a byte -> its top bit
+
+
+def _payload_bits(n: int, seed: int) -> bytes:
+    """The payload bits, one 0/1 byte per payload_refs position.
+
+    Bit i is the i-th ``getrandbits(1)`` of ``random.Random(seed)``, the top
+    bit of the generator's i-th 32-bit output, but all n are drawn in one
+    call: ``getrandbits(32 * n)`` packs those outputs little-endian, so the
+    top bits are the top bits of every fourth byte from byte 3.
+    """
+    words = random.Random(seed).getrandbits(32 * n).to_bytes(4 * n, "little")
+    return words[3::4].translate(_TOP_BIT)
+
+
 def _draw_payload(payload_refs, seed: int) -> dict:
-    rng = random.Random(seed)
-    return {ref: rng.getrandbits(1) for ref in payload_refs}
+    return dict(zip(payload_refs, _payload_bits(len(payload_refs), seed)))
 
 
 def generate_payload(schedule: Schedule, seed: int) -> dict:
@@ -843,7 +876,7 @@ def _echo_value(emit, rows, dt):
     return rows[slot + dt - 1][signal][position]
 
 
-def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
+def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given).
 
     Returns (slot_vectors, deliveries, faults_found, stores).  In replay mode
@@ -859,7 +892,12 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
     itself: a slot that repeats its built slot d packets on reads the built
     records as they are, each slot they name moved by dt = 2d and each
     position by off = d * (refs per packet), as ``payload_refs`` run packet
-    by packet.  Deliveries name their bit by its ref, ``payload_refs[i]``.
+    by packet.  ``bits`` holds the payload by position (_payload_bits), and
+    deliveries name their bit by its ref, ``payload_refs[i]``.
+
+    The received vectors are looked up in the schedule's ``channel_maps``
+    (see the module docstring) by the settled transmit vectors, and settled
+    after the lookup, so the maps hold only what the geometry returns.
     """
     p = schedule.p
     faults = faults or {}
@@ -868,9 +906,9 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
         if not (1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
             raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
     built, refs = schedule.built, schedule.payload_refs
+    hop1, hop2 = schedule.channel_maps
     rate = schedule.formula_rate
     per_packet = 2 * rate
-    bits = [payload[ref] for ref in refs]
     stores = {node: [None] * len(refs) for node in _NODES}
     for lo in range(0, schedule.packets * per_packet, per_packet or 1):
         mid, hi = lo + rate, lo + per_packet          # source 1's bits, then 2's
@@ -917,10 +955,14 @@ def _run_engine(schedule: Schedule, payload: dict, faults=None, recorded=None):
                     value ^= store[i + off]
                 levels.append(value)
             row[signal] = settle(signal, t, tuple(levels))
-        received = zip(("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2"),
-                       (*_first_hop(row["X_S1"], row["X_S2"], p, 0),
-                        *_second_hop(row["X_R1"], row["X_R2"], p, 0)))
-        for signal, vec in received:
+        x_s, x_r = (row["X_S1"], row["X_S2"]), (row["X_R1"], row["X_R2"])
+        y_r = hop1.get(x_s)
+        if y_r is None:
+            y_r = hop1[x_s] = _first_hop(*x_s, p, 0)
+        y_dr = hop2.get(x_r)
+        if y_dr is None:
+            y_dr = hop2[x_r] = _second_hop(*x_r, p, 0)
+        for signal, vec in zip(_RX_SIGNALS, (*y_r, *y_dr)):
             row[signal] = settle(signal, t, vec)
         slot_rows.append(row)
         for step in slot.steps:
@@ -947,11 +989,12 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     slot, signal or level the run does not have is a ChannelDomainError.
     """
     schedule = build_schedule(scheme, p, packets)
-    payload = generate_payload(schedule, seed)
-    slot_rows, deliveries, _, _ = _run_engine(schedule, payload, faults=faults)
+    refs = schedule.payload_refs
+    bits = _payload_bits(len(refs), seed)
+    slot_rows, deliveries, _, _ = _run_engine(schedule, bits, faults=faults)
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
-        slots=slot_rows, payload=payload, deliveries=deliveries,
+        slots=slot_rows, payload=dict(zip(refs, bits)), deliveries=deliveries,
         formula_rate=schedule.formula_rate, alloc=schedule.alloc,
         decode_errors=sum(1 for d in deliveries if not d[4]),
     )
@@ -1006,19 +1049,17 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
         schedule = build_schedule(trace.scheme, trace.p, trace.packets)
-    payload = generate_payload(schedule, trace.seed)
+    bits = _payload_bits(len(schedule.payload_refs), trace.seed)
     if len(trace.slots) != schedule.n_slots:
         raise ChannelDomainError(
             f"trace has {len(trace.slots)} slots, run needs {schedule.n_slots}"
         )
-    _, deliveries, found, stores = _run_engine(schedule, payload,
-                                               recorded=trace.slots)
+    _, deliveries, found, stores = _run_engine(schedule, bits, recorded=trace.slots)
     errors = [(t, dest, ref) for (t, dest, ref, _, ok) in deliveries if not ok]
     verdicts = dict.fromkeys(range(1, trace.packets + 1), True)
     for _, _, ref, _, ok in deliveries:
         verdicts[ref[1]] &= ok
-    missing = len(schedule.payload_refs) - len(deliveries)
-    bits = list(payload.values())                 # drawn in payload_refs order
+    missing = len(bits) - len(deliveries)
     per_packet = 2 * schedule.formula_rate
     node_verdicts = {}
     for node in ("R1", "R2", "D1", "D2"):
@@ -1068,6 +1109,9 @@ def _alloc_fields(alloc: BitAllocation) -> dict:
 
 
 def format_trace(trace: SimulationTrace) -> str:
+    """The trace file text.  Each distinct vector is written once per call
+    by ``_vec_str``, the one writer; rows that repeat it share that text, as
+    rows of a run share the received vectors of its channel maps."""
     p = trace.p
     lines = [
         _TRACE_VERSION,
@@ -1079,8 +1123,16 @@ def format_trace(trace: SimulationTrace) -> str:
         lines.append("# alloc " + " ".join(f"{k}={v}" for k, v in alloc.items()))
     lines.append(f"# formula_rate={trace.formula_rate}")
     lines.append("# columns: " + _COLUMNS)
+    texts = {}                        # vector -> field text, for this call only
     for t, row in enumerate(trace.slots, start=1):
-        lines.append(f"{t} " + " ".join(_vec_str(row[s]) for s in SIGNALS))
+        fields = [str(t)]
+        for signal in SIGNALS:
+            vec = row[signal]
+            text = texts.get(vec)
+            if text is None:
+                text = texts[vec] = _vec_str(vec)
+            fields.append(text)
+        lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 

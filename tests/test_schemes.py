@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,11 +22,15 @@ from ofbic import (
     run_scheme,
     verify_trace,
 )
+from ofbic import pipeline
+from ofbic.channel import _first_hop, _second_hop
 from ofbic.pipeline import (
+    DEFAULT_SEED,
     SIGNALS,
     TILE_PACKETS,
     WARMUP_PACKETS,
     _Builder,
+    _payload_bits,
     _run_engine,
     _tile,
     generate_payload,
@@ -718,6 +723,24 @@ def test_trace_roundtrip_property(case, packets, seed, faulty, data):
     assert carried.ok == (faults is None)
 
 
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**64 + 1])
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 28800])
+def test_payload_bits_are_the_per_bit_draw(n, seed):
+    """One getrandbits(32 * n) gives the bits of n getrandbits(1) calls."""
+    rng = random.Random(seed)
+    assert _payload_bits(n, seed) == bytes(rng.getrandbits(1) for _ in range(n))
+
+
+def test_generate_payload_is_the_per_ref_draw():
+    schedule = build_schedule("rss", ChannelParams(4, 1, 1, 3, 2), 30)
+    rng = random.Random(DEFAULT_SEED)
+    expected = [(ref, rng.getrandbits(1)) for ref in schedule.payload_refs]
+    assert list(generate_payload(schedule, DEFAULT_SEED).items()) == expected
+    trace = run_scheme("rss", ChannelParams(4, 1, 1, 3, 2), 30)
+    assert list(trace.payload.items()) == expected
+    assert list(parse_trace(format_trace(trace)).payload.items()) == expected
+
+
 # ---------------------------------------------------------------------------
 # Tiling: a run longer than TILE_PACKETS is one small build, repeated.
 
@@ -747,9 +770,69 @@ def test_tiled_schedule_equals_full_build(case, packets):
     assert tiled.deliveries == full.deliveries
     assert tiled.payload_refs == full.payload_refs
     assert len(tiled.tx) == len(full.tx)
-    payload = generate_payload(full, 1)
+    bits = _payload_bits(len(full.payload_refs), 1)
     # rows, deliveries, no faults found, stores
-    assert _run_engine(tiled, payload) == _run_engine(full, payload)
+    assert _run_engine(tiled, bits) == _run_engine(full, bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.integers(20, 30),
+       data=st.data())
+def test_tiled_fault_report_same_on_warm_and_cold_channel_maps(case, packets, data):
+    """A flipped level in a tiled run is reported alike by the replay on the
+    carried schedule, whose channel maps the run filled, and by the replay
+    of the parsed trace, on a fresh build with empty maps."""
+    scheme, p = TILE_CASES[case]
+    slot, signal, level = _draw_flip(data, scheme, p, packets)
+    trace = run_scheme(scheme, p, packets, faults={(slot, signal): level})
+    assert trace._schedule.tiling != (0, 0, 0)
+    assert any(trace._schedule.channel_maps)
+    parsed = parse_trace(format_trace(trace))
+    warm = verify_trace(trace)
+    assert verify_trace(parsed) == warm
+    assert warm.faults == [(slot, signal, level)]
+
+
+@pytest.mark.parametrize("scheme,p", TILE_CASES,
+                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
+                              for s, p in TILE_CASES])
+def test_clean_run_rows_are_the_channel_map(scheme, p):
+    """Every row of a clean run receives what the channel geometry, called
+    directly, makes of the row's transmitted vectors."""
+    for row in run_scheme(scheme, p, 30).slots:
+        assert (row["Y_R1"], row["Y_R2"]) == _first_hop(row["X_S1"], row["X_S2"], p, 0)
+        assert (row["Y_D1"], row["Y_D2"], row["Y_S1"], row["Y_S2"]) == _second_hop(
+            row["X_R1"], row["X_R2"], p, 0)
+
+
+def _count_engine_hops(monkeypatch):
+    """The hop (1 or 2) of every call the value engine makes to the channel
+    geometry; the builder's calls, on position sets, are not counted."""
+    calls = []
+    for hop, name in ((1, "_first_hop"), (2, "_second_hop")):
+        def counting(x1, x2, p, zero, hop=hop, real=getattr(pipeline, name)):
+            if zero == 0:
+                calls.append(hop)
+            return real(x1, x2, p, zero)
+        monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+def test_replay_of_a_run_reads_its_channel_maps(monkeypatch):
+    """run_scheme fills the schedule's maps with one entry per distinct
+    input pair; the verify_trace it hands the schedule to computes no hop,
+    and a parsed trace's fresh build starts with empty maps."""
+    calls = _count_engine_hops(monkeypatch)
+    trace = run_scheme("fbxw", FBXW_SMALL, 300, faults={(100, "X_R2"): 1})
+    hop1, hop2 = trace._schedule.channel_maps
+    assert (calls.count(1), calls.count(2)) == (len(hop1), len(hop2))
+    assert len(hop1) + len(hop2) < trace.n_slots
+    text = format_trace(trace)
+    del calls[:]
+    assert verify_trace(trace).faults == [(100, "X_R2", 1)]
+    assert calls == [] and trace._schedule is None
+    assert verify_trace(parse_trace(text)).faults == [(100, "X_R2", 1)]
+    assert (calls.count(1), calls.count(2)) == (len(hop1), len(hop2))
 
 
 # (start, period, shift) of each TILE_CASES point at 30 packets
