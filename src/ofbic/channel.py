@@ -77,6 +77,7 @@ class ChannelParams:
 
 
 _LEVEL_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_LEVEL = bytes.maketrans(b"01", b"\x00\x01")     # its inverse
 
 
 def _vec_str(levels) -> str:
@@ -114,15 +115,16 @@ class GfVec(tuple):
         """Parse the trace encoding written by ``_vec_str``.
 
         ``strip`` leaves text over exactly when a character is not ``0`` or
-        ``1``; that check comes first, because ``int`` also takes other
-        Unicode digits.  The levels are then known to be 0 or 1, so the
-        tuple is made directly, without ``__new__``'s per-level checks.
+        ``1``; that check comes first.  The text is then ASCII ``0``/``1``,
+        one byte per level, so one ``translate`` turns its bytes into the
+        levels in C, and the tuple is made directly from them, without
+        ``__new__``'s per-level checks.
         """
         if text == "-":
             return cls()
         if text.strip("01"):
             raise ChannelDomainError(f"bad vector string {text!r}")
-        return tuple.__new__(cls, map(int, text))
+        return tuple.__new__(cls, text.encode().translate(_TEXT_LEVEL))
 
     def __xor__(self, other):
         if not isinstance(other, tuple) or len(other) != len(self):

@@ -22,13 +22,17 @@ The run is split into two layers:
 * An *engine* evaluates the schedule on concrete payload bits, pushing
   tuples of 0/1 levels through the same geometry and executing the decode
   steps against the actually received vectors.  It reads the records'
-  positions as they are, and every node's store is one list over them.
-  Reference tuples ``(source, packet, kind, index)`` appear only at the
-  edge: the builder looks up a position where it reads its plan, and
-  deliveries, the payload dict and error texts name bits by
-  ``payload_refs[i]``.  verify_trace replays a recorded trace through
-  the same engine and reports the first point where the recording deviates
-  from what the protocol would have produced.
+  positions as they are, unpacking each Emit and DecodeStep by position (so
+  their field order is load-bearing), and every node's store is one list
+  over them.  Reference tuples ``(source, packet, kind, index)`` appear
+  only at the edge: the builder looks up a position where it reads its
+  plan, and deliveries, the payload dict and error texts name bits by
+  ``payload_refs[i]``.  A run applies its faults only in the slots that
+  have one.  verify_trace replays a recorded trace through the same engine
+  and reports the first point where the recording deviates from what the
+  protocol would have produced; the replay compares whole slots, looks for
+  the deviating signals only in a slot that differs, and reads the
+  recorded rows in place, without copying or writing them.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order and its feedback levels.  Every scheme repeats itself
@@ -137,7 +141,8 @@ class Emit(NamedTuple):
 
     Emit and DecodeStep are immutable tuples, not frozen dataclasses, because
     a build makes one per decode and per coded level, and a tuple is built
-    in about a third of the time.
+    in about a third of the time.  The value engine unpacks both by
+    position, so their field order is load-bearing.
     """
 
     refs: frozenset             # payload_refs positions of the bits it carries
@@ -193,8 +198,9 @@ class Schedule:
     A full build has tiling ``(0, 0, 0)``.  ``tx``, ``steps`` and
     ``feedback_levels`` are read-only views of those slot records with the
     keys, values and order a full build at ``packets`` would have, filled
-    together by one walk on the first read of any of them.  Nothing in a
-    run reads them: the engine reads ``built`` and the tiling directly.
+    together by one walk (``_walk``) on the first read of any of them.
+    Nothing in a run reads them: the engine takes the same walk over the
+    slot records directly.
     """
 
     scheme: str
@@ -206,17 +212,6 @@ class Schedule:
     built: tuple = field(repr=False)
     tiling: tuple = (0, 0, 0)
 
-    def _source(self, t):
-        """(built slot, packet shift) that slot ``t`` copies."""
-        start, period, shift = self.tiling
-        own = start + period
-        if t <= own:
-            return t, 0
-        if t <= own + 2 * shift:
-            k, r = divmod(t - start - 1, period)
-            return start + 1 + r, k * period // 2
-        return t - 2 * shift, shift
-
     @cached_property
     def payload_refs(self):
         return _payload_refs(self.alloc, self.formula_rate, self.packets)
@@ -225,15 +220,30 @@ class Schedule:
     def channel_maps(self):
         """The engine's memo of the channel map at ``p``: hop 1
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
-        ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by settled
-        transmit vectors and filled by every engine pass on this schedule."""
+        ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
+        vectors a slot sent (after a fault flip, or as recorded) and filled
+        by every engine pass on this schedule."""
         return {}, {}
+
+    def _walk(self):
+        """(built slot record, packet shift) of slots 1 .. n_slots, in order:
+        the build's own slots up to ``start + period``, the period repeated
+        ``2 * shift`` slots long and moved ``period // 2`` packets further
+        each time, then the build's remaining slots moved ``shift``."""
+        start, period, shift = self.tiling
+        own = start + period
+        yield from zip(self.built[:own], itertools.repeat(0))
+        if shift:
+            repeats = ((slot, k * period // 2)
+                       for k in itertools.count(1) for slot in self.built[start:own])
+            yield from itertools.islice(repeats, 2 * shift)
+        yield from zip(self.built[own:], itertools.repeat(shift))
 
     def _expand(self):
         """(t, slot record) for every slot of the run, in order."""
-        for t in range(1, self.n_slots + 1):
-            tt, d = self._source(t)
-            yield t, self.built[tt - 1].shifted(d, 2 * self.formula_rate)
+        per_packet = 2 * self.formula_rate
+        for t, (slot, d) in enumerate(self._walk(), start=1):
+            yield t, slot.shifted(d, per_packet)
 
     @cached_property
     def _tables(self):
@@ -876,6 +886,28 @@ def _echo_value(emit, rows, dt):
     return rows[slot + dt - 1][signal][position]
 
 
+def _diff(found, t, signals, actual, computed):
+    """Append (t, signal, first differing level) for each recorded vector of
+    slot ``t`` that differs from the computed one, in ``signals`` order."""
+    for signal, a, c in zip(signals, actual, computed):
+        if len(a) != len(c):
+            raise ChannelDomainError(f"recorded {signal} at slot {t} has length {len(a)}")
+        if a != c:
+            found.append((t, signal, next(i for i, (x, y) in enumerate(zip(a, c))
+                                          if x != y)))
+
+
+def _flip(t, signals, vectors, faults):
+    """``vectors`` of slot ``t`` with the level ``faults`` names flipped."""
+    flipped = []
+    for signal, vec in zip(signals, vectors):
+        level = faults.get((t, signal))
+        if level is not None:
+            vec = (*vec[:level], vec[level] ^ 1, *vec[level + 1:])
+        flipped.append(vec)
+    return flipped
+
+
 def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given).
 
@@ -887,17 +919,26 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     one address the builder writes into the records: a known Emit XORs its
     ``refs``, an echo XORs its ``cancel`` off the level it replays, and a
     DecodeStep XORs its ``side`` into the observation and stores the result
-    at ``target``.  A node's store is one list over those positions, None
-    where the node does not know the bit.  The engine walks the tiling
-    itself: a slot that repeats its built slot d packets on reads the built
-    records as they are, each slot they name moved by dt = 2d and each
-    position by off = d * (refs per packet), as ``payload_refs`` run packet
-    by packet.  ``bits`` holds the payload by position (_payload_bits), and
-    deliveries name their bit by its ref, ``payload_refs[i]``.
+    at ``target``.  The records are read by tuple unpacking, so the field
+    order of Emit and DecodeStep is load-bearing.  A node's store is one
+    list over those positions, None where the node does not know the bit.
+    The engine walks the tiling itself (Schedule._walk): a slot that repeats
+    its built slot d packets on reads the built records as they are, each
+    slot they name moved by dt = 2d and each position by off = d * (refs per
+    packet), as ``payload_refs`` run packet by packet.  ``bits`` holds the
+    payload by position (_payload_bits), and deliveries name their bit by its
+    ref, ``payload_refs[i]``.
 
     The received vectors are looked up in the schedule's ``channel_maps``
-    (see the module docstring) by the settled transmit vectors, and settled
-    after the lookup, so the maps hold only what the geometry returns.
+    (see the module docstring) by the slot's transmit vectors.  A run flips
+    its faults only in the slots that have one: a transmit flip before the
+    lookup, a receive flip after it, so the maps hold only what the geometry
+    returns.  A replay compares the slot's four computed transmit vectors
+    with the recorded ones in one tuple comparison, and its six received
+    ones in another, and looks for the differing signals and levels only on
+    a mismatch.  It reads ``recorded`` in place, never copying or writing a
+    row, and returns it as its rows: every observation and echo names the
+    current slot or an earlier one, so the replay never reads ahead.
     """
     p = schedule.p
     faults = faults or {}
@@ -905,7 +946,8 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     for (t, signal), level in faults.items():
         if not (1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
             raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
-    built, refs = schedule.built, schedule.payload_refs
+    fault_slots = {t for t, _ in faults} if recorded is None else ()
+    refs = schedule.payload_refs
     hop1, hop2 = schedule.channel_maps
     rate = schedule.formula_rate
     per_packet = 2 * rate
@@ -915,69 +957,69 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
         stores["S1"][lo:mid] = bits[lo:mid]
         stores["S2"][mid:hi] = bits[mid:hi]
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
-    slot_rows = []
+    rows = [] if recorded is None else recorded
     deliveries = []
     found = []
 
-    def settle(signal, t, computed):
-        if (t, signal) in faults and recorded is None:
-            level = faults[(t, signal)]
-            computed = (*computed[:level], computed[level] ^ 1, *computed[level + 1:])
-        if recorded is None:
-            return computed
-        actual = recorded[t - 1][signal]
-        if len(actual) != len(computed):
-            raise ChannelDomainError(
-                f"recorded {signal} at slot {t} has length {len(actual)}"
-            )
-        if actual != computed:
-            level = next(i for i, (a, b) in enumerate(zip(actual, computed))
-                         if a != b)
-            found.append((t, signal, level))
-        return actual
-
-    for t in range(1, schedule.n_slots + 1):
-        built_slot, d = schedule._source(t)
-        slot = built[built_slot - 1]
+    for t, (slot, d) in enumerate(schedule._walk(), start=1):
         dt, off = 2 * d, d * per_packet
-        row = {}
-        for signal, store, emits in zip(_TX_SIGNALS, senders, slot.tx):
+        tx = []
+        for store, emits in zip(senders, slot.tx):
             levels = []
             for emit in emits:
                 if emit is None:
                     levels.append(0)
                     continue
-                if emit.echo_src:
-                    value, known = _echo_value(emit, slot_rows, dt), emit.cancel
+                known, _, echo_src, cancel = emit
+                if echo_src:
+                    value, known = _echo_value(emit, rows, dt), cancel
                 else:
-                    value, known = 0, emit.refs
+                    value = 0
                 for i in known:
                     value ^= store[i + off]
                 levels.append(value)
-            row[signal] = settle(signal, t, tuple(levels))
-        x_s, x_r = (row["X_S1"], row["X_S2"]), (row["X_R1"], row["X_R2"])
-        y_r = hop1.get(x_s)
+            tx.append(tuple(levels))
+        if recorded is None:
+            if t in fault_slots:
+                tx = _flip(t, _TX_SIGNALS, tx, faults)
+            x_s1, x_s2, x_r1, x_r2 = tx
+        else:
+            row = recorded[t - 1]
+            sent = row["X_S1"], row["X_S2"], row["X_R1"], row["X_R2"]
+            if sent != tuple(tx):
+                _diff(found, t, _TX_SIGNALS, sent, tx)
+            x_s1, x_s2, x_r1, x_r2 = sent
+        y_r = hop1.get((x_s1, x_s2))
         if y_r is None:
-            y_r = hop1[x_s] = _first_hop(*x_s, p, 0)
-        y_dr = hop2.get(x_r)
+            y_r = hop1[x_s1, x_s2] = _first_hop(x_s1, x_s2, p, 0)
+        y_dr = hop2.get((x_r1, x_r2))
         if y_dr is None:
-            y_dr = hop2[x_r] = _second_hop(*x_r, p, 0)
-        for signal, vec in zip(_RX_SIGNALS, (*y_r, *y_dr)):
-            row[signal] = settle(signal, t, vec)
-        slot_rows.append(row)
-        for step in slot.steps:
+            y_dr = hop2[x_r1, x_r2] = _second_hop(x_r1, x_r2, p, 0)
+        received = (*y_r, *y_dr)
+        if recorded is None:
+            if t in fault_slots:
+                received = _flip(t, _RX_SIGNALS, received, faults)
+            y_r1, y_r2, y_d1, y_d2, y_s1, y_s2 = received
+            rows.append({"X_S1": x_s1, "X_S2": x_s2, "X_R1": x_r1, "X_R2": x_r2,
+                         "Y_R1": y_r1, "Y_R2": y_r2, "Y_D1": y_d1, "Y_D2": y_d2,
+                         "Y_S1": y_s1, "Y_S2": y_s2})
+        else:
+            heard = (row["Y_R1"], row["Y_R2"], row["Y_D1"], row["Y_D2"],
+                     row["Y_S1"], row["Y_S2"])
+            if heard != received:
+                _diff(found, t, _RX_SIGNALS, heard, received)
+        for node, _, obs, side, target, deliver in slot.steps:
             value = 0
-            for signal, seen, position in step.obs:
-                value ^= slot_rows[seen + dt - 1][signal][position]
-            store = stores[step.node]
-            for i in step.side:
+            for signal, seen, position in obs:
+                value ^= rows[seen + dt - 1][signal][position]
+            store = stores[node]
+            for i in side:
                 value ^= store[i + off]
-            target = step.target + off
+            target += off
             store[target] = value
-            if step.deliver:
-                deliveries.append((t, step.node, refs[target], value,
-                                   value == bits[target]))
-    return slot_rows, deliveries, found, stores
+            if deliver:
+                deliveries.append((t, node, refs[target], value, value == bits[target]))
+    return rows, deliveries, found, stores
 
 
 def run_scheme(scheme: str, p: ChannelParams, packets: int,

@@ -189,3 +189,13 @@ def test_vec_str_round_trip(levels):
     assert _vec_str(GfVec(levels)) == text
     assert GfVec.from_string(text) == levels
     assert type(GfVec.from_string(text)) is GfVec
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=40))
+def test_from_string_is_the_per_character_read(text):
+    """The translated bytes are the levels int() reads character by
+    character, in a GfVec."""
+    vec = GfVec.from_string(text)
+    assert vec == tuple(map(int, text))
+    assert type(vec) is GfVec
+    assert all(type(level) is int for level in vec)

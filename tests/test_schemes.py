@@ -1,5 +1,6 @@
 """End-to-end scheme runs: exact rates, replay, fault injection, structure."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -29,6 +30,8 @@ from ofbic.pipeline import (
     SIGNALS,
     TILE_PACKETS,
     WARMUP_PACKETS,
+    DecodeStep,
+    Emit,
     _Builder,
     _payload_bits,
     _run_engine,
@@ -791,6 +794,64 @@ def test_tiled_fault_report_same_on_warm_and_cold_channel_maps(case, packets, da
     warm = verify_trace(trace)
     assert verify_trace(parsed) == warm
     assert warm.faults == [(slot, signal, level)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(TILE_CASES) - 1),
+       packets=st.sampled_from([6, 8, 20, 30]), data=st.data())
+def test_several_faults_located_exactly(case, packets, data):
+    """One to four flips on distinct (slot, signal) pairs, often sharing a
+    slot and mixing its transmit and receive signals, are each reported at
+    their slot, signal and level, and nothing else is: a replay checks whole
+    slots, but names every deviating signal of a slot that differs."""
+    scheme, p = TILE_CASES[case]
+    n_slots = build_schedule(scheme, p, packets).n_slots
+    shared = data.draw(st.integers(1, n_slots), label="shared slot")
+    faults = {}
+    for _ in range(data.draw(st.integers(1, 4), label="flips")):
+        slot, signal, level = _draw_flip(data, scheme, p, packets)
+        if data.draw(st.booleans(), label="in shared slot"):
+            slot = shared
+        faults.setdefault((slot, signal), level)
+    report = verify_trace(run_scheme(scheme, p, packets, faults=faults))
+    assert report.faults == sorted((t, s, level) for (t, s), level in faults.items())
+
+
+@pytest.mark.parametrize("signal", ["X_R1", "Y_D2"])
+def test_recorded_vector_of_wrong_length_is_rejected(signal):
+    """A run's trace whose recorded transmit or received vector was cut
+    short fails the replay's length check; parse_trace, which checks lengths
+    first, never hands such a trace on."""
+    trace = run_scheme("fbxw", FBXW_SMALL, 8)
+    row = trace.slots[4]
+    row[signal] = row[signal][:-1]
+    with pytest.raises(ChannelDomainError,
+                       match=f"^recorded {signal} at slot 5 has length 2$"):
+        verify_trace(trace)
+
+
+@pytest.mark.parametrize("faults", [None, {(9, "Y_R2"): 1, (9, "X_S1"): 0}],
+                         ids=["clean", "faulty"])
+def test_replay_reads_the_recorded_rows_in_place(faults):
+    """verify_trace neither copies nor writes the recorded rows: the replay
+    returns them as its rows, and they are unchanged after it."""
+    trace = run_scheme("rss", ChannelParams(4, 1, 1, 3, 2), 30, faults=faults)
+    rows, before = trace.slots, copy.deepcopy(trace.slots)
+    verify_trace(trace)
+    assert trace.slots is rows and rows == before
+    parsed = parse_trace(format_trace(trace))
+    before = copy.deepcopy(parsed.slots)
+    schedule = build_schedule(parsed.scheme, parsed.p, parsed.packets)
+    bits = _payload_bits(len(schedule.payload_refs), parsed.seed)
+    assert _run_engine(schedule, bits, recorded=parsed.slots)[0] is parsed.slots
+    assert parsed.slots == before
+
+
+def test_record_fields_are_pinned():
+    """The engine unpacks Emit and DecodeStep by position, so their field
+    order is part of the record format."""
+    assert Emit._fields == ("refs", "mode", "echo_src", "cancel")
+    assert DecodeStep._fields == ("node", "slot", "obs", "side", "target", "deliver")
 
 
 @pytest.mark.parametrize("scheme,p", TILE_CASES,
