@@ -35,7 +35,8 @@ The run is split into two layers:
   recorded rows in place, without copying or writing them.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
-in execution order and its feedback levels.  Every scheme repeats itself
+in execution order (each runs in the record's slot, so a step names no
+slot of its own) and its feedback levels.  Every scheme repeats itself
 after a short warm-up: one period is two superframes (two or four slots),
 and the next period is the same with packet indices raised by a superframe,
 which is what _Slot.shifted computes.  So build_schedule builds a run of
@@ -43,11 +44,11 @@ more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
 packets, finds the period by checking that the builder's live state recurs
 and that the next period's records are the shifted ones, and tiles it:
 build time and schedule memory do not grow with the packet count.  The
-engine walks the tiling over the records directly, so nothing in a run
-reads the Schedule's ``tx``, ``steps`` and ``feedback_levels``: they are
-read-only views of the records with the keys, values and order of a full
-build, built once on first read.  A run whose period check fails is built
-in full.
+engine walks the tiling over the records directly (Schedule._walk), with
+no copy of a repeated record; Schedule.slots() is the one reader of a
+run slot by slot, each record moved to its own packets, as a full build
+at that packet count would have it.  A run whose period check fails is
+built in full.
 
 A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
@@ -134,10 +135,11 @@ INVARIANT_ERRORS = (InvariantError, MidCodeError, PipelineError)
 class Emit(NamedTuple):
     """One transmitted level: an XOR of payload bits plus how to produce it.
 
-    mode 'known': the transmitter XORs bit values it already holds.
-    mode 'echo': the transmitter replays a previously received level value,
-    after cancelling the ``cancel`` bits it knows (received combination
-    forwarding).
+    Without ``echo_src`` the transmitter XORs the ``refs`` bits it already
+    holds.  With it, the transmitter replays the level value it received at
+    ``echo_src`` = (signal, slot, position), after cancelling the ``cancel``
+    bits it knows (received combination forwarding); ``refs`` is then what
+    the replayed level carries.
 
     Emit and DecodeStep are immutable tuples, not frozen dataclasses, because
     a build makes one per decode and per coded level, and a tuple is built
@@ -146,14 +148,14 @@ class Emit(NamedTuple):
     """
 
     refs: frozenset             # payload_refs positions of the bits it carries
-    mode: str = "known"
     echo_src: tuple = None
     cancel: frozenset = _EMPTY  # positions XORed off the echo
 
 
 class DecodeStep(NamedTuple):
+    """One decode, run in the slot of the _Slot record that holds it."""
+
     node: str
-    slot: int
     obs: tuple                  # ((signal, slot, pos), ...)
     side: frozenset             # positions XOR-cancelled out of the observation
     target: int                 # payload_refs position of the decoded bit
@@ -173,12 +175,11 @@ class _Slot(NamedTuple):
         if not d:
             return self
         off = d * per_packet
-        tx = tuple(tuple(e and Emit(_shift_refs(e.refs, off), e.mode,
+        tx = tuple(tuple(e and Emit(_shift_refs(e.refs, off),
                                     e.echo_src and _shift_obs(e.echo_src, d),
                                     _shift_refs(e.cancel, off)) for e in emits)
                    for emits in self.tx)
-        steps = tuple(DecodeStep(s.node, s.slot + 2 * d,
-                                 tuple(_shift_obs(o, d) for o in s.obs),
+        steps = tuple(DecodeStep(s.node, tuple(_shift_obs(o, d) for o in s.obs),
                                  _shift_refs(s.side, off), s.target + off,
                                  s.deliver) for s in self.steps)
         return _Slot(tx, steps, self.feedback)
@@ -195,12 +196,10 @@ class Schedule:
     ``start + 1 .. start + period`` with packet indices advanced by
     ``period // 2`` per repetition, and the remaining slots are the build's
     last ones with packets advanced by ``shift`` and slots by ``2 * shift``.
-    A full build has tiling ``(0, 0, 0)``.  ``tx``, ``steps`` and
-    ``feedback_levels`` are read-only views of those slot records with the
-    keys, values and order a full build at ``packets`` would have, filled
-    together by one walk (``_walk``) on the first read of any of them.
-    Nothing in a run reads them: the engine takes the same walk over the
-    slot records directly.
+    A full build has tiling ``(0, 0, 0)``.  ``slots()`` yields every slot
+    of the run as the record a full build at ``packets`` would have; the
+    engine takes the same walk (``_walk``) over the built records without
+    moving them.
     """
 
     scheme: str
@@ -239,42 +238,25 @@ class Schedule:
             yield from itertools.islice(repeats, 2 * shift)
         yield from zip(self.built[own:], itertools.repeat(shift))
 
-    def _expand(self):
-        """(t, slot record) for every slot of the run, in order."""
+    def slots(self):
+        """(t, slot record) for t = 1 .. n_slots, in order, each record
+        moved to its own packets: the one way to read a run slot by slot."""
         per_packet = 2 * self.formula_rate
         for t, (slot, d) in enumerate(self._walk(), start=1):
             yield t, slot.shifted(d, per_packet)
 
-    @cached_property
-    def _tables(self):
-        """tx, steps and feedback_levels, filled in one walk of the run."""
-        tx, steps, feedback = {}, {}, {}
-        for t, slot in self._expand():
-            tx.update(((s, t), emits) for s, emits in zip(_TX_SIGNALS, slot.tx))
-            if slot.steps:
-                steps[t] = slot.steps
-            feedback.update(((s, t), plan)
-                            for s, plan in zip(_FEEDBACK_SIGNALS, slot.feedback))
-        return MappingProxyType(tx), MappingProxyType(steps), MappingProxyType(feedback)
-
-    tx = property(lambda self: self._tables[0])
-    steps = property(lambda self: self._tables[1])
-    feedback_levels = property(lambda self: self._tables[2])
-
-    @cached_property
-    def deliveries(self):
-        """(slot, dest, ref) of every delivering decode step, in order; the
-        step's ``target`` position named by its ``payload_refs`` entry."""
-        refs = self.payload_refs
-        return tuple((step.slot, step.node, refs[step.target])
-                     for steps in self.steps.values() for step in steps
-                     if step.deliver)
+    @property
+    def steps(self):
+        """slot -> its decode steps, for the slots that have any.  Kept only
+        for the benchmark's decode-step count; it goes when the benchmark
+        counts steps from slots()."""
+        return MappingProxyType({t: s.steps for t, s in self.slots() if s.steps})
 
 
 # -- packet shifts of built values ---------------------------------------------
 # Shifting by d packets moves every payload_refs position, which run packet
 # by packet, by off = d times the refs per packet, and adds 2d to every slot
-# an observation or echo names.  _Slot.shifted (behind the expanded tables,
+# an observation or echo names.  _Slot.shifted (behind Schedule.slots and
 # _tile's period check) and _Builder._state all move values this way.
 
 def _shift_refs(refs, off):
@@ -416,7 +398,7 @@ class _Builder:
         if target in self.know[node]:
             raise PipelineError(f"{node} relearns {ref} at slot {slot}")
         self.know[node].add(target)
-        self.slot_steps.append(DecodeStep(node, slot, obs, side, target))
+        self.slot_steps.append(DecodeStep(node, obs, side, target))
         if node in ("R1", "R2"):
             own = 1 if node == "R1" else 2
             if ref[0] == own and not (
@@ -516,7 +498,7 @@ class _Builder:
         if len(items) != self.alloc.coop:
             raise PipelineError(f"{node} captured {len(items)} echoes for packet {pkt}")
         obs, refs, cancel = items[j]
-        return Emit(refs, mode="echo", echo_src=obs, cancel=cancel)
+        return Emit(refs, obs, cancel)
 
     def _hop2_emits(self, t):
         qbar, f = self.p.qbar, self.p.f
@@ -550,7 +532,7 @@ class _Builder:
         if self.scheme == SCHEME_RSW:
             residuals = self.residual_store.get((relay, pkt), ())
             obs, refs = residuals[j]
-            return Emit(refs, mode="echo", echo_src=obs)
+            return Emit(refs, obs)
         ref = (3 - own, pkt, "cp", j)
         if self.index[ref] not in self.know[relay]:
             raise PipelineError(f"{relay} misses cross coop bit {ref}")
@@ -619,7 +601,7 @@ class _Builder:
                     raise PipelineError(f"{self.payload_refs[i]} delivered twice")
                 self.delivered.add(i)
                 self.slot_steps.append(DecodeStep(
-                    node, t, ((signal, t, position),), _EMPTY, i, deliver=True))
+                    node, ((signal, t, position),), _EMPTY, i, deliver=True))
 
     # -- period detection ------------------------------------------------------
 
@@ -944,7 +926,8 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     faults = faults or {}
     lengths = _signal_lengths(p)
     for (t, signal), level in faults.items():
-        if not (1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
+        if not (type(t) is int and type(level) is int
+                and 1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
             raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
     fault_slots = {t for t, _ in faults} if recorded is None else ()
     refs = schedule.payload_refs
@@ -970,7 +953,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                 if emit is None:
                     levels.append(0)
                     continue
-                known, _, echo_src, cancel = emit
+                known, echo_src, cancel = emit
                 if echo_src:
                     value, known = _echo_value(emit, rows, dt), cancel
                 else:
@@ -1008,7 +991,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                      row["Y_S1"], row["Y_S2"])
             if heard != received:
                 _diff(found, t, _RX_SIGNALS, heard, received)
-        for node, _, obs, side, target, deliver in slot.steps:
+        for node, obs, side, target, deliver in slot.steps:
             value = 0
             for signal, seen, position in obs:
                 value ^= rows[seen + dt - 1][signal][position]
@@ -1028,7 +1011,8 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
 
     ``faults`` maps (slot, signal) -> level to flip after that signal is
     formed; the corruption then propagates through the rest of the run.  A
-    slot, signal or level the run does not have is a ChannelDomainError.
+    slot, signal or level the run does not have, or a slot or level that is
+    not an int (bools included), is a ChannelDomainError.
     """
     schedule = build_schedule(scheme, p, packets)
     refs = schedule.payload_refs
@@ -1182,8 +1166,12 @@ def parse_trace(text: str) -> SimulationTrace:
     """Read a trace written by format_trace; reject anything malformed.
 
     Errors name the 1-based line they were found on, and a vector error
-    names its signal too.  The ``# columns:`` line must list ``slot`` and
-    then SIGNALS in order, so vectors are never read into the wrong signal.
+    names its signal too.  A header that names no run (a negative link
+    strength, an unknown scheme, too few packets, a scheme outside its
+    regime) raises what run_scheme would, RegimeError included, named by the
+    first line holding the header fields involved.  The ``# columns:`` line
+    must list ``slot`` and then SIGNALS in order, so vectors are never read
+    into the wrong signal.
     Each distinct vector string is parsed once by ``GfVec.from_string``, the
     one reader; rows that repeat it share that ``GfVec``.  A bad string
     raises before it is kept, so its error names the first line it is on.
@@ -1255,7 +1243,16 @@ def parse_trace(text: str) -> SimulationTrace:
                 f"line {lineno}: header field {key}={value!r} is not an integer"
             ) from None
 
-    p = ChannelParams(field("m"), field("n"), field("mbar"), field("nbar"), field("f"))
+    def on_line(keys, make, *args):
+        """make(*args); a ChannelDomainError it raises, class kept, names the
+        first line holding one of the header fields ``keys``."""
+        try:
+            return make(*args)
+        except ChannelDomainError as exc:
+            raise type(exc)(f"line {min(header[k][1] for k in keys)}: {exc}") from exc
+
+    params = ("m", "n", "mbar", "nbar", "f")
+    p = on_line(params, ChannelParams, *map(field, params))
     scheme, packets, seed = field("scheme", str), field("packets"), field("seed")
     lengths = _signal_lengths(p)
     for lineno, row in zip(slot_lines, slots):
@@ -1265,7 +1262,8 @@ def parse_trace(text: str) -> SimulationTrace:
                     f"line {lineno}: {signal} has length {len(vec)}, "
                     f"expected {lengths[signal]}"
                 )
-    alloc, formula_rate, payload_refs = _payload_plan(scheme, p, packets)
+    alloc, formula_rate, payload_refs = on_line(
+        ("scheme", "packets", *params), _payload_plan, scheme, p, packets)
     planned = dict.fromkeys(_ALLOC_KEYS)
     planned.update(_alloc_fields(alloc), formula_rate=str(formula_rate))
     for key, want in planned.items():

@@ -32,6 +32,8 @@ from ofbic.pipeline import (
     WARMUP_PACKETS,
     DecodeStep,
     Emit,
+    _FEEDBACK_SIGNALS,
+    _TX_SIGNALS,
     _Builder,
     _payload_bits,
     _run_engine,
@@ -211,7 +213,7 @@ def test_trace_digest_golden(scheme, point, packets, steps, digest):
     text = format_trace(run_scheme(scheme, p, packets))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     schedule = build_schedule(scheme, p, packets)
-    assert sum(len(s) for s in schedule.steps.values()) == steps
+    assert sum(len(slot.steps) for _, slot in schedule.slots()) == steps
 
 
 # (scheme, point, packets) -> SHA-256 of a canonical rendering of the whole
@@ -283,21 +285,35 @@ def _emit_key(emit, refs):
     """An Emit with its payload_refs positions named by their refs."""
     if emit is None:
         return None
-    return (sorted(refs[i] for i in emit.refs), emit.mode, emit.echo_src,
+    mode = "echo" if emit.echo_src else "known"
+    return (sorted(refs[i] for i in emit.refs), mode, emit.echo_src,
             sorted(refs[i] for i in emit.cancel))
 
 
 def _schedule_digest(schedule):
+    """The rendering the digests were taken of: every tx level keyed by
+    (signal, slot), the decode steps of each slot that has any (each with
+    its slot), the (slot, dest, ref) deliveries and the feedback levels
+    keyed by (signal, slot), read from Schedule.slots()."""
     refs = schedule.payload_refs
-    tx = [(key, [_emit_key(e, refs) for e in schedule.tx[key]])
-          for key in sorted(schedule.tx)]
-    steps = [(slot, [(d.node, d.slot, d.obs, sorted(refs[i] for i in d.side),
-                      refs[d.target], d.deliver)
-                     for d in schedule.steps[slot]])
-             for slot in sorted(schedule.steps)]
-    text = repr((tx, steps, schedule.deliveries,
-                 sorted(schedule.feedback_levels.items()), schedule.n_slots))
+    slots = list(schedule.slots())
+    tx = sorted(((signal, t), [_emit_key(e, refs) for e in emits])
+                for t, slot in slots for signal, emits in zip(_TX_SIGNALS, slot.tx))
+    steps = [(t, [(d.node, t, d.obs, sorted(refs[i] for i in d.side),
+                   refs[d.target], d.deliver)
+                  for d in slot.steps])
+             for t, slot in slots if slot.steps]
+    feedback = sorted(((signal, t), plan) for t, slot in slots
+                      for signal, plan in zip(_FEEDBACK_SIGNALS, slot.feedback))
+    text = repr((tx, steps, _deliveries(schedule), feedback, schedule.n_slots))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _deliveries(schedule):
+    """(slot, dest, ref) of every delivering decode step, in order."""
+    refs = schedule.payload_refs
+    return tuple((t, step.node, refs[step.target]) for t, slot in schedule.slots()
+                 for step in slot.steps if step.deliver)
 
 
 @pytest.mark.parametrize("case", FROZEN_SCHEDULE_DIGESTS,
@@ -342,15 +358,28 @@ def _edit_line(text, lineno, edit):
     (8, lambda line: line.replace(" 1000 ", " 10x0 ", 1)),  # X_S1 bad character
     (8, lambda line: line.replace(" 1100 ", " 1\u0660\u0660\u0660 ", 1)),  # int() takes it
     (8, lambda line: line.replace(" 1000 ", " - ", 1)),     # X_S1 empty
+    (2, lambda line: line.replace("scheme=rss", "scheme=bogus")),
+    (2, lambda line: line.replace("packets=4", "packets=3")),
+    (2, lambda line: line.replace("m=4", "m=-2")),
+    (2, lambda line: line.replace("m=4 n=1", "m=1 n=4")),   # rss at a weak point
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
         "version-missing", "version-wrong", "length-q", "length-qbar",
         "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
         "alloc-private", "alloc-per-phase-coop", "alloc-superframe",
-        "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty"])
+        "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty",
+        "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
     with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
+        parse_trace(text)
+
+
+def test_parse_trace_header_error_keeps_its_class():
+    """A scheme outside its regime is the RegimeError run_scheme raises,
+    named by its line."""
+    text = _edit_line(FROZEN_TRACE, 2, lambda line: line.replace("m=4 n=1", "m=1 n=4"))
+    with pytest.raises(RegimeError, match="^line 2: scheme rss needs"):
         parse_trace(text)
 
 
@@ -468,8 +497,10 @@ class TestFaultInjection:
 @pytest.mark.parametrize("fault", [
     (999, "X_R1", 0), (0, "X_R1", 0), (5, "X_R9", 0), (5, "x_r1", 0),
     (5, "X_R1", 3), (5, "X_R1", -1), (5, "Y_R1", 4),
+    (5.0, "X_R1", 0), (True, "X_R1", 0), (5, "X_R1", 1.5), (5, "X_R1", True),
 ], ids=["slot-late", "slot-zero", "signal-unknown", "signal-lowercase",
-        "level-past-qbar", "level-negative", "level-past-q"])
+        "level-past-qbar", "level-negative", "level-past-q",
+        "slot-float", "slot-bool", "level-float", "level-bool"])
 def test_fault_outside_the_run_is_rejected(fault):
     """A fault the run would never reach is bad input, not a clean control."""
     slot, signal, level = fault
@@ -518,35 +549,36 @@ class TestStructure:
         p = ChannelParams(2, 4, 1, 1, 3)
         sched = build_schedule("fbxw", p, 8)
         slot = 2 * 5  # phase 2 of packet 5
-        assert sched.feedback_levels[("X_R1", slot)] == ((0, 0),)
+        slots = dict(sched.slots())
+        assert slots[slot].feedback[0] == ((0, 0),)     # X_R1
         delivered_here = [
-            d for d in sched.deliveries
+            d for d in _deliveries(sched)
             if d[0] == slot and d[1] == "D1" and d[2][2] == "cp"
         ]
         assert delivered_here, "coop feedback level must double as payload"
 
     def test_rsw_feedback_level_delivers_nothing(self):
         p = ChannelParams(2, 4, 0, 1, 3)
-        sched = build_schedule("rsw", p, 8)
+        slots = dict(build_schedule("rsw", p, 8).slots())
         phase2 = 2 * 5
         phase3 = 2 * 5 + 1
-        assert sched.feedback_levels[("X_R1", phase2)] == ((0, 0),)
-        assert ("X_R1", phase3) not in sched.feedback_levels
+        assert slots[phase2].feedback[0] == ((0, 0),)   # X_R1
+        assert slots[phase3].feedback == ()
         # the top level delivers payload in phase 3 but not in phase 2
         top_pos = p.qbar - p.f
         def delivers(slot):
             return any(
                 step.deliver and step.obs[0] == ("Y_D1", slot, top_pos)
-                for step in sched.steps.get(slot, ())
+                for step in slots[slot].steps
             )
         assert not delivers(phase2)
         assert delivers(phase3)
 
     def test_rss_bottom_band_feedback(self):
         p = ChannelParams(4, 1, 1, 3, 2)
-        sched = build_schedule("rss", p, 8)
+        slots = dict(build_schedule("rss", p, 8).slots())
         slot = 2 * 5
-        levels = [lvl for lvl, _ in sched.feedback_levels[("X_R1", slot)]]
+        levels = [lvl for lvl, _ in slots[slot].feedback[0]]    # X_R1
         assert levels == [p.nbar - 1]  # lowermost visible level, below f
 
     def test_side_information_soundness(self):
@@ -559,25 +591,25 @@ class TestStructure:
             for i, ref in enumerate(sched.payload_refs):
                 known[f"S{ref[0]}"].add(i)
             delivered = []
-            for slot in sorted(sched.steps):
-                for step in sched.steps[slot]:
+            for slot, record in sched.slots():
+                for step in record.steps:
                     assert step.side <= known[step.node], (scheme, slot)
                     known[step.node].add(step.target)
                     if step.deliver:
                         delivered.append(
                             (slot, step.node, sched.payload_refs[step.target]))
-            assert tuple(delivered) == sched.deliveries, scheme
+            ran = run_scheme(scheme, p, 8).deliveries
+            assert delivered == [d[:3] for d in ran], scheme
 
     def test_causality_of_schedule(self):
         for scheme, p, _ in WORKED:
-            sched = build_schedule(scheme, p, 8)
-            for slot, steps in sched.steps.items():
-                for step in steps:
+            for slot, record in build_schedule(scheme, p, 8).slots():
+                for step in record.steps:
                     assert all(obs[1] <= slot for obs in step.obs)
-            for (signal, slot), emits in sched.tx.items():
-                for emit in emits:
-                    if emit is not None and emit.mode == "echo":
-                        assert emit.echo_src[1] < slot, (signal, slot)
+                for signal, emits in zip(_TX_SIGNALS, record.tx):
+                    for emit in emits:
+                        if emit is not None and emit.echo_src:
+                            assert emit.echo_src[1] < slot, (signal, slot)
 
 
 def test_measured_rate_converges_with_explicit_bound():
@@ -759,20 +791,16 @@ TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
        packets=st.integers(4, TILE_PACKETS + 6))
 def test_tiled_schedule_equals_full_build(case, packets):
     """Up to three two-packet periods past TILE_PACKETS, the tiled schedule
-    renders as the full build, its tables list their keys in the build's
-    order, and it delivers the same bits in the same slots.  The engine,
-    which moves the built positions itself, gives the same rows,
-    deliveries and node stores on both."""
+    renders as the full build and reads, slot by slot, as the full build's
+    records.  The engine, which moves the built positions itself, gives the
+    same rows, deliveries and node stores on both."""
     scheme, p = TILE_CASES[case]
     tiled = build_schedule(scheme, p, packets)
     full = _Builder(scheme, p, packets).build()
     assert _schedule_digest(tiled) == _schedule_digest(full)
-    assert list(tiled.tx) == list(full.tx)
-    assert list(tiled.steps) == list(full.steps)
-    assert list(tiled.feedback_levels.items()) == list(full.feedback_levels.items())
-    assert tiled.deliveries == full.deliveries
+    assert list(tiled.slots()) == list(full.slots())
+    assert tiled.n_slots == full.n_slots == len(full.built)
     assert tiled.payload_refs == full.payload_refs
-    assert len(tiled.tx) == len(full.tx)
     bits = _payload_bits(len(full.payload_refs), 1)
     # rows, deliveries, no faults found, stores
     assert _run_engine(tiled, bits) == _run_engine(full, bits)
@@ -850,8 +878,8 @@ def test_replay_reads_the_recorded_rows_in_place(faults):
 def test_record_fields_are_pinned():
     """The engine unpacks Emit and DecodeStep by position, so their field
     order is part of the record format."""
-    assert Emit._fields == ("refs", "mode", "echo_src", "cancel")
-    assert DecodeStep._fields == ("node", "slot", "obs", "side", "target", "deliver")
+    assert Emit._fields == ("refs", "echo_src", "cancel")
+    assert DecodeStep._fields == ("node", "obs", "side", "target", "deliver")
 
 
 @pytest.mark.parametrize("scheme,p", TILE_CASES,
@@ -1010,18 +1038,11 @@ def test_short_runs_build_once(builds):
 
 def test_schedule_views_are_read_only_mappings():
     schedule = build_schedule("rsw", ChannelParams(2, 4, 0, 1, 3), 30)
-    for view in (schedule.tx, schedule.steps, schedule.feedback_levels):
-        assert not hasattr(view, "__setitem__")
-    # built once, on first read
-    assert schedule.tx is schedule.tx and schedule.steps is schedule.steps
-    assert schedule.feedback_levels is schedule.feedback_levels
+    assert not hasattr(schedule.steps, "__setitem__")
     assert all(type(steps) is tuple for steps in schedule.steps.values())
     assert all(type(slot.steps) is tuple for slot in schedule.built)
-    assert ("X_S1", 0) not in schedule.tx
-    assert ("X_S1", schedule.n_slots + 1) not in schedule.tx
-    assert ("Y_R1", 5) not in schedule.tx and "X_S1" not in schedule.tx
     assert schedule.steps.get(schedule.n_slots + 1) is None
-    assert ("X_S1", 40) in schedule.tx and 40 in schedule.steps
+    assert 40 in schedule.steps
 
 
 ONE_PER_SCHEME = [
@@ -1034,11 +1055,13 @@ ONE_PER_SCHEME = [
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
-    """A tiled run, its replay and the parse round trip never expand tx,
-    steps or feedback_levels."""
+    """A tiled run, its replay and the parse round trip read the built
+    records only, never a slot moved to its packets (slots()) or the
+    steps table."""
     def refuse(self, *args):
         raise AssertionError("a schedule table was expanded")
-    monkeypatch.setattr(Schedule, "_expand", refuse)
+    monkeypatch.setattr(Schedule, "slots", refuse)
+    monkeypatch.setattr(Schedule, "steps", property(refuse))
     trace = run_scheme(scheme, p, 30)
     text = format_trace(trace)
     assert verify_trace(trace).ok

@@ -133,8 +133,7 @@ def _flip_echo_levels(monkeypatch):
     echo_value = pipeline._echo_value
 
     def flipped(level, *where):
-        value = echo_value(level, *where)
-        return value ^ 1 if level.mode == "echo" else value
+        return echo_value(level, *where) ^ 1
     monkeypatch.setattr(pipeline, "_echo_value", flipped)
 
 
