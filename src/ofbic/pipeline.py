@@ -19,20 +19,35 @@ The run is split into two layers:
   One slot loop serves all four schemes; nofb-mid differs from the packet
   schemes only in its hop-1 emission (MidCode columns) and in how its relays
   decode (two-slot recipes instead of single receptions).
-* An *engine* evaluates the schedule on concrete payload bits, pushing
-  tuples of 0/1 levels through the same geometry and executing the decode
-  steps against the actually received vectors.  It reads the records'
-  positions as they are, unpacking each Emit and DecodeStep by position (so
-  their field order is load-bearing), and every node's store is one list
-  over them.  Reference tuples ``(source, packet, kind, index)`` appear
-  only at the edge: the builder looks up a position where it reads its
-  plan, and deliveries, the payload dict and error texts name bits by
-  ``payload_refs[i]``.  A run applies its faults only in the slots that
-  have one.  verify_trace replays a recorded trace through the same engine
-  and reports the first point where the recording deviates from what the
-  protocol would have produced; the replay compares whole slots, looks for
-  the deviating signals only in a slot that differs, and reads the
-  recorded rows in place, without copying or writing them.
+* A sequential *engine* evaluates the schedule on concrete payload bits,
+  slot by slot, pushing tuples of 0/1 levels through the same geometry and
+  executing the decode steps against the actually received vectors.  It
+  reads the records' positions as they are, unpacking each Emit and
+  DecodeStep by position (so their field order is load-bearing), and every
+  node's store is one list over them.  Reference tuples
+  ``(source, packet, kind, index)`` appear only at the edge: the builder
+  looks up a position where it reads its plan, and deliveries, the payload
+  dict and error texts name bits by ``payload_refs[i]``.  A run applies its
+  faults only in the slots that have one.  verify_trace replays a recorded
+  trace through the same engine and reports the first point where the
+  recording deviates from what the protocol would have produced; the
+  replay compares whole slots, looks for the deviating signals only in a
+  slot that differs, and reads the recorded rows in place, without copying
+  or writing them.
+* A clean tiled run is evaluated *lane-parallel* instead (_run_lanes).  The
+  channel is the linear deterministic model, and in a clean run every store
+  a node reads holds its payload bit, so every level is the XOR of the
+  payload bits of its position set, and the repeats of the tiled period are
+  one GF(2)-linear map applied to payload bits one period apart.  Each level
+  of the repeated block is one Python int holding one bit, a lane, per
+  repeat; the same geometry runs on those ints, and every decode step is
+  checked on all lanes at once.  The head and tail of the run are
+  groups of one lane.  A check that fails hands the run to the sequential
+  engine.  verify_trace makes a tiled schedule's clean rows this way and
+  reports from them when the recorded rows are equal; any other trace is
+  replayed sequentially, so every fault report is the sequential engine's.
+  Faulted runs, runs of at most TILE_PACKETS packets and full-build
+  fallbacks always run sequentially.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order (each runs in the record's slot, so a step names no
@@ -44,8 +59,9 @@ more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
 packets, finds the period by checking that the builder's live state recurs
 and that the next period's records are the shifted ones, and tiles it:
 build time and schedule memory do not grow with the packet count.  The
-engine walks the tiling over the records directly (Schedule._walk), with
-no copy of a repeated record; Schedule.slots() is the one reader of a
+engine walks the tiling over the records directly (Schedule._walk), and
+the lane path reads its head, period and tail from them, with no copy of a
+repeated record; Schedule.slots() is the one reader of a
 run slot by slot, each record moved to its own packets, as a full build
 at that packet count would have it.  A run whose period check fails is
 built in full.
@@ -54,13 +70,17 @@ A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
 holds one afterwards.  A parsed trace is verified against a fresh build.
 
-A Schedule also caches the channel map at its ``p`` for the engine
-(``channel_maps``): a dict per hop from the two transmitted vectors of a
-slot to the vectors they are received as.  Each received vector is a fixed
-function of the two transmitted ones, and a small point has only a few
-hundred distinct pairs in a whole run.  run_scheme fills the maps, the
-verify_trace it hands the schedule to finds every unchanged slot there, and
-they are freed with the schedule; a fresh build starts with empty maps.
+A Schedule also caches the channel map at its ``p`` for the sequential
+engine (``channel_maps``): a dict per hop from the two transmitted vectors
+of a slot to the vectors they are received as.  Each received vector is a
+fixed function of the two transmitted ones, and a small point has only a
+few hundred distinct pairs in a whole run.  Only sequential runs use the
+maps: runs of at most TILE_PACKETS packets (every sweep run), faulted runs
+and full-build fallbacks, and the replays of traces that differ from the
+clean lanes.  run_scheme fills them, the verify_trace it hands the schedule
+to finds every unchanged slot there, and they are freed with the schedule;
+a fresh build starts with empty maps.  The lane path calls the geometry
+once per hop and slot of its head, period and tail, and uses no map.
 They cannot change a result: a miss calls the same geometry, the key is the
 vectors the slot actually sent (after a fault flip, or as recorded), and a
 fault or recorded deviation in a received vector is applied after the
@@ -80,6 +100,7 @@ import itertools
 import operator
 import random
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -100,6 +121,8 @@ from .channel import (
     ChannelDomainError,
     ChannelParams,
     GfVec,
+    _LEVEL_TEXT,
+    _TEXT_LEVEL,
     _first_hop,
     _second_hop,
     _vec_str,
@@ -115,6 +138,12 @@ _TX_NODE = {"X_S1": "S1", "X_S2": "S2", "X_R1": "R1", "X_R2": "R2"}
 _TX_SIGNALS = tuple(_TX_NODE)
 _RX_SIGNALS = ("Y_R1", "Y_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")   # hop 1, then hop 2
 _FEEDBACK_SIGNALS = ("X_R1", "X_R2")
+# each hop's transmitted and received signals, in the order the channel's
+# _first_hop/_second_hop take and return them; hop-1 vectors have length q,
+# hop-2 vectors length qbar
+_HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")
+_HOP2_SIGNALS = ("X_R1", "X_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")
+_ROW_SIGNALS = _TX_SIGNALS + _RX_SIGNALS       # a row's keys, in engine order
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 
 DEFAULT_SEED = 1009
@@ -217,11 +246,13 @@ class Schedule:
 
     @cached_property
     def channel_maps(self):
-        """The engine's memo of the channel map at ``p``: hop 1
+        """The sequential engine's memo of the channel map at ``p``: hop 1
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
         ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
         vectors a slot sent (after a fault flip, or as recorded) and filled
-        by every engine pass on this schedule."""
+        by every sequential pass on this schedule: short runs (every sweep
+        run), faulted runs, full-build fallbacks and the replays of traces
+        that differ from the clean lanes.  A lane-parallel run uses none."""
         return {}, {}
 
     def _walk(self):
@@ -890,12 +921,47 @@ def _flip(t, signals, vectors, faults):
     return flipped
 
 
-def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
-    """Execute (recorded=None) or replay-and-diff (recorded given).
+def _check_faults(schedule: Schedule, faults) -> None:
+    """Raise ChannelDomainError unless ``faults`` is None or a mapping of
+    ``(slot, signal)`` pairs of the run to levels of that signal, the slot
+    and level ints (bools excluded)."""
+    if faults is None:
+        return
+    if not isinstance(faults, Mapping):
+        raise ChannelDomainError(f"faults {faults!r} is outside the run: "
+                                 "expected a mapping (slot, signal) -> level")
+    lengths = _signal_lengths(schedule.p)
+    for key, level in faults.items():
+        t, signal = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if not (type(t) is int and type(level) is int
+                and 1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
+            raise ChannelDomainError(f"fault {key!r}: {level!r} is outside the run")
 
-    Returns (slot_vectors, deliveries, faults_found, stores).  In replay mode
-    the recorded vectors drive all node behaviour, so a corrupted level shows
-    up exactly where the recording first deviates from the protocol.
+
+def _source_stores(schedule: Schedule, bits) -> dict:
+    """node -> its store over the payload_refs positions, as a run starts:
+    each source holds its own bits, and nothing else is known (None)."""
+    rate = schedule.formula_rate
+    per_packet = 2 * rate
+    stores = {node: [None] * len(bits) for node in _NODES}
+    for lo in range(0, len(bits), per_packet or 1):
+        mid, hi = lo + rate, lo + per_packet          # source 1's bits, then 2's
+        stores["S1"][lo:mid] = bits[lo:mid]
+        stores["S2"][mid:hi] = bits[mid:hi]
+    return stores
+
+
+def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
+    """Execute (recorded=None) or replay-and-diff (recorded given), slot by
+    slot: the sequential engine.
+
+    It runs every faulted run, every run that is not tiled, and every
+    replay of a recording that differs from the clean run; a clean tiled
+    run is evaluated lane-parallel (_run_lanes), and this engine is its
+    oracle.  Returns (slot_vectors, deliveries, faults_found, stores).  In
+    replay mode the recorded vectors drive all node behaviour, so a
+    corrupted level shows up exactly where the recording first deviates
+    from the protocol.  ``faults`` is checked by run_scheme (_check_faults).
 
     Every payload bit is addressed by its position in ``payload_refs``, the
     one address the builder writes into the records: a known Emit XORs its
@@ -924,21 +990,11 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """
     p = schedule.p
     faults = faults or {}
-    lengths = _signal_lengths(p)
-    for (t, signal), level in faults.items():
-        if not (type(t) is int and type(level) is int
-                and 1 <= t <= schedule.n_slots and 0 <= level < lengths.get(signal, 0)):
-            raise ChannelDomainError(f"fault {(t, signal, level)} is outside the run")
     fault_slots = {t for t, _ in faults} if recorded is None else ()
     refs = schedule.payload_refs
     hop1, hop2 = schedule.channel_maps
-    rate = schedule.formula_rate
-    per_packet = 2 * rate
-    stores = {node: [None] * len(refs) for node in _NODES}
-    for lo in range(0, schedule.packets * per_packet, per_packet or 1):
-        mid, hi = lo + rate, lo + per_packet          # source 1's bits, then 2's
-        stores["S1"][lo:mid] = bits[lo:mid]
-        stores["S2"][mid:hi] = bits[mid:hi]
+    per_packet = 2 * schedule.formula_rate
+    stores = _source_stores(schedule, bits)
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
     rows = [] if recorded is None else recorded
     deliveries = []
@@ -1005,19 +1061,232 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     return rows, deliveries, found, stores
 
 
+# -- a clean tiled run, lane-parallel -------------------------------------------
+
+class _Sequential(Exception):
+    """A clean run the lanes do not vouch for: the sequential engine runs it."""
+
+
+class _PayloadLanes(dict):
+    """payload_refs position i -> its lane: the int whose bit ``width - 1 - k``
+    is the payload bit at ``i + off + k * step``."""
+
+    def __init__(self, bits, off, step, width):
+        super().__init__()
+        self.bits, self.off, self.step, self.span = bits, off, step, width * step
+
+    def __missing__(self, i):
+        lo = i + self.off
+        lane = self[i] = int(
+            self.bits[lo:lo + self.span:self.step].translate(_LEVEL_TEXT), 2)
+        return lane
+
+
+class _LaneGroup:
+    """Built slots ``lo + 1 .. hi`` of a clean tiled run, in ``width`` lanes.
+
+    Lane k is those slots moved ``d + k * period // 2`` packets: built slot s
+    is run slot ``s + 2 * d + k * period`` and a position i is payload bit
+    ``i + off + k * step``.  A level is an int whose bit ``width - 1 - k``
+    is its value in lane k, so ``format`` writes the lanes in run order.
+    Every store a clean run reads holds its payload bit, so a known Emit is
+    the XOR of its refs' payload lanes, an echo the lane it replays XOR its
+    cancel lanes, and the received levels come from the channel geometry on
+    lane ints.  A level the group reads before ``lo + 1`` is, in lane k, the
+    group's own lane k - j (j lanes back) or, below lane j, a row already
+    in ``made``, the run's rows so far (_seen).
+    """
+
+    def __init__(self, schedule, bits, made, lo, hi, width, d):
+        _, self.period, _ = schedule.tiling
+        per_packet = 2 * schedule.formula_rate
+        self.built, self.p, self.made = schedule.built, schedule.p, made
+        self.lo, self.hi, self.width, self.d = lo, hi, width, d
+        self.off, self.step = d * per_packet, self.period // 2 * per_packet
+        # a one-lane level is its value, so a one-lane group's lanes are bits
+        self.lanes = (memoryview(bits)[self.off:] if width == 1
+                      else _PayloadLanes(bits, self.off, self.step, width))
+        # (built slot, hop) -> signal -> lane levels; None while evaluated.
+        # An echo may read a later slot of an earlier lane, so the units
+        # are evaluated on demand.
+        self.units = {}
+        self.levels = {slot: {**self._unit(slot, 1), **self._unit(slot, 2)}
+                       for slot in range(lo + 1, hi + 1)}
+
+    def _unit(self, slot, hop):
+        """The lane levels ``slot`` sends and receives on hop ``hop``."""
+        unit = self.units.get((slot, hop), ())
+        if unit is None:
+            raise _Sequential           # an echo reads its own unit's lanes
+        if unit:
+            return unit
+        self.units[slot, hop] = None
+        tx = self.built[slot - 1].tx
+        if hop == 1:
+            x1, x2 = self._send(tx[0]), self._send(tx[1])
+            unit = dict(zip(_HOP1_SIGNALS, (x1, x2, *_first_hop(x1, x2, self.p, 0))))
+        else:
+            x1, x2 = self._send(tx[2]), self._send(tx[3])
+            unit = dict(zip(_HOP2_SIGNALS, (x1, x2, *_second_hop(x1, x2, self.p, 0))))
+        self.units[slot, hop] = unit
+        return unit
+
+    def _send(self, emits):
+        lanes = self.lanes
+        levels = []
+        for emit in emits:
+            if emit is None:
+                levels.append(0)
+                continue
+            known, echo_src, cancel = emit
+            if echo_src:
+                value, known = self._seen(*echo_src), cancel
+            else:
+                value = 0
+            for i in known:
+                value ^= lanes[i]
+            levels.append(value)
+        return tuple(levels)
+
+    def _seen(self, signal, slot, position):
+        """The lane level ``signal`` carries at ``position`` in built slot
+        ``slot``, which a step or echo of this group names."""
+        hop = 1 if signal in _HOP1_SIGNALS else 2
+        if slot > self.lo:
+            return self._unit(slot, hop)[signal][position]
+        width, period = self.width, self.period
+        back = (self.lo - slot) // period + 1       # lanes back into the group
+        value = 0
+        if back < width:
+            value = self._unit(slot + back * period, hop)[signal][position] >> back
+        for k in range(min(back, width)):
+            row = self.made[slot + 2 * self.d + k * period - 1]
+            value |= row[signal][position] << (width - 1 - k)
+        return value
+
+    def decode(self, refs, bits, deliveries, stores):
+        """Check every decode step in every lane, and record what it does.
+
+        A step holds when the XOR of its observed levels and its side lanes
+        is its target's lane; by induction over the slots, every store the
+        sequential engine would write is then its payload bit.  The first
+        step that does not hold raises _Sequential.  Each step's bits go
+        into ``stores`` and a delivering step's deliveries are appended in
+        run order, its lanes read by extended slices."""
+        lanes, levels, lo = self.lanes, self.levels, self.lo
+        width, step, period, off = self.width, self.step, self.period, self.off
+        span = width * step
+        nodes = {node: (node,) * width for node in _NODES}
+        ok = (True,) * width
+        columns = []
+        for slot in range(lo + 1, self.hi + 1):
+            t = slot + 2 * self.d
+            lane_slots = tuple(range(t, t + width * period, period))  # shared ints
+            for node, obs, side, target, deliver in self.built[slot - 1].steps:
+                value = lanes[target]
+                for signal, seen, position in obs:
+                    value ^= (levels[seen][signal][position] if seen > lo
+                              else self._seen(signal, seen, position))
+                for i in side:
+                    value ^= lanes[i]
+                if value:
+                    raise _Sequential
+                i = target + off
+                if width == 1:
+                    stores[node][i] = bit = bits[i]
+                    if deliver:
+                        columns.append(((t, node, refs[i], bit, True),))
+                    continue
+                values = bits[i:i + span:step]
+                stores[node][i:i + span:step] = values
+                if deliver:
+                    columns.append(zip(lane_slots, nodes[node], refs[i:i + span:step],
+                                       values, ok))
+        deliveries.extend(itertools.chain.from_iterable(zip(*columns)))
+
+    def rows(self, interned=None):
+        """The group's rows in run order, made one at a time: each level
+        transposed into its lanes in C (``format``, ``translate``, ``zip``).
+        Given ``interned``, the vectors of a signal whose lanes outnumber its
+        2 ** levels values, so that some must repeat, are interned there:
+        equal vectors are one tuple.  Wider vectors seldom repeat, and
+        interning them would cost more than it saves."""
+        width = self.width
+        text = f"0{width}b"
+        by_slot = []
+        for levels in self.levels.values():
+            columns = []
+            for signal in _ROW_SIGNALS:
+                vec = levels[signal]
+                if width == 1:                  # the one lane is the row
+                    vecs = (vec,)
+                elif vec:
+                    vecs = zip(*[format(v, text).encode().translate(_TEXT_LEVEL)
+                                 for v in vec])
+                else:
+                    vecs = itertools.repeat((), width)
+                if interned is not None and 1 << len(vec) < width:
+                    vecs = map(interned.setdefault, *itertools.tee(vecs))
+                columns.append(vecs)
+            by_slot.append(map(dict, map(zip, itertools.repeat(_ROW_SIGNALS),
+                                         zip(*columns))))
+        return itertools.chain.from_iterable(zip(*by_slot))
+
+
+def _run_lanes(schedule: Schedule, bits, recorded=None):
+    """What ``_run_engine(schedule, bits, recorded=recorded)`` returns for a
+    clean tiled run, evaluated lane-parallel, or None when a check fails.
+
+    The repeated block, built slots ``start + 1 .. start + period``, is one
+    group of R = 2 * shift / period + 1 lanes, lane k its k-th repeat.  The
+    head, ``built[:start]``, and the tail, ``built[start + period:]`` moved
+    ``shift`` packets, are groups of one lane, evaluated the same way.  A
+    group whose decode checks do not all hold, or whose echoes read their
+    own lanes, leaves the run to the sequential engine.  With ``recorded``,
+    each group's rows are compared with the recorded ones as they are made
+    and kept nowhere; a recording that differs is the engine's to replay.
+    """
+    start, period, shift = schedule.tiling
+    stores = _source_stores(schedule, bits)
+    rows = [] if recorded is None else recorded
+    deliveries, interned, made = [], {}, 0
+    try:
+        for lo, hi, width, d in ((0, start, 1, 0),
+                                 (start, start + period, 2 * shift // period + 1, 0),
+                                 (start + period, len(schedule.built), 1, shift)):
+            group = _LaneGroup(schedule, bits, rows, lo, hi, width, d)
+            group.decode(schedule.payload_refs, bits, deliveries, stores)
+            if recorded is None:
+                rows.extend(group.rows(interned))
+            elif not all(map(operator.eq, group.rows(),
+                             recorded[made:made + width * (hi - lo)])):
+                return None
+            made += width * (hi - lo)
+    except _Sequential:
+        return None
+    return rows, deliveries, [], stores
+
+
 def run_scheme(scheme: str, p: ChannelParams, packets: int,
                seed: int = DEFAULT_SEED, faults=None) -> SimulationTrace:
     """Run a scheme end to end and return the full per-slot trace.
 
     ``faults`` maps (slot, signal) -> level to flip after that signal is
     formed; the corruption then propagates through the rest of the run.  A
-    slot, signal or level the run does not have, or a slot or level that is
-    not an int (bools included), is a ChannelDomainError.
+    faults value that is not such a mapping, a slot, signal or level the run
+    does not have, or a slot or level that is not an int (bools included),
+    is a ChannelDomainError.
+
+    A clean tiled run is evaluated lane-parallel (_run_lanes); a faulted
+    run, a full build, or a clean run whose lane checks fail runs on the
+    sequential engine.
     """
     schedule = build_schedule(scheme, p, packets)
+    _check_faults(schedule, faults)
     refs = schedule.payload_refs
     bits = _payload_bits(len(refs), seed)
-    slot_rows, deliveries, _, _ = _run_engine(schedule, bits, faults=faults)
+    lanes = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
+    slot_rows, deliveries, _, _ = lanes or _run_engine(schedule, bits, faults=faults)
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
         slots=slot_rows, payload=dict(zip(refs, bits)), deliveries=deliveries,
@@ -1070,6 +1339,11 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     uses it when the trace still names the same (scheme, p, packets), and
     the trace gives it up here either way, so it is freed with this call.
     A parsed trace, a changed one or a second verification builds afresh.
+
+    A tiled schedule's clean rows are made lane-parallel (_run_lanes) and
+    compared with the recorded ones; when they are equal, the report is the
+    clean run's.  Any other trace is replayed by the sequential engine,
+    which locates its faults.
     """
     schedule, trace._schedule = trace._schedule, None
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
@@ -1080,11 +1354,13 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
         raise ChannelDomainError(
             f"trace has {len(trace.slots)} slots, run needs {schedule.n_slots}"
         )
-    _, deliveries, found, stores = _run_engine(schedule, bits, recorded=trace.slots)
+    rows = trace.slots
+    lanes = _run_lanes(schedule, bits, recorded=rows) if schedule.tiling[2] else None
+    _, deliveries, found, stores = lanes or _run_engine(schedule, bits, recorded=rows)
     errors = [(t, dest, ref) for (t, dest, ref, _, ok) in deliveries if not ok]
     verdicts = dict.fromkeys(range(1, trace.packets + 1), True)
-    for _, _, ref, _, ok in deliveries:
-        verdicts[ref[1]] &= ok
+    for _, _, ref in errors:                # a packet is right but for these
+        verdicts[ref[1]] = False
     missing = len(bits) - len(deliveries)
     per_packet = 2 * schedule.formula_rate
     node_verdicts = {}
@@ -1114,7 +1390,6 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
 
 _TRACE_VERSION = "# ofbic-trace v1"
 _COLUMNS = "slot " + " ".join(SIGNALS)                # the "# columns:" line
-_HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")     # length q; the rest qbar
 
 
 def _signal_lengths(p: ChannelParams) -> dict:

@@ -6,6 +6,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from ofbic.pipeline import (
     _Builder,
     _payload_bits,
     _run_engine,
+    _run_lanes,
     _tile,
     generate_payload,
 )
@@ -494,19 +496,21 @@ class TestFaultInjection:
         assert verify_trace(trace).faults == [(slot, signal, level)]
 
 
-@pytest.mark.parametrize("fault", [
-    (999, "X_R1", 0), (0, "X_R1", 0), (5, "X_R9", 0), (5, "x_r1", 0),
-    (5, "X_R1", 3), (5, "X_R1", -1), (5, "Y_R1", 4),
-    (5.0, "X_R1", 0), (True, "X_R1", 0), (5, "X_R1", 1.5), (5, "X_R1", True),
-], ids=["slot-late", "slot-zero", "signal-unknown", "signal-lowercase",
-        "level-past-qbar", "level-negative", "level-past-q",
-        "slot-float", "slot-bool", "level-float", "level-bool"])
-def test_fault_outside_the_run_is_rejected(fault):
-    """A fault the run would never reach is bad input, not a clean control."""
-    slot, signal, level = fault
+@pytest.mark.parametrize("faults", [
+    {(slot, signal): level} for slot, signal, level in (
+        (999, "X_R1", 0), (0, "X_R1", 0), (5, "X_R9", 0), (5, "x_r1", 0),
+        (5, "X_R1", 3), (5, "X_R1", -1), (5, "Y_R1", 4),
+        (5.0, "X_R1", 0), (True, "X_R1", 0), (5, "X_R1", 1.5), (5, "X_R1", True))
+] + [{5: 1}, {(5, "X_R1", 0): 1}, [((5, "X_R1"), 0)]],
+    ids=["slot-late", "slot-zero", "signal-unknown", "signal-lowercase",
+         "level-past-qbar", "level-negative", "level-past-q",
+         "slot-float", "slot-bool", "level-float", "level-bool",
+         "key-not-a-pair", "key-of-three", "not-a-mapping"])
+def test_fault_outside_the_run_is_rejected(faults):
+    """A fault the run would never reach, or a faults value that names no
+    (slot, signal) of it, is bad input, not a clean control."""
     with pytest.raises(ChannelDomainError, match="outside the run"):
-        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8,
-                   faults={(slot, signal): level})
+        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8, faults=faults)
 
 
 def _draw_flip(data, scheme, p, packets):
@@ -895,12 +899,22 @@ def test_clean_run_rows_are_the_channel_map(scheme, p):
 
 
 def _count_engine_hops(monkeypatch):
-    """The hop (1 or 2) of every call the value engine makes to the channel
-    geometry; the builder's calls, on position sets, are not counted."""
-    calls = []
+    """The hop (1 or 2) of every call the sequential value engine makes to
+    the channel geometry; the builder's calls, on position sets, and the
+    lane path's, on lane ints, are not counted."""
+    calls, engines = [], []
+    real_engine = pipeline._run_engine
+
+    def engine(*args, **kwargs):
+        engines.append(None)
+        try:
+            return real_engine(*args, **kwargs)
+        finally:
+            engines.pop()
+    monkeypatch.setattr(pipeline, "_run_engine", engine)
     for hop, name in ((1, "_first_hop"), (2, "_second_hop")):
         def counting(x1, x2, p, zero, hop=hop, real=getattr(pipeline, name)):
-            if zero == 0:
+            if engines:
                 calls.append(hop)
             return real(x1, x2, p, zero)
         monkeypatch.setattr(pipeline, name, counting)
@@ -1081,3 +1095,133 @@ def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
     assert verify_trace(trace).ok
     last = format_trace(trace).splitlines()[-1]
     assert last.startswith(f"{trace.n_slots} ")
+
+
+# ---------------------------------------------------------------------------
+# Lane path: a clean tiled run evaluated lane-parallel, checked against the
+# sequential engine.
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.integers(14, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_lane_path_equals_sequential_engine(case, packets, seed):
+    """The sequential engine is the oracle of a clean tiled run (13 packets
+    is a full build): the lane path gives its rows, deliveries and stores,
+    a lane replay of those rows gives them too and a flipped level makes
+    it return None, and verify_trace's report from the lanes is the one it
+    makes from a sequential replay of the same rows."""
+    scheme, p = TILE_CASES[case]
+    schedule = build_schedule(scheme, p, packets)
+    assert schedule.tiling[2]
+    bits = _payload_bits(len(schedule.payload_refs), seed)
+    rows, deliveries, found, stores = _run_engine(schedule, bits)
+    assert _run_lanes(schedule, bits) == (rows, deliveries, found, stores)
+    assert _run_engine(schedule, bits, recorded=rows)[1:] == (deliveries, [], stores)
+    assert _run_lanes(schedule, bits, recorded=rows) == (rows, deliveries, [], stores)
+    changed = [dict(row) for row in rows]
+    row = changed[len(rows) // 2]
+    signal = next(s for s in SIGNALS if row[s])
+    row[signal] = (1 - row[signal][0], *row[signal][1:])
+    assert _run_lanes(schedule, bits, recorded=changed) is None
+    trace = run_scheme(scheme, p, packets, seed=seed)
+    assert (trace.slots, trace.deliveries) == (rows, deliveries)
+    from_lanes = verify_trace(trace)
+    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
+        assert verify_trace(trace) == from_lanes
+    assert lanes.called and from_lanes.ok
+
+
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_clean_tiled_run_and_its_verify_take_the_lane_path(scheme, p, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sequential engine ran")
+    trace = run_scheme(scheme, p, 30)
+    text = format_trace(trace)
+    monkeypatch.setattr(pipeline, "_run_engine", refuse)
+    assert verify_trace(trace).ok
+    assert verify_trace(parse_trace(text)).ok
+    with pytest.raises(AssertionError, match="sequential engine"):
+        run_scheme(scheme, p, 30, faults={(20, "X_S1"): 0})
+    with pytest.raises(AssertionError, match="sequential engine"):
+        run_scheme(scheme, p, 8)
+
+
+def _drop_side_position(schedule):
+    """The schedule with one side position dropped from the first decode
+    step of the repeated block that has one."""
+    start, period, _ = schedule.tiling
+    built = list(schedule.built)
+    k, j = next((k, j) for k in range(start, start + period)
+                for j, step in enumerate(built[k].steps) if step.side)
+    steps = list(built[k].steps)
+    steps[j] = steps[j]._replace(side=frozenset(sorted(steps[j].side)[1:]))
+    built[k] = built[k]._replace(steps=tuple(steps))
+    return replace(schedule, built=tuple(built))
+
+
+def _drop_cancel_position(schedule):
+    """The schedule with one cancel position dropped from the first rss
+    echo Emit of the repeated block that has one."""
+    start, period, _ = schedule.tiling
+    built = list(schedule.built)
+    k, n, i = next((k, n, i) for k in range(start, start + period)
+                   for n, emits in enumerate(built[k].tx)
+                   for i, emit in enumerate(emits)
+                   if emit and emit.echo_src and emit.cancel)
+    tx = [list(emits) for emits in built[k].tx]
+    tx[n][i] = tx[n][i]._replace(cancel=frozenset(sorted(tx[n][i].cancel)[1:]))
+    built[k] = built[k]._replace(tx=tuple(map(tuple, tx)))
+    return replace(schedule, built=tuple(built))
+
+
+def _echo_own_unit(schedule):
+    """The schedule with the first rss echo Emit of the repeated block
+    replaying a hop-1 level one period back: in lanes it reads its own hop's
+    lanes of the previous repeat, which the lane path cannot evaluate."""
+    start, period, _ = schedule.tiling
+    built = list(schedule.built)
+    k, n, i = next((k, n, i) for k in range(start, start + period)
+                   for n, emits in enumerate(built[k].tx[:2])
+                   for i, emit in enumerate(emits) if emit and emit.echo_src)
+    tx = [list(emits) for emits in built[k].tx]
+    tx[n][i] = tx[n][i]._replace(echo_src=("Y_R1", k + 1 - period, 0))
+    built[k] = built[k]._replace(tx=tuple(map(tuple, tx)))
+    return replace(schedule, built=tuple(built))
+
+
+@pytest.mark.parametrize("scheme,p,mutate", [
+    ("fbxw", FBXW_SMALL, _drop_side_position),
+    ("fbxw", FBXW_WIDE, _drop_side_position),
+    ("rss", ChannelParams(4, 1, 1, 1, 2), _drop_side_position),
+    ("rss", ChannelParams(4, 1, 1, 1, 2), _drop_cancel_position),
+    ("rss", ChannelParams(4, 1, 1, 1, 2), _echo_own_unit),
+], ids=["side-fbxw", "side-fbxw-wide", "side-rss", "cancel-rss", "echo-own-unit"])
+def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypatch):
+    """A schedule whose lanes do not check out is run, exactly, by the
+    sequential engine: the lane path returns None, and run_scheme's trace
+    is the engine's on that schedule, wrong stores included."""
+    mutant = mutate(build_schedule(scheme, p, 60))
+    bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
+    assert _run_lanes(mutant, bits) is None
+    rows, deliveries, _, _ = _run_engine(mutant, bits)
+    monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
+    trace = run_scheme(scheme, p, 60)
+    assert (trace.slots, trace.deliveries) == (rows, deliveries)
+
+
+def test_every_ci_grid_pair_runs_on_lanes():
+    """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
+    included, runs clean on the lane path, with no fallback, and gives the
+    sequential engine's rows, deliveries and stores."""
+    fallbacks = []
+    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
+        p = ChannelParams(*point)
+        for scheme, _ in schemes_at(p):
+            schedule = build_schedule(scheme, p, 14)
+            bits = _payload_bits(len(schedule.payload_refs), 7)
+            lanes = _run_lanes(schedule, bits)
+            if lanes is None:
+                fallbacks.append((scheme, point))
+            else:
+                assert lanes == _run_engine(schedule, bits), (scheme, point)
+    assert fallbacks == []
