@@ -22,18 +22,16 @@ The run is split into two layers:
 * A sequential *engine* evaluates the schedule on concrete payload bits,
   slot by slot, pushing tuples of 0/1 levels through the same geometry and
   executing the decode steps against the actually received vectors.  It
-  reads the records' positions as they are, unpacking each Emit and
-  DecodeStep by position (so their field order is load-bearing), and every
-  node's store is one list over them.  Reference tuples
-  ``(source, packet, kind, index)`` appear only at the edge: the builder
-  looks up a position where it reads its plan, and deliveries, the payload
-  dict and error texts name bits by ``payload_refs[i]``.  A run applies its
-  faults only in the slots that have one.  verify_trace replays a recorded
-  trace through the same engine and reports the first point where the
-  recording deviates from what the protocol would have produced; the
-  replay compares whole slots, looks for the deviating signals only in a
-  slot that differs, and reads the recorded rows in place, without copying
-  or writing them.
+  reads the records' positions as they are, every node's store is one list
+  over them, and a delivery names its bit by position too.  Reference
+  tuples ``(source, packet, kind, index)`` name bits only at the edge:
+  where the builder reads its plan, in error texts, and in
+  ``generate_payload`` and ``SimulationTrace.payload``, drawn when read.  A
+  run applies its faults only in the slots that have one.  verify_trace
+  replays a recorded trace through the same engine and reports the first
+  point where the recording deviates from what the protocol would have
+  produced; the replay compares whole slots, looks for the deviating
+  signals only in a slot that differs, and reads the recorded rows in place.
 * A clean tiled run is evaluated *lane-parallel* instead (_run_lanes).  The
   channel is the linear deterministic model, and in a clean run every store
   a node reads holds its payload bit, so every level is the XOR of the
@@ -71,20 +69,16 @@ schedule until it is verified, and verify_trace releases it, so no trace
 holds one afterwards.  A parsed trace is verified against a fresh build.
 
 A Schedule also caches the channel map at its ``p`` for the sequential
-engine (``channel_maps``): a dict per hop from the two transmitted vectors
-of a slot to the vectors they are received as.  Each received vector is a
-fixed function of the two transmitted ones, and a small point has only a
-few hundred distinct pairs in a whole run.  Only sequential runs use the
-maps: runs of at most TILE_PACKETS packets (every sweep run), faulted runs
-and full-build fallbacks, and the replays of traces that differ from the
-clean lanes.  run_scheme fills them, the verify_trace it hands the schedule
-to finds every unchanged slot there, and they are freed with the schedule;
-a fresh build starts with empty maps.  The lane path calls the geometry
-once per hop and slot of its head, period and tail, and uses no map.
-They cannot change a result: a miss calls the same geometry, the key is the
-vectors the slot actually sent (after a fault flip, or as recorded), and a
-fault or recorded deviation in a received vector is applied after the
-lookup, so the maps only ever hold what the geometry returns.
+engine (``channel_maps``, which names the runs that use it): a dict per hop
+from the two transmitted vectors of a slot to the vectors they are
+received as, a fixed function of them with a few hundred distinct pairs in
+a whole run at a small point.  run_scheme fills them, the verify_trace it
+hands the schedule to finds every unchanged slot there, and they are freed
+with the schedule.  They cannot change a result: a miss calls the same
+geometry, the key is the vectors the slot actually sent (after a fault
+flip, or as recorded), and a fault or recorded deviation in a received
+vector is applied after the lookup, so the maps only ever hold what the
+geometry returns.
 
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
@@ -242,6 +236,8 @@ class Schedule:
 
     @cached_property
     def payload_refs(self):
+        """Position -> ref, read only at the edge: a verify that finds wrong
+        bits names them by it; no run, replay, format or parse reads it."""
         return _payload_refs(self.alloc, self.formula_rate, self.packets)
 
     @cached_property
@@ -299,12 +295,8 @@ def _shift_obs(obs, d):
 
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
-    """(alloc, formula_rate, payload_refs) of a run; alloc is None for nofb-mid.
-
-    Payload references are (source, packet, kind, index) in transmission-plan
-    order: packet by packet, then source, then band.  nofb-mid blocks use the
-    single kind 'mb'.
-    """
+    """(alloc, formula_rate) of a run; alloc is None for nofb-mid.  A run
+    carries 2 * formula_rate payload bits per packet."""
     if scheme not in ALL_SCHEMES:
         raise ChannelDomainError(f"unknown scheme {scheme!r}")
     if packets < 4:
@@ -315,10 +307,13 @@ def _payload_plan(scheme: str, p: ChannelParams, packets: int):
     else:
         alloc = allocate(scheme, p)
         rate = alloc.bits_per_packet
-    return alloc, rate, _payload_refs(alloc, rate, packets)
+    return alloc, rate
 
 
 def _payload_refs(alloc: BitAllocation, rate: int, packets: int) -> tuple:
+    """Payload references (source, packet, kind, index) in transmission-plan
+    order: packet by packet, then source, then band.  nofb-mid blocks use
+    the single kind 'mb'."""
     if alloc is None:
         kinds = (("mb", rate),)
     else:
@@ -340,8 +335,8 @@ class _Builder:
         self.p = p
         self.packets = packets
         self.mid = scheme == SCHEME_NOFB_MID
-        self.alloc, self.formula_rate, self.payload_refs = _payload_plan(
-            scheme, p, packets)
+        self.alloc, self.formula_rate = _payload_plan(scheme, p, packets)
+        self.payload_refs = _payload_refs(self.alloc, self.formula_rate, packets)
         if self.mid:
             self.code = build_mid_code(p.m, p.n, self.formula_rate)
             self.fb_plan = {2: (), 3: ()}
@@ -825,14 +820,16 @@ def _tile(base: Schedule, start, period: int, packets: int):
 
 @dataclass
 class SimulationTrace:
+    """A run's rows and deliveries; ``payload`` (ref -> bit) is drawn from
+    the run's plan and seed when read, so a trace holds no bit names."""
+
     scheme: str
     p: ChannelParams
     packets: int
     seed: int
     n_slots: int
     slots: list                       # per slot: dict signal -> 0/1 tuple
-    payload: dict
-    deliveries: list                  # (slot, dest, ref, value, ok)
+    deliveries: list                  # (slot, dest, position, value, ok)
     formula_rate: int
     alloc: BitAllocation = None
     decode_errors: int = 0
@@ -840,6 +837,10 @@ class SimulationTrace:
     # follows and dropped by it; never set by parse_trace
     _schedule: Schedule = field(default=None, init=False, repr=False,
                                 compare=False)
+
+    @property
+    def payload(self) -> dict:
+        return generate_payload(self, self.seed)
 
     @property
     def delivered_bits(self) -> int:
@@ -884,12 +885,11 @@ def _payload_bits(n: int, seed: int) -> bytes:
     return words[3::4].translate(_TOP_BIT)
 
 
-def _draw_payload(payload_refs, seed: int) -> dict:
-    return dict(zip(payload_refs, _payload_bits(len(payload_refs), seed)))
-
-
 def generate_payload(schedule: Schedule, seed: int) -> dict:
-    return _draw_payload(schedule.payload_refs, seed)
+    """ref -> payload bit of the run ``schedule`` plans; its SimulationTrace,
+    which carries the same plan, serves as well."""
+    refs = _payload_refs(schedule.alloc, schedule.formula_rate, schedule.packets)
+    return dict(zip(refs, _payload_bits(len(refs), seed)))
 
 
 def _echo_value(emit, rows, dt):
@@ -967,15 +967,14 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     one address the builder writes into the records: a known Emit XORs its
     ``refs``, an echo XORs its ``cancel`` off the level it replays, and a
     DecodeStep XORs its ``side`` into the observation and stores the result
-    at ``target``.  The records are read by tuple unpacking, so the field
-    order of Emit and DecodeStep is load-bearing.  A node's store is one
-    list over those positions, None where the node does not know the bit.
+    at ``target``, each record read by unpacking (see Emit).  A node's
+    store is one list over those positions, None where it lacks the bit.
     The engine walks the tiling itself (Schedule._walk): a slot that repeats
     its built slot d packets on reads the built records as they are, each
     slot they name moved by dt = 2d and each position by off = d * (refs per
     packet), as ``payload_refs`` run packet by packet.  ``bits`` holds the
-    payload by position (_payload_bits), and deliveries name their bit by its
-    ref, ``payload_refs[i]``.
+    payload by position (_payload_bits), and deliveries name their bit by
+    that position too.
 
     The received vectors are looked up in the schedule's ``channel_maps``
     (see the module docstring) by the slot's transmit vectors.  A run flips
@@ -991,7 +990,6 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     p = schedule.p
     faults = faults or {}
     fault_slots = {t for t, _ in faults} if recorded is None else ()
-    refs = schedule.payload_refs
     hop1, hop2 = schedule.channel_maps
     per_packet = 2 * schedule.formula_rate
     stores = _source_stores(schedule, bits)
@@ -1057,7 +1055,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
             target += off
             store[target] = value
             if deliver:
-                deliveries.append((t, node, refs[target], value, value == bits[target]))
+                deliveries.append((t, node, target, value, value == bits[target]))
     return rows, deliveries, found, stores
 
 
@@ -1164,7 +1162,7 @@ class _LaneGroup:
             value |= row[signal][position] << (width - 1 - k)
         return value
 
-    def decode(self, refs, bits, deliveries, stores):
+    def decode(self, bits, deliveries, stores):
         """Check every decode step in every lane, and record what it does.
 
         A step holds when the XOR of its observed levels and its side lanes
@@ -1195,12 +1193,12 @@ class _LaneGroup:
                 if width == 1:
                     stores[node][i] = bit = bits[i]
                     if deliver:
-                        columns.append(((t, node, refs[i], bit, True),))
+                        columns.append(((t, node, i, bit, True),))
                     continue
                 values = bits[i:i + span:step]
                 stores[node][i:i + span:step] = values
                 if deliver:
-                    columns.append(zip(lane_slots, nodes[node], refs[i:i + span:step],
+                    columns.append(zip(lane_slots, nodes[node], range(i, i + span, step),
                                        values, ok))
         deliveries.extend(itertools.chain.from_iterable(zip(*columns)))
 
@@ -1255,7 +1253,7 @@ def _run_lanes(schedule: Schedule, bits, recorded=None):
                                  (start, start + period, 2 * shift // period + 1, 0),
                                  (start + period, len(schedule.built), 1, shift)):
             group = _LaneGroup(schedule, bits, rows, lo, hi, width, d)
-            group.decode(schedule.payload_refs, bits, deliveries, stores)
+            group.decode(bits, deliveries, stores)
             if recorded is None:
                 rows.extend(group.rows(interned))
             elif not all(map(operator.eq, group.rows(),
@@ -1283,15 +1281,13 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     """
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
-    refs = schedule.payload_refs
-    bits = _payload_bits(len(refs), seed)
+    bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
     lanes = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
     slot_rows, deliveries, _, _ = lanes or _run_engine(schedule, bits, faults=faults)
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
-        slots=slot_rows, payload=dict(zip(refs, bits)), deliveries=deliveries,
-        formula_rate=schedule.formula_rate, alloc=schedule.alloc,
-        decode_errors=sum(1 for d in deliveries if not d[4]),
+        slots=slot_rows, deliveries=deliveries, formula_rate=schedule.formula_rate,
+        alloc=schedule.alloc, decode_errors=sum(1 for d in deliveries if not d[4]),
     )
     trace._schedule = schedule
     return trace
@@ -1349,7 +1345,8 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
         schedule = build_schedule(trace.scheme, trace.p, trace.packets)
-    bits = _payload_bits(len(schedule.payload_refs), trace.seed)
+    per_packet = 2 * schedule.formula_rate
+    bits = _payload_bits(per_packet * schedule.packets, trace.seed)
     if len(trace.slots) != schedule.n_slots:
         raise ChannelDomainError(
             f"trace has {len(trace.slots)} slots, run needs {schedule.n_slots}"
@@ -1357,12 +1354,11 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     rows = trace.slots
     lanes = _run_lanes(schedule, bits, recorded=rows) if schedule.tiling[2] else None
     _, deliveries, found, stores = lanes or _run_engine(schedule, bits, recorded=rows)
-    errors = [(t, dest, ref) for (t, dest, ref, _, ok) in deliveries if not ok]
+    wrong = [(t, dest, i) for (t, dest, i, _, ok) in deliveries if not ok]
     verdicts = dict.fromkeys(range(1, trace.packets + 1), True)
-    for _, _, ref in errors:                # a packet is right but for these
-        verdicts[ref[1]] = False
+    verdicts.update((i // per_packet + 1, False) for _, _, i in wrong)
+    errors = [(t, dest, schedule.payload_refs[i]) for t, dest, i in wrong]
     missing = len(bits) - len(deliveries)
-    per_packet = 2 * schedule.formula_rate
     node_verdicts = {}
     for node in ("R1", "R2", "D1", "D2"):
         values = stores[node]
@@ -1450,11 +1446,13 @@ def parse_trace(text: str) -> SimulationTrace:
     Each distinct vector string is parsed once by ``GfVec.from_string``, the
     one reader; rows that repeat it share that ``GfVec``.  A bad string
     raises before it is kept, so its error names the first line it is on.
-    Only the recorded vectors are read back: the payload, the allocation and
-    the formula rate follow from the scheme and parameters, and a ``# alloc``
-    or ``formula_rate`` field that says otherwise is rejected.  A parsed
-    trace carries no schedule, so verify_trace builds a fresh one to replay
-    the vectors.
+    Only the recorded vectors are read back: the allocation and the formula
+    rate follow from the scheme and parameters.  Every header field must be
+    what format_trace writes for the run the header names, so a ``# alloc``
+    or ``formula_rate`` field that says otherwise, a key it never writes and
+    an integer in another spelling (``+2``, ``1_009``) are rejected.  A
+    parsed trace carries no schedule and draws no payload; verify_trace
+    builds a fresh schedule to replay the vectors.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _TRACE_VERSION:
@@ -1537,20 +1535,22 @@ def parse_trace(text: str) -> SimulationTrace:
                     f"line {lineno}: {signal} has length {len(vec)}, "
                     f"expected {lengths[signal]}"
                 )
-    alloc, formula_rate, payload_refs = on_line(
+    alloc, formula_rate = on_line(
         ("scheme", "packets", *params), _payload_plan, scheme, p, packets)
-    planned = dict.fromkeys(_ALLOC_KEYS)
-    planned.update(_alloc_fields(alloc), formula_rate=str(formula_rate))
-    for key, want in planned.items():
-        if key in header and header[key][0] != want:
-            value, lineno = header[key]
+    written = dict(((k, str(getattr(p, k))) for k in params), scheme=scheme,
+                   packets=str(packets), seed=str(seed), formula_rate=str(formula_rate))
+    written.update(dict.fromkeys(_ALLOC_KEYS), **_alloc_fields(alloc))
+    for key, (value, lineno) in header.items():     # in line order
+        if key not in written:
+            raise ChannelDomainError(f"line {lineno}: unknown header key {key!r}")
+        if value != written[key]:
+            want = written[key]
             expected = f"{key}={want}" if want else f"no {key} in a {scheme} run"
             raise ChannelDomainError(
-                f"line {lineno}: header field {key}={value!r} contradicts the "
-                f"run's plan: expected {expected}"
+                f"line {lineno}: header field {key}={value!r} is not what "
+                f"format_trace writes for this run: expected {expected}"
             )
     return SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
-        slots=slots, payload=_draw_payload(payload_refs, seed), deliveries=[],
-        formula_rate=formula_rate, alloc=alloc,
+        slots=slots, deliveries=[], formula_rate=formula_rate, alloc=alloc,
     )

@@ -364,12 +364,18 @@ def _edit_line(text, lineno, edit):
     (2, lambda line: line.replace("packets=4", "packets=3")),
     (2, lambda line: line.replace("m=4", "m=-2")),
     (2, lambda line: line.replace("m=4 n=1", "m=1 n=4")),   # rss at a weak point
+    (2, lambda line: line.replace("seed=1009", "seed=1009 sede=1")),  # unknown key
+    (2, lambda line: line.replace("m=4", "m=+4")),          # int() takes each of
+    (2, lambda line: line.replace("seed=1009", "seed=1_009")),   # these, but none
+    (2, lambda line: line.replace("packets=4", "packets=\u0664")),  # formats back
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
         "version-missing", "version-wrong", "length-q", "length-qbar",
         "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
         "alloc-private", "alloc-per-phase-coop", "alloc-superframe",
         "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty",
-        "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime"])
+        "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime",
+        "header-key-unknown", "header-int-plus", "header-int-underscore",
+        "header-int-unicode-digit"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
@@ -600,8 +606,7 @@ class TestStructure:
                     assert step.side <= known[step.node], (scheme, slot)
                     known[step.node].add(step.target)
                     if step.deliver:
-                        delivered.append(
-                            (slot, step.node, sched.payload_refs[step.target]))
+                        delivered.append((slot, step.node, step.target))
             ran = run_scheme(scheme, p, 8).deliveries
             assert delivered == [d[:3] for d in ran], scheme
 
@@ -1080,6 +1085,47 @@ def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
     text = format_trace(trace)
     assert verify_trace(trace).ok
     assert verify_trace(parse_trace(text)).ok
+
+
+@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
+    """A clean run, its replay, its formatting and its parse, full build (8)
+    and tiled (30) alike, read no ref table and draw no payload dict; a
+    faulted replay names its wrong bits, and only those, by ref."""
+    def refuse(*args):
+        raise AssertionError("a payload bit was named")
+    monkeypatch.setattr(Schedule, "payload_refs", property(refuse))
+    monkeypatch.setattr(pipeline, "generate_payload", refuse)
+    trace = run_scheme(scheme, p, packets)
+    assert bool(trace._schedule.tiling[2]) == (packets > TILE_PACKETS)
+    text = format_trace(trace)
+    assert verify_trace(trace).ok
+    assert verify_trace(parse_trace(text)).ok
+    monkeypatch.undo()
+    schedule = build_schedule(scheme, p, packets)
+    t, step = next((t, step) for t, slot in schedule.slots() if t > 10
+                   for step in slot.steps if step.deliver)
+    signal, _, level = step.obs[0]
+    trace = run_scheme(scheme, p, packets, faults={(t, signal): level})
+    report = verify_trace(trace)
+    ref = schedule.payload_refs[step.target]
+    assert report.payload_errors[0] == (t, step.node, ref)
+    assert report.payload_errors == [(slot, d, schedule.payload_refs[i])
+                                     for slot, d, i, _, ok in trace.deliveries if not ok]
+    assert report.packet_verdicts[ref[1]] is False
+
+
+@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_deliveries_name_bits_by_position(scheme, p, packets):
+    """A delivery's third field is its bit's payload_refs position, on the
+    sequential engine (8) and the lanes (30) alike."""
+    trace = run_scheme(scheme, p, packets)
+    schedule = build_schedule(scheme, p, packets)
+    refs = schedule.payload_refs
+    assert [(t, d, refs[i]) for t, d, i, _, _ in trace.deliveries] == list(
+        _deliveries(schedule))
 
 
 @pytest.mark.parametrize("packets", [8, 30])
