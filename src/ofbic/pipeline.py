@@ -68,6 +68,10 @@ A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
 holds one afterwards.  A parsed trace is verified against a fresh build.
 
+A trace's text is the header lines _header makes from the run, which
+format_trace writes and parse_trace requires line for line, then one row
+per slot.
+
 A Schedule also caches the channel map at its ``p`` for the sequential
 engine (``channel_maps``, which names the runs that use it): a dict per hop
 from the two transmitted vectors of a slot to the vectors they are
@@ -1381,45 +1385,43 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Trace file format: a version line, header comments, then one line per slot,
+# Trace file format: the header lines of _header, then one line per slot,
 # each signal a '0'/'1' string top level first ('-' when the vector is empty).
 
 _TRACE_VERSION = "# ofbic-trace v1"
-_COLUMNS = "slot " + " ".join(SIGNALS)                # the "# columns:" line
 
 
 def _signal_lengths(p: ChannelParams) -> dict:
     return {s: p.q if s in _HOP1_SIGNALS else p.qbar for s in SIGNALS}
 
 
-_ALLOC_KEYS = ("noncoop", "coop", "private", "per_phase_coop", "superframe")
-
-
-def _alloc_fields(alloc: BitAllocation) -> dict:
-    """The ``# alloc`` header fields of a run as written, by _ALLOC_KEYS;
-    none for nofb-mid, which has no allocation."""
-    if alloc is None:
-        return {}
-    return dict(zip(_ALLOC_KEYS, (
-        str(alloc.noncoop), str(alloc.coop), str(alloc.private),
-        f"{alloc.per_phase_coop[0]},{alloc.per_phase_coop[1]}", str(alloc.superframe))))
+def _header(scheme: str, p: ChannelParams, packets: int, seed: int,
+            alloc: BitAllocation, formula_rate: int) -> list:
+    """The lines above a trace's rows, in order: the version line, the run
+    line, ``# alloc`` (packet schemes only), ``# formula_rate=`` and
+    ``# columns:``.  format_trace writes them and parse_trace requires them."""
+    lines = [
+        _TRACE_VERSION,
+        f"# scheme={scheme} m={p.m} n={p.n} mbar={p.mbar} "
+        f"nbar={p.nbar} f={p.f} packets={packets} seed={seed}",
+    ]
+    if alloc is not None:
+        lines.append(
+            f"# alloc noncoop={alloc.noncoop} coop={alloc.coop} "
+            f"private={alloc.private} per_phase_coop={alloc.per_phase_coop[0]},"
+            f"{alloc.per_phase_coop[1]} superframe={alloc.superframe}")
+    lines.append(f"# formula_rate={formula_rate}")
+    lines.append("# columns: slot " + " ".join(SIGNALS))
+    return lines
 
 
 def format_trace(trace: SimulationTrace) -> str:
-    """The trace file text.  Each distinct vector is written once per call
-    by ``_vec_str``, the one writer; rows that repeat it share that text, as
-    rows of a run share the received vectors of its channel maps."""
-    p = trace.p
-    lines = [
-        _TRACE_VERSION,
-        f"# scheme={trace.scheme} m={p.m} n={p.n} mbar={p.mbar} "
-        f"nbar={p.nbar} f={p.f} packets={trace.packets} seed={trace.seed}",
-    ]
-    alloc = _alloc_fields(trace.alloc)
-    if alloc:
-        lines.append("# alloc " + " ".join(f"{k}={v}" for k, v in alloc.items()))
-    lines.append(f"# formula_rate={trace.formula_rate}")
-    lines.append("# columns: " + _COLUMNS)
+    """The trace file text: the _header lines, then one row per slot.  Each
+    distinct vector is written once per call by ``_vec_str``, the one
+    writer; rows that repeat it share that text, as rows of a run share the
+    received vectors of its channel maps."""
+    lines = _header(trace.scheme, trace.p, trace.packets, trace.seed,
+                    trace.alloc, trace.formula_rate)
     texts = {}                        # vector -> field text, for this call only
     for t, row in enumerate(trace.slots, start=1):
         fields = [str(t)]
@@ -1436,54 +1438,57 @@ def format_trace(trace: SimulationTrace) -> str:
 def parse_trace(text: str) -> SimulationTrace:
     """Read a trace written by format_trace; reject anything malformed.
 
-    Errors name the 1-based line they were found on, and a vector error
-    names its signal too.  A header that names no run (a negative link
-    strength, an unknown scheme, too few packets, a scheme outside its
-    regime) raises what run_scheme would, RegimeError included, named by the
-    first line holding the header fields involved.  The ``# columns:`` line
-    must list ``slot`` and then SIGNALS in order, so vectors are never read
-    into the wrong signal.
+    Only a newline ends a line, as in the text format_trace writes, and
+    errors name the 1-based line they were found on.  The run line (line 2)
+    names the run: its scheme, link strengths, packet count and seed.  A
+    field missing from it or not an integer, or a run that cannot exist (a
+    negative link strength, an unknown scheme, too few packets, a scheme
+    outside its regime), raises on line 2 what run_scheme would, RegimeError
+    included.  The text must then begin with exactly the _header lines
+    format_trace writes for that run; the first line that differs is named
+    with the line expected there.  Every other line is a row: the slot
+    index, then one vector per signal, each of its signal's length.
     Each distinct vector string is parsed once by ``GfVec.from_string``, the
     one reader; rows that repeat it share that ``GfVec``.  A bad string
-    raises before it is kept, so its error names the first line it is on.
-    Only the recorded vectors are read back: the allocation and the formula
-    rate follow from the scheme and parameters.  Every header field must be
-    what format_trace writes for the run the header names, so a ``# alloc``
-    or ``formula_rate`` field that says otherwise, a key it never writes and
-    an integer in another spelling (``+2``, ``1_009``) are rejected.  A
-    parsed trace carries no schedule and draws no payload; verify_trace
-    builds a fresh schedule to replay the vectors.
+    raises before it is kept, so its error names the first line it is on,
+    and its signal.  Only the recorded vectors are read back: the
+    allocation and the formula rate follow from the run line.  A parsed
+    trace carries no schedule and draws no payload; verify_trace builds a
+    fresh schedule to replay the vectors.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _TRACE_VERSION:
-        raise ChannelDomainError(f"line 1: expected {_TRACE_VERSION!r}")
-    header = {}                       # key -> (value, line number)
+    lines = text.removesuffix("\n").split("\n")
+
+    def expect(lineno, want):
+        if lines[lineno - 1:lineno] != [want]:
+            found = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of text"
+            raise ChannelDomainError(f"line {lineno}: found {found}, expected {want!r}")
+
+    expect(1, _TRACE_VERSION)
+    run_line = lines[1] if len(lines) > 1 else ""
+    run = dict(token.partition("=")[::2] for token in run_line.split())
+
+    def value(key, cast=int):
+        if key not in run:
+            raise ChannelDomainError(f"run line has no {key}= field")
+        try:
+            return cast(run[key])
+        except ValueError:
+            raise ChannelDomainError(
+                f"header field {key}={run[key]!r} is not an integer") from None
+
+    try:
+        p = ChannelParams(*map(value, ("m", "n", "mbar", "nbar", "f")))
+        scheme, packets, seed = value("scheme", str), value("packets"), value("seed")
+        alloc, formula_rate = _payload_plan(scheme, p, packets)
+    except ChannelDomainError as exc:
+        raise type(exc)(f"line 2: {exc}") from exc
+    header = _header(scheme, p, packets, seed, alloc, formula_rate)
+    for lineno, want in enumerate(header, start=1):
+        expect(lineno, want)
+    lengths = _signal_lengths(p)
     vectors = {}                      # field text -> GfVec, for this call only
     slots = []
-    slot_lines = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            tokens = line[1:].split()
-            if tokens[:1] == ["columns:"]:
-                columns = " ".join(tokens[1:])
-                if columns != _COLUMNS:
-                    raise ChannelDomainError(
-                        f"line {lineno}: columns {columns!r}, expected {_COLUMNS!r}"
-                    )
-                continue
-            for token in tokens:
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    if key in header:
-                        raise ChannelDomainError(
-                            f"line {lineno}: header key {key!r} repeated "
-                            f"(first on line {header[key][1]})"
-                        )
-                    header[key] = (value, lineno)
-            continue
+    for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
         fields = line.split()
         if len(fields) != 1 + len(SIGNALS):
             raise ChannelDomainError(
@@ -1501,55 +1506,13 @@ def parse_trace(text: str) -> SimulationTrace:
                     vec = vectors[field_text] = GfVec.from_string(field_text)
                 except ChannelDomainError as exc:
                     raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
-            row[signal] = vec
-        slots.append(row)
-        slot_lines.append(lineno)
-
-    def field(key, cast=int):
-        if key not in header:
-            raise ChannelDomainError(f"trace header missing {key!r}")
-        value, lineno = header[key]
-        try:
-            return cast(value)
-        except ValueError:
-            raise ChannelDomainError(
-                f"line {lineno}: header field {key}={value!r} is not an integer"
-            ) from None
-
-    def on_line(keys, make, *args):
-        """make(*args); a ChannelDomainError it raises, class kept, names the
-        first line holding one of the header fields ``keys``."""
-        try:
-            return make(*args)
-        except ChannelDomainError as exc:
-            raise type(exc)(f"line {min(header[k][1] for k in keys)}: {exc}") from exc
-
-    params = ("m", "n", "mbar", "nbar", "f")
-    p = on_line(params, ChannelParams, *map(field, params))
-    scheme, packets, seed = field("scheme", str), field("packets"), field("seed")
-    lengths = _signal_lengths(p)
-    for lineno, row in zip(slot_lines, slots):
-        for signal, vec in row.items():
             if len(vec) != lengths[signal]:
                 raise ChannelDomainError(
                     f"line {lineno}: {signal} has length {len(vec)}, "
                     f"expected {lengths[signal]}"
                 )
-    alloc, formula_rate = on_line(
-        ("scheme", "packets", *params), _payload_plan, scheme, p, packets)
-    written = dict(((k, str(getattr(p, k))) for k in params), scheme=scheme,
-                   packets=str(packets), seed=str(seed), formula_rate=str(formula_rate))
-    written.update(dict.fromkeys(_ALLOC_KEYS), **_alloc_fields(alloc))
-    for key, (value, lineno) in header.items():     # in line order
-        if key not in written:
-            raise ChannelDomainError(f"line {lineno}: unknown header key {key!r}")
-        if value != written[key]:
-            want = written[key]
-            expected = f"{key}={want}" if want else f"no {key} in a {scheme} run"
-            raise ChannelDomainError(
-                f"line {lineno}: header field {key}={value!r} is not what "
-                f"format_trace writes for this run: expected {expected}"
-            )
+            row[signal] = vec
+        slots.append(row)
     return SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
         slots=slots, deliveries=[], formula_rate=formula_rate, alloc=alloc,

@@ -1,9 +1,11 @@
 """End-to-end scheme runs: exact rates, replay, fault injection, structure."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -368,6 +370,8 @@ def _edit_line(text, lineno, edit):
     (2, lambda line: line.replace("m=4", "m=+4")),          # int() takes each of
     (2, lambda line: line.replace("seed=1009", "seed=1_009")),   # these, but none
     (2, lambda line: line.replace("packets=4", "packets=\u0664")),  # formats back
+    (1, lambda line: line.replace("\n", "  \n")),         # version, trailing spaces
+    (2, lambda line: line.replace(" seed=1009", "")),       # run line without seed
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
         "version-missing", "version-wrong", "length-q", "length-qbar",
         "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
@@ -375,10 +379,29 @@ def _edit_line(text, lineno, edit):
         "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty",
         "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime",
         "header-key-unknown", "header-int-plus", "header-int-underscore",
-        "header-int-unicode-digit"])
+        "header-int-unicode-digit", "version-trailing-spaces", "seed-missing"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
+    with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize("lineno,edit", [
+    (8, lambda ls: ls[:7] + ["# a note"] + ls[7:]),
+    (8, lambda ls: ls[:7] + [""] + ls[7:]),
+    (4, lambda ls: ls[:3] + ls[4:] + ls[3:4]),
+    (5, lambda ls: ls[:4] + ls[5:] + ls[4:5]),
+    (2, lambda ls: [ls[0], ls[2], ls[1]] + ls[3:]),
+    (2, lambda ls: [ls[0], *ls[1].replace(" nbar=", "\n# nbar=").split("\n")] + ls[2:]),
+    (3, lambda ls: ls[:2] + [ls[2] + " formula_rate=3"] + ls[4:]),
+], ids=["note-among-rows", "blank-among-rows", "formula-rate-below-rows",
+        "columns-at-end", "alloc-before-run", "run-line-split",
+        "formula-rate-on-alloc-line"])
+def test_parse_trace_rejects_moved_line(lineno, edit):
+    """Header lines come in the order format_trace writes them, and every
+    line below them is a row."""
+    text = "\n".join(edit(FROZEN_TRACE.splitlines())) + "\n"
     with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
         parse_trace(text)
 
@@ -403,7 +426,8 @@ def _on_line_8(old, new):
     (lambda text: text.replace(" 1100 ", " 11x0 "),
      "line 8: X_S2: bad vector string '11x0'"),
     (lambda text: text.replace("X_S1 X_S2", "X_S1"),
-     "line 5: columns 'slot X_S1 Y_R1 "),
+     "line 5: found '# columns: slot X_S1 Y_R1 Y_R2 X_R1 X_R2 Y_D1 Y_D2 Y_S1 Y_S2', "
+     "expected '# columns: slot X_S1 X_S2 Y_R1 "),
 ], ids=["ascii", "unicode-digit", "empty", "repeated-bad-string", "columns-missing"])
 def test_parse_trace_names_line_and_signal(edit, message):
     """A vector error names its line and signal.  A bad string on many lines
@@ -441,12 +465,54 @@ def test_parse_trace_rejects_header_against_the_plan():
     text = format_trace(run_scheme("rss", ChannelParams(4, 1, 1, 1, 2), 8))
     text = text.replace("formula_rate=3", "formula_rate=99")
     text = text.replace("noncoop=1 coop=1", "noncoop=7 coop=7")
-    with pytest.raises(ChannelDomainError, match="^line 3: header field noncoop='7'"):
+    with pytest.raises(ChannelDomainError, match="^line 3: found '# alloc noncoop=7 coop=7 "
+                       ".*', expected '# alloc noncoop=1 coop=1 "):
         parse_trace(text)
     mid = format_trace(run_scheme("nofb-mid", ChannelParams(3, 4, 0, 0, 8), 4))
     assert "# alloc" not in mid
-    with pytest.raises(ChannelDomainError, match="^line 3: .* no coop in a nofb-mid run"):
+    with pytest.raises(ChannelDomainError,
+                       match="^line 3: found '# alloc coop=0', expected '# formula_rate=5'$"):
         parse_trace(_edit_line(mid, 3, lambda line: "# alloc coop=0\n" + line))
+
+
+# one trace per scheme at P=8; nofb-mid has no "# alloc" line
+P8_POINTS = {"fbxw": (2, 4, 1, 1, 3), "rsw": (2, 4, 0, 1, 3),
+             "rss": (4, 1, 1, 1, 2), "nofb-mid": (3, 4, 0, 0, 8)}
+
+
+@functools.lru_cache(maxsize=None)
+def _p8_text(scheme):
+    return format_trace(run_scheme(scheme, ChannelParams(*P8_POINTS[scheme]), 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=st.sampled_from(sorted(P8_POINTS)), data=st.data())
+def test_parse_trace_takes_only_what_format_trace_writes(scheme, data):
+    """One edit of a written trace (a blank, "#" or repeated header line
+    inserted anywhere, or one character of a header line changed, to a line
+    break too) is either rejected on a line of the edited text or still
+    formats back to it."""
+    lines = _p8_text(scheme).splitlines()
+    header = 1 + next(i for i, line in enumerate(lines) if line.startswith("# columns:"))
+    if data.draw(st.booleans(), label="insert"):
+        comment = st.text(st.characters(exclude_characters="\n"),
+                          max_size=12).map(lambda s: "#" + s)
+        new = data.draw(st.one_of(st.just(""), comment, st.sampled_from(lines[:header])),
+                        label="line")
+        lines.insert(data.draw(st.integers(0, len(lines)), label="at"), new)
+    else:
+        row = data.draw(st.integers(0, header - 1), label="row")
+        col = data.draw(st.integers(0, len(lines[row]) - 1), label="col")
+        char = data.draw(st.characters().filter(lambda c: c != lines[row][col]), label="char")
+        lines[row] = lines[row][:col] + char + lines[row][col + 1:]
+    edited = "\n".join(lines) + "\n"
+    try:
+        parsed = parse_trace(edited)
+    except ChannelDomainError as exc:
+        named = re.match(r"line (\d+): ", str(exc))
+        assert named and 1 <= int(named.group(1)) <= edited.count("\n"), str(exc)
+    else:
+        assert format_trace(parsed) == edited
 
 
 class TestFaultInjection:
