@@ -41,9 +41,10 @@ The run is split into two layers:
   repeat; the same geometry runs on those ints, and every decode step is
   checked on all lanes at once.  The head and tail of the run are
   groups of one lane.  A check that fails hands the run to the sequential
-  engine.  verify_trace makes a tiled schedule's clean rows this way and
-  reports from them when the recorded rows are equal; any other trace is
-  replayed sequentially, so every fault report is the sequential engine's.
+  engine.  verify_trace checks a tiled schedule's recording this way, each
+  row as it is made, and keeps nothing; any other trace is replayed
+  sequentially, so every fault report is the sequential engine's.  Either
+  way its counts come from the schedule (_report).
   Faulted runs, runs of at most TILE_PACKETS packets and full-build
   fallbacks always run sequentially.
 
@@ -93,6 +94,7 @@ slot the relays drain their forwarding queues.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import operator
@@ -143,6 +145,7 @@ _HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")
 _HOP2_SIGNALS = ("X_R1", "X_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")
 _ROW_SIGNALS = _TX_SIGNALS + _RX_SIGNALS       # a row's keys, in engine order
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
+_VERDICT_NODES = ("R1", "R2", "D1", "D2")     # the decoders node_verdicts judge
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
@@ -255,19 +258,21 @@ class Schedule:
         that differ from the clean lanes.  A lane-parallel run uses none."""
         return {}, {}
 
-    def _walk(self):
+    def _walk(self, records=None):
         """(built slot record, packet shift) of slots 1 .. n_slots, in order:
         the build's own slots up to ``start + period``, the period repeated
         ``2 * shift`` slots long and moved ``period // 2`` packets further
-        each time, then the build's remaining slots moved ``shift``."""
+        each time, then the build's remaining slots moved ``shift``.  Given
+        ``records``, one per built slot, it walks them instead."""
+        built = self.built if records is None else records
         start, period, shift = self.tiling
         own = start + period
-        yield from zip(self.built[:own], itertools.repeat(0))
+        yield from zip(built[:own], itertools.repeat(0))
         if shift:
             repeats = ((slot, k * period // 2)
-                       for k in itertools.count(1) for slot in self.built[start:own])
+                       for k in itertools.count(1) for slot in built[start:own])
             yield from itertools.islice(repeats, 2 * shift)
-        yield from zip(self.built[own:], itertools.repeat(shift))
+        yield from zip(built[own:], itertools.repeat(shift))
 
     def slots(self):
         """(t, slot record) for t = 1 .. n_slots, in order, each record
@@ -833,7 +838,7 @@ class SimulationTrace:
     seed: int
     n_slots: int
     slots: list                       # per slot: dict signal -> 0/1 tuple
-    deliveries: list                  # (slot, dest, position, value, ok)
+    deliveries: list                  # (slot, dest, position, value, ok), in slot order
     formula_rate: int
     alloc: BitAllocation = None
     decode_errors: int = 0
@@ -868,10 +873,14 @@ class SimulationTrace:
 
 
 def _steady_rate(deliveries, lo: int, hi: int) -> Fraction:
-    """Deliveries per slot in slots lo..hi; 0 when the window is empty."""
+    """Deliveries per slot in slots lo..hi; 0 when the window is empty.
+    ``deliveries`` is in slot order, so the window is two bisections."""
     if hi < lo:
         return Fraction(0)
-    return Fraction(sum(1 for d in deliveries if lo <= d[0] <= hi), hi - lo + 1)
+    slot = operator.itemgetter(0)
+    count = (bisect.bisect_right(deliveries, hi, key=slot)
+             - bisect.bisect_left(deliveries, lo, key=slot))
+    return Fraction(count, hi - lo + 1)
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))   # a byte -> its top bit
@@ -962,10 +971,12 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     It runs every faulted run, every run that is not tiled, and every
     replay of a recording that differs from the clean run; a clean tiled
     run is evaluated lane-parallel (_run_lanes), and this engine is its
-    oracle.  Returns (slot_vectors, deliveries, faults_found, stores).  In
-    replay mode the recorded vectors drive all node behaviour, so a
-    corrupted level shows up exactly where the recording first deviates
-    from the protocol.  ``faults`` is checked by run_scheme (_check_faults).
+    oracle.  Returns (slot_vectors, deliveries, faults_found, stores, wrong),
+    ``wrong`` the (node, position) of each store a step wrote with a value
+    other than the payload bit.  In replay mode the recorded vectors drive
+    all node behaviour, so a corrupted level shows up exactly where the
+    recording first deviates from the protocol.  ``faults`` is checked by
+    run_scheme (_check_faults).
 
     Every payload bit is addressed by its position in ``payload_refs``, the
     one address the builder writes into the records: a known Emit XORs its
@@ -999,8 +1010,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     stores = _source_stores(schedule, bits)
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
     rows = [] if recorded is None else recorded
-    deliveries = []
-    found = []
+    deliveries, found, wrong = [], [], []
 
     for t, (slot, d) in enumerate(schedule._walk(), start=1):
         dt, off = 2 * d, d * per_packet
@@ -1058,9 +1068,12 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                 value ^= store[i + off]
             target += off
             store[target] = value
+            ok = value == bits[target]
+            if not ok:
+                wrong.append((node, target))
             if deliver:
-                deliveries.append((t, node, target, value, value == bits[target]))
-    return rows, deliveries, found, stores
+                deliveries.append((t, node, target, value, ok))
+    return rows, deliveries, found, stores, wrong
 
 
 # -- a clean tiled run, lane-parallel -------------------------------------------
@@ -1166,15 +1179,15 @@ class _LaneGroup:
             value |= row[signal][position] << (width - 1 - k)
         return value
 
-    def decode(self, bits, deliveries, stores):
-        """Check every decode step in every lane, and record what it does.
+    def decode(self, bits, deliveries):
+        """Check every decode step in every lane, and append the delivering
+        steps' deliveries to ``deliveries`` in run order unless it is None.
 
         A step holds when the XOR of its observed levels and its side lanes
         is its target's lane; by induction over the slots, every store the
-        sequential engine would write is then its payload bit.  The first
-        step that does not hold raises _Sequential.  Each step's bits go
-        into ``stores`` and a delivering step's deliveries are appended in
-        run order, its lanes read by extended slices."""
+        sequential engine would write is then its payload bit, so the lanes
+        keep no stores.  The first step that does not hold raises
+        _Sequential.  A delivery's bits are read by extended slices."""
         lanes, levels, lo = self.lanes, self.levels, self.lo
         width, step, period, off = self.width, self.step, self.period, self.off
         span = width * step
@@ -1193,18 +1206,16 @@ class _LaneGroup:
                     value ^= lanes[i]
                 if value:
                     raise _Sequential
+                if not deliver or deliveries is None:
+                    continue
                 i = target + off
                 if width == 1:
-                    stores[node][i] = bit = bits[i]
-                    if deliver:
-                        columns.append(((t, node, i, bit, True),))
-                    continue
-                values = bits[i:i + span:step]
-                stores[node][i:i + span:step] = values
-                if deliver:
+                    columns.append(((t, node, i, bits[i], True),))
+                else:
                     columns.append(zip(lane_slots, nodes[node], range(i, i + span, step),
-                                       values, ok))
-        deliveries.extend(itertools.chain.from_iterable(zip(*columns)))
+                                       bits[i:i + span:step], ok))
+        if deliveries is not None:
+            deliveries.extend(itertools.chain.from_iterable(zip(*columns)))
 
     def rows(self, interned=None):
         """The group's rows in run order, made one at a time: each level
@@ -1236,28 +1247,30 @@ class _LaneGroup:
 
 
 def _run_lanes(schedule: Schedule, bits, recorded=None):
-    """What ``_run_engine(schedule, bits, recorded=recorded)`` returns for a
-    clean tiled run, evaluated lane-parallel, or None when a check fails.
+    """The rows and deliveries ``_run_engine(schedule, bits)`` returns for a
+    clean tiled run, evaluated lane-parallel; with ``recorded``, True when
+    the recording is that run.  None when a check fails.
 
     The repeated block, built slots ``start + 1 .. start + period``, is one
     group of R = 2 * shift / period + 1 lanes, lane k its k-th repeat.  The
     head, ``built[:start]``, and the tail, ``built[start + period:]`` moved
     ``shift`` packets, are groups of one lane, evaluated the same way.  A
     group whose decode checks do not all hold, or whose echoes read their
-    own lanes, leaves the run to the sequential engine.  With ``recorded``,
-    each group's rows are compared with the recorded ones as they are made
-    and kept nowhere; a recording that differs is the engine's to replay.
+    own lanes, leaves the run to the sequential engine.  With ``recorded``
+    it only checks: each group's decode steps are checked and its rows are
+    compared with the recorded ones as they are made, and no row, delivery
+    or store is kept; a recording that differs is the engine's to replay.
     """
     start, period, shift = schedule.tiling
-    stores = _source_stores(schedule, bits)
     rows = [] if recorded is None else recorded
-    deliveries, interned, made = [], {}, 0
+    deliveries = [] if recorded is None else None
+    interned, made = {}, 0
     try:
         for lo, hi, width, d in ((0, start, 1, 0),
                                  (start, start + period, 2 * shift // period + 1, 0),
                                  (start + period, len(schedule.built), 1, shift)):
             group = _LaneGroup(schedule, bits, rows, lo, hi, width, d)
-            group.decode(bits, deliveries, stores)
+            group.decode(bits, deliveries)
             if recorded is None:
                 rows.extend(group.rows(interned))
             elif not all(map(operator.eq, group.rows(),
@@ -1266,7 +1279,7 @@ def _run_lanes(schedule: Schedule, bits, recorded=None):
             made += width * (hi - lo)
     except _Sequential:
         return None
-    return rows, deliveries, [], stores
+    return True if recorded is not None else (rows, deliveries)
 
 
 def run_scheme(scheme: str, p: ChannelParams, packets: int,
@@ -1287,11 +1300,12 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
     lanes = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
-    slot_rows, deliveries, _, _ = lanes or _run_engine(schedule, bits, faults=faults)
+    slot_rows, deliveries, *_ = lanes or _run_engine(schedule, bits, faults=faults)
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
         slots=slot_rows, deliveries=deliveries, formula_rate=schedule.formula_rate,
-        alloc=schedule.alloc, decode_errors=sum(1 for d in deliveries if not d[4]),
+        alloc=schedule.alloc,
+        decode_errors=0 if lanes else sum(1 for d in deliveries if not d[4]),
     )
     trace._schedule = schedule
     return trace
@@ -1340,47 +1354,70 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     the trace gives it up here either way, so it is freed with this call.
     A parsed trace, a changed one or a second verification builds afresh.
 
-    A tiled schedule's clean rows are made lane-parallel (_run_lanes) and
-    compared with the recorded ones; when they are equal, the report is the
-    clean run's.  Any other trace is replayed by the sequential engine,
-    which locates its faults.
+    A tiled schedule's recording is first checked lane-parallel
+    (_run_lanes): every decode step on all lanes, every row as it is made,
+    and nothing kept.  When all hold, every delivered and stored bit is the
+    payload bit.  Any other trace is replayed by the sequential engine,
+    which locates its faults and supplies its wrong deliveries and stores.
+    Either way _report counts the rest from the schedule.
     """
     schedule, trace._schedule = trace._schedule, None
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
         schedule = build_schedule(trace.scheme, trace.p, trace.packets)
-    per_packet = 2 * schedule.formula_rate
-    bits = _payload_bits(per_packet * schedule.packets, trace.seed)
+    bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
     if len(trace.slots) != schedule.n_slots:
         raise ChannelDomainError(
             f"trace has {len(trace.slots)} slots, run needs {schedule.n_slots}"
         )
-    rows = trace.slots
-    lanes = _run_lanes(schedule, bits, recorded=rows) if schedule.tiling[2] else None
-    _, deliveries, found, stores = lanes or _run_engine(schedule, bits, recorded=rows)
-    wrong = [(t, dest, i) for (t, dest, i, _, ok) in deliveries if not ok]
-    verdicts = dict.fromkeys(range(1, trace.packets + 1), True)
-    verdicts.update((i // per_packet + 1, False) for _, _, i in wrong)
-    errors = [(t, dest, schedule.payload_refs[i]) for t, dest, i in wrong]
-    missing = len(bits) - len(deliveries)
-    node_verdicts = {}
-    for node in ("R1", "R2", "D1", "D2"):
-        values = stores[node]
-        for pkt in range(1, trace.packets + 1):
-            lo, hi = (pkt - 1) * per_packet, pkt * per_packet
-            known = [v == b for v, b in zip(values[lo:hi], bits[lo:hi]) if v is not None]
-            if known:
-                node_verdicts[(node, pkt)] = all(known)
+    rows, window = trace.slots, trace.steady_window
+    if schedule.tiling[2] and _run_lanes(schedule, bits, recorded=rows):
+        return _report(schedule, window)
+    _, deliveries, found, _, wrong = _run_engine(schedule, bits, recorded=rows)
+    errors = [(t, dest, i) for t, dest, i, _, ok in deliveries if not ok]
+    return _report(schedule, window, found, errors, wrong)
+
+
+def _report(schedule: Schedule, window, found=(), errors=(), wrong=()) -> VerifyReport:
+    """The VerifyReport of a replay of ``schedule``: ``found`` its recorded
+    deviations, ``errors`` its wrong deliveries (slot, dest, position) and
+    ``wrong`` the (node, position) of its wrong stores.  The rest depends
+    only on the decode steps of the tiling walk, which every replay runs: a
+    delivery per delivering step, so the delivered and missing bits and
+    those in the steady ``window``, and a store per step, so the (node,
+    packet) pairs a decoder writes.  Each built slot's deliveries and pairs
+    are noted once and moved along the walk."""
+    per_packet = 2 * schedule.formula_rate
+    deliver = operator.itemgetter(4)              # DecodeStep.deliver
+    notes = [(sum(map(deliver, slot.steps)),
+              {(node, target // per_packet) for node, _, _, target, _ in slot.steps})
+             for slot in schedule.built]
+    lo, hi = window
+    delivered = steady = 0
+    written = {node: set() for node in _NODES}
+    for t, ((count, pairs), d) in enumerate(schedule._walk(notes), start=1):
+        delivered += count
+        if lo <= t <= hi:
+            steady += count
+        for node, k in pairs:
+            written[node].add(k + d + 1)
+    node_verdicts = {(node, pkt): True for node in _VERDICT_NODES
+                     for pkt in sorted(written[node])}
+    node_verdicts.update(((node, i // per_packet + 1), False) for node, i in wrong
+                         if node in _VERDICT_NODES)
+    packet_verdicts = dict.fromkeys(range(1, schedule.packets + 1), True)
+    packet_verdicts.update((i // per_packet + 1, False) for _, _, i in errors)
+    missing = per_packet * schedule.packets - delivered
     return VerifyReport(
         ok=not found and not errors and missing == 0,
         faults=sorted(found),
-        payload_errors=errors,
-        delivered_bits=len(deliveries),
+        payload_errors=[(t, dest, schedule.payload_refs[i]) for t, dest, i in errors],
+        delivered_bits=delivered,
         missing_bits=missing,
-        packet_verdicts=verdicts,
+        packet_verdicts=packet_verdicts,
         node_verdicts=node_verdicts,
-        measured_sum_rate=Fraction(len(deliveries), schedule.n_slots),
-        steady_state_rate=_steady_rate(deliveries, *trace.steady_window),
+        measured_sum_rate=Fraction(delivered, schedule.n_slots),
+        steady_state_rate=Fraction(steady, hi - lo + 1),    # a run has 4+ packets
     )
 
 
@@ -1447,7 +1484,9 @@ def parse_trace(text: str) -> SimulationTrace:
     included.  The text must then begin with exactly the _header lines
     format_trace writes for that run; the first line that differs is named
     with the line expected there.  Every other line is a row: the slot
-    index, then one vector per signal, each of its signal's length.
+    index, then one vector per signal, each of its signal's length, joined
+    by single spaces (a tab, a doubled, leading or trailing space or a
+    ``\r`` makes a column count or a vector string that is rejected).
     Each distinct vector string is parsed once by ``GfVec.from_string``, the
     one reader; rows that repeat it share that ``GfVec``.  A bad string
     raises before it is kept, so its error names the first line it is on,
@@ -1489,7 +1528,7 @@ def parse_trace(text: str) -> SimulationTrace:
     vectors = {}                      # field text -> GfVec, for this call only
     slots = []
     for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
-        fields = line.split()
+        fields = line.split(" ")
         if len(fields) != 1 + len(SIGNALS):
             raise ChannelDomainError(
                 f"line {lineno}: {len(fields)} columns, expected {1 + len(SIGNALS)}"

@@ -372,6 +372,12 @@ def _edit_line(text, lineno, edit):
     (2, lambda line: line.replace("packets=4", "packets=\u0664")),  # formats back
     (1, lambda line: line.replace("\n", "  \n")),         # version, trailing spaces
     (2, lambda line: line.replace(" seed=1009", "")),       # run line without seed
+    (8, lambda line: line.replace(" ", "\t", 2)),           # row, tabs for spaces
+    (8, lambda line: line.replace(" ", "  ", 1)),           # row, a doubled space
+    (8, lambda line: " " + line),                           # row, leading space
+    (8, lambda line: line.replace("\n", " \n")),            # row, trailing space
+    (8, lambda line: line.replace("\n", "\r\n")),           # row, carriage return
+    (8, lambda line: line.replace(" ", "\t", 2).replace("\n", "\r\n")),
 ], ids=["short-line", "extra-column", "slot-index", "header-not-int",
         "version-missing", "version-wrong", "length-q", "length-qbar",
         "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
@@ -379,7 +385,9 @@ def _edit_line(text, lineno, edit):
         "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty",
         "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime",
         "header-key-unknown", "header-int-plus", "header-int-underscore",
-        "header-int-unicode-digit", "version-trailing-spaces", "seed-missing"])
+        "header-int-unicode-digit", "version-trailing-spaces", "seed-missing",
+        "row-tabs", "row-doubled-space", "row-leading-space", "row-trailing-space",
+        "row-carriage-return", "row-tabs-and-carriage-return"])
 def test_parse_trace_rejects_malformed_line(lineno, edit):
     assert FROZEN_TRACE.splitlines()[7].startswith("3 ")
     text = _edit_line(FROZEN_TRACE, lineno, edit)
@@ -489,12 +497,23 @@ def _p8_text(scheme):
 @given(scheme=st.sampled_from(sorted(P8_POINTS)), data=st.data())
 def test_parse_trace_takes_only_what_format_trace_writes(scheme, data):
     """One edit of a written trace (a blank, "#" or repeated header line
-    inserted anywhere, or one character of a header line changed, to a line
-    break too) is either rejected on a line of the edited text or still
-    formats back to it."""
+    inserted anywhere, one character of a header line changed, to a line
+    break too, or a row's space, start or end changed to other whitespace)
+    is either rejected on a line of the edited text or still formats back
+    to it."""
     lines = _p8_text(scheme).splitlines()
     header = 1 + next(i for i, line in enumerate(lines) if line.startswith("# columns:"))
-    if data.draw(st.booleans(), label="insert"):
+    edit = data.draw(st.sampled_from(["insert", "header", "row"]), label="edit")
+    if edit == "row":
+        row = data.draw(st.integers(header, len(lines) - 1), label="row")
+        line = lines[row]
+        cuts = [(i, i + 1) for i, c in enumerate(line) if c == " "]
+        lo, hi = data.draw(st.sampled_from(cuts + [(0, 0), (len(line), len(line))]),
+                           label="cut")
+        space = data.draw(st.text(" \t\r\x0b\x0c\x1c\x85\u00a0\u2003", max_size=3),
+                          label="whitespace")
+        lines[row] = line[:lo] + space + line[hi:]
+    elif edit == "insert":
         comment = st.text(st.characters(exclude_characters="\n"),
                           max_size=12).map(lambda s: "#" + s)
         new = data.draw(st.one_of(st.just(""), comment, st.sampled_from(lines[:header])),
@@ -877,7 +896,7 @@ def test_tiled_schedule_equals_full_build(case, packets):
     assert tiled.n_slots == full.n_slots == len(full.built)
     assert tiled.payload_refs == full.payload_refs
     bits = _payload_bits(len(full.payload_refs), 1)
-    # rows, deliveries, no faults found, stores
+    # rows, deliveries, no faults found, stores, no wrong store
     assert _run_engine(tiled, bits) == _run_engine(full, bits)
 
 
@@ -1213,23 +1232,59 @@ def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
 # Lane path: a clean tiled run evaluated lane-parallel, checked against the
 # sequential engine.
 
+def _assert_stores_are_decode_targets(schedule, bits, stores):
+    """A clean run's stores hold the payload bit exactly where a source
+    starts with it or a decode step of the schedule writes it, and None
+    elsewhere: what verify_trace's counts from the schedule rely on."""
+    want = pipeline._source_stores(schedule, bits)
+    for _, slot in schedule.slots():
+        for step in slot.steps:
+            want[step.node][step.target] = bits[step.target]
+    assert stores == want
+
+
+def _assert_lane_report_is_sequential(trace, stores):
+    """verify_trace's report of a clean tiled run, from its lane checks, is
+    the one a sequential replay of the same rows makes, key order included,
+    and its counts are the engine's: its deliveries, those in the steady
+    window, and the (node, packet) pairs its decoders' ``stores`` hold."""
+    schedule = trace._schedule
+    from_lanes = verify_trace(trace)
+    trace._schedule = schedule
+    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
+        replayed = verify_trace(trace)
+    assert lanes.called and from_lanes.ok
+    assert replayed == from_lanes
+    assert list(replayed.node_verdicts) == list(from_lanes.node_verdicts)
+    assert list(replayed.packet_verdicts) == list(from_lanes.packet_verdicts)
+    per_packet = 2 * schedule.formula_rate
+    written = dict.fromkeys((node, i // per_packet + 1) for node in ("R1", "R2", "D1", "D2")
+                            for i, value in enumerate(stores[node]) if value is not None)
+    assert list(from_lanes.node_verdicts) == list(written)
+    assert from_lanes.delivered_bits == trace.delivered_bits
+    assert from_lanes.steady_state_rate == trace.steady_state_rate
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.integers(14, 60),
        seed=st.integers(0, 2**32 - 1))
 def test_lane_path_equals_sequential_engine(case, packets, seed):
     """The sequential engine is the oracle of a clean tiled run (13 packets
-    is a full build): the lane path gives its rows, deliveries and stores,
-    a lane replay of those rows gives them too and a flipped level makes
-    it return None, and verify_trace's report from the lanes is the one it
-    makes from a sequential replay of the same rows."""
+    is a full build): the lane path gives its rows and deliveries, a lane
+    replay of those rows checks out and a flipped level makes it return
+    None, the engine's stores are the schedule's decode targets, and
+    verify_trace's report from the lanes is the one it makes from a
+    sequential replay of the same rows."""
     scheme, p = TILE_CASES[case]
     schedule = build_schedule(scheme, p, packets)
     assert schedule.tiling[2]
     bits = _payload_bits(len(schedule.payload_refs), seed)
-    rows, deliveries, found, stores = _run_engine(schedule, bits)
-    assert _run_lanes(schedule, bits) == (rows, deliveries, found, stores)
-    assert _run_engine(schedule, bits, recorded=rows)[1:] == (deliveries, [], stores)
-    assert _run_lanes(schedule, bits, recorded=rows) == (rows, deliveries, [], stores)
+    rows, deliveries, found, stores, wrong = _run_engine(schedule, bits)
+    assert (found, wrong) == ([], [])
+    _assert_stores_are_decode_targets(schedule, bits, stores)
+    assert _run_lanes(schedule, bits) == (rows, deliveries)
+    assert _run_engine(schedule, bits, recorded=rows)[1:] == (deliveries, [], stores, [])
+    assert _run_lanes(schedule, bits, recorded=rows) is True
     changed = [dict(row) for row in rows]
     row = changed[len(rows) // 2]
     signal = next(s for s in SIGNALS if row[s])
@@ -1237,10 +1292,7 @@ def test_lane_path_equals_sequential_engine(case, packets, seed):
     assert _run_lanes(schedule, bits, recorded=changed) is None
     trace = run_scheme(scheme, p, packets, seed=seed)
     assert (trace.slots, trace.deliveries) == (rows, deliveries)
-    from_lanes = verify_trace(trace)
-    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
-        assert verify_trace(trace) == from_lanes
-    assert lanes.called and from_lanes.ok
+    _assert_lane_report_is_sequential(trace, stores)
 
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
@@ -1315,7 +1367,7 @@ def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypat
     mutant = mutate(build_schedule(scheme, p, 60))
     bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
     assert _run_lanes(mutant, bits) is None
-    rows, deliveries, _, _ = _run_engine(mutant, bits)
+    rows, deliveries, *_ = _run_engine(mutant, bits)
     monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
     trace = run_scheme(scheme, p, 60)
     assert (trace.slots, trace.deliveries) == (rows, deliveries)
@@ -1324,16 +1376,51 @@ def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypat
 def test_every_ci_grid_pair_runs_on_lanes():
     """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
     included, runs clean on the lane path, with no fallback, and gives the
-    sequential engine's rows, deliveries and stores."""
+    sequential engine's rows and deliveries; the engine's stores are the
+    schedule's decode targets, and verify_trace's report from the lanes is
+    the one a sequential replay makes."""
     fallbacks = []
     for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
         p = ChannelParams(*point)
         for scheme, _ in schemes_at(p):
-            schedule = build_schedule(scheme, p, 14)
+            trace = run_scheme(scheme, p, 14, seed=7)
+            schedule = trace._schedule
             bits = _payload_bits(len(schedule.payload_refs), 7)
             lanes = _run_lanes(schedule, bits)
             if lanes is None:
                 fallbacks.append((scheme, point))
-            else:
-                assert lanes == _run_engine(schedule, bits), (scheme, point)
+                continue
+            rows, deliveries, _, stores, _ = _run_engine(schedule, bits)
+            assert lanes == (rows, deliveries) == (trace.slots, trace.deliveries)
+            _assert_stores_are_decode_targets(schedule, bits, stores)
+            _assert_lane_report_is_sequential(trace, stores)
     assert fallbacks == []
+
+
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_clean_tiled_run_and_verify_keep_no_store(scheme, p, monkeypatch):
+    """The lane path keeps no node store: a clean tiled run and its verify
+    never make one, and verify_trace counts its report from the schedule."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("node stores were made")
+    monkeypatch.setattr(pipeline, "_source_stores", refuse)
+    trace = run_scheme(scheme, p, 30)
+    assert trace.decode_errors == 0
+    report = verify_trace(trace)
+    assert report.ok and report.delivered_bits == trace.delivered_bits
+    assert report.steady_state_rate == trace.steady_state_rate
+
+
+@pytest.mark.parametrize("packets,faults",
+                         [(30, None), (8, None), (30, {(20, "Y_R1"): 0})],
+                         ids=["lanes", "sequential", "faulted"])
+@pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
+def test_deliveries_are_in_slot_order(scheme, p, packets, faults):
+    """Every path lists its deliveries in slot order, so the steady window
+    is counted by bisection and equals a scan of the slot fields."""
+    trace = run_scheme(scheme, p, packets, faults=faults)
+    slots = [delivery[0] for delivery in trace.deliveries]
+    assert slots == sorted(slots)
+    lo, hi = trace.steady_window
+    assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in slots),
+                                               hi - lo + 1)
