@@ -23,7 +23,7 @@ The run is split into two layers:
   slot by slot, pushing tuples of 0/1 levels through the same geometry and
   executing the decode steps against the actually received vectors.  It
   reads the records' positions as they are, every node's store is one list
-  over them, and a delivery names its bit by position too.  Reference
+  over them, and a wrong delivery names its bit by position too.  Reference
   tuples ``(source, packet, kind, index)`` name bits only at the edge:
   where the builder reads its plan, in error texts, and in
   ``generate_payload`` and ``SimulationTrace.payload``, drawn when read.  A
@@ -43,8 +43,7 @@ The run is split into two layers:
   groups of one lane.  A check that fails hands the run to the sequential
   engine.  verify_trace checks a tiled schedule's recording this way, each
   row as it is made, and keeps nothing; any other trace is replayed
-  sequentially, so every fault report is the sequential engine's.  Either
-  way its counts come from the schedule (_report).
+  sequentially, so every fault report is the sequential engine's.
   Faulted runs, runs of at most TILE_PACKETS packets and full-build
   fallbacks always run sequentially.
 
@@ -64,6 +63,12 @@ repeated record; Schedule.slots() is the one reader of a
 run slot by slot, each record moved to its own packets, as a full build
 at that packet count would have it.  A run whose period check fails is
 built in full.
+
+Which bits a run delivers, and in which slot, follow from the schedule
+alone: the channel is linear and deterministic, and the values decide only
+whether each delivery is right.  So every run and verify of a schedule
+takes its delivered and steady-window counts from Schedule.counts, and the
+engine lists only its wrong deliveries.
 
 A run builds its schedule once: a trace from run_scheme carries that
 schedule until it is verified, and verify_trace releases it, so no trace
@@ -94,7 +99,6 @@ slot the relays drain their forwarding queues.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import operator
@@ -280,6 +284,33 @@ class Schedule:
         per_packet = 2 * self.formula_rate
         for t, (slot, d) in enumerate(self._walk(), start=1):
             yield t, slot.shifted(d, per_packet)
+
+    @cached_property
+    def counts(self):
+        """(delivered, steady, written) of every run of this schedule: its
+        delivering steps, those in the steady window (slots
+        ``2 * WARMUP_PACKETS + 2 .. 2 * packets + 1``, clear of the warm-up
+        and the drain), and the (node, packet) pairs a step of a
+        _VERDICT_NODES decoder writes, node by node in packet order.  They
+        depend only on the decode steps along the tiling walk, so each built
+        slot's are noted once and moved along it.  run_scheme and the
+        verify_trace it hands the schedule to both read them."""
+        per_packet = 2 * self.formula_rate
+        deliver = operator.itemgetter(4)              # DecodeStep.deliver
+        notes = [(sum(map(deliver, slot.steps)),
+                  {(node, target // per_packet) for node, _, _, target, _ in slot.steps})
+                 for slot in self.built]
+        lo, hi = 2 * WARMUP_PACKETS + 2, 2 * self.packets + 1
+        delivered = steady = 0
+        written = {node: set() for node in _NODES}
+        for t, ((count, pairs), d) in enumerate(self._walk(notes), start=1):
+            delivered += count
+            if lo <= t <= hi:
+                steady += count
+            for node, k in pairs:
+                written[node].add(k + d + 1)
+        pairs = tuple((node, pkt) for node in _VERDICT_NODES for pkt in sorted(written[node]))
+        return delivered, Fraction(steady, hi - lo + 1), pairs    # a run has 4+ packets
 
     @property
     def steps(self):
@@ -829,8 +860,13 @@ def _tile(base: Schedule, start, period: int, packets: int):
 
 @dataclass
 class SimulationTrace:
-    """A run's rows and deliveries; ``payload`` (ref -> bit) is drawn from
-    the run's plan and seed when read, so a trace holds no bit names."""
+    """A run's rows and counts; ``payload`` (ref -> bit) is drawn from the
+    run's plan and seed when read, so a trace holds no bit names.
+
+    run_scheme sets ``delivered_bits`` and ``steady_state_rate`` from its
+    schedule's counts (Schedule.counts) and ``decode_errors`` to the number
+    of deliveries its engine got wrong; a parsed trace keeps 0 in all three,
+    and its verify_trace report holds what the replay finds."""
 
     scheme: str
     p: ChannelParams
@@ -838,10 +874,11 @@ class SimulationTrace:
     seed: int
     n_slots: int
     slots: list                       # per slot: dict signal -> 0/1 tuple
-    deliveries: list                  # (slot, dest, position, value, ok), in slot order
     formula_rate: int
     alloc: BitAllocation = None
     decode_errors: int = 0
+    delivered_bits: int = 0
+    steady_state_rate: Fraction = Fraction(0)
     # the Schedule run_scheme built, held for the one verify_trace that
     # follows and dropped by it; never set by parse_trace
     _schedule: Schedule = field(default=None, init=False, repr=False,
@@ -852,35 +889,10 @@ class SimulationTrace:
         return generate_payload(self, self.seed)
 
     @property
-    def delivered_bits(self) -> int:
-        return len(self.deliveries)
-
-    @property
     def measured_sum_rate(self) -> Fraction:
         if self.n_slots == 0:
             return Fraction(0)
         return Fraction(self.delivered_bits, self.n_slots)
-
-    @property
-    def steady_window(self):
-        lo = 2 * WARMUP_PACKETS + 2
-        hi = 2 * self.packets + 1
-        return lo, hi
-
-    @property
-    def steady_state_rate(self) -> Fraction:
-        return _steady_rate(self.deliveries, *self.steady_window)
-
-
-def _steady_rate(deliveries, lo: int, hi: int) -> Fraction:
-    """Deliveries per slot in slots lo..hi; 0 when the window is empty.
-    ``deliveries`` is in slot order, so the window is two bisections."""
-    if hi < lo:
-        return Fraction(0)
-    slot = operator.itemgetter(0)
-    count = (bisect.bisect_right(deliveries, hi, key=slot)
-             - bisect.bisect_left(deliveries, lo, key=slot))
-    return Fraction(count, hi - lo + 1)
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))   # a byte -> its top bit
@@ -971,11 +983,13 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     It runs every faulted run, every run that is not tiled, and every
     replay of a recording that differs from the clean run; a clean tiled
     run is evaluated lane-parallel (_run_lanes), and this engine is its
-    oracle.  Returns (slot_vectors, deliveries, faults_found, stores, wrong),
+    oracle.  Returns (slot_vectors, errors, faults_found, stores, wrong):
     ``wrong`` the (node, position) of each store a step wrote with a value
-    other than the payload bit.  In replay mode the recorded vectors drive
-    all node behaviour, so a corrupted level shows up exactly where the
-    recording first deviates from the protocol.  ``faults`` is checked by
+    other than the payload bit, and ``errors`` the (slot, dest, position)
+    of each delivery among them, in slot order; which steps deliver, and
+    so how many, is the schedule's (Schedule.counts).  In replay mode the
+    recorded vectors drive all node behaviour, so a corrupted level shows
+    up exactly where the recording first deviates from the protocol.  ``faults`` is checked by
     run_scheme (_check_faults).
 
     Every payload bit is addressed by its position in ``payload_refs``, the
@@ -988,8 +1002,8 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     its built slot d packets on reads the built records as they are, each
     slot they name moved by dt = 2d and each position by off = d * (refs per
     packet), as ``payload_refs`` run packet by packet.  ``bits`` holds the
-    payload by position (_payload_bits), and deliveries name their bit by
-    that position too.
+    payload by position (_payload_bits), and wrong stores and deliveries
+    name their bit by that position too.
 
     The received vectors are looked up in the schedule's ``channel_maps``
     (see the module docstring) by the slot's transmit vectors.  A run flips
@@ -1010,7 +1024,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     stores = _source_stores(schedule, bits)
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
     rows = [] if recorded is None else recorded
-    deliveries, found, wrong = [], [], []
+    errors, found, wrong = [], [], []
 
     for t, (slot, d) in enumerate(schedule._walk(), start=1):
         dt, off = 2 * d, d * per_packet
@@ -1068,12 +1082,11 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                 value ^= store[i + off]
             target += off
             store[target] = value
-            ok = value == bits[target]
-            if not ok:
+            if value != bits[target]:
                 wrong.append((node, target))
-            if deliver:
-                deliveries.append((t, node, target, value, ok))
-    return rows, deliveries, found, stores, wrong
+                if deliver:
+                    errors.append((t, node, target))
+    return rows, errors, found, stores, wrong
 
 
 # -- a clean tiled run, lane-parallel -------------------------------------------
@@ -1117,10 +1130,10 @@ class _LaneGroup:
         per_packet = 2 * schedule.formula_rate
         self.built, self.p, self.made = schedule.built, schedule.p, made
         self.lo, self.hi, self.width, self.d = lo, hi, width, d
-        self.off, self.step = d * per_packet, self.period // 2 * per_packet
+        off = d * per_packet
         # a one-lane level is its value, so a one-lane group's lanes are bits
-        self.lanes = (memoryview(bits)[self.off:] if width == 1
-                      else _PayloadLanes(bits, self.off, self.step, width))
+        self.lanes = (memoryview(bits)[off:] if width == 1
+                      else _PayloadLanes(bits, off, self.period // 2 * per_packet, width))
         # (built slot, hop) -> signal -> lane levels; None while evaluated.
         # An echo may read a later slot of an earlier lane, so the units
         # are evaluated on demand.
@@ -1179,25 +1192,17 @@ class _LaneGroup:
             value |= row[signal][position] << (width - 1 - k)
         return value
 
-    def decode(self, bits, deliveries):
-        """Check every decode step in every lane, and append the delivering
-        steps' deliveries to ``deliveries`` in run order unless it is None.
+    def decode(self):
+        """Check every decode step in every lane.
 
         A step holds when the XOR of its observed levels and its side lanes
         is its target's lane; by induction over the slots, every store the
         sequential engine would write is then its payload bit, so the lanes
-        keep no stores.  The first step that does not hold raises
-        _Sequential.  A delivery's bits are read by extended slices."""
+        keep no stores, and every delivery the schedule counts is right.
+        The first step that does not hold raises _Sequential."""
         lanes, levels, lo = self.lanes, self.levels, self.lo
-        width, step, period, off = self.width, self.step, self.period, self.off
-        span = width * step
-        nodes = {node: (node,) * width for node in _NODES}
-        ok = (True,) * width
-        columns = []
         for slot in range(lo + 1, self.hi + 1):
-            t = slot + 2 * self.d
-            lane_slots = tuple(range(t, t + width * period, period))  # shared ints
-            for node, obs, side, target, deliver in self.built[slot - 1].steps:
+            for _, obs, side, target, _ in self.built[slot - 1].steps:
                 value = lanes[target]
                 for signal, seen, position in obs:
                     value ^= (levels[seen][signal][position] if seen > lo
@@ -1206,16 +1211,6 @@ class _LaneGroup:
                     value ^= lanes[i]
                 if value:
                     raise _Sequential
-                if not deliver or deliveries is None:
-                    continue
-                i = target + off
-                if width == 1:
-                    columns.append(((t, node, i, bits[i], True),))
-                else:
-                    columns.append(zip(lane_slots, nodes[node], range(i, i + span, step),
-                                       bits[i:i + span:step], ok))
-        if deliveries is not None:
-            deliveries.extend(itertools.chain.from_iterable(zip(*columns)))
 
     def rows(self, interned=None):
         """The group's rows in run order, made one at a time: each level
@@ -1247,9 +1242,9 @@ class _LaneGroup:
 
 
 def _run_lanes(schedule: Schedule, bits, recorded=None):
-    """The rows and deliveries ``_run_engine(schedule, bits)`` returns for a
-    clean tiled run, evaluated lane-parallel; with ``recorded``, True when
-    the recording is that run.  None when a check fails.
+    """The rows ``_run_engine(schedule, bits)`` returns for a clean tiled
+    run, evaluated lane-parallel; with ``recorded``, True when the recording
+    is that run.  None when a check fails.
 
     The repeated block, built slots ``start + 1 .. start + period``, is one
     group of R = 2 * shift / period + 1 lanes, lane k its k-th repeat.  The
@@ -1258,19 +1253,18 @@ def _run_lanes(schedule: Schedule, bits, recorded=None):
     group whose decode checks do not all hold, or whose echoes read their
     own lanes, leaves the run to the sequential engine.  With ``recorded``
     it only checks: each group's decode steps are checked and its rows are
-    compared with the recorded ones as they are made, and no row, delivery
-    or store is kept; a recording that differs is the engine's to replay.
+    compared with the recorded ones as they are made, and no row or store
+    is kept; a recording that differs is the engine's to replay.
     """
     start, period, shift = schedule.tiling
     rows = [] if recorded is None else recorded
-    deliveries = [] if recorded is None else None
     interned, made = {}, 0
     try:
         for lo, hi, width, d in ((0, start, 1, 0),
                                  (start, start + period, 2 * shift // period + 1, 0),
                                  (start + period, len(schedule.built), 1, shift)):
             group = _LaneGroup(schedule, bits, rows, lo, hi, width, d)
-            group.decode(bits, deliveries)
+            group.decode()
             if recorded is None:
                 rows.extend(group.rows(interned))
             elif not all(map(operator.eq, group.rows(),
@@ -1279,7 +1273,7 @@ def _run_lanes(schedule: Schedule, bits, recorded=None):
             made += width * (hi - lo)
     except _Sequential:
         return None
-    return True if recorded is not None else (rows, deliveries)
+    return True if recorded is not None else rows
 
 
 def run_scheme(scheme: str, p: ChannelParams, packets: int,
@@ -1294,18 +1288,21 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
 
     A clean tiled run is evaluated lane-parallel (_run_lanes); a faulted
     run, a full build, or a clean run whose lane checks fail runs on the
-    sequential engine.
+    sequential engine.  Either way the delivered and steady counts are the
+    schedule's (Schedule.counts).
     """
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
-    lanes = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
-    slot_rows, deliveries, *_ = lanes or _run_engine(schedule, bits, faults=faults)
+    slot_rows = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
+    errors = ()
+    if slot_rows is None:
+        slot_rows, errors, *_ = _run_engine(schedule, bits, faults=faults)
+    delivered, steady, _ = schedule.counts
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
-        slots=slot_rows, deliveries=deliveries, formula_rate=schedule.formula_rate,
-        alloc=schedule.alloc,
-        decode_errors=0 if lanes else sum(1 for d in deliveries if not d[4]),
+        slots=slot_rows, formula_rate=schedule.formula_rate, alloc=schedule.alloc,
+        decode_errors=len(errors), delivered_bits=delivered, steady_state_rate=steady,
     )
     trace._schedule = schedule
     return trace
@@ -1359,50 +1356,40 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     and nothing kept.  When all hold, every delivered and stored bit is the
     payload bit.  Any other trace is replayed by the sequential engine,
     which locates its faults and supplies its wrong deliveries and stores.
-    Either way _report counts the rest from the schedule.
+    Either way _report takes the rest from the schedule's counts.
+
+    A trace whose row count is not the run's is a ChannelDomainError naming
+    the line of its first missing or extra row, as format_trace would write
+    it.
     """
     schedule, trace._schedule = trace._schedule, None
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
         schedule = build_schedule(trace.scheme, trace.p, trace.packets)
-    bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
-    if len(trace.slots) != schedule.n_slots:
+    rows = trace.slots
+    if len(rows) != schedule.n_slots:
+        header = _header(trace.scheme, trace.p, trace.packets, trace.seed,
+                         schedule.alloc, schedule.formula_rate)
         raise ChannelDomainError(
-            f"trace has {len(trace.slots)} slots, run needs {schedule.n_slots}"
-        )
-    rows, window = trace.slots, trace.steady_window
+            f"line {len(header) + min(len(rows), schedule.n_slots) + 1}: "
+            f"trace has {len(rows)} slots, run needs {schedule.n_slots}")
+    bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
     if schedule.tiling[2] and _run_lanes(schedule, bits, recorded=rows):
-        return _report(schedule, window)
-    _, deliveries, found, _, wrong = _run_engine(schedule, bits, recorded=rows)
-    errors = [(t, dest, i) for t, dest, i, _, ok in deliveries if not ok]
-    return _report(schedule, window, found, errors, wrong)
+        return _report(schedule)
+    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=rows)
+    return _report(schedule, found, errors, wrong)
 
 
-def _report(schedule: Schedule, window, found=(), errors=(), wrong=()) -> VerifyReport:
+def _report(schedule: Schedule, found=(), errors=(), wrong=()) -> VerifyReport:
     """The VerifyReport of a replay of ``schedule``: ``found`` its recorded
     deviations, ``errors`` its wrong deliveries (slot, dest, position) and
-    ``wrong`` the (node, position) of its wrong stores.  The rest depends
-    only on the decode steps of the tiling walk, which every replay runs: a
-    delivery per delivering step, so the delivered and missing bits and
-    those in the steady ``window``, and a store per step, so the (node,
-    packet) pairs a decoder writes.  Each built slot's deliveries and pairs
-    are noted once and moved along the walk."""
+    ``wrong`` the (node, position) of its wrong stores.  The rest, the
+    delivered, missing and steady-window bits and the (node, packet) pairs
+    a decoder writes, is the same for every replay of the schedule, and
+    comes from Schedule.counts."""
+    delivered, steady, written = schedule.counts
     per_packet = 2 * schedule.formula_rate
-    deliver = operator.itemgetter(4)              # DecodeStep.deliver
-    notes = [(sum(map(deliver, slot.steps)),
-              {(node, target // per_packet) for node, _, _, target, _ in slot.steps})
-             for slot in schedule.built]
-    lo, hi = window
-    delivered = steady = 0
-    written = {node: set() for node in _NODES}
-    for t, ((count, pairs), d) in enumerate(schedule._walk(notes), start=1):
-        delivered += count
-        if lo <= t <= hi:
-            steady += count
-        for node, k in pairs:
-            written[node].add(k + d + 1)
-    node_verdicts = {(node, pkt): True for node in _VERDICT_NODES
-                     for pkt in sorted(written[node])}
+    node_verdicts = dict.fromkeys(written, True)
     node_verdicts.update(((node, i // per_packet + 1), False) for node, i in wrong
                          if node in _VERDICT_NODES)
     packet_verdicts = dict.fromkeys(range(1, schedule.packets + 1), True)
@@ -1417,7 +1404,7 @@ def _report(schedule: Schedule, window, found=(), errors=(), wrong=()) -> Verify
         packet_verdicts=packet_verdicts,
         node_verdicts=node_verdicts,
         measured_sum_rate=Fraction(delivered, schedule.n_slots),
-        steady_state_rate=Fraction(steady, hi - lo + 1),    # a run has 4+ packets
+        steady_state_rate=steady,
     )
 
 
@@ -1492,8 +1479,9 @@ def parse_trace(text: str) -> SimulationTrace:
     raises before it is kept, so its error names the first line it is on,
     and its signal.  Only the recorded vectors are read back: the
     allocation and the formula rate follow from the run line.  A parsed
-    trace carries no schedule and draws no payload; verify_trace builds a
-    fresh schedule to replay the vectors.
+    trace carries no schedule, draws no payload and holds no counts (its
+    ``delivered_bits`` and ``steady_state_rate`` are 0); verify_trace
+    builds a fresh schedule to replay the vectors.
     """
     lines = text.removesuffix("\n").split("\n")
 
@@ -1554,5 +1542,5 @@ def parse_trace(text: str) -> SimulationTrace:
         slots.append(row)
     return SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
-        slots=slots, deliveries=[], formula_rate=formula_rate, alloc=alloc,
+        slots=slots, formula_rate=formula_rate, alloc=alloc,
     )

@@ -101,8 +101,11 @@ def test_determinism():
 def test_per_window_delivery_is_constant_after_warmup():
     for scheme, p, rate in WORKED:
         trace = run_scheme(scheme, p, 10)
+        schedule = trace._schedule
+        _assert_counts_are_delivering_steps(trace, schedule)
+        assert trace.decode_errors == 0
         per_window = {}
-        for slot, _, _, _, _ in trace.deliveries:
+        for slot, _, _ in _deliveries(schedule):
             per_window[slot // 2] = per_window.get(slot // 2, 0) + 1
         for w in range(WARMUP_PACKETS + 1, trace.packets + 1):
             got = per_window.get(w, 0)
@@ -320,6 +323,19 @@ def _deliveries(schedule):
                  for step in slot.steps if step.deliver)
 
 
+def _assert_counts_are_delivering_steps(trace, schedule):
+    """A run's delivered bits, steady-state rate and measured sum rate are
+    counted over the delivering steps of ``schedule`` read slot by slot:
+    one delivery per step, the steady window clear of the warm-up packets
+    and the drain."""
+    slots = [t for t, _, _ in _deliveries(schedule)]
+    lo, hi = 2 * WARMUP_PACKETS + 2, 2 * trace.packets + 1
+    assert trace.delivered_bits == len(slots)
+    assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in slots),
+                                               hi - lo + 1)
+    assert trace.measured_sum_rate == Fraction(len(slots), schedule.n_slots)
+
+
 @pytest.mark.parametrize("case", FROZEN_SCHEDULE_DIGESTS,
                          ids=lambda c: f"{c[0]}-{'.'.join(map(str, c[1]))}-P{c[2]}")
 def test_schedule_order_golden(case):
@@ -481,6 +497,29 @@ def test_parse_trace_rejects_header_against_the_plan():
     with pytest.raises(ChannelDomainError,
                        match="^line 3: found '# alloc coop=0', expected '# formula_rate=5'$"):
         parse_trace(_edit_line(mid, 3, lambda line: "# alloc coop=0\n" + line))
+
+
+def _add_row(text):
+    last = text.splitlines(keepends=True)[-1]
+    assert last.startswith("19 ")
+    return text + "20" + last[2:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace(" packets=8 ", " packets=9 "),
+     "line 25: trace has 19 slots, run needs 21"),
+    (_add_row, "line 25: trace has 20 slots, run needs 19"),
+], ids=["packets-raised", "row-added"])
+def test_row_count_against_the_run_names_its_line(edit, message):
+    """A trace with fewer or more rows than its run needs parses, each line
+    being well formed, and formats back; its verify_trace names the line of
+    the first missing or extra row: line 25, below the 5 header lines and
+    the 19 rows of the rss (4,1,1,1,2) P=8 run."""
+    text = edit(_p8_text("rss"))
+    parsed = parse_trace(text)
+    assert format_trace(parsed) == text
+    with pytest.raises(ChannelDomainError, match=f"^{message}$"):
+        verify_trace(parsed)
 
 
 # one trace per scheme at P=8; nofb-mid has no "# alloc" line
@@ -685,15 +724,18 @@ class TestStructure:
                                               "D1", "D2")}
             for i, ref in enumerate(sched.payload_refs):
                 known[f"S{ref[0]}"].add(i)
-            delivered = []
+            delivered = 0
             for slot, record in sched.slots():
                 for step in record.steps:
                     assert step.side <= known[step.node], (scheme, slot)
                     known[step.node].add(step.target)
-                    if step.deliver:
-                        delivered.append((slot, step.node, step.target))
-            ran = run_scheme(scheme, p, 8).deliveries
-            assert delivered == [d[:3] for d in ran], scheme
+                    delivered += step.deliver
+            # and the engine, running those steps, gets every bit right
+            bits = _payload_bits(len(sched.payload_refs), DEFAULT_SEED)
+            _, errors, _, _, wrong = _run_engine(sched, bits)
+            assert (errors, wrong) == ([], []), scheme
+            trace = run_scheme(scheme, p, 8)
+            assert (trace.delivered_bits, trace.decode_errors) == (delivered, 0), scheme
 
     def test_causality_of_schedule(self):
         for scheme, p, _ in WORKED:
@@ -887,7 +929,7 @@ def test_tiled_schedule_equals_full_build(case, packets):
     """Up to three two-packet periods past TILE_PACKETS, the tiled schedule
     renders as the full build and reads, slot by slot, as the full build's
     records.  The engine, which moves the built positions itself, gives the
-    same rows, deliveries and node stores on both."""
+    same rows, wrong deliveries and node stores on both."""
     scheme, p = TILE_CASES[case]
     tiled = build_schedule(scheme, p, packets)
     full = _Builder(scheme, p, packets).build()
@@ -896,7 +938,7 @@ def test_tiled_schedule_equals_full_build(case, packets):
     assert tiled.n_slots == full.n_slots == len(full.built)
     assert tiled.payload_refs == full.payload_refs
     bits = _payload_bits(len(full.payload_refs), 1)
-    # rows, deliveries, no faults found, stores, no wrong store
+    # rows, no wrong delivery, no faults found, stores, no wrong store
     assert _run_engine(tiled, bits) == _run_engine(full, bits)
 
 
@@ -1192,25 +1234,36 @@ def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
     t, step = next((t, step) for t, slot in schedule.slots() if t > 10
                    for step in slot.steps if step.deliver)
     signal, _, level = step.obs[0]
-    trace = run_scheme(scheme, p, packets, faults={(t, signal): level})
+    faults = {(t, signal): level}
+    trace = run_scheme(scheme, p, packets, faults=faults)
     report = verify_trace(trace)
     ref = schedule.payload_refs[step.target]
     assert report.payload_errors[0] == (t, step.node, ref)
+    bits = _payload_bits(len(schedule.payload_refs), trace.seed)
+    errors = _run_engine(schedule, bits, faults=faults)[1]
     assert report.payload_errors == [(slot, d, schedule.payload_refs[i])
-                                     for slot, d, i, _, ok in trace.deliveries if not ok]
+                                     for slot, d, i in errors]
+    assert trace.decode_errors == len(errors)
     assert report.packet_verdicts[ref[1]] is False
 
 
 @pytest.mark.parametrize("packets", [8, 30])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_deliveries_name_bits_by_position(scheme, p, packets):
-    """A delivery's third field is its bit's payload_refs position, on the
-    sequential engine (8) and the lanes (30) alike."""
-    trace = run_scheme(scheme, p, packets)
+    """A wrong delivery's third field is its bit's payload_refs position,
+    full build (8) and tiled schedule (30) alike: a flipped delivering level
+    makes the engine list that step's (slot, dest, position), and every
+    delivery it lists, named through payload_refs, is a delivering step of
+    the schedule."""
     schedule = build_schedule(scheme, p, packets)
     refs = schedule.payload_refs
-    assert [(t, d, refs[i]) for t, d, i, _, _ in trace.deliveries] == list(
-        _deliveries(schedule))
+    t, step = next((t, step) for t, slot in schedule.slots() if t > 6
+                   for step in slot.steps if step.deliver)
+    signal, _, level = step.obs[0]
+    bits = _payload_bits(len(refs), DEFAULT_SEED)
+    errors = _run_engine(schedule, bits, faults={(t, signal): level})[1]
+    assert (t, step.node, step.target) in errors
+    assert {(slot, d, refs[i]) for slot, d, i in errors} <= set(_deliveries(schedule))
 
 
 @pytest.mark.parametrize("packets", [8, 30])
@@ -1246,9 +1299,10 @@ def _assert_stores_are_decode_targets(schedule, bits, stores):
 def _assert_lane_report_is_sequential(trace, stores):
     """verify_trace's report of a clean tiled run, from its lane checks, is
     the one a sequential replay of the same rows makes, key order included,
-    and its counts are the engine's: its deliveries, those in the steady
-    window, and the (node, packet) pairs its decoders' ``stores`` hold."""
+    and its counts are the schedule's delivering steps read slot by slot,
+    and the (node, packet) pairs the engine's decoder ``stores`` hold."""
     schedule = trace._schedule
+    _assert_counts_are_delivering_steps(trace, schedule)
     from_lanes = verify_trace(trace)
     trace._schedule = schedule
     with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
@@ -1270,20 +1324,20 @@ def _assert_lane_report_is_sequential(trace, stores):
        seed=st.integers(0, 2**32 - 1))
 def test_lane_path_equals_sequential_engine(case, packets, seed):
     """The sequential engine is the oracle of a clean tiled run (13 packets
-    is a full build): the lane path gives its rows and deliveries, a lane
-    replay of those rows checks out and a flipped level makes it return
-    None, the engine's stores are the schedule's decode targets, and
+    is a full build): it gets every bit right, the lane path gives its rows,
+    a lane replay of those rows checks out and a flipped level makes it
+    return None, the engine's stores are the schedule's decode targets, and
     verify_trace's report from the lanes is the one it makes from a
     sequential replay of the same rows."""
     scheme, p = TILE_CASES[case]
     schedule = build_schedule(scheme, p, packets)
     assert schedule.tiling[2]
     bits = _payload_bits(len(schedule.payload_refs), seed)
-    rows, deliveries, found, stores, wrong = _run_engine(schedule, bits)
-    assert (found, wrong) == ([], [])
+    rows, errors, found, stores, wrong = _run_engine(schedule, bits)
+    assert (errors, found, wrong) == ([], [], [])
     _assert_stores_are_decode_targets(schedule, bits, stores)
-    assert _run_lanes(schedule, bits) == (rows, deliveries)
-    assert _run_engine(schedule, bits, recorded=rows)[1:] == (deliveries, [], stores, [])
+    assert _run_lanes(schedule, bits) == rows
+    assert _run_engine(schedule, bits, recorded=rows)[1:] == ([], [], stores, [])
     assert _run_lanes(schedule, bits, recorded=rows) is True
     changed = [dict(row) for row in rows]
     row = changed[len(rows) // 2]
@@ -1291,7 +1345,7 @@ def test_lane_path_equals_sequential_engine(case, packets, seed):
     row[signal] = (1 - row[signal][0], *row[signal][1:])
     assert _run_lanes(schedule, bits, recorded=changed) is None
     trace = run_scheme(scheme, p, packets, seed=seed)
-    assert (trace.slots, trace.deliveries) == (rows, deliveries)
+    assert (trace.slots, trace.decode_errors) == (rows, 0)
     _assert_lane_report_is_sequential(trace, stores)
 
 
@@ -1363,22 +1417,22 @@ def _echo_own_unit(schedule):
 def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypatch):
     """A schedule whose lanes do not check out is run, exactly, by the
     sequential engine: the lane path returns None, and run_scheme's trace
-    is the engine's on that schedule, wrong stores included."""
+    is the engine's on that schedule, its wrong deliveries counted."""
     mutant = mutate(build_schedule(scheme, p, 60))
     bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
     assert _run_lanes(mutant, bits) is None
-    rows, deliveries, *_ = _run_engine(mutant, bits)
+    rows, errors, *_ = _run_engine(mutant, bits)
     monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
     trace = run_scheme(scheme, p, 60)
-    assert (trace.slots, trace.deliveries) == (rows, deliveries)
+    assert (trace.slots, trace.decode_errors) == (rows, len(errors))
 
 
 def test_every_ci_grid_pair_runs_on_lanes():
     """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
     included, runs clean on the lane path, with no fallback, and gives the
-    sequential engine's rows and deliveries; the engine's stores are the
-    schedule's decode targets, and verify_trace's report from the lanes is
-    the one a sequential replay makes."""
+    sequential engine's rows, which has no wrong delivery; the engine's
+    stores are the schedule's decode targets, and verify_trace's report from
+    the lanes is the one a sequential replay makes."""
     fallbacks = []
     for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
         p = ChannelParams(*point)
@@ -1390,8 +1444,9 @@ def test_every_ci_grid_pair_runs_on_lanes():
             if lanes is None:
                 fallbacks.append((scheme, point))
                 continue
-            rows, deliveries, _, stores, _ = _run_engine(schedule, bits)
-            assert lanes == (rows, deliveries) == (trace.slots, trace.deliveries)
+            rows, errors, _, stores, _ = _run_engine(schedule, bits)
+            assert lanes == rows == trace.slots
+            assert errors == [] and trace.decode_errors == 0
             _assert_stores_are_decode_targets(schedule, bits, stores)
             _assert_lane_report_is_sequential(trace, stores)
     assert fallbacks == []
@@ -1416,11 +1471,22 @@ def test_clean_tiled_run_and_verify_keep_no_store(scheme, p, monkeypatch):
                          ids=["lanes", "sequential", "faulted"])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_deliveries_are_in_slot_order(scheme, p, packets, faults):
-    """Every path lists its deliveries in slot order, so the steady window
-    is counted by bisection and equals a scan of the slot fields."""
+    """On every path, lanes, sequential and faulted, a run's counts are its
+    schedule's delivering steps read in slot order, whatever the values;
+    the engine lists a faulted run's wrong deliveries in slot order too."""
+    schedule = build_schedule(scheme, p, packets)
+    if faults:
+        # also flip two delivering observations, so that every scheme
+        # delivers wrong bits in two slots at least
+        for after in (10, 25):
+            t, step = next((t, step) for t, slot in schedule.slots() if t > after
+                           for step in slot.steps if step.deliver)
+            signal, _, level = step.obs[0]
+            faults = {**faults, (t, signal): level}
     trace = run_scheme(scheme, p, packets, faults=faults)
-    slots = [delivery[0] for delivery in trace.deliveries]
-    assert slots == sorted(slots)
-    lo, hi = trace.steady_window
-    assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in slots),
-                                               hi - lo + 1)
+    _assert_counts_are_delivering_steps(trace, schedule)
+    bits = _payload_bits(len(schedule.payload_refs), trace.seed)
+    errors = _run_engine(schedule, bits, faults=faults)[1]
+    assert trace.decode_errors == len(errors)
+    assert len({error[0] for error in errors}) >= 2 if faults else errors == []
+    assert errors == sorted(errors, key=lambda error: error[0])
