@@ -115,14 +115,14 @@ class GfVec(tuple):
         """Parse the trace encoding written by ``_vec_str``.
 
         ``strip`` leaves text over exactly when a character is not ``0`` or
-        ``1``; that check comes first.  The text is then ASCII ``0``/``1``,
-        one byte per level, so one ``translate`` turns its bytes into the
-        levels in C, and the tuple is made directly from them, without
-        ``__new__``'s per-level checks.
+        ``1``; that check comes first, with ``""``, which ``_vec_str`` never
+        writes.  The text is then ASCII ``0``/``1``, one byte per level, so
+        one ``translate`` turns it into the levels in C, and the tuple is
+        made directly from them, without ``__new__``'s per-level checks.
         """
         if text == "-":
             return cls()
-        if text.strip("01"):
+        if not text or text.strip("01"):
             raise ChannelDomainError(f"bad vector string {text!r}")
         return tuple.__new__(cls, text.encode().translate(_TEXT_LEVEL))
 

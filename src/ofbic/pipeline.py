@@ -20,18 +20,14 @@ The run is split into two layers:
   schemes only in its hop-1 emission (MidCode columns) and in how its relays
   decode (two-slot recipes instead of single receptions).
 * A sequential *engine* evaluates the schedule on concrete payload bits,
-  slot by slot, pushing tuples of 0/1 levels through the same geometry and
+  slot by slot, pushing vectors of 0/1 bytes through the same geometry and
   executing the decode steps against the actually received vectors.  It
   reads the records' positions as they are, every node's store is one list
   over them, and a wrong delivery names its bit by position too.  Reference
   tuples ``(source, packet, kind, index)`` name bits only at the edge:
   where the builder reads its plan, in error texts, and in
   ``generate_payload`` and ``SimulationTrace.payload``, drawn when read.  A
-  run applies its faults only in the slots that have one.  verify_trace
-  replays a recorded trace through the same engine and reports the first
-  point where the recording deviates from what the protocol would have
-  produced; the replay compares whole slots, looks for the deviating
-  signals only in a slot that differs, and reads the recorded rows in place.
+  run applies its faults only in the slots that have one.
 * A clean tiled run is evaluated *lane-parallel* instead (_run_lanes).  The
   channel is the linear deterministic model, and in a clean run every store
   a node reads holds its payload bit, so every level is the XOR of the
@@ -39,13 +35,20 @@ The run is split into two layers:
   one GF(2)-linear map applied to payload bits one period apart.  Each level
   of the repeated block is one Python int holding one bit, a lane, per
   repeat; the same geometry runs on those ints, and every decode step is
-  checked on all lanes at once.  The head and tail of the run are
-  groups of one lane.  A check that fails hands the run to the sequential
-  engine.  verify_trace checks a tiled schedule's recording this way, each
-  row as it is made, and keeps nothing; any other trace is replayed
-  sequentially, so every fault report is the sequential engine's.
-  Faulted runs, runs of at most TILE_PACKETS packets and full-build
-  fallbacks always run sequentially.
+  checked on all lanes at once.  The head and tail of the run are groups of
+  one lane.  A check that fails hands the run to the sequential engine,
+  which also runs every faulted run, every run of at most TILE_PACKETS
+  packets and every full-build fallback.
+
+A trace holds one column per signal (SimulationTrace.slots): its levels
+slot by slot, one 0/1 byte each, as the payload bits and the lanes are laid
+out, so level j of slot t is byte (t - 1) * length + j (length q on hop 1,
+qbar on hop 2).  verify_trace makes the clean run on either path and
+compares its ten columns with the recording; a recording that differs is
+replayed by the sequential engine, which reports the first point where it
+deviates from what the protocol would have produced.  A trace's text is the
+header lines _header makes from the run, which format_trace writes and
+parse_trace requires line for line, then one row per slot.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order (each runs in the record's slot, so a step names no
@@ -70,13 +73,9 @@ whether each delivery is right.  So every run and verify of a schedule
 takes its delivered and steady-window counts from Schedule.counts, and the
 engine lists only its wrong deliveries.
 
-A run builds its schedule once: a trace from run_scheme carries that
-schedule until it is verified, and verify_trace releases it, so no trace
-holds one afterwards.  A parsed trace is verified against a fresh build.
-
-A trace's text is the header lines _header makes from the run, which
-format_trace writes and parse_trace requires line for line, then one row
-per slot.
+A run builds its schedule and draws its payload once: a trace from
+run_scheme carries both until it is verified, and verify_trace releases
+them.  A parsed trace is verified against a fresh build and draw.
 
 A Schedule also caches the channel map at its ``p`` for the sequential
 engine (``channel_maps``, which names the runs that use it): a dict per hop
@@ -129,7 +128,6 @@ from .channel import (
     _TEXT_LEVEL,
     _first_hop,
     _second_hop,
-    _vec_str,
 )
 from .midcode import MidCodeError, build_mid_code, column_levels
 from .rates import InvariantError, pos, r_nom, require_scheme
@@ -147,7 +145,6 @@ _FEEDBACK_SIGNALS = ("X_R1", "X_R2")
 # hop-2 vectors length qbar
 _HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")
 _HOP2_SIGNALS = ("X_R1", "X_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")
-_ROW_SIGNALS = _TX_SIGNALS + _RX_SIGNALS       # a row's keys, in engine order
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 _VERDICT_NODES = ("R1", "R2", "D1", "D2")     # the decoders node_verdicts judge
 
@@ -257,9 +254,9 @@ class Schedule:
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
         ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
         vectors a slot sent (after a fault flip, or as recorded) and filled
-        by every sequential pass on this schedule: short runs (every sweep
-        run), faulted runs, full-build fallbacks and the replays of traces
-        that differ from the clean lanes.  A lane-parallel run uses none."""
+        by every sequential pass on this schedule: untiled runs and their
+        verify_trace's clean runs (every sweep run), faulted runs, full-build
+        fallbacks and replays.  A lane-parallel run uses none."""
         return {}, {}
 
     def _walk(self, records=None):
@@ -860,8 +857,8 @@ def _tile(base: Schedule, start, period: int, packets: int):
 
 @dataclass
 class SimulationTrace:
-    """A run's rows and counts; ``payload`` (ref -> bit) is drawn from the
-    run's plan and seed when read, so a trace holds no bit names.
+    """A run's columns (module docstring) and counts; ``payload`` (ref ->
+    bit) is drawn when read from the run's plan and seed: a trace names no bit.
 
     run_scheme sets ``delivered_bits`` and ``steady_state_rate`` from its
     schedule's counts (Schedule.counts) and ``decode_errors`` to the number
@@ -873,16 +870,17 @@ class SimulationTrace:
     packets: int
     seed: int
     n_slots: int
-    slots: list                       # per slot: dict signal -> 0/1 tuple
+    slots: dict                       # signal -> column, in SIGNALS order
     formula_rate: int
     alloc: BitAllocation = None
     decode_errors: int = 0
     delivered_bits: int = 0
     steady_state_rate: Fraction = Fraction(0)
-    # the Schedule run_scheme built, held for the one verify_trace that
-    # follows and dropped by it; never set by parse_trace
+    # run_scheme's Schedule and (seed, payload bits), held for the one
+    # verify_trace that follows and dropped by it; never set by parse_trace
     _schedule: Schedule = field(default=None, init=False, repr=False,
                                 compare=False)
+    _bits: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def payload(self) -> dict:
@@ -917,19 +915,17 @@ def generate_payload(schedule: Schedule, seed: int) -> dict:
     return dict(zip(refs, _payload_bits(len(refs), seed)))
 
 
-def _echo_value(emit, rows, dt):
+def _echo_value(emit, vectors, dt):
     """The received level an echo Emit replays, before its cancel bits come
     off: its ``echo_src`` read ``dt`` slots on (see _run_engine)."""
     signal, slot, position = emit.echo_src
-    return rows[slot + dt - 1][signal][position]
+    return vectors[signal][slot + dt - 1][position]
 
 
 def _diff(found, t, signals, actual, computed):
     """Append (t, signal, first differing level) for each recorded vector of
     slot ``t`` that differs from the computed one, in ``signals`` order."""
     for signal, a, c in zip(signals, actual, computed):
-        if len(a) != len(c):
-            raise ChannelDomainError(f"recorded {signal} at slot {t} has length {len(a)}")
         if a != c:
             found.append((t, signal, next(i for i, (x, y) in enumerate(zip(a, c))
                                           if x != y)))
@@ -941,7 +937,7 @@ def _flip(t, signals, vectors, faults):
     for signal, vec in zip(signals, vectors):
         level = faults.get((t, signal))
         if level is not None:
-            vec = (*vec[:level], vec[level] ^ 1, *vec[level + 1:])
+            vec = bytes((*vec[:level], vec[level] ^ 1, *vec[level + 1:]))
         flipped.append(vec)
     return flipped
 
@@ -980,17 +976,18 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
 
-    It runs every faulted run, every run that is not tiled, and every
-    replay of a recording that differs from the clean run; a clean tiled
-    run is evaluated lane-parallel (_run_lanes), and this engine is its
-    oracle.  Returns (slot_vectors, errors, faults_found, stores, wrong):
-    ``wrong`` the (node, position) of each store a step wrote with a value
-    other than the payload bit, and ``errors`` the (slot, dest, position)
-    of each delivery among them, in slot order; which steps deliver, and
-    so how many, is the schedule's (Schedule.counts).  In replay mode the
-    recorded vectors drive all node behaviour, so a corrupted level shows
-    up exactly where the recording first deviates from the protocol.  ``faults`` is checked by
-    run_scheme (_check_faults).
+    It makes every faulted run, the clean run of every schedule that is not
+    tiled, and every replay of a recording that differs from the clean run;
+    a clean tiled run is evaluated lane-parallel (_run_lanes), and this
+    engine is its oracle.  Returns (columns, errors, faults_found, stores, wrong):
+    ``columns`` as in SimulationTrace.slots, ``wrong`` the (node, position)
+    of each store a step wrote with a value other than the payload bit, and
+    ``errors`` the (slot, dest, position) of each delivery among them, in
+    slot order; which steps deliver, and so how many, is the schedule's
+    (Schedule.counts).  In replay mode the recorded vectors drive all node
+    behaviour, so a corrupted level shows up exactly where the recording
+    first deviates from the protocol.  ``faults`` is checked by run_scheme
+    (_check_faults), ``recorded`` by verify_trace.
 
     Every payload bit is addressed by its position in ``payload_refs``, the
     one address the builder writes into the records: a known Emit XORs its
@@ -1009,12 +1006,11 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     (see the module docstring) by the slot's transmit vectors.  A run flips
     its faults only in the slots that have one: a transmit flip before the
     lookup, a receive flip after it, so the maps hold only what the geometry
-    returns.  A replay compares the slot's four computed transmit vectors
-    with the recorded ones in one tuple comparison, and its six received
-    ones in another, and looks for the differing signals and levels only on
-    a mismatch.  It reads ``recorded`` in place, never copying or writing a
-    row, and returns it as its rows: every observation and echo names the
-    current slot or an earlier one, so the replay never reads ahead.
+    returns.  Each signal's vectors are kept slot by slot and joined into
+    its column at the end of a run.  A replay cuts ``recorded`` so, never
+    writing it, compares a slot's four transmit vectors in one comparison
+    and its six received ones in another, looks for the differing signals
+    and levels only on a mismatch, and returns ``recorded`` as its columns.
     """
     p = schedule.p
     faults = faults or {}
@@ -1023,7 +1019,11 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     per_packet = 2 * schedule.formula_rate
     stores = _source_stores(schedule, bits)
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
-    rows = [] if recorded is None else recorded
+    # signal -> its vectors slot by slot: none yet, or the recorded ones
+    vectors = {signal: [] for signal in SIGNALS} if recorded is None else {
+        signal: [recorded[signal][t * size:(t + 1) * size] for t in range(schedule.n_slots)]
+        for signal, size in _signal_lengths(p).items()}
+    sent_by, heard_by = [vectors[s] for s in _TX_SIGNALS], [vectors[s] for s in _RX_SIGNALS]
     errors, found, wrong = [], [], []
 
     for t, (slot, d) in enumerate(schedule._walk(), start=1):
@@ -1037,46 +1037,42 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                     continue
                 known, echo_src, cancel = emit
                 if echo_src:
-                    value, known = _echo_value(emit, rows, dt), cancel
+                    value, known = _echo_value(emit, vectors, dt), cancel
                 else:
                     value = 0
                 for i in known:
                     value ^= store[i + off]
                 levels.append(value)
-            tx.append(tuple(levels))
+            tx.append(bytes(levels))
         if recorded is None:
             if t in fault_slots:
                 tx = _flip(t, _TX_SIGNALS, tx, faults)
-            x_s1, x_s2, x_r1, x_r2 = tx
         else:
-            row = recorded[t - 1]
-            sent = row["X_S1"], row["X_S2"], row["X_R1"], row["X_R2"]
-            if sent != tuple(tx):
+            sent = [vecs[t - 1] for vecs in sent_by]
+            if sent != tx:
                 _diff(found, t, _TX_SIGNALS, sent, tx)
-            x_s1, x_s2, x_r1, x_r2 = sent
+            tx = sent
+        x_s1, x_s2, x_r1, x_r2 = tx
         y_r = hop1.get((x_s1, x_s2))
         if y_r is None:
-            y_r = hop1[x_s1, x_s2] = _first_hop(x_s1, x_s2, p, 0)
+            y_r = hop1[x_s1, x_s2] = tuple(map(bytes, _first_hop(x_s1, x_s2, p, 0)))
         y_dr = hop2.get((x_r1, x_r2))
         if y_dr is None:
-            y_dr = hop2[x_r1, x_r2] = _second_hop(x_r1, x_r2, p, 0)
-        received = (*y_r, *y_dr)
+            y_dr = hop2[x_r1, x_r2] = tuple(map(bytes, _second_hop(x_r1, x_r2, p, 0)))
+        received = [*y_r, *y_dr]
         if recorded is None:
             if t in fault_slots:
                 received = _flip(t, _RX_SIGNALS, received, faults)
-            y_r1, y_r2, y_d1, y_d2, y_s1, y_s2 = received
-            rows.append({"X_S1": x_s1, "X_S2": x_s2, "X_R1": x_r1, "X_R2": x_r2,
-                         "Y_R1": y_r1, "Y_R2": y_r2, "Y_D1": y_d1, "Y_D2": y_d2,
-                         "Y_S1": y_s1, "Y_S2": y_s2})
+            for vecs, vec in zip(sent_by + heard_by, tx + received):
+                vecs.append(vec)
         else:
-            heard = (row["Y_R1"], row["Y_R2"], row["Y_D1"], row["Y_D2"],
-                     row["Y_S1"], row["Y_S2"])
+            heard = [vecs[t - 1] for vecs in heard_by]
             if heard != received:
                 _diff(found, t, _RX_SIGNALS, heard, received)
         for node, obs, side, target, deliver in slot.steps:
             value = 0
             for signal, seen, position in obs:
-                value ^= rows[seen + dt - 1][signal][position]
+                value ^= vectors[signal][seen + dt - 1][position]
             store = stores[node]
             for i in side:
                 value ^= store[i + off]
@@ -1086,7 +1082,9 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                 wrong.append((node, target))
                 if deliver:
                     errors.append((t, node, target))
-    return rows, errors, found, stores, wrong
+    if recorded is None:
+        recorded = {signal: b"".join(vecs) for signal, vecs in vectors.items()}
+    return recorded, errors, found, stores, wrong
 
 
 # -- a clean tiled run, lane-parallel -------------------------------------------
@@ -1121,14 +1119,14 @@ class _LaneGroup:
     the XOR of its refs' payload lanes, an echo the lane it replays XOR its
     cancel lanes, and the received levels come from the channel geometry on
     lane ints.  A level the group reads before ``lo + 1`` is, in lane k, the
-    group's own lane k - j (j lanes back) or, below lane j, a row already
-    in ``made``, the run's rows so far (_seen).
+    group's own lane k - j (j lanes back) or, below lane j, a level earlier
+    groups wrote into ``at``, signal -> (column, vector length) (_seen).
     """
 
-    def __init__(self, schedule, bits, made, lo, hi, width, d):
+    def __init__(self, schedule, bits, at, lo, hi, width, d):
         _, self.period, _ = schedule.tiling
         per_packet = 2 * schedule.formula_rate
-        self.built, self.p, self.made = schedule.built, schedule.p, made
+        self.built, self.p, self.at = schedule.built, schedule.p, at
         self.lo, self.hi, self.width, self.d = lo, hi, width, d
         off = d * per_packet
         # a one-lane level is its value, so a one-lane group's lanes are bits
@@ -1187,9 +1185,10 @@ class _LaneGroup:
         value = 0
         if back < width:
             value = self._unit(slot + back * period, hop)[signal][position] >> back
+        column, length = self.at[signal]
+        first = (slot + 2 * self.d - 1) * length + position
         for k in range(min(back, width)):
-            row = self.made[slot + 2 * self.d + k * period - 1]
-            value |= row[signal][position] << (width - 1 - k)
+            value |= column[first + k * period * length] << (width - 1 - k)
         return value
 
     def decode(self):
@@ -1212,68 +1211,49 @@ class _LaneGroup:
                 if value:
                     raise _Sequential
 
-    def rows(self, interned=None):
-        """The group's rows in run order, made one at a time: each level
-        transposed into its lanes in C (``format``, ``translate``, ``zip``).
-        Given ``interned``, the vectors of a signal whose lanes outnumber its
-        2 ** levels values, so that some must repeat, are interned there:
-        equal vectors are one tuple.  Wider vectors seldom repeat, and
-        interning them would cost more than it saves."""
-        width = self.width
-        text = f"0{width}b"
-        by_slot = []
-        for levels in self.levels.values():
-            columns = []
-            for signal in _ROW_SIGNALS:
-                vec = levels[signal]
-                if width == 1:                  # the one lane is the row
-                    vecs = (vec,)
-                elif vec:
-                    vecs = zip(*[format(v, text).encode().translate(_TEXT_LEVEL)
-                                 for v in vec])
-                else:
-                    vecs = itertools.repeat((), width)
-                if interned is not None and 1 << len(vec) < width:
-                    vecs = map(interned.setdefault, *itertools.tee(vecs))
-                columns.append(vecs)
-            by_slot.append(map(dict, map(zip, itertools.repeat(_ROW_SIGNALS),
-                                         zip(*columns))))
-        return itertools.chain.from_iterable(zip(*by_slot))
+    def write(self):
+        """Write every level into its column: lane k of built slot s is run
+        slot ``s + 2 * d + k * period``, so a level's lanes are one extended
+        slice, made from its bits in C; a one-lane vector is written whole."""
+        width, text = self.width, f"0{self.width}b"
+        for slot, levels in self.levels.items():
+            for signal, vec in levels.items():
+                column, length = self.at[signal]
+                first = (slot + 2 * self.d - 1) * length
+                if width == 1:
+                    column[first:first + length] = vec
+                    continue
+                step = self.period * length
+                for position, lanes in enumerate(vec, start=first):
+                    column[position:position + width * step:step] = (
+                        format(lanes, text).encode().translate(_TEXT_LEVEL))
 
 
-def _run_lanes(schedule: Schedule, bits, recorded=None):
-    """The rows ``_run_engine(schedule, bits)`` returns for a clean tiled
-    run, evaluated lane-parallel; with ``recorded``, True when the recording
-    is that run.  None when a check fails.
+def _run_lanes(schedule: Schedule, bits):
+    """The columns ``_run_engine(schedule, bits)`` returns for a clean tiled
+    run, evaluated lane-parallel; None when a check fails.
 
     The repeated block, built slots ``start + 1 .. start + period``, is one
     group of R = 2 * shift / period + 1 lanes, lane k its k-th repeat.  The
     head, ``built[:start]``, and the tail, ``built[start + period:]`` moved
-    ``shift`` packets, are groups of one lane, evaluated the same way.  A
-    group whose decode checks do not all hold, or whose echoes read their
-    own lanes, leaves the run to the sequential engine.  With ``recorded``
-    it only checks: each group's decode steps are checked and its rows are
-    compared with the recorded ones as they are made, and no row or store
-    is kept; a recording that differs is the engine's to replay.
+    ``shift`` packets, are groups of one lane, evaluated the same way.  Each
+    group checks its decode steps, then writes its columns, which later
+    groups read.  A group whose decode checks do not all hold, or whose
+    echoes read their own lanes, leaves the run to the sequential engine.
     """
     start, period, shift = schedule.tiling
-    rows = [] if recorded is None else recorded
-    interned, made = {}, 0
+    at = {signal: (bytearray(schedule.n_slots * length), length)
+          for signal, length in _signal_lengths(schedule.p).items()}
     try:
         for lo, hi, width, d in ((0, start, 1, 0),
                                  (start, start + period, 2 * shift // period + 1, 0),
                                  (start + period, len(schedule.built), 1, shift)):
-            group = _LaneGroup(schedule, bits, rows, lo, hi, width, d)
+            group = _LaneGroup(schedule, bits, at, lo, hi, width, d)
             group.decode()
-            if recorded is None:
-                rows.extend(group.rows(interned))
-            elif not all(map(operator.eq, group.rows(),
-                             recorded[made:made + width * (hi - lo)])):
-                return None
-            made += width * (hi - lo)
+            group.write()
     except _Sequential:
         return None
-    return True if recorded is not None else rows
+    return {signal: bytes(column) for signal, (column, _) in at.items()}
 
 
 def run_scheme(scheme: str, p: ChannelParams, packets: int,
@@ -1294,17 +1274,17 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
-    slot_rows = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
+    columns = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
     errors = ()
-    if slot_rows is None:
-        slot_rows, errors, *_ = _run_engine(schedule, bits, faults=faults)
+    if columns is None:
+        columns, errors, *_ = _run_engine(schedule, bits, faults=faults)
     delivered, steady, _ = schedule.counts
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
-        slots=slot_rows, formula_rate=schedule.formula_rate, alloc=schedule.alloc,
+        slots=columns, formula_rate=schedule.formula_rate, alloc=schedule.alloc,
         decode_errors=len(errors), delivered_bits=delivered, steady_state_rate=steady,
     )
-    trace._schedule = schedule
+    trace._schedule, trace._bits = schedule, (seed, bits)
     return trace
 
 
@@ -1346,37 +1326,47 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     protocol produces from the recorded inputs (locating any injected
     fault), and every delivered bit matches the seeded payload.
 
-    A trace from run_scheme carries the schedule it was run on; the replay
-    uses it when the trace still names the same (scheme, p, packets), and
-    the trace gives it up here either way, so it is freed with this call.
-    A parsed trace, a changed one or a second verification builds afresh.
+    A trace from run_scheme carries its schedule, used while the trace
+    names the same (scheme, p, packets), and its payload bits, used while
+    it also names the same seed; it gives both up here.  A parsed trace, a
+    changed one or a second verification starts afresh.
 
-    A tiled schedule's recording is first checked lane-parallel
-    (_run_lanes): every decode step on all lanes, every row as it is made,
-    and nothing kept.  When all hold, every delivered and stored bit is the
-    payload bit.  Any other trace is replayed by the sequential engine,
-    which locates its faults and supplies its wrong deliveries and stores.
-    Either way _report takes the rest from the schedule's counts.
+    The clean run is made first, lane-parallel when the schedule is tiled
+    (_run_lanes), else or when a lane check fails sequentially.  A
+    recording whose ten columns equal its columns is that run, with its
+    wrong deliveries and stores (none on lanes); any other is replayed by
+    the sequential engine, which locates its faults.  _report takes the
+    rest from the schedule's counts.
 
     A trace whose row count is not the run's is a ChannelDomainError naming
     the line of its first missing or extra row, as format_trace would write
-    it.
+    it, and so is a column of another length, naming its signal.
     """
     schedule, trace._schedule = trace._schedule, None
+    drawn, trace._bits = trace._bits, None
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
-        schedule = build_schedule(trace.scheme, trace.p, trace.packets)
-    rows = trace.slots
-    if len(rows) != schedule.n_slots:
+        schedule, drawn = build_schedule(trace.scheme, trace.p, trace.packets), None
+    n_slots = trace.n_slots
+    if n_slots != schedule.n_slots:
         header = _header(trace.scheme, trace.p, trace.packets, trace.seed,
                          schedule.alloc, schedule.formula_rate)
         raise ChannelDomainError(
-            f"line {len(header) + min(len(rows), schedule.n_slots) + 1}: "
-            f"trace has {len(rows)} slots, run needs {schedule.n_slots}")
-    bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
-    if schedule.tiling[2] and _run_lanes(schedule, bits, recorded=rows):
-        return _report(schedule)
-    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=rows)
+            f"line {len(header) + min(n_slots, schedule.n_slots) + 1}: "
+            f"trace has {n_slots} slots, run needs {schedule.n_slots}")
+    for signal, length in _signal_lengths(trace.p).items():
+        if len(trace.slots[signal]) != n_slots * length:
+            raise ChannelDomainError(f"recorded {signal} has {len(trace.slots[signal])} "
+                                     f"levels, {n_slots} slots need {n_slots * length}")
+    bits = (drawn[1] if drawn and drawn[0] == trace.seed else
+            _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed))
+    clean = _run_lanes(schedule, bits) if schedule.tiling[2] else None
+    errors = wrong = ()
+    if clean is None:
+        clean, errors, _, _, wrong = _run_engine(schedule, bits)
+    if clean == trace.slots:
+        return _report(schedule, errors=errors, wrong=wrong)
+    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
     return _report(schedule, found, errors, wrong)
 
 
@@ -1439,24 +1429,32 @@ def _header(scheme: str, p: ChannelParams, packets: int, seed: int,
     return lines
 
 
+def _row_layout(p: ChannelParams):
+    """A row's vectors at ``p`` with every level '1', and per signal (signal,
+    start, length): level j of its field is character ``start + j``, a row
+    every ``len(shape) + 1``, so a level moves in one extended slice."""
+    fields, start = [], 0
+    for signal, length in _signal_lengths(p).items():
+        fields.append((signal, start, length))
+        start += (length or 1) + 1
+    return " ".join("1" * length or "-" for _, _, length in fields), fields
+
+
 def format_trace(trace: SimulationTrace) -> str:
-    """The trace file text: the _header lines, then one row per slot.  Each
-    distinct vector is written once per call by ``_vec_str``, the one
-    writer; rows that repeat it share that text, as rows of a run share the
-    received vectors of its channel maps."""
+    """The trace file text: the _header lines, then one row per slot.  The
+    rows' vectors are the row shape (_row_layout) repeated, each level
+    written over it from its column in one extended slice, then made text
+    by the table ``_vec_str`` uses."""
+    shape, fields = _row_layout(trace.p)
+    rows = bytearray((shape + "\n").encode() * trace.n_slots)
+    for signal, start, length in fields:
+        for level in range(length):
+            rows[start + level::len(shape) + 1] = trace.slots[signal][level::length]
+    rows = rows.translate(_LEVEL_TEXT).decode().split("\n")
     lines = _header(trace.scheme, trace.p, trace.packets, trace.seed,
                     trace.alloc, trace.formula_rate)
-    texts = {}                        # vector -> field text, for this call only
-    for t, row in enumerate(trace.slots, start=1):
-        fields = [str(t)]
-        for signal in SIGNALS:
-            vec = row[signal]
-            text = texts.get(vec)
-            if text is None:
-                text = texts[vec] = _vec_str(vec)
-            fields.append(text)
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
+    lines.extend(map(" ".join, zip(map(str, range(1, trace.n_slots + 1)), rows)))
+    return "\n".join([*lines, ""])
 
 
 def parse_trace(text: str) -> SimulationTrace:
@@ -1473,15 +1471,16 @@ def parse_trace(text: str) -> SimulationTrace:
     with the line expected there.  Every other line is a row: the slot
     index, then one vector per signal, each of its signal's length, joined
     by single spaces (a tab, a doubled, leading or trailing space or a
-    ``\r`` makes a column count or a vector string that is rejected).
-    Each distinct vector string is parsed once by ``GfVec.from_string``, the
-    one reader; rows that repeat it share that ``GfVec``.  A bad string
-    raises before it is kept, so its error names the first line it is on,
-    and its signal.  Only the recorded vectors are read back: the
-    allocation and the formula rate follow from the run line.  A parsed
-    trace carries no schedule, draws no payload and holds no counts (its
-    ``delivered_bits`` and ``steady_state_rate`` are 0); verify_trace
-    builds a fresh schedule to replay the vectors.
+    ``\r`` makes a column count or a vector string that is rejected).  A
+    row is checked in one comparison of its vectors, every '0' made '1',
+    with the run's row shape; only a row that fails it is read field by
+    field, to name its first bad field.  The rows then fill
+    each column, one extended slice per level (_row_layout).  Only the
+    recorded vectors are read back: the allocation and the formula rate
+    follow from the run line.  A parsed trace carries no schedule, draws no
+    payload and holds no counts (its ``delivered_bits`` and
+    ``steady_state_rate`` are 0); verify_trace builds a fresh schedule to
+    replay the vectors.
     """
     lines = text.removesuffix("\n").split("\n")
 
@@ -1512,35 +1511,36 @@ def parse_trace(text: str) -> SimulationTrace:
     header = _header(scheme, p, packets, seed, alloc, formula_rate)
     for lineno, want in enumerate(header, start=1):
         expect(lineno, want)
-    lengths = _signal_lengths(p)
-    vectors = {}                      # field text -> GfVec, for this call only
-    slots = []
+    shape, fields = _row_layout(p)
+    rows = []
     for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
-        fields = line.split(" ")
-        if len(fields) != 1 + len(SIGNALS):
-            raise ChannelDomainError(
-                f"line {lineno}: {len(fields)} columns, expected {1 + len(SIGNALS)}"
-            )
-        if fields[0] != str(len(slots) + 1):
-            raise ChannelDomainError(
-                f"line {lineno}: slot index {fields[0]!r}, expected {len(slots) + 1}"
-            )
-        row = {}
-        for signal, field_text in zip(SIGNALS, fields[1:]):
-            vec = vectors.get(field_text)
-            if vec is None:
+        index, _, vectors = line.partition(" ")
+        if index != str(len(rows) + 1) or vectors.replace("0", "1") != shape:
+            # read field by field, to name the first bad one and its signal
+            texts = line.split(" ")
+            if len(texts) != 1 + len(SIGNALS):
+                raise ChannelDomainError(
+                    f"line {lineno}: {len(texts)} columns, expected {1 + len(SIGNALS)}")
+            if texts[0] != str(len(rows) + 1):
+                raise ChannelDomainError(f"line {lineno}: slot index {texts[0]!r}, "
+                                         f"expected {len(rows) + 1}")
+            for (signal, _, length), field_text in zip(fields, texts[1:]):
                 try:
-                    vec = vectors[field_text] = GfVec.from_string(field_text)
+                    vec = GfVec.from_string(field_text)   # the one vector reader
                 except ChannelDomainError as exc:
                     raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
-            if len(vec) != lengths[signal]:
-                raise ChannelDomainError(
-                    f"line {lineno}: {signal} has length {len(vec)}, "
-                    f"expected {lengths[signal]}"
-                )
-            row[signal] = vec
-        slots.append(row)
+                if len(vec) != length:
+                    raise ChannelDomainError(
+                        f"line {lineno}: {signal} has length {len(vec)}, expected {length}")
+        rows.append(vectors)
+    levels = " ".join(rows).encode().translate(_TEXT_LEVEL)
+    slots = {}
+    for signal, start, length in fields:
+        column = bytearray(len(rows) * length)
+        for level in range(length):
+            column[level::length] = levels[start + level::len(shape) + 1]
+        slots[signal] = bytes(column)
     return SimulationTrace(
-        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(slots),
+        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(rows),
         slots=slots, formula_rate=formula_rate, alloc=alloc,
     )

@@ -173,6 +173,9 @@ def test_gfvec_value_semantics():
     assert str(v) == "101" and str(GfVec()) == "-"
     assert GfVec.from_string("101") == v
     assert GfVec.from_string("-") == GfVec()
+    # _vec_str writes an empty vector as "-", never as ""
+    with pytest.raises(ChannelDomainError, match="^bad vector string ''$"):
+        GfVec.from_string("")
     assert v.flip(1) == vec(1, 1, 1)
     with pytest.raises(ChannelDomainError):
         v ^ vec(1, 0)

@@ -118,7 +118,7 @@ def test_trace_roundtrip_and_verify():
     text = format_trace(trace)
     parsed = parse_trace(text)
     assert parsed.n_slots == trace.n_slots
-    assert [row for row in parsed.slots] == [row for row in trace.slots]
+    assert parsed.slots == trace.slots
     report = verify_trace(parsed)
     assert report.ok
     # a parsed trace carries no delivery log; the replay reconstructs rates
@@ -378,6 +378,7 @@ def _edit_line(text, lineno, edit):
     (8, lambda line: line.replace(" 1000 ", " 10x0 ", 1)),  # X_S1 bad character
     (8, lambda line: line.replace(" 1100 ", " 1\u0660\u0660\u0660 ", 1)),  # int() takes it
     (8, lambda line: line.replace(" 1000 ", " - ", 1)),     # X_S1 empty
+    (8, lambda line: line.replace(" 1000 ", "  ", 1)),      # X_S1 an empty field
     (2, lambda line: line.replace("scheme=rss", "scheme=bogus")),
     (2, lambda line: line.replace("packets=4", "packets=3")),
     (2, lambda line: line.replace("m=4", "m=-2")),
@@ -399,6 +400,7 @@ def _edit_line(text, lineno, edit):
         "header-key-repeated", "formula-rate", "alloc-noncoop", "alloc-coop",
         "alloc-private", "alloc-per-phase-coop", "alloc-superframe",
         "columns-order", "vector-ascii", "vector-unicode-digit", "vector-empty",
+        "vector-empty-field",
         "scheme-unknown", "packets-too-few", "link-negative", "scheme-regime",
         "header-key-unknown", "header-int-plus", "header-int-underscore",
         "header-int-unicode-digit", "version-trailing-spaces", "seed-missing",
@@ -447,12 +449,17 @@ def _on_line_8(old, new):
     (_on_line_8(" 1100 ", " 1\u0660\u0660\u0660 "),
      "line 8: X_S2: bad vector string '1\u0660\u0660\u0660'"),
     (_on_line_8(" 1000 ", " - "), "line 8: X_S1 has length 0, expected 4"),
+    (_on_line_8(" 1000 ", "  "), "line 8: X_S1: bad vector string ''"),
+    # an empty field is no vector where the vectors are empty ('-') either
+    (lambda _: format_trace(run_scheme("nofb-mid", ChannelParams(0, 0, 0, 0, 0), 4))
+     .replace("\n1 - ", "\n1  ", 1), "line 5: X_S1: bad vector string ''"),
     (lambda text: text.replace(" 1100 ", " 11x0 "),
      "line 8: X_S2: bad vector string '11x0'"),
     (lambda text: text.replace("X_S1 X_S2", "X_S1"),
      "line 5: found '# columns: slot X_S1 Y_R1 Y_R2 X_R1 X_R2 Y_D1 Y_D2 Y_S1 Y_S2', "
      "expected '# columns: slot X_S1 X_S2 Y_R1 "),
-], ids=["ascii", "unicode-digit", "empty", "repeated-bad-string", "columns-missing"])
+], ids=["ascii", "unicode-digit", "empty", "empty-field", "empty-field-empty-vectors",
+        "repeated-bad-string", "columns-missing"])
 def test_parse_trace_names_line_and_signal(edit, message):
     """A vector error names its line and signal.  A bad string on many lines
     (every "1100" in the repeated case, first on line 8) is reported on its
@@ -470,17 +477,22 @@ def test_parse_trace_names_line_and_signal(edit, message):
 def test_trace_text_round_trip(scheme, point, packets):
     """format_trace(parse_trace(text)) is the text itself, beyond the small
     points of FROZEN_DIGESTS: thousands of distinct strings at the wide
-    point, and the only points whose vectors are empty ('-')."""
-    text = format_trace(run_scheme(scheme, ChannelParams(*point), packets))
+    point, and the only points whose vectors are empty ('-').  The parsed
+    trace holds the run's columns: per signal, n_slots vectors of its
+    length, one 0/1 byte per level."""
+    p = ChannelParams(*point)
+    trace = run_scheme(scheme, p, packets)
+    text = format_trace(trace)
     parsed = parse_trace(text)
     assert format_trace(parsed) == text
     assert verify_trace(parsed).ok
-    fields = [f for line in text.splitlines() if not line.startswith("#")
-              for f in line.split()[1:]]
     assert (" - " in text) == (scheme == "nofb-mid")
-    # each distinct string is one GfVec, shared by the rows that repeat it
-    shared = {id(v) for row in parsed.slots for v in row.values()}
-    assert len(shared) == len(set(fields))
+    assert parsed.slots == trace.slots
+    assert list(parsed.slots) == list(SIGNALS)
+    for signal, column in parsed.slots.items():
+        length = p.q if signal[:3] in ("X_S", "Y_R") else p.qbar
+        assert type(column) is bytes and len(column) == parsed.n_slots * length
+        assert set(column) <= {0, 1}
 
 
 def test_parse_trace_rejects_header_against_the_plan():
@@ -574,10 +586,6 @@ def test_parse_trace_takes_only_what_format_trace_writes(scheme, data):
 
 
 class TestFaultInjection:
-    def _first_payload_level(self, trace, slot, signal):
-        vec = trace.slots[slot - 1][signal]
-        return next((i for i, b in enumerate(vec)), 0)
-
     @pytest.mark.parametrize("scheme,p,rate", WORKED[:5])
     def test_relay_flip_caught_at_injection_slot(self, scheme, p, rate):
         packets = 10
@@ -594,7 +602,7 @@ class TestFaultInjection:
         # the bottom forward level transmits zero; flipping it must still fail
         fault = {(2, "X_R1"): 2}
         trace = run_scheme("fbxw", p, 10, faults=fault)
-        assert trace.slots[1]["X_R1"][2] == 1
+        assert trace.slots["X_R1"][1 * p.qbar + 2] == 1
         report = verify_trace(trace)
         assert not report.ok and report.first_fault == (2, "X_R1", 2)
 
@@ -864,6 +872,27 @@ def test_changed_trace_verified_against_fresh_build(builds):
     assert builds == [("fbxw", 8), ("fbxw", 9), ("fbxw", 8)]
 
 
+def test_run_then_verify_draws_the_payload_once(monkeypatch):
+    """A trace from run_scheme carries the payload bits it drew to its one
+    verify_trace, which drops them with the schedule; a second verification,
+    and one of a trace whose seed was changed, draw afresh."""
+    draws = []
+    real = pipeline._payload_bits
+
+    def counting(n, seed):
+        draws.append(seed)
+        return real(n, seed)
+    monkeypatch.setattr(pipeline, "_payload_bits", counting)
+    trace = run_scheme("fbxw", FBXW_SMALL, 30)
+    assert verify_trace(trace).ok and draws == [DEFAULT_SEED]
+    assert trace._schedule is None and trace._bits is None
+    assert verify_trace(trace).ok and draws == [DEFAULT_SEED] * 2
+    changed = run_scheme("fbxw", FBXW_SMALL, 30)
+    changed.seed += 1
+    assert not verify_trace(changed).ok
+    assert draws == [DEFAULT_SEED] * 3 + [DEFAULT_SEED + 1]
+
+
 def test_carried_schedule_outside_repr_and_eq():
     carried = run_scheme("fbxw", FBXW_SMALL, 8)
     released = run_scheme("fbxw", FBXW_SMALL, 8)
@@ -983,14 +1012,17 @@ def test_several_faults_located_exactly(case, packets, data):
 
 @pytest.mark.parametrize("signal", ["X_R1", "Y_D2"])
 def test_recorded_vector_of_wrong_length_is_rejected(signal):
-    """A run's trace whose recorded transmit or received vector was cut
-    short fails the replay's length check; parse_trace, which checks lengths
-    first, never hands such a trace on."""
+    """A run's trace whose recorded transmit or received column was cut
+    short fails verify_trace's column check, which names its signal;
+    format_trace, whose extended slices no longer fit, refuses it too, and
+    parse_trace, which checks lengths first, never hands such a trace on."""
     trace = run_scheme("fbxw", FBXW_SMALL, 8)
-    row = trace.slots[4]
-    row[signal] = row[signal][:-1]
+    assert (trace.n_slots, FBXW_SMALL.qbar) == (20, 3)
+    trace.slots[signal] = trace.slots[signal][:-1]
+    with pytest.raises(ValueError):
+        format_trace(trace)
     with pytest.raises(ChannelDomainError,
-                       match=f"^recorded {signal} at slot 5 has length 2$"):
+                       match=f"^recorded {signal} has 59 levels, 20 slots need 60$"):
         verify_trace(trace)
 
 
@@ -1022,9 +1054,14 @@ def test_record_fields_are_pinned():
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
 def test_clean_run_rows_are_the_channel_map(scheme, p):
-    """Every row of a clean run receives what the channel geometry, called
-    directly, makes of the row's transmitted vectors."""
-    for row in run_scheme(scheme, p, 30).slots:
+    """Every slot of a clean run receives what the channel geometry, called
+    directly, makes of the slot's transmitted vectors, each read from its
+    column as levels ``(t - 1) * length .. t * length``."""
+    trace = run_scheme(scheme, p, 30)
+    for t in range(1, trace.n_slots + 1):
+        row = {signal: tuple(column[(t - 1) * length:t * length])
+               for signal, column in trace.slots.items()
+               for length in [p.q if signal[:3] in ("X_S", "Y_R") else p.qbar]}
         assert (row["Y_R1"], row["Y_R2"]) == _first_hop(row["X_S1"], row["X_S2"], p, 0)
         assert (row["Y_D1"], row["Y_D2"], row["Y_S1"], row["Y_S2"]) == _second_hop(
             row["X_R1"], row["X_R2"], p, 0)
@@ -1298,9 +1335,10 @@ def _assert_stores_are_decode_targets(schedule, bits, stores):
 
 def _assert_lane_report_is_sequential(trace, stores):
     """verify_trace's report of a clean tiled run, from its lane checks, is
-    the one a sequential replay of the same rows makes, key order included,
-    and its counts are the schedule's delivering steps read slot by slot,
-    and the (node, packet) pairs the engine's decoder ``stores`` hold."""
+    the one it makes from the sequential engine's clean run, and the one a
+    sequential replay of the same columns makes, key order included, and
+    its counts are the schedule's delivering steps read slot by slot, and
+    the (node, packet) pairs the engine's decoder ``stores`` hold."""
     schedule = trace._schedule
     _assert_counts_are_delivering_steps(trace, schedule)
     from_lanes = verify_trace(trace)
@@ -1309,6 +1347,9 @@ def _assert_lane_report_is_sequential(trace, stores):
         replayed = verify_trace(trace)
     assert lanes.called and from_lanes.ok
     assert replayed == from_lanes
+    bits = _payload_bits(len(stores["S1"]), trace.seed)
+    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
+    assert pipeline._report(schedule, found, errors, wrong) == from_lanes
     assert list(replayed.node_verdicts) == list(from_lanes.node_verdicts)
     assert list(replayed.packet_verdicts) == list(from_lanes.packet_verdicts)
     per_packet = 2 * schedule.formula_rate
@@ -1324,29 +1365,52 @@ def _assert_lane_report_is_sequential(trace, stores):
        seed=st.integers(0, 2**32 - 1))
 def test_lane_path_equals_sequential_engine(case, packets, seed):
     """The sequential engine is the oracle of a clean tiled run (13 packets
-    is a full build): it gets every bit right, the lane path gives its rows,
-    a lane replay of those rows checks out and a flipped level makes it
-    return None, the engine's stores are the schedule's decode targets, and
-    verify_trace's report from the lanes is the one it makes from a
-    sequential replay of the same rows."""
+    is a full build): it gets every bit right, the lane path gives its
+    columns, a replay of those columns finds nothing, the engine's stores
+    are the schedule's decode targets, verify_trace's report from the lanes
+    is the one it makes from a sequential replay of the same columns, and a
+    changed column makes verify_trace replay it sequentially."""
     scheme, p = TILE_CASES[case]
     schedule = build_schedule(scheme, p, packets)
     assert schedule.tiling[2]
     bits = _payload_bits(len(schedule.payload_refs), seed)
-    rows, errors, found, stores, wrong = _run_engine(schedule, bits)
+    columns, errors, found, stores, wrong = _run_engine(schedule, bits)
     assert (errors, found, wrong) == ([], [], [])
     _assert_stores_are_decode_targets(schedule, bits, stores)
-    assert _run_lanes(schedule, bits) == rows
-    assert _run_engine(schedule, bits, recorded=rows)[1:] == ([], [], stores, [])
-    assert _run_lanes(schedule, bits, recorded=rows) is True
-    changed = [dict(row) for row in rows]
-    row = changed[len(rows) // 2]
-    signal = next(s for s in SIGNALS if row[s])
-    row[signal] = (1 - row[signal][0], *row[signal][1:])
-    assert _run_lanes(schedule, bits, recorded=changed) is None
+    assert _run_lanes(schedule, bits) == columns
+    assert _run_engine(schedule, bits, recorded=columns)[1:] == ([], [], stores, [])
     trace = run_scheme(scheme, p, packets, seed=seed)
-    assert (trace.slots, trace.decode_errors) == (rows, 0)
+    assert (trace.slots, trace.decode_errors) == (columns, 0)
     _assert_lane_report_is_sequential(trace, stores)
+    signal = next(s for s in SIGNALS if columns[s])
+    changed = bytearray(columns[signal])
+    changed[len(changed) // 2] ^= 1
+    trace.slots = {**columns, signal: bytes(changed)}
+    with mock.patch.object(pipeline, "_run_engine", wraps=_run_engine) as engine:
+        report = verify_trace(trace)
+    assert engine.call_args.kwargs == {"recorded": trace.slots}
+    length = len(columns[signal]) // trace.n_slots
+    assert report.first_fault == (len(changed) // 2 // length + 1, signal,
+                                  len(changed) // 2 % length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.sampled_from([8, 30]),
+       data=st.data())
+def test_flipped_column_byte_is_the_first_fault(case, packets, data):
+    """Byte i of one column of a clean trace flipped, on a full build (8)
+    and a tiled run (30) alike, is the first fault verify_trace reports:
+    slot i // L + 1, the column's signal, level i % L, where L is that
+    signal's vector length."""
+    scheme, p = TILE_CASES[case]
+    trace = run_scheme(scheme, p, packets)
+    signal = data.draw(st.sampled_from(SIGNALS), label="signal")
+    length = p.q if signal[:3] in ("X_S", "Y_R") else p.qbar
+    column = bytearray(trace.slots[signal])
+    i = data.draw(st.integers(0, len(column) - 1), label="byte")
+    column[i] ^= 1
+    trace.slots[signal] = bytes(column)
+    assert verify_trace(trace).first_fault == (i // length + 1, signal, i % length)
 
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
