@@ -56,10 +56,11 @@ slot of its own) and its feedback levels.  Every scheme repeats itself
 after a short warm-up: one period is two superframes (two or four slots),
 and the next period is the same with packet indices raised by a superframe,
 which is what _Slot.shifted computes.  So build_schedule builds a run of
-more than TILE_PACKETS packets once, at TILE_PACKETS or TILE_PACKETS + 1
-packets, finds the period by checking that the builder's live state recurs
-and that the next period's records are the shifted ones, and tiles it:
-build time and schedule memory do not grow with the packet count.  The
+more than TILE_PACKETS packets once: a build of at most TILE_PACKETS + 1
+packets watches for the builder's live state to recur, stops at the least
+run that shows that period (4 to 8 packets on the CI grid), and is tiled
+once the next period's records are checked to be the shifted ones: build
+time and schedule memory do not grow with the packet count.  The
 engine walks the tiling over the records directly (Schedule._walk), and
 the lane path reads its head, period and tail from them, with no copy of a
 repeated record; Schedule.slots() is the one reader of a
@@ -150,7 +151,9 @@ _VERDICT_NODES = ("R1", "R2", "D1", "D2")     # the decoders node_verdicts judge
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
-TILE_PACKETS = 12                     # P0: longer runs tile a build of this size
+# longer runs tile one build of at most TILE_PACKETS + 1 packets (the run's
+# parity), stopped at the least run that shows its period
+TILE_PACKETS = 12
 _EMPTY = frozenset()                  # the one empty level and side set
 
 
@@ -719,9 +722,9 @@ class _Builder:
 
     def _watch_period(self, t):
         """Snapshot the state after slot ``t`` and take ``t - period`` as the
-        period start if it matches.  Only slots whose next two periods are
-        still run as in an endless build count (phase 1 of the last packet
-        is at slot 2P - 1)."""
+        period start if it matches, cutting the run to the least one that
+        finds it.  Only slots whose next two periods are still run as in an
+        endless build count (phase 1 of the last packet is at slot 2P - 1)."""
         if t + self.period > 2 * self.packets - 1:
             self.watch = False
             return
@@ -730,6 +733,11 @@ class _Builder:
             self.period_start = t - self.period
             self.watch = False
             self.states = {}
+            # the least run of this parity whose watch reaches t: the slots
+            # so far are its slots, and it finds this period (build_schedule)
+            least = max(4 + self.packets % 2, (t + self.period + 2) // 2)
+            self.packets = least + (least - self.packets) % 2
+            self.payload_refs = self.payload_refs[:self.packets * self.per_packet]
 
     # -- main loop -------------------------------------------------------------
 
@@ -771,6 +779,9 @@ class _Builder:
                         raise PipelineError(f"{relay} missing {missing} after hop 1")
             if self.watch:
                 self._watch_period(t)
+                # a period found cuts the run short, before any drain slot
+                P = self.packets
+                budget, n_slots = 2 * P + 4, 2 * (P + lag)
 
             if t == n_slots and any(self.fifo.values()):
                 n_slots += 1
@@ -796,10 +807,16 @@ class _Builder:
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
     """The schedule of a ``packets``-packet run.
 
-    Up to TILE_PACKETS packets it is one full build.  A longer run is built
-    at P0 = TILE_PACKETS or TILE_PACKETS + 1, whichever has the parity of
-    ``packets`` (so P - P0 is a whole number of superframes), and tiled out
-    to ``packets``.  Why that is the full build at ``packets``:
+    Up to TILE_PACKETS packets it is one full build.  A longer run starts a
+    watched build at TILE_PACKETS or TILE_PACKETS + 1 packets, whichever has
+    the parity of ``packets``.  Once the period shows, that build stops as
+    the P0-packet build: P0 is the least run of at least 4 packets, of that
+    parity (so P - P0 is a whole number of superframes), whose watch
+    reaches the period (_Builder._watch_period).  The input up to the last
+    packet's first hop-1 slot does not depend on the run length, so the
+    slots built so far are the P0 build's, which finds the same period.
+    The P0 build is tiled out to ``packets``.  Why that is the full build
+    at ``packets``:
 
     The builder is deterministic, and its input at slot t, the hop-1
     emissions and the phase of the slot, is its input at slot t + 2k with
@@ -1264,13 +1281,16 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     formed; the corruption then propagates through the rest of the run.  A
     faults value that is not such a mapping, a slot, signal or level the run
     does not have, or a slot or level that is not an int (bools included),
-    is a ChannelDomainError.
+    is a ChannelDomainError, and so is a seed that is not an int (bools
+    included), which the trace header could not carry.
 
     A clean tiled run is evaluated lane-parallel (_run_lanes); a faulted
     run, a full build, or a clean run whose lane checks fail runs on the
     sequential engine.  Either way the delivered and steady counts are the
     schedule's (Schedule.counts).
     """
+    if type(seed) is not int:
+        raise ChannelDomainError(f"seed {seed!r} is not an int")
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)

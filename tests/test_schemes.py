@@ -651,6 +651,16 @@ def test_fault_outside_the_run_is_rejected(faults):
         run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8, faults=faults)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, "x", None],
+                         ids=["bool", "float", "str", "none"])
+def test_seed_that_is_not_an_int_is_rejected(seed, builds):
+    """A seed the trace header could not carry as an integer is bad input,
+    refused before the schedule is built."""
+    with pytest.raises(ChannelDomainError, match=f"^seed {re.escape(repr(seed))} is not an int$"):
+        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8, seed=seed)
+    assert builds == []
+
+
 def _draw_flip(data, scheme, p, packets):
     """Any (slot, signal, level) of a run, on a signal with a non-empty vector."""
     n_slots = build_schedule(scheme, p, packets).n_slots
@@ -1107,17 +1117,44 @@ def test_replay_of_a_run_reads_its_channel_maps(monkeypatch):
     assert (calls.count(1), calls.count(2)) == (len(hop1), len(hop2))
 
 
-# (start, period, shift) of each TILE_CASES point at 30 packets
-TILING_AT_30 = [(4, 2, 18), (3, 4, 18), (3, 4, 18), (4, 2, 18), (8, 2, 18),
-                (2, 2, 18), (2, 2, 18), (2, 2, 18), (4, 2, 18)]
+# (start, period, shift) of each TILE_CASES point at 30 packets, and the
+# slots its base build holds: the least even run that shows the period
+TILING_AT_30 = [(4, 2, 24), (3, 4, 24), (3, 4, 24), (4, 2, 24), (8, 2, 22),
+                (2, 2, 26), (2, 2, 26), (2, 2, 26), (4, 2, 24)]
+BUILT_AT_30 = [16, 15, 15, 16, 20, 9, 10, 10, 16]
 
 
-@pytest.mark.parametrize("case,tiling", zip(TILE_CASES, TILING_AT_30),
+@pytest.mark.parametrize("case,tiling,built", zip(TILE_CASES, TILING_AT_30, BUILT_AT_30),
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
-def test_tiling_at_30_packets_is_pinned(case, tiling):
+def test_tiling_at_30_packets_is_pinned(case, tiling, built):
     scheme, p = case
-    assert build_schedule(scheme, p, 30).tiling == tiling
+    schedule = build_schedule(scheme, p, 30)
+    assert schedule.tiling == tiling
+    assert len(schedule.built) == built
+
+
+@pytest.mark.parametrize("packets", [TILE_PACKETS, TILE_PACKETS + 1])
+@pytest.mark.parametrize("scheme,p", TILE_CASES,
+                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
+                              for s, p in TILE_CASES])
+def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, packets):
+    """A watched build that finds its period stops as the least run of its
+    parity whose watch reaches that slot: it is a direct watched build of
+    that length, record for record, and two packets fewer would be under 4
+    or would stop watching before the period shows."""
+    watched = _Builder(scheme, p, packets)
+    watched.watch = True
+    base = watched.build()
+    least, period = watched.packets, watched.period
+    assert 4 <= least < packets and least % 2 == packets % 2
+    direct = _Builder(scheme, p, least)
+    direct.watch = True
+    short = direct.build()
+    assert (base.built, base.packets, base.n_slots) == (short.built, least, short.n_slots)
+    assert watched.period_start == direct.period_start is not None
+    found = watched.period_start + period         # the slot the watch found it at
+    assert least - 2 < 4 or found + period > 2 * (least - 2) - 1
 
 
 def test_every_ci_grid_pair_tiles():
