@@ -148,6 +148,7 @@ _HOP1_SIGNALS = ("X_S1", "X_S2", "Y_R1", "Y_R2")
 _HOP2_SIGNALS = ("X_R1", "X_R2", "Y_D1", "Y_D2", "Y_S1", "Y_S2")
 _NODES = ("S1", "S2", "R1", "R2", "D1", "D2")
 _VERDICT_NODES = ("R1", "R2", "D1", "D2")     # the decoders node_verdicts judge
+_OWN_SOURCE = {"R1": 1, "R2": 2}              # relay -> the source it forwards
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
@@ -262,21 +263,22 @@ class Schedule:
         fallbacks and replays.  A lane-parallel run uses none."""
         return {}, {}
 
-    def _walk(self, records=None):
-        """(built slot record, packet shift) of slots 1 .. n_slots, in order:
-        the build's own slots up to ``start + period``, the period repeated
-        ``2 * shift`` slots long and moved ``period // 2`` packets further
-        each time, then the build's remaining slots moved ``shift``.  Given
-        ``records``, one per built slot, it walks them instead."""
-        built = self.built if records is None else records
+    @property
+    def _parts(self):
+        """(lo, hi, copies, d) of the tiling's head, period and tail: built
+        slots ``lo + 1 .. hi`` run ``copies`` times, the first ``d`` packets
+        on and each next one a period further.  A full build is all tail."""
         start, period, shift = self.tiling
-        own = start + period
-        yield from zip(built[:own], itertools.repeat(0))
-        if shift:
-            repeats = ((slot, k * period // 2)
-                       for k in itertools.count(1) for slot in built[start:own])
-            yield from itertools.islice(repeats, 2 * shift)
-        yield from zip(built[own:], itertools.repeat(shift))
+        return ((0, start, 1, 0), (start, start + period, 2 * shift // (period or 1) + 1, 0),
+                (start + period, len(self.built), 1, shift))
+
+    def _walk(self):
+        """(built slot record, packet shift) of slots 1 .. n_slots, in order:
+        each part of the tiling (_parts), copy by copy."""
+        half = self.tiling[1] // 2
+        for lo, hi, copies, d in self._parts:
+            for k in range(copies):
+                yield from zip(self.built[lo:hi], itertools.repeat(d + k * half))
 
     def slots(self):
         """(t, slot record) for t = 1 .. n_slots, in order, each record
@@ -290,27 +292,35 @@ class Schedule:
         """(delivered, steady, written) of every run of this schedule: its
         delivering steps, those in the steady window (slots
         ``2 * WARMUP_PACKETS + 2 .. 2 * packets + 1``, clear of the warm-up
-        and the drain), and the (node, packet) pairs a step of a
-        _VERDICT_NODES decoder writes, node by node in packet order.  They
-        depend only on the decode steps along the tiling walk, so each built
-        slot's are noted once and moved along it.  run_scheme and the
-        verify_trace it hands the schedule to both read them."""
-        per_packet = 2 * self.formula_rate
-        deliver = operator.itemgetter(4)              # DecodeStep.deliver
-        notes = [(sum(map(deliver, slot.steps)),
-                  {(node, target // per_packet) for node, _, _, target, _ in slot.steps})
-                 for slot in self.built]
-        lo, hi = 2 * WARMUP_PACKETS + 2, 2 * self.packets + 1
+        and the drain), and each _VERDICT_NODES decoder with the range of
+        packets its steps write (PipelineError if they are not one range).
+        Each built slot is read once: its copies (_parts) are arithmetic
+        progressions of slots and packets.  run_scheme and the verify_trace
+        it hands the schedule to read them."""
+        period, first, last = self.tiling[1], 2 * WARMUP_PACKETS + 2, 2 * self.packets + 1
+        every, half = period or 1, period // 2 or 1    # one copy takes any step
+        per_packet, deliver = 2 * self.formula_rate, operator.itemgetter(4)  # .deliver
         delivered = steady = 0
-        written = {node: set() for node in _NODES}
-        for t, ((count, pairs), d) in enumerate(self._walk(notes), start=1):
-            delivered += count
-            if lo <= t <= hi:
-                steady += count
-            for node, k in pairs:
-                written[node].add(k + d + 1)
-        pairs = tuple((node, pkt) for node in _VERDICT_NODES for pkt in sorted(written[node]))
-        return delivered, Fraction(steady, hi - lo + 1), pairs    # a run has 4+ packets
+        written = dict.fromkeys(_NODES, 0)             # node -> bit k set: writes packet k
+        for lo, hi, copies, d in self._parts:
+            for t, slot in enumerate(self.built[lo:hi], start=lo + 1 + 2 * d):
+                count = sum(map(deliver, slot.steps))
+                # its copies t + k * every, 0 <= k < copies, in the steady window
+                window = range(max(0, -((t - first) // every)),
+                               min(copies, (last - t) // every + 1))
+                delivered, steady = delivered + count * copies, steady + count * len(window)
+            bits = ((1 << copies * half) - 1) // ((1 << half) - 1)   # bits 0, half, ...
+            for node, k in {(node, target // per_packet) for slot in self.built[lo:hi]
+                            for node, _, _, target, _ in slot.steps}:
+                written[node] |= bits << (k + d + 1)
+        ranges = []
+        for node in _VERDICT_NODES:
+            mask = written[node]
+            packets = range(max(0, (mask & -mask).bit_length() - 1), mask.bit_length())
+            if mask != (1 << packets.stop) - (1 << packets.start):
+                raise PipelineError(f"{node}'s packets are not one run at {self.p.short()}")
+            ranges.append((node, packets))
+        return delivered, Fraction(steady, last - first + 1), tuple(ranges)  # 4+ packets
 
     @property
     def steps(self):
@@ -327,7 +337,7 @@ class Schedule:
 # _tile's period check) and _Builder._state all move values this way.
 
 def _shift_refs(refs, off):
-    return frozenset(i + off for i in refs) if off and refs else refs
+    return frozenset(map(off.__add__, refs)) if off and refs else refs
 
 
 def _shift_obs(obs, d):
@@ -371,6 +381,12 @@ class _Builder:
     """Schedule construction for all four schemes."""
 
     def __init__(self, scheme: str, p: ChannelParams, packets: int):
+        """A build of ``packets`` packets.  Every set it keeps holds
+        payload_refs positions.  ``index`` maps a ref to its position, and
+        ``unit`` holds one immutable Emit per bit, shared by every level
+        that carries that bit alone (hop-1 emission and relay forwarding);
+        both, and the sources' knowledge, hold only the packets sent so
+        far, each made in the first slot that sends it (_send_packet)."""
         self.scheme = scheme
         self.p = p
         self.packets = packets
@@ -385,16 +401,8 @@ class _Builder:
             self.lmap4 = level_map(self.alloc, p, 4)
             self.fb_plan = self._feedback_plan()
         self.per_packet = 2 * self.formula_rate
-        # every set below holds payload_refs positions; index maps a ref of
-        # the plan to its position
-        self.index = {ref: i for i, ref in enumerate(self.payload_refs)}
+        self.index, self.unit = {}, []
         self.know = {node: set() for node in _NODES}
-        # one immutable Emit per payload bit, shared by every level that
-        # carries that bit alone (hop-1 emission and relay forwarding)
-        self.unit = []
-        for i, ref in enumerate(self.payload_refs):
-            self.know[f"S{ref[0]}"].add(i)
-            self.unit.append(Emit(frozenset((i,))))
         self.fifo = {"R1": deque(), "R2": deque()}
         # relay receptions with two unknown bits: insertion number ->
         # (obs, refs), and each unknown position -> the insertion numbers
@@ -413,6 +421,16 @@ class _Builder:
         self.period = 2 * (self.alloc.superframe if self.alloc else 1)
         self.period_start = None
         self.states = {}
+
+    def _send_packet(self, pkt):
+        """Make packet ``pkt``'s index entries, unit Emits and its sources'
+        knowledge of their own bits: a watched build that stops at P0'
+        packets makes no others."""
+        lo, hi = (pkt - 1) * self.per_packet, pkt * self.per_packet
+        self.index.update(zip(self.payload_refs[lo:hi], range(lo, hi)))
+        self.unit.extend(map(Emit, map(frozenset, zip(range(lo, hi)))))
+        self.know["S1"].update(range(lo, lo + self.formula_rate))   # source 1's bits
+        self.know["S2"].update(range(lo + self.formula_rate, hi))   # then source 2's
 
     # -- static plans -------------------------------------------------------
 
@@ -465,12 +483,10 @@ class _Builder:
             raise PipelineError(f"{node} relearns {ref} at slot {slot}")
         self.know[node].add(target)
         self.slot_steps.append(DecodeStep(node, obs, side, target))
-        if node in ("R1", "R2"):
-            own = 1 if node == "R1" else 2
-            if ref[0] == own and not (
-                self.scheme == SCHEME_FBXW and ref[2] == "cp"
-            ):
-                self.fifo[node].append((target, slot))
+        # a relay forwards its own source's bits, but for the fbxw coop bits
+        if _OWN_SOURCE.get(node) == ref[0] and not (self.scheme == SCHEME_FBXW
+                                                     and ref[2] == "cp"):
+            self.fifo[node].append((target, slot))
 
     def _drain_pending(self, node, slot, learned):
         """Resolve the pending receptions that ``learned`` unlocks, and the
@@ -569,15 +585,11 @@ class _Builder:
     def _hop2_emits(self, t):
         qbar, f = self.p.qbar, self.p.f
         emits = {"R1": [None] * qbar, "R2": [None] * qbar}
-        if t < 2:
-            return emits, None, None
-        phase = 2 if t % 2 == 0 else 3
-        pkt = t // 2 if phase == 2 else (t - 1) // 2
+        phase, pkt = 2 + t % 2, t // 2         # slot 1: packet 0, no phase, no bit queued
         if not 1 <= pkt <= self.packets:
             phase, pkt = None, None
         if phase is not None:
-            for relay in ("R1", "R2"):
-                own = 1 if relay == "R1" else 2
+            for relay, own in _OWN_SOURCE.items():
                 for level, j in self.fb_plan[phase]:
                     emits[relay][level] = self._feedback_emit(relay, own, pkt, j)
         for relay in ("R1", "R2"):
@@ -680,25 +692,24 @@ class _Builder:
         found is the one found with slots counted from ``t``.
 
         That is the relay FIFOs with their enqueue slots, the pending relay
-        decodes and their waiting index (arrivals as ranks), the rss echo and
-        rsw residual stores of packets not yet past their use, and what each
-        node knows or has delivered of the packets from the oldest one any of
-        these names up to the newest one sent.  No later slot reads anything
-        older, and of newer packets only the sources' own bits are known.
+        decodes in arrival order, the rss echo and rsw residual stores of
+        packets not yet past their use, and what each node knows or has
+        delivered of the packets from the oldest one any of these names up
+        to the newest one sent, each a set intersection moved by one map.
+        No later slot reads anything older, and no newer packet is made yet
+        (_send_packet).  The relays' waiting index follows from these: after
+        a slot it lists each pending decode, in arrival order, under the two
+        positions of its refs its relay does not know, and nothing else (a
+        learned position's list is dropped, and a decode leaves pending only
+        once both its positions are known).
         """
         base, per_packet = t // 2, self.per_packet
         d, off = -base, -base * per_packet
         fifo = tuple(tuple((i + off, slot + 2 * d) for i, slot in self.fifo[relay])
                      for relay in ("R1", "R2"))
-        pending = []
-        for relay in ("R1", "R2"):
-            rank = {arrival: i for i, arrival in enumerate(self.pending[relay])}
-            pending.append((
-                tuple((_shift_obs(o, d), _shift_refs(rs, off))
-                      for o, rs in self.pending[relay].values()),
-                {i + off: tuple(rank.get(a, -1) for a in arrivals)
-                 for i, arrivals in self.waiting[relay].items()},
-            ))
+        pending = tuple(tuple((_shift_obs(o, d), _shift_refs(rs, off))
+                              for o, rs in self.pending[relay].values())
+                        for relay in ("R1", "R2"))
         echo = {(node, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rest, off),
                                         _shift_refs(known, off))
                                        for o, rest, known in items)
@@ -708,16 +719,16 @@ class _Builder:
                                             for o, rs in items)
                     for (relay, pkt), items in self.residual_store.items()
                     if pkt >= base}
-        named = [i for queue in fifo for i, _ in queue]
-        named += [i for entries, _ in pending for _, rs in entries for i in rs]
-        named += [i for items in echo.values() for item in items
-                  for rs in item[1:] for i in rs]
-        named += [i for items in residual.values() for _, rs in items for i in rs]
-        oldest = min([0] + [i // per_packet + 1 for i in named])
+        named = [(i,) for queue in fifo for i, _ in queue]
+        named += [rs for entries in pending for _, rs in entries]
+        named += [rs for items in echo.values() for item in items for rs in item[1:]]
+        named += [rs for items in residual.values() for _, rs in items]
+        least = min(map(min, filter(None, named)), default=None)
+        oldest = 0 if least is None else min(0, least // per_packet + 1)
         window = range((base + oldest - 1) * per_packet, (t + 1) // 2 * per_packet)
-        know = tuple(frozenset(i + off for i in window if i in self.know[node])
+        know = tuple(frozenset(map(off.__add__, self.know[node].intersection(window)))
                      for node in _NODES)
-        delivered = frozenset(i + off for i in window if i in self.delivered)
+        delivered = frozenset(map(off.__add__, self.delivered.intersection(window)))
         return oldest, fifo, pending, echo, residual, know, delivered
 
     def _watch_period(self, t):
@@ -737,16 +748,16 @@ class _Builder:
             # so far are its slots, and it finds this period (build_schedule)
             least = max(4 + self.packets % 2, (t + self.period + 2) // 2)
             self.packets = least + (least - self.packets) % 2
-            self.payload_refs = self.payload_refs[:self.packets * self.per_packet]
 
     # -- main loop -------------------------------------------------------------
 
     def build(self) -> Schedule:
         p, P = self.p, self.packets
         lag = 0 if self.mid else 1  # hop 1 of packet i ends at 2i+2, of block i at 2i
-        budget = 2 * P + 4
-        t, n_slots = 1, 2 * (P + lag)
+        t, budget, n_slots = 1, 2 * P + 4, 2 * (P + lag)
         while t <= n_slots:
+            if t % 2 and (t + 1) // 2 <= self.packets:    # packet or block (t + 1) // 2
+                self._send_packet((t + 1) // 2)
             hop1 = self._mid_hop1_emits(t) if self.mid else self._hop1_emits(t)
             hop2, phase, pkt = self._hop2_emits(t)
             sent = (hop1[1], hop1[2], hop2["R1"], hop2["R2"])
@@ -770,7 +781,7 @@ class _Builder:
 
             if t % 2 == 0 and 1 <= t // 2 - lag <= P:
                 done = t // 2 - lag
-                for relay, src in (("R1", 1), ("R2", 2)):
+                for relay, src in _OWN_SOURCE.items():
                     lo = (done - 1) * self.per_packet + (src - 1) * self.formula_rate
                     missing = [self.payload_refs[i]
                                for i in range(lo, lo + self.formula_rate)
@@ -791,17 +802,10 @@ class _Builder:
 
         if any(self.fifo.values()) or any(self.pending.values()):
             raise PipelineError("undelivered bits at end of run")
-        if len(self.delivered) != len(self.payload_refs):
+        if len(self.delivered) != self.packets * self.per_packet:
             raise PipelineError("not every payload bit was delivered")
-        return Schedule(
-            scheme=self.scheme,
-            p=p,
-            packets=P,
-            alloc=self.alloc,
-            n_slots=n_slots,
-            formula_rate=self.formula_rate,
-            built=tuple(self.built),
-        )
+        return Schedule(scheme=self.scheme, p=p, packets=P, alloc=self.alloc, n_slots=n_slots,
+                        formula_rate=self.formula_rate, built=tuple(self.built))
 
 
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
@@ -1250,21 +1254,17 @@ def _run_lanes(schedule: Schedule, bits):
     """The columns ``_run_engine(schedule, bits)`` returns for a clean tiled
     run, evaluated lane-parallel; None when a check fails.
 
-    The repeated block, built slots ``start + 1 .. start + period``, is one
-    group of R = 2 * shift / period + 1 lanes, lane k its k-th repeat.  The
-    head, ``built[:start]``, and the tail, ``built[start + period:]`` moved
-    ``shift`` packets, are groups of one lane, evaluated the same way.  Each
-    group checks its decode steps, then writes its columns, which later
-    groups read.  A group whose decode checks do not all hold, or whose
-    echoes read their own lanes, leaves the run to the sequential engine.
+    Each part of the tiling (Schedule._parts) is one group, lane k its k-th
+    copy: the period has R = 2 * shift / period + 1 lanes, the head and the
+    tail one.  Each group checks its decode steps, then writes its columns,
+    which later groups read.  A group whose decode checks do not all hold,
+    or whose echoes read their own lanes, leaves the run to the sequential
+    engine.
     """
-    start, period, shift = schedule.tiling
     at = {signal: (bytearray(schedule.n_slots * length), length)
           for signal, length in _signal_lengths(schedule.p).items()}
     try:
-        for lo, hi, width, d in ((0, start, 1, 0),
-                                 (start, start + period, 2 * shift // period + 1, 0),
-                                 (start + period, len(schedule.built), 1, shift)):
+        for lo, hi, width, d in schedule._parts:
             group = _LaneGroup(schedule, bits, at, lo, hi, width, d)
             group.decode()
             group.write()
@@ -1396,10 +1396,11 @@ def _report(schedule: Schedule, found=(), errors=(), wrong=()) -> VerifyReport:
     ``wrong`` the (node, position) of its wrong stores.  The rest, the
     delivered, missing and steady-window bits and the (node, packet) pairs
     a decoder writes, is the same for every replay of the schedule, and
-    comes from Schedule.counts."""
+    comes from Schedule.counts, whose packet ranges it expands."""
     delivered, steady, written = schedule.counts
     per_packet = 2 * schedule.formula_rate
-    node_verdicts = dict.fromkeys(written, True)
+    node_verdicts = dict.fromkeys(itertools.chain.from_iterable(
+        zip(itertools.repeat(node), packets) for node, packets in written), True)
     node_verdicts.update(((node, i // per_packet + 1), False) for node, i in wrong
                          if node in _VERDICT_NODES)
     packet_verdicts = dict.fromkeys(range(1, schedule.packets + 1), True)

@@ -14,6 +14,7 @@ simulation checks run on a seeded subsample.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,13 +65,9 @@ class SweepSpec:
             raise ChannelDomainError("simulation checks need scheme_packets >= 8")
 
     def points(self):
-        rng = {k: range(lo, hi + 1) for k, (lo, hi) in self.ranges.items()}
-        for m in rng["m"]:
-            for n in rng["n"]:
-                for mbar in rng["mbar"]:
-                    for nbar in rng["nbar"]:
-                        for f in rng["f"]:
-                            yield ChannelParams(m, n, mbar, nbar, f)
+        """The grid's points, m outermost and f innermost."""
+        axes = (range(lo, hi + 1) for lo, hi in map(self.ranges.get, DEFAULT_RANGES))
+        return itertools.starmap(ChannelParams, itertools.product(*axes))
 
 
 @dataclass(frozen=True)

@@ -323,17 +323,43 @@ def _deliveries(schedule):
                  for step in slot.steps if step.deliver)
 
 
+def _counts_slot_by_slot(schedule):
+    """The oracle of Schedule.counts, read from ``schedule.slots()`` one slot
+    at a time: the delivering steps, those in the steady window, and the
+    (node, packet) pairs each verdict decoder's steps write, node by node
+    in packet order."""
+    per_packet = 2 * schedule.formula_rate
+    lo, hi = 2 * WARMUP_PACKETS + 2, 2 * schedule.packets + 1
+    delivered = steady = 0
+    written = {node: set() for node in ("R1", "R2", "D1", "D2")}
+    for t, slot in schedule.slots():
+        for step in slot.steps:
+            delivered += step.deliver
+            steady += step.deliver and lo <= t <= hi
+            if step.node in written:
+                written[step.node].add(step.target // per_packet + 1)
+    pairs = [(node, packet) for node, packets in written.items() for packet in sorted(packets)]
+    return delivered, Fraction(steady, hi - lo + 1), pairs
+
+
+def _written_pairs(schedule):
+    """The (node, packet) pairs of ``schedule.counts``, its ranges expanded."""
+    return [(node, packet) for node, packets in schedule.counts[2] for packet in packets]
+
+
 def _assert_counts_are_delivering_steps(trace, schedule):
     """A run's delivered bits, steady-state rate and measured sum rate are
     counted over the delivering steps of ``schedule`` read slot by slot:
     one delivery per step, the steady window clear of the warm-up packets
-    and the drain."""
+    and the drain; and its schedule's written pairs are the ones its
+    verdict decoders' steps write, read slot by slot."""
     slots = [t for t, _, _ in _deliveries(schedule)]
     lo, hi = 2 * WARMUP_PACKETS + 2, 2 * trace.packets + 1
     assert trace.delivered_bits == len(slots)
     assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in slots),
                                                hi - lo + 1)
     assert trace.measured_sum_rate == Fraction(len(slots), schedule.n_slots)
+    assert _written_pairs(schedule) == _counts_slot_by_slot(schedule)[2]
 
 
 @pytest.mark.parametrize("case", FROZEN_SCHEDULE_DIGESTS,
@@ -1157,6 +1183,49 @@ def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, pack
     assert least - 2 < 4 or found + period > 2 * (least - 2) - 1
 
 
+@pytest.mark.parametrize("packets", [TILE_PACKETS, TILE_PACKETS + 1])
+@pytest.mark.parametrize("scheme,p", TILE_CASES,
+                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
+                              for s, p in TILE_CASES])
+def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets):
+    """A watched build that stops at P0' packets makes the ref index, the
+    unit Emits and the sources' knowledge of exactly those P0' packets."""
+    watched = _Builder(scheme, p, packets)
+    watched.watch = True
+    watched.build()
+    least, per_packet = watched.packets, watched.per_packet
+    assert least < packets
+    assert len(watched.unit) == len(watched.index) == least * per_packet
+    assert watched.know["S1"] | watched.know["S2"] >= set(range(least * per_packet))
+    assert max(watched.know["S1"] | watched.know["S2"]) == least * per_packet - 1
+
+
+def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
+    """The period state leaves out the relays' waiting index because, after
+    every watched slot of every in-regime CI-grid pair at 14 packets, it is
+    the pending decodes, in arrival order, listed under the two positions
+    of their refs the relay does not know, and nothing else."""
+    snapshot, seen = _Builder._state, []
+
+    def checked(self, t):
+        for relay in ("R1", "R2"):
+            derived = {}
+            for arrival, (_, refs) in self.pending[relay].items():
+                unknown = refs - self.know[relay]
+                assert len(unknown) == 2
+                for i in unknown:
+                    derived.setdefault(i, []).append(arrival)
+            assert self.waiting[relay] == derived, (self.scheme, self.p, t)
+        seen.append(t)
+        return snapshot(self, t)
+    monkeypatch.setattr(_Builder, "_state", checked)
+    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
+        p = ChannelParams(*point)
+        for scheme, _ in schemes_at(p):
+            build_schedule(scheme, p, 14)
+    assert len(seen) > 1395
+
+
 def test_every_ci_grid_pair_tiles():
     """Every in-regime (scheme, point) of the CI grid finds its period, so a
     long run never falls back to a full build without notice."""
@@ -1174,6 +1243,42 @@ def test_every_ci_grid_pair_tiles():
     # vacuous: count it apart, so that a pair that falls to rate 0 shows.
     assert (pairs - rate_zero, rate_zero) == (1032, 363)
     assert untiled == []
+
+
+@pytest.mark.parametrize("packets", [8, 13, 14, 31])
+def test_counts_are_the_slot_by_slot_oracle_on_the_ci_grid(packets):
+    """On every in-regime (scheme, point) of the CI grid, rate-0 pairs
+    included, Schedule.counts, counted once per built slot, is the oracle
+    that reads the run slot by slot: delivered bits, steady rate, and the
+    written (node, packet) pairs in order.  Each verdict decoder writes
+    every packet of the run, or none at rate 0."""
+    full, none = 0, 0
+    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
+        p = ChannelParams(*point)
+        for scheme, _ in schemes_at(p):
+            schedule = build_schedule(scheme, p, packets)
+            delivered, steady, _ = schedule.counts
+            assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
+                schedule), (scheme, point)
+            ranges = {written for _, written in schedule.counts[2]}
+            if schedule.formula_rate:
+                full += ranges == {range(1, packets + 1)}
+            else:
+                none += ranges == {range(0)}
+    assert (full, none) == (1032, 363)
+
+
+def test_decoder_packets_that_are_not_one_run_are_an_invariant_error():
+    """counts holds each decoder's written packets as one range, so a
+    schedule in which D1 writes no bit of packet 4 of 8 cannot be counted."""
+    schedule = build_schedule("fbxw", FBXW_SMALL, 8)
+    per_packet = 2 * schedule.formula_rate
+    built = tuple(slot._replace(steps=tuple(
+        step for step in slot.steps
+        if (step.node, step.target // per_packet + 1) != ("D1", 4)))
+        for slot in schedule.built)
+    with pytest.raises(pipeline.PipelineError, match="^D1's packets are not one run"):
+        replace(schedule, built=built).counts
 
 
 def test_superframe_two_points_tile_by_two_packets():
