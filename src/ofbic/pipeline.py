@@ -58,8 +58,9 @@ and the next period is the same with packet indices raised by a superframe,
 which is what _Slot.shifted computes.  So build_schedule builds a run of
 more than TILE_PACKETS packets once: a build of at most TILE_PACKETS + 1
 packets watches for the builder's live state to recur, stops at the least
-run that shows that period (4 to 8 packets on the CI grid), and is tiled
-once the next period's records are checked to be the shifted ones: build
+run that shows that period and is a whole number of superframes shorter
+than the run (4 to 8 packets on the CI grid), and is tiled once each of the
+next period's records is checked, in place, to be its shifted one: build
 time and schedule memory do not grow with the packet count.  The
 engine walks the tiling over the records directly (Schedule._walk), and
 the lane path reads its head, period and tail from them, with no copy of a
@@ -153,7 +154,8 @@ _OWN_SOURCE = {"R1": 1, "R2": 2}              # relay -> the source it forwards
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
 # longer runs tile one build of at most TILE_PACKETS + 1 packets (the run's
-# parity), stopped at the least run that shows its period
+# parity), stopped at the least run that shows its period and is a whole
+# number of superframes shorter than the run
 TILE_PACKETS = 12
 _EMPTY = frozenset()                  # the one empty level and side set
 
@@ -250,7 +252,7 @@ class Schedule:
     def payload_refs(self):
         """Position -> ref, read only at the edge: a verify that finds wrong
         bits names them by it; no run, replay, format or parse reads it."""
-        return _payload_refs(self.alloc, self.formula_rate, self.packets)
+        return _payload_refs(_payload_bands(self.alloc, self.formula_rate), self.packets)
 
     @cached_property
     def channel_maps(self):
@@ -333,8 +335,9 @@ class Schedule:
 # -- packet shifts of built values ---------------------------------------------
 # Shifting by d packets moves every payload_refs position, which run packet
 # by packet, by off = d times the refs per packet, and adds 2d to every slot
-# an observation or echo names.  _Slot.shifted (behind Schedule.slots and
-# _tile's period check) and _Builder._state all move values this way.
+# an observation or echo names.  _Slot.shifted (behind Schedule.slots) and
+# _Builder._state move values this way, and _recurs compares a record with
+# another one moved this way.
 
 def _shift_refs(refs, off):
     return frozenset(map(off.__add__, refs)) if off and refs else refs
@@ -342,6 +345,33 @@ def _shift_refs(refs, off):
 
 def _shift_obs(obs, d):
     return (obs[0], obs[1] + 2 * d, obs[2]) if d else obs
+
+
+def _recurs(a, b, d, off):
+    """Whether slot record ``b`` is ``a.shifted(d, per_packet)``, with
+    ``off = d * per_packet``: the same feedback, and field by field each
+    Emit and DecodeStep of ``a`` moved, compared in place without making
+    the moved records (_tile's period check).  Both records come from one
+    build, so their tx have the same shape."""
+    if a.feedback != b.feedback or len(a.steps) != len(b.steps):
+        return False
+    slots = 2 * d
+    for e, f in zip(itertools.chain.from_iterable(a.tx), itertools.chain.from_iterable(b.tx)):
+        if e is None or f is None:
+            if e is not f:
+                return False
+            continue
+        refs, src, cancel = e
+        if (f.refs != {i + off for i in refs}
+                or f.echo_src != (src and (src[0], src[1] + slots, src[2]))
+                or ((cancel or f.cancel) and f.cancel != {i + off for i in cancel})):
+            return False
+    for (node, obs, side, target, deliver), step in zip(a.steps, b.steps):
+        if (step.node != node or step.target != target + off or step.deliver != deliver
+                or ((side or step.side) and step.side != {i + off for i in side})
+                or step.obs != tuple([(signal, t + slots, at) for signal, t, at in obs])):
+            return False
+    return True
 
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
@@ -360,10 +390,10 @@ def _payload_plan(scheme: str, p: ChannelParams, packets: int):
     return alloc, rate
 
 
-def _payload_refs(alloc: BitAllocation, rate: int, packets: int) -> tuple:
-    """Payload references (source, packet, kind, index) in transmission-plan
-    order: packet by packet, then source, then band.  nofb-mid blocks use
-    the single kind 'mb'."""
+def _payload_bands(alloc: BitAllocation, rate: int) -> list:
+    """(kind, index) of the bits a source sends in one packet, in
+    transmission-plan order: band by band.  nofb-mid blocks use the single
+    kind 'mb'."""
     if alloc is None:
         kinds = (("mb", rate),)
     else:
@@ -371,9 +401,15 @@ def _payload_refs(alloc: BitAllocation, rate: int, packets: int) -> tuple:
             ("n1", alloc.noncoop), ("cp", alloc.coop), ("v1", alloc.private),
             ("n4", alloc.noncoop), ("v4", alloc.private),
         )
+    return [(kind, j) for kind, count in kinds for j in range(count)]
+
+
+def _payload_refs(bands: list, packets: int, first: int = 1) -> tuple:
+    """Payload references (source, packet, kind, index) of packets ``first``
+    to ``packets`` in transmission-plan order: packet by packet, then
+    source, then band (``bands``, from _payload_bands)."""
     # (src, pkt) + (kind, j) in that nesting order, each ref joined in C
-    senders = [(src, pkt) for pkt in range(1, packets + 1) for src in (1, 2)]
-    bands = [(kind, j) for kind, count in kinds for j in range(count)]
+    senders = [(src, pkt) for pkt in range(first, packets + 1) for src in (1, 2)]
     return tuple(itertools.starmap(operator.add, itertools.product(senders, bands)))
 
 
@@ -382,17 +418,17 @@ class _Builder:
 
     def __init__(self, scheme: str, p: ChannelParams, packets: int):
         """A build of ``packets`` packets.  Every set it keeps holds
-        payload_refs positions.  ``index`` maps a ref to its position, and
-        ``unit`` holds one immutable Emit per bit, shared by every level
-        that carries that bit alone (hop-1 emission and relay forwarding);
-        both, and the sources' knowledge, hold only the packets sent so
-        far, each made in the first slot that sends it (_send_packet)."""
+        payload_refs positions.  ``payload_refs`` holds the refs, ``index``
+        maps a ref to its position, and ``unit`` holds one immutable Emit
+        per bit, shared by every level that carries that bit alone (hop-1
+        emission and relay forwarding); all three, and the sources'
+        knowledge, hold only the packets sent so far, each made in the
+        first slot that sends it (_send_packet)."""
         self.scheme = scheme
         self.p = p
         self.packets = packets
         self.mid = scheme == SCHEME_NOFB_MID
         self.alloc, self.formula_rate = _payload_plan(scheme, p, packets)
-        self.payload_refs = _payload_refs(self.alloc, self.formula_rate, packets)
         if self.mid:
             self.code = build_mid_code(p.m, p.n, self.formula_rate)
             self.fb_plan = {2: (), 3: ()}
@@ -401,7 +437,8 @@ class _Builder:
             self.lmap4 = level_map(self.alloc, p, 4)
             self.fb_plan = self._feedback_plan()
         self.per_packet = 2 * self.formula_rate
-        self.index, self.unit = {}, []
+        self.bands = _payload_bands(self.alloc, self.formula_rate)
+        self.payload_refs, self.index, self.unit = [], {}, []
         self.know = {node: set() for node in _NODES}
         self.fifo = {"R1": deque(), "R2": deque()}
         # relay receptions with two unknown bits: insertion number ->
@@ -423,11 +460,13 @@ class _Builder:
         self.states = {}
 
     def _send_packet(self, pkt):
-        """Make packet ``pkt``'s index entries, unit Emits and its sources'
-        knowledge of their own bits: a watched build that stops at P0'
-        packets makes no others."""
+        """Make packet ``pkt``'s refs, index entries, unit Emits and its
+        sources' knowledge of their own bits: a watched build that stops at
+        P0' packets makes no others."""
         lo, hi = (pkt - 1) * self.per_packet, pkt * self.per_packet
-        self.index.update(zip(self.payload_refs[lo:hi], range(lo, hi)))
+        refs = _payload_refs(self.bands, pkt, pkt)
+        self.payload_refs += refs
+        self.index.update(zip(refs, range(lo, hi)))
         self.unit.extend(map(Emit, map(frozenset, zip(range(lo, hi)))))
         self.know["S1"].update(range(lo, lo + self.formula_rate))   # source 1's bits
         self.know["S2"].update(range(lo + self.formula_rate, hi))   # then source 2's
@@ -719,11 +758,12 @@ class _Builder:
                                             for o, rs in items)
                     for (relay, pkt), items in self.residual_store.items()
                     if pkt >= base}
-        named = [(i,) for queue in fifo for i, _ in queue]
-        named += [rs for entries in pending for _, rs in entries]
-        named += [rs for items in echo.values() for item in items for rs in item[1:]]
-        named += [rs for items in residual.values() for _, rs in items]
-        least = min(map(min, filter(None, named)), default=None)
+        # every FIFO entry, as a FIFO is in learning order, not position order
+        least = min(itertools.chain(
+            (i for queue in fifo for i, _ in queue),
+            (i for entries in pending for _, rs in entries for i in rs),
+            (i for items in echo.values() for item in items for rs in item[1:] for i in rs),
+            (i for items in residual.values() for _, rs in items for i in rs)), default=None)
         oldest = 0 if least is None else min(0, least // per_packet + 1)
         window = range((base + oldest - 1) * per_packet, (t + 1) // 2 * per_packet)
         know = tuple(frozenset(map(off.__add__, self.know[node].intersection(window)))
@@ -734,8 +774,10 @@ class _Builder:
     def _watch_period(self, t):
         """Snapshot the state after slot ``t`` and take ``t - period`` as the
         period start if it matches, cutting the run to the least one that
-        finds it.  Only slots whose next two periods are still run as in an
-        endless build count (phase 1 of the last packet is at slot 2P - 1)."""
+        finds it and is a whole number of superframes shorter (any length
+        at a superframe of one packet, the same parity at two).  Only slots
+        whose next two periods are still run as in an endless build count
+        (phase 1 of the last packet is at slot 2P - 1)."""
         if t + self.period > 2 * self.packets - 1:
             self.watch = False
             return
@@ -744,10 +786,11 @@ class _Builder:
             self.period_start = t - self.period
             self.watch = False
             self.states = {}
-            # the least run of this parity whose watch reaches t: the slots
-            # so far are its slots, and it finds this period (build_schedule)
-            least = max(4 + self.packets % 2, (t + self.period + 2) // 2)
-            self.packets = least + (least - self.packets) % 2
+            # the least run whose watch reaches t, a whole number of
+            # superframes short of this one: the slots so far are its slots,
+            # and it finds this period (build_schedule)
+            least = max(4, (t + self.period + 2) // 2)
+            self.packets = least + (self.packets - least) % (self.period // 2)
 
     # -- main loop -------------------------------------------------------------
 
@@ -814,11 +857,14 @@ def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
     Up to TILE_PACKETS packets it is one full build.  A longer run starts a
     watched build at TILE_PACKETS or TILE_PACKETS + 1 packets, whichever has
     the parity of ``packets``.  Once the period shows, that build stops as
-    the P0-packet build: P0 is the least run of at least 4 packets, of that
-    parity (so P - P0 is a whole number of superframes), whose watch
-    reaches the period (_Builder._watch_period).  The input up to the last
-    packet's first hop-1 slot does not depend on the run length, so the
-    slots built so far are the P0 build's, which finds the same period.
+    the P0-packet build: P0 is the least run of at least 4 packets that is
+    a whole number of superframes shorter than the started one, whose watch
+    reaches the period (_Builder._watch_period).  The started build has the
+    parity of ``packets`` and a superframe is one or two packets, so
+    P - P0 is a whole number of superframes too, as the tiling needs.  The
+    input up to the last packet's first hop-1 slot does not depend on the
+    run length, so the slots built so far are the P0 build's, which finds
+    the same period.
     The P0 build is tiled out to ``packets``.  Why that is the full build
     at ``packets``:
 
@@ -836,9 +882,10 @@ def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
     shifted too, last packet and drain included, so its remaining slots are
     the P0 run's remaining slots shifted.  The state comparison only counts
     where the next two periods of the P0 run are still far from its end.
-    As a second guard the two periods' emitted slots must agree, and the
-    tiled deliveries must cover every payload bit.  When any of this fails,
-    or no state recurs, the run is built in full at ``packets``.
+    As a second guard each record of the period, moved by a superframe,
+    must be the next period's record (_tile compares them in place), and
+    the tiled deliveries must cover every payload bit.  When any of this
+    fails, or no state recurs, the run is built in full at ``packets``.
     """
     if packets <= TILE_PACKETS:
         return _Builder(scheme, p, packets).build()
@@ -855,14 +902,14 @@ def _tile(base: Schedule, start, period: int, packets: int):
     """``base`` tiled out to ``packets`` by repeating its slots
     ``start + 1 .. start + period``, or None if those slots, moved by one
     period (``period // 2`` packets), are not the build's own next period or
-    do not deliver every bit."""
+    do not deliver every bit.  The period check compares each record with
+    its next-period record in place (_recurs)."""
     if start is None:
         return None
     one = base.built[start:start + period]
     two = base.built[start + period:start + 2 * period]
-    per_packet = 2 * base.formula_rate
-    if len(two) < period or any(a.shifted(period // 2, per_packet) != b
-                                for a, b in zip(one, two)):
+    d, per_packet = period // 2, 2 * base.formula_rate
+    if len(two) < period or not all(_recurs(a, b, d, d * per_packet) for a, b in zip(one, two)):
         return None
     # the P0 build delivered its 2 * formula_rate bits per packet
     delivered = sum(step.deliver for slot in one for step in slot.steps)
@@ -932,7 +979,8 @@ def _payload_bits(n: int, seed: int) -> bytes:
 def generate_payload(schedule: Schedule, seed: int) -> dict:
     """ref -> payload bit of the run ``schedule`` plans; its SimulationTrace,
     which carries the same plan, serves as well."""
-    refs = _payload_refs(schedule.alloc, schedule.formula_rate, schedule.packets)
+    refs = _payload_refs(_payload_bands(schedule.alloc, schedule.formula_rate),
+                         schedule.packets)
     return dict(zip(refs, _payload_bits(len(refs), seed)))
 
 

@@ -1144,10 +1144,11 @@ def test_replay_of_a_run_reads_its_channel_maps(monkeypatch):
 
 
 # (start, period, shift) of each TILE_CASES point at 30 packets, and the
-# slots its base build holds: the least even run that shows the period
-TILING_AT_30 = [(4, 2, 24), (3, 4, 24), (3, 4, 24), (4, 2, 24), (8, 2, 22),
-                (2, 2, 26), (2, 2, 26), (2, 2, 26), (4, 2, 24)]
-BUILT_AT_30 = [16, 15, 15, 16, 20, 9, 10, 10, 16]
+# slots its base build holds: the least run that shows the period, a whole
+# number of superframes short of 30
+TILING_AT_30 = [(4, 2, 25), (3, 4, 24), (3, 4, 24), (4, 2, 25), (8, 2, 23),
+                (2, 2, 26), (2, 2, 26), (2, 2, 26), (4, 2, 25)]
+BUILT_AT_30 = [14, 15, 15, 14, 18, 9, 10, 10, 14]
 
 
 @pytest.mark.parametrize("case,tiling,built", zip(TILE_CASES, TILING_AT_30, BUILT_AT_30),
@@ -1165,22 +1166,24 @@ def test_tiling_at_30_packets_is_pinned(case, tiling, built):
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
 def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, packets):
-    """A watched build that finds its period stops as the least run of its
-    parity whose watch reaches that slot: it is a direct watched build of
-    that length, record for record, and two packets fewer would be under 4
-    or would stop watching before the period shows."""
+    """A watched build that finds its period stops as the least run a whole
+    number of superframes shorter whose watch reaches that slot: it is a
+    direct watched build of that length, record for record, and one
+    superframe fewer would be under 4 or would stop watching before the
+    period shows."""
     watched = _Builder(scheme, p, packets)
     watched.watch = True
     base = watched.build()
     least, period = watched.packets, watched.period
-    assert 4 <= least < packets and least % 2 == packets % 2
+    sf = period // 2                              # packets per superframe
+    assert 4 <= least < packets and (packets - least) % sf == 0
     direct = _Builder(scheme, p, least)
     direct.watch = True
     short = direct.build()
     assert (base.built, base.packets, base.n_slots) == (short.built, least, short.n_slots)
     assert watched.period_start == direct.period_start is not None
     found = watched.period_start + period         # the slot the watch found it at
-    assert least - 2 < 4 or found + period > 2 * (least - 2) - 1
+    assert least - sf < 4 or found + period > 2 * (least - sf) - 1
 
 
 @pytest.mark.parametrize("packets", [TILE_PACKETS, TILE_PACKETS + 1])
@@ -1188,14 +1191,17 @@ def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, pack
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
 def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets):
-    """A watched build that stops at P0' packets makes the ref index, the
-    unit Emits and the sources' knowledge of exactly those P0' packets."""
+    """A watched build that stops at P0' packets makes the refs, the ref
+    index, the unit Emits and the sources' knowledge of exactly those P0'
+    packets."""
     watched = _Builder(scheme, p, packets)
     watched.watch = True
     watched.build()
     least, per_packet = watched.packets, watched.per_packet
     assert least < packets
-    assert len(watched.unit) == len(watched.index) == least * per_packet
+    assert (len(watched.payload_refs) == len(watched.unit) == len(watched.index)
+            == least * per_packet)
+    assert tuple(watched.payload_refs) == build_schedule(scheme, p, least).payload_refs
     assert watched.know["S1"] | watched.know["S2"] >= set(range(least * per_packet))
     assert max(watched.know["S1"] | watched.know["S2"]) == least * per_packet - 1
 
@@ -1287,6 +1293,24 @@ def test_superframe_two_points_tile_by_two_packets():
         assert build_schedule(scheme, p, 30).tiling[1] == 4   # slots per period
 
 
+def test_superframe_one_base_does_not_depend_on_the_parity_of_the_run():
+    """At superframe 1 every run is a whole number of superframes longer
+    than the least run that shows its period, so runs of 30 and 31 packets
+    tile the same base build: every superframe-1 TILE_CASES point and every
+    tenth superframe-1 in-regime pair of the CI grid."""
+    grid = [(scheme, p) for point in itertools.product(range(5), range(5), range(3),
+                                                       range(3), range(5))
+            for p in [ChannelParams(*point)] for scheme, _ in schemes_at(p)]
+    one = [(scheme, p) for scheme, p in grid if _Builder(scheme, p, 4).period == 2]
+    cases = [(scheme, p) for scheme, p in TILE_CASES
+             if _Builder(scheme, p, 4).period == 2] + one[::10]
+    assert len(cases) == 7 + 128
+    for scheme, p in cases:
+        even, odd = build_schedule(scheme, p, 30), build_schedule(scheme, p, 31)
+        assert even.built == odd.built, (scheme, p)
+        assert odd.tiling == (*even.tiling[:2], even.tiling[2] + 1) != (0, 0, 1)
+
+
 def test_long_run_builds_once_at_tile_size(builds):
     short = build_schedule("fbxw", FBXW_WIDE, 1000)
     long = build_schedule("fbxw", FBXW_WIDE, 2000)
@@ -1353,6 +1377,85 @@ def test_period_differing_only_in_a_target_position_is_refused():
         steps=(step._replace(target=step.target + 1), *rest))
     assert _tile(base, start, period, 30) is not None
     assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
+
+
+def _next_period_changed(base, start, period, field):
+    """(``base`` with ``field`` changed in one record of the period after
+    its tiled one, whether the changed record had the field set): the first
+    Emit or DecodeStep there, or slot for the feedback, that has it set,
+    or else the first one.  Field ``tx`` leaves the first sent level of
+    that period unsent, and ``steps`` drops the last decode step of its
+    first slot that has any."""
+    built = list(base.built)
+    slots = range(start + period, start + 2 * period)
+    if field == "steps":
+        k = next(k for k in slots if built[k].steps)
+        built[k] = built[k]._replace(steps=built[k].steps[:-1])
+        return replace(base, built=tuple(built)), True
+    if field == "feedback":
+        k = next((k for k in slots if built[k].feedback), slots[0])
+        feedback = built[k].feedback
+        if feedback:
+            *kept, (level, j) = feedback[1]
+            changed = (feedback[0], (*kept, (level, j + 1)))
+        else:
+            changed = (((0, 0),), ())
+        built[k] = built[k]._replace(feedback=changed)
+        return replace(base, built=tuple(built)), bool(feedback)
+    change = {
+        "tx": lambda e: None,
+        "refs": lambda e: e._replace(refs=e.refs ^ {0}),
+        "echo_src": lambda e: e._replace(echo_src=("Y_S1", 1, 0) if e.echo_src is None
+                                         else (*e.echo_src[:2], e.echo_src[2] + 1)),
+        "cancel": lambda e: e._replace(cancel=e.cancel ^ {0}),
+        "node": lambda s: s._replace(node="D2" if s.node == "D1" else "D1"),
+        "obs": lambda s: s._replace(obs=((*s.obs[0][:2], s.obs[0][2] + 1), *s.obs[1:])),
+        "side": lambda s: s._replace(side=s.side ^ {0}),
+        "target": lambda s: s._replace(target=s.target + 1),
+        "deliver": lambda s: s._replace(deliver=not s.deliver),
+    }[field]
+    if field in ("tx", *Emit._fields):
+        places = [(k, i, level) for k in slots for i, emits in enumerate(built[k].tx)
+                  for level, emit in enumerate(emits) if emit]
+        k, i, level = next((place for place in places
+                            if getattr(built[place[0]].tx[place[1]][place[2]], field, None)),
+                           places[0])
+        record = built[k].tx[i][level]
+        emits = list(built[k].tx[i])
+        emits[level] = change(record)
+        built[k] = built[k]._replace(tx=(*built[k].tx[:i], tuple(emits), *built[k].tx[i + 1:]))
+    else:
+        places = [(k, n) for k in slots for n in range(len(built[k].steps))]
+        k, n = next((place for place in places
+                     if getattr(built[place[0]].steps[place[1]], field)), places[0])
+        record = built[k].steps[n]
+        steps = list(built[k].steps)
+        steps[n] = change(record)
+        built[k] = built[k]._replace(steps=tuple(steps))
+    assert built[k] != base.built[k]
+    return replace(base, built=tuple(built)), bool(getattr(record, field, True))
+
+
+@pytest.mark.parametrize("field", ["refs", "echo_src", "cancel", "node", "obs", "side",
+                                   "target", "deliver", "feedback", "tx", "steps"])
+def test_period_differing_in_one_field_of_one_record_is_refused(field):
+    """The period check compares every field of every record with its
+    next-period record: one field changed in one record of the next
+    period, a level left unsent or a decode step dropped, at every
+    TILE_CASES base, refuses the tiling, and the base as built tiles.  Some
+    base changes a record that has the field set, so the moved value is
+    compared, not only its presence."""
+    set_somewhere = False
+    for scheme, p in TILE_CASES:
+        builder = _Builder(scheme, p, TILE_PACKETS)
+        builder.watch = True
+        base = builder.build()
+        start, period = builder.period_start, builder.period
+        assert _tile(base, start, period, 30) is not None
+        changed, was_set = _next_period_changed(base, start, period, field)
+        assert _tile(changed, start, period, 30) is None, (scheme, p)
+        set_somewhere |= was_set
+    assert set_somewhere
 
 
 def test_short_runs_build_once(builds):
