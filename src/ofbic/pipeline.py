@@ -43,10 +43,13 @@ The run is split into two layers:
 A trace holds one column per signal (SimulationTrace.slots): its levels
 slot by slot, one 0/1 byte each, as the payload bits and the lanes are laid
 out, so level j of slot t is byte (t - 1) * length + j (length q on hop 1,
-qbar on hop 2).  verify_trace makes the clean run on either path and
-compares its ten columns with the recording; a recording that differs is
-replayed by the sequential engine, which reports the first point where it
-deviates from what the protocol would have produced.  A trace's text is the
+qbar on hop 2).  A run with no faults hands its result to verify_trace,
+which compares its ten columns with the recording; with no such result, a
+tiled schedule's clean run is made on lanes for that comparison.  Any other
+recording, and every one whose schedule is not tiled, is replayed by the
+sequential engine, which reports the first point where it deviates from
+what the protocol would have produced (nothing, for a clean recording, with
+the clean run's wrong deliveries and stores).  A trace's text is the
 header lines _header makes from the run, which format_trace writes and
 parse_trace requires line for line, then one row per slot.
 
@@ -75,21 +78,24 @@ whether each delivery is right.  So every run and verify of a schedule
 takes its delivered and steady-window counts from Schedule.counts, and the
 engine lists only its wrong deliveries.
 
-A run builds its schedule and draws its payload once: a trace from
-run_scheme carries both until it is verified, and verify_trace releases
-them.  A parsed trace is verified against a fresh build and draw.
+A run builds its schedule, draws its payload and evaluates its clean run
+once: a trace from run_scheme carries the schedule, the bits and, when the
+run had no faults, its result until it is verified, and verify_trace
+releases them.  The result is used only with the very schedule that made
+it and the same seed.  A parsed, faulted or changed trace, and a second
+verification, start afresh.
 
 A Schedule also caches the channel map at its ``p`` for the sequential
 engine (``channel_maps``, which names the runs that use it): a dict per hop
 from the two transmitted vectors of a slot to the vectors they are
 received as, a fixed function of them with a few hundred distinct pairs in
-a whole run at a small point.  run_scheme fills them, the verify_trace it
-hands the schedule to finds every unchanged slot there, and they are freed
-with the schedule.  They cannot change a result: a miss calls the same
-geometry, the key is the vectors the slot actually sent (after a fault
-flip, or as recorded), and a fault or recorded deviation in a received
-vector is applied after the lookup, so the maps only ever hold what the
-geometry returns.
+a whole run at a small point.  A sequential run_scheme fills them, the
+replay of its faulted trace by the verify_trace it hands the schedule to
+finds every unchanged slot there, and they are freed with the schedule.
+They cannot change a result: a miss calls the same geometry, the key is
+the vectors the slot actually sent (after a fault flip, or as recorded),
+and a fault or recorded deviation in a received vector is applied after
+the lookup, so the maps only ever hold what the geometry returns.
 
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
@@ -260,9 +266,10 @@ class Schedule:
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
         ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
         vectors a slot sent (after a fault flip, or as recorded) and filled
-        by every sequential pass on this schedule: untiled runs and their
-        verify_trace's clean runs (every sweep run), faulted runs, full-build
-        fallbacks and replays.  A lane-parallel run uses none."""
+        by every sequential pass on this schedule: untiled clean runs (every
+        sweep run), faulted runs, full-build fallbacks and replays.  A
+        lane-parallel run, and a verify_trace that takes its run's carried
+        result, use none."""
         return {}, {}
 
     @property
@@ -944,11 +951,14 @@ class SimulationTrace:
     decode_errors: int = 0
     delivered_bits: int = 0
     steady_state_rate: Fraction = Fraction(0)
-    # run_scheme's Schedule and (seed, payload bits), held for the one
-    # verify_trace that follows and dropped by it; never set by parse_trace
+    # run_scheme's Schedule, (seed, payload bits) and, for a run with no
+    # faults, its result (that Schedule, {signal: column}, wrong deliveries,
+    # wrong stores), held for the one verify_trace that follows and dropped
+    # by it; never set by parse_trace
     _schedule: Schedule = field(default=None, init=False, repr=False,
                                 compare=False)
     _bits: tuple = field(default=None, init=False, repr=False, compare=False)
+    _clean: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def payload(self) -> dict:
@@ -1046,8 +1056,8 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     slot: the sequential engine.
 
     It makes every faulted run, the clean run of every schedule that is not
-    tiled, and every replay of a recording that differs from the clean run;
-    a clean tiled run is evaluated lane-parallel (_run_lanes), and this
+    tiled, and every replay verify_trace needs (see there); a clean tiled
+    run is evaluated lane-parallel (_run_lanes), and this
     engine is its oracle.  Returns (columns, errors, faults_found, stores, wrong):
     ``columns`` as in SimulationTrace.slots, ``wrong`` the (node, position)
     of each store a step wrote with a value other than the payload bit, and
@@ -1335,17 +1345,19 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     A clean tiled run is evaluated lane-parallel (_run_lanes); a faulted
     run, a full build, or a clean run whose lane checks fail runs on the
     sequential engine.  Either way the delivered and steady counts are the
-    schedule's (Schedule.counts).
+    schedule's (Schedule.counts).  The trace carries the schedule, the
+    payload bits and, from a run with no faults, its result (its columns in
+    a dict of its own, its wrong deliveries and stores) to the verify_trace
+    that follows, which then evaluates nothing again.
     """
-    if type(seed) is not int:
-        raise ChannelDomainError(f"seed {seed!r} is not an int")
+    _check_seed(seed)
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
     columns = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
-    errors = ()
+    errors = wrong = ()
     if columns is None:
-        columns, errors, *_ = _run_engine(schedule, bits, faults=faults)
+        columns, errors, _, _, wrong = _run_engine(schedule, bits, faults=faults)
     delivered, steady, _ = schedule.counts
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
@@ -1353,7 +1365,19 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
         decode_errors=len(errors), delivered_bits=delivered, steady_state_rate=steady,
     )
     trace._schedule, trace._bits = schedule, (seed, bits)
+    if not faults:
+        trace._clean = (schedule, dict(columns), errors, wrong)
     return trace
+
+
+def _check_seed(seed) -> None:
+    """Raise ChannelDomainError unless ``seed`` is an int (bools excluded),
+    which the trace header can carry, and not negative: ``random.Random``
+    seeds -s as s, so a trace would name another trace's payload."""
+    if type(seed) is not int:
+        raise ChannelDomainError(f"seed {seed!r} is not an int")
+    if seed < 0:
+        raise ChannelDomainError(f"seed {seed} is negative")
 
 
 @dataclass
@@ -1395,16 +1419,20 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     fault), and every delivered bit matches the seeded payload.
 
     A trace from run_scheme carries its schedule, used while the trace
-    names the same (scheme, p, packets), and its payload bits, used while
-    it also names the same seed; it gives both up here.  A parsed trace, a
-    changed one or a second verification starts afresh.
+    names the same (scheme, p, packets), its payload bits, used while it
+    also names the same seed, and, from a run with no faults, that run's
+    result, used only with that very schedule and those bits; it gives all
+    three up here.  A parsed trace, a changed one or a second verification
+    starts afresh.
 
-    The clean run is made first, lane-parallel when the schedule is tiled
-    (_run_lanes), else or when a lane check fails sequentially.  A
-    recording whose ten columns equal its columns is that run, with its
-    wrong deliveries and stores (none on lanes); any other is replayed by
-    the sequential engine, which locates its faults.  _report takes the
-    rest from the schedule's counts.
+    A recording whose ten columns equal the carried result's is that run,
+    with its wrong deliveries and stores (none on lanes), and makes no lane
+    or engine pass.  With no carried result, a tiled schedule's clean run is
+    made lane-parallel (_run_lanes), and a recording equal to it is that
+    run, with none.  Any other recording is replayed by the sequential
+    engine, which locates its faults; a clean one, which only an untiled
+    schedule or a failed lane check sends there, replays to the clean run's
+    report.  _report takes the rest from the schedule's counts.
 
     A trace whose row count is not the run's is a ChannelDomainError naming
     the line of its first missing or extra row, as format_trace would write
@@ -1412,6 +1440,7 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     """
     schedule, trace._schedule = trace._schedule, None
     drawn, trace._bits = trace._bits, None
+    clean, trace._clean = trace._clean, None
     if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
             trace.scheme, trace.p, trace.packets):
         schedule, drawn = build_schedule(trace.scheme, trace.p, trace.packets), None
@@ -1426,14 +1455,17 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
         if len(trace.slots[signal]) != n_slots * length:
             raise ChannelDomainError(f"recorded {signal} has {len(trace.slots[signal])} "
                                      f"levels, {n_slots} slots need {n_slots * length}")
-    bits = (drawn[1] if drawn and drawn[0] == trace.seed else
-            _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed))
-    clean = _run_lanes(schedule, bits) if schedule.tiling[2] else None
-    errors = wrong = ()
-    if clean is None:
-        clean, errors, _, _, wrong = _run_engine(schedule, bits)
-    if clean == trace.slots:
-        return _report(schedule, errors=errors, wrong=wrong)
+    if drawn and drawn[0] == trace.seed:
+        bits = drawn[1]
+    else:
+        bits, clean = _payload_bits(2 * schedule.formula_rate * schedule.packets,
+                                    trace.seed), None
+    if clean and clean[0] is schedule:
+        _, columns, errors, wrong = clean
+        if columns == trace.slots:
+            return _report(schedule, errors=errors, wrong=wrong)
+    elif schedule.tiling[2] and _run_lanes(schedule, bits) == trace.slots:
+        return _report(schedule)
     _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
     return _report(schedule, found, errors, wrong)
 
@@ -1574,6 +1606,7 @@ def parse_trace(text: str) -> SimulationTrace:
     try:
         p = ChannelParams(*map(value, ("m", "n", "mbar", "nbar", "f")))
         scheme, packets, seed = value("scheme", str), value("packets"), value("seed")
+        _check_seed(seed)
         alloc, formula_rate = _payload_plan(scheme, p, packets)
     except ChannelDomainError as exc:
         raise type(exc)(f"line 2: {exc}") from exc

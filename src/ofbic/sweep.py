@@ -61,6 +61,8 @@ class SweepSpec:
             raise ChannelDomainError(f"unknown checks {sorted(unknown)}")
         if self.sample < 0:
             raise ChannelDomainError(f"sample must be non-negative, got {self.sample}")
+        if self.seed < 0:       # random.Random(-s) draws as Random(s)
+            raise ChannelDomainError(f"seed must be non-negative, got {self.seed}")
         if "SCHEME_VS_FORMULA" in self.checks and self.scheme_packets < 8:
             raise ChannelDomainError("simulation checks need scheme_packets >= 8")
 

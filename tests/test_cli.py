@@ -196,6 +196,15 @@ class TestSimulate:
         assert "strong" in err
         assert not (tmp_path / "t.txt").exists()
 
+    def test_negative_seed_is_domain_error_exit_3(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scheme", "fbxw", "--m", "2", "--n", "4",
+            "--mbar", "1", "--nbar", "1", "--f", "3", "--packets", "8",
+            "--seed", "-5", "--out", str(tmp_path / "t.txt"),
+        )
+        assert (code, out, err) == (3, "", "error: seed -5 is negative\n")
+        assert not (tmp_path / "t.txt").exists()
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--scheme", "nope", "--m", "2", "--n", "4"])
@@ -322,6 +331,10 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--sample", "-1")
         assert code == 3
         assert err.startswith("error: ") and "sample" in err
+
+    def test_negative_seed_is_domain_error_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--seed", "-1")
+        assert (code, out, err) == (3, "", "error: seed must be non-negative, got -1\n")
 
     def test_bad_config_value_exit_2(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"

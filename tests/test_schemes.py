@@ -687,6 +687,20 @@ def test_seed_that_is_not_an_int_is_rejected(seed, builds):
     assert builds == []
 
 
+@pytest.mark.parametrize("seed", [-1, -5, -2**64])
+def test_negative_seed_is_rejected(seed, builds):
+    """random.Random(-s) seeds as Random(s), so a negative seed would draw the
+    payload of its absolute value under another header seed: run_scheme
+    refuses it before the build, and parse_trace on the run line."""
+    with pytest.raises(ChannelDomainError, match=f"^seed {seed} is negative$"):
+        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8, seed=seed)
+    assert builds == []
+    text = _edit_line(FROZEN_TRACE, 2, lambda line: line.replace("seed=1009", f"seed={seed}"))
+    with pytest.raises(ChannelDomainError, match=f"^line 2: seed {seed} is negative$"):
+        parse_trace(text)
+    assert run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), 8, seed=0).seed == 0
+
+
 def _draw_flip(data, scheme, p, packets):
     """Any (slot, signal, level) of a run, on a signal with a non-empty vector."""
     n_slots = build_schedule(scheme, p, packets).n_slots
@@ -920,8 +934,9 @@ def test_run_then_verify_draws_the_payload_once(monkeypatch):
         return real(n, seed)
     monkeypatch.setattr(pipeline, "_payload_bits", counting)
     trace = run_scheme("fbxw", FBXW_SMALL, 30)
+    assert trace._clean is not None
     assert verify_trace(trace).ok and draws == [DEFAULT_SEED]
-    assert trace._schedule is None and trace._bits is None
+    assert trace._schedule is None and trace._bits is None and trace._clean is None
     assert verify_trace(trace).ok and draws == [DEFAULT_SEED] * 2
     changed = run_scheme("fbxw", FBXW_SMALL, 30)
     changed.seed += 1
@@ -934,10 +949,12 @@ def test_carried_schedule_outside_repr_and_eq():
     released = run_scheme("fbxw", FBXW_SMALL, 8)
     verify_trace(released)
     assert carried._schedule is not None and released._schedule is None
+    assert carried._clean is not None and released._clean is None
     assert carried == released
     assert repr(carried) == repr(released)
-    assert "Schedule" not in repr(carried)
-    assert parse_trace(format_trace(carried))._schedule is None
+    assert "Schedule" not in repr(carried) and "_clean" not in repr(carried)
+    parsed = parse_trace(format_trace(carried))
+    assert parsed._schedule is None and parsed._clean is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -1564,6 +1581,107 @@ def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Hand-off: a clean run's result is carried to the one verify_trace that
+# follows, which evaluates nothing again.
+
+@pytest.mark.parametrize("scheme,p,packets",
+                         [(s, p, n) for n in (8, 30) for s, p in ONE_PER_SCHEME]
+                         + [("fbxw", FBXW_WIDE, 300)])
+def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeypatch):
+    """A clean run's verify_trace takes the run's columns, wrong deliveries
+    and wrong stores, full build and tiled alike, and reports as a fresh
+    verify of the same columns does, key order included."""
+    trace = run_scheme(scheme, p, packets)
+    fresh = verify_trace(replace(trace))      # the same columns, nothing carried
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clean run was evaluated again")
+    monkeypatch.setattr(pipeline, "_run_lanes", refuse)
+    monkeypatch.setattr(pipeline, "_run_engine", refuse)
+    carried = verify_trace(trace)
+    assert carried == fresh and carried.ok
+    assert list(carried.node_verdicts) == list(fresh.node_verdicts)
+    assert list(carried.packet_verdicts) == list(fresh.packet_verdicts)
+    assert trace._clean is None
+
+
+@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("whole", [False, True], ids=["in-place", "new-dict"])
+def test_column_replaced_after_the_run_is_located(packets, whole):
+    """The carried result is a dict of its own: a column replaced after the
+    run, in the trace's dict or by a new dict, is compared and located."""
+    trace = run_scheme("fbxw", FBXW_SMALL, packets)
+    column = bytearray(trace.slots["Y_D1"])
+    column[(9 - 1) * FBXW_SMALL.qbar + 2] ^= 1           # slot 9, level 2
+    if whole:
+        trace.slots = {**trace.slots, "Y_D1": bytes(column)}
+    else:
+        trace.slots["Y_D1"] = bytes(column)
+    report = verify_trace(trace)
+    assert report.faults == [(9, "Y_D1", 2)] and not report.ok
+
+
+@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("change", ["schedule", "seed", "packets"])
+def test_changed_run_does_not_use_the_carried_columns(change, packets):
+    """The carried result is used only with the very Schedule that made it
+    and the same seed: a swapped ``_schedule`` or a changed seed makes a
+    lane or engine pass, and a changed packet count meets a fresh build."""
+    trace = run_scheme("fbxw", FBXW_SMALL, packets)
+    if change == "schedule":
+        trace._schedule = build_schedule("fbxw", FBXW_SMALL, packets)
+    elif change == "seed":
+        trace.seed += 1
+    else:
+        trace.packets += 1
+    with mock.patch.object(pipeline, "_run_lanes", wraps=_run_lanes) as lanes, \
+            mock.patch.object(pipeline, "_run_engine", wraps=_run_engine) as engine:
+        if change == "packets":
+            with pytest.raises(ChannelDomainError, match="slots"):
+                verify_trace(trace)
+        else:
+            assert verify_trace(trace).ok == (change == "schedule")
+            assert lanes.called or engine.called
+    assert trace._clean is None
+
+
+def test_faulted_run_carries_no_result():
+    trace = run_scheme("fbxw", FBXW_SMALL, 30, faults={(9, "Y_R1"): 0})
+    assert trace._clean is None and trace._schedule is not None
+    assert verify_trace(trace).faults[0] == (9, "Y_R1", 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(WORKED) - 1), packets=st.integers(4, 12),
+       seed=st.integers(0, 2**32 - 1), faulty=st.booleans(), data=st.data())
+def test_untiled_verify_is_the_replay(case, packets, seed, faulty, data):
+    """With no carried result, a full build's verify_trace is the sequential
+    replay of the recording, clean or with one flip, and makes no clean run
+    first: its report is _report of that replay, key order included."""
+    scheme, p, _ = WORKED[case]
+    faults = None
+    if faulty:
+        slot, signal, level = _draw_flip(data, scheme, p, packets)
+        faults = {(slot, signal): level}
+    trace = run_scheme(scheme, p, packets, seed=seed, faults=faults)
+    parsed = parse_trace(format_trace(trace))
+    schedule = build_schedule(scheme, p, packets)
+    assert not schedule.tiling[2]
+    bits = _payload_bits(len(schedule.payload_refs), seed)
+    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
+    oracle = pipeline._report(schedule, found, errors, wrong)
+    with mock.patch.object(pipeline, "_run_engine", wraps=_run_engine) as engine:
+        reports = verify_trace(trace), verify_trace(parsed)
+    # the faulted run carries no result; each pass is a replay
+    assert [call.kwargs for call in engine.call_args_list] == (
+        [{"recorded": trace.slots}] * (1 + bool(faults)))
+    for report in reports:
+        assert report == oracle and report.ok == (faults is None)
+        assert list(report.node_verdicts) == list(oracle.node_verdicts)
+        assert list(report.packet_verdicts) == list(oracle.packet_verdicts)
+
+
+# ---------------------------------------------------------------------------
 # Lane path: a clean tiled run evaluated lane-parallel, checked against the
 # sequential engine.
 
@@ -1579,11 +1697,12 @@ def _assert_stores_are_decode_targets(schedule, bits, stores):
 
 
 def _assert_lane_report_is_sequential(trace, stores):
-    """verify_trace's report of a clean tiled run, from its lane checks, is
-    the one it makes from the sequential engine's clean run, and the one a
-    sequential replay of the same columns makes, key order included, and
-    its counts are the schedule's delivering steps read slot by slot, and
-    the (node, packet) pairs the engine's decoder ``stores`` hold."""
+    """verify_trace's report of a clean tiled run, ``from_lanes``, made from
+    the lane result its run carried, is the one verify_trace makes when the
+    lanes fail and the sequential engine replays the same columns, and the
+    one _report makes of that replay, key order included; its counts are
+    the schedule's delivering steps read slot by slot, and the (node,
+    packet) pairs the engine's decoder ``stores`` hold."""
     schedule = trace._schedule
     _assert_counts_are_delivering_steps(trace, schedule)
     from_lanes = verify_trace(trace)

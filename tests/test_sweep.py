@@ -84,6 +84,13 @@ class TestSweep:
         with pytest.raises(ChannelDomainError, match="no sweep checks"):
             small_spec(checks=())
 
+    def test_negative_seed_is_rejected(self):
+        """random.Random(-s) seeds as Random(s): a negative seed would rerun
+        the payloads of its absolute value under another name."""
+        with pytest.raises(ChannelDomainError, match="^seed must be non-negative, got -1$"):
+            small_spec(seed=-1)
+        assert small_spec(seed=0).seed == 0
+
     def test_render_mentions_every_check(self):
         report = sweep(small_spec(checks=("COROLLARY1",)))
         text = report.render()
