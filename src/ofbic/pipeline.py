@@ -3,99 +3,81 @@
 The run is split into two layers:
 
 * A *schedule builder* walks the timeline symbolically.  A payload bit is
-  addressed by its position in ``payload_refs``, every transmitted level is
-  a set of such positions (an XOR combination), and receptions come from
-  ``ofbic.channel``'s one shift-and-superpose geometry, the same code the
-  value engine uses, applied to position sets instead of bits.  Decoding is
-  modelled as knowledge-set propagation: a node may learn a bit only from a
-  reception in which every other contributing bit is already in its
-  knowledge set.  A relay reception with two unknown bits waits in a
-  pending set indexed by its unknown positions; learning a bit wakes
-  only the receptions waiting on it, which resolve in insertion order, so
-  the build is linear in the packet count.  Levels are immutable and shared:
-  one ``Emit`` per payload bit serves its hop-1 emission and its relay
-  forwarding.  The builder checks causality and side-information soundness
-  (raising PipelineError) and emits an explicit list of decode steps.
-  One slot loop serves all four schemes; nofb-mid differs from the packet
-  schemes only in its hop-1 emission (MidCode columns) and in how its relays
-  decode (two-slot recipes instead of single receptions).
+  addressed by its position (payload_refs order: packet, source, band), its
+  plan read by position too, every transmitted level is a set of positions
+  (an XOR combination), and receptions come from ``ofbic.channel``'s one
+  shift-and-superpose geometry, the value engine's code applied to position
+  sets.  A node may learn a bit only from a reception in which every other
+  contributing bit is in its knowledge set.  A relay reception with two
+  unknown bits waits, indexed by its unknown positions; learning a bit wakes
+  only the receptions waiting on it, in insertion order, so the build is
+  linear in the packet count.  One immutable ``Emit`` per payload bit serves
+  its hop-1 emission and its relay forwarding.  The builder checks causality
+  and side-information soundness (raising PipelineError) and emits an
+  explicit list of decode steps.  One slot loop serves all four schemes;
+  nofb-mid differs only in its hop-1 emission (MidCode columns) and in its
+  relays' two-slot decode recipes.
 * A sequential *engine* evaluates the schedule on concrete payload bits,
   slot by slot, pushing vectors of 0/1 bytes through the same geometry and
-  executing the decode steps against the actually received vectors.  It
-  reads the records' positions as they are, every node's store is one list
-  over them, and a wrong delivery names its bit by position too.  Reference
-  tuples ``(source, packet, kind, index)`` name bits only at the edge:
-  where the builder reads its plan, in error texts, and in
+  executing the decode steps against the actually received vectors.  Every
+  node's store is one list over the positions, and a wrong delivery names
+  its bit by position too.  Reference tuples ``(source, packet, kind,
+  index)`` name bits only at the edge: in error texts, and in
   ``generate_payload`` and ``SimulationTrace.payload``, drawn when read.  A
   run applies its faults only in the slots that have one.
 * A clean tiled run is evaluated *lane-parallel* instead (_run_lanes).  The
-  channel is the linear deterministic model, and in a clean run every store
-  a node reads holds its payload bit, so every level is the XOR of the
-  payload bits of its position set, and the repeats of the tiled period are
-  one GF(2)-linear map applied to payload bits one period apart.  Each level
-  of the repeated block is one Python int holding one bit, a lane, per
-  repeat; the same geometry runs on those ints, and every decode step is
-  checked on all lanes at once.  The head and tail of the run are groups of
-  one lane.  A check that fails hands the run to the sequential engine,
-  which also runs every faulted run, every run of at most TILE_PACKETS
-  packets and every full-build fallback.
+  channel is linear, and in a clean run every store a node reads holds its
+  payload bit, so every level is the XOR of the payload bits of its
+  position set, and the repeats of the tiled period are one GF(2)-linear
+  map applied to payload bits one period apart.  Each level of the repeated
+  block is one Python int holding one bit, a lane, per repeat; the same
+  geometry runs on those ints, and every decode step is checked on all
+  lanes at once.  The head and tail of the run are groups of one lane.  A
+  check that fails hands the run to the sequential engine, which also runs
+  every faulted run and every full build.
 
 A trace holds one column per signal (SimulationTrace.slots): its levels
 slot by slot, one 0/1 byte each, as the payload bits and the lanes are laid
 out, so level j of slot t is byte (t - 1) * length + j (length q on hop 1,
-qbar on hop 2).  A run with no faults hands its result to verify_trace,
-which compares its ten columns with the recording; with no such result, a
+qbar on hop 2).  Its text is the header lines _header makes from the run,
+which format_trace writes and parse_trace requires line for line, then one
+row per slot.  A run builds its schedule, draws its payload and evaluates
+its clean run once: a trace from run_scheme carries the schedule, the bits
+and, with no faults, its result to the one verify_trace that follows, which
+compares the result's ten columns with the recording; with no result, a
 tiled schedule's clean run is made on lanes for that comparison.  Any other
-recording, and every one whose schedule is not tiled, is replayed by the
-sequential engine, which reports the first point where it deviates from
-what the protocol would have produced (nothing, for a clean recording, with
-the clean run's wrong deliveries and stores).  A trace's text is the
-header lines _header makes from the run, which format_trace writes and
-parse_trace requires line for line, then one row per slot.
+recording, and every one of a full build, is replayed by the sequential
+engine, which reports the first point where it deviates from what the
+protocol would have produced (nothing, for a clean recording).
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
-in execution order (each runs in the record's slot, so a step names no
-slot of its own) and its feedback levels.  Every scheme repeats itself
-after a short warm-up: one period is two superframes (two or four slots),
-and the next period is the same with packet indices raised by a superframe,
-which is what _Slot.shifted computes.  So build_schedule builds a run of
-more than TILE_PACKETS packets once: a build of at most TILE_PACKETS + 1
-packets watches for the builder's live state to recur, stops at the least
-run that shows that period and is a whole number of superframes shorter
-than the run (4 to 8 packets on the CI grid), and is tiled once each of the
-next period's records is checked, in place, to be its shifted one: build
-time and schedule memory do not grow with the packet count.  The
-engine walks the tiling over the records directly (Schedule._walk), and
-the lane path reads its head, period and tail from them, with no copy of a
-repeated record; Schedule.slots() is the one reader of a
-run slot by slot, each record moved to its own packets, as a full build
-at that packet count would have it.  A run whose period check fails is
-built in full.
-
-Which bits a run delivers, and in which slot, follow from the schedule
-alone: the channel is linear and deterministic, and the values decide only
-whether each delivery is right.  So every run and verify of a schedule
-takes its delivered and steady-window counts from Schedule.counts, and the
-engine lists only its wrong deliveries.
-
-A run builds its schedule, draws its payload and evaluates its clean run
-once: a trace from run_scheme carries the schedule, the bits and, when the
-run had no faults, its result until it is verified, and verify_trace
-releases them.  The result is used only with the very schedule that made
-it and the same seed.  A parsed, faulted or changed trace, and a second
-verification, start afresh.
+in execution order (each runs in the record's slot) and its feedback
+levels.  Every scheme repeats itself after a short warm-up: one period is
+two superframes (two or four slots), and the next period is the same with
+packet indices raised by a superframe (_Slot.shifted).  So build_schedule
+has one path for every run: one build, of the run's length but at most
+TILE_PACKETS + 1 packets, watches for the builder's live state to recur,
+stops at the least run that shows that period and is a whole number of
+superframes shorter than the run (4 to 8 packets on the CI grid), and is
+tiled once each of the next period's records is checked, in place, to be
+its shifted one; build time and schedule memory do not grow with the packet
+count.  A run whose period does not show within its own length, or fails
+that check, is built in full.  The engine walks the tiling over the records
+directly (Schedule._walk), and the lane path reads its head, period and
+tail from them; Schedule.slots() is the one reader of a run slot by slot,
+each record moved to its own packets, as a full build would have it.  Which
+bits a run delivers, and in which slot, follow from the schedule alone (the
+values decide only whether each delivery is right), so every run and
+verify takes its counts from Schedule.counts.
 
 A Schedule also caches the channel map at its ``p`` for the sequential
-engine (``channel_maps``, which names the runs that use it): a dict per hop
-from the two transmitted vectors of a slot to the vectors they are
-received as, a fixed function of them with a few hundred distinct pairs in
-a whole run at a small point.  A sequential run_scheme fills them, the
-replay of its faulted trace by the verify_trace it hands the schedule to
-finds every unchanged slot there, and they are freed with the schedule.
-They cannot change a result: a miss calls the same geometry, the key is
-the vectors the slot actually sent (after a fault flip, or as recorded),
-and a fault or recorded deviation in a received vector is applied after
-the lookup, so the maps only ever hold what the geometry returns.
+engine (``channel_maps``): a dict per hop from the two transmitted vectors
+of a slot to the vectors they are received as, with a few hundred distinct
+pairs in a whole run at a small point, filled by a sequential run_scheme and
+read by the replay of its faulted trace.  They cannot change a result: a
+miss calls the same geometry, the key is the vectors the slot actually sent
+(after a fault flip, or as recorded), and a fault or recorded deviation in
+a received vector is applied after the lookup.
 
 Timeline (packet i): phase 1 at slot 2i-1 and phase 4 at slot 2i+2 are
 hop-1 uses; phases 2 and 3 at slots 2i and 2i+1 are hop-2 uses.  Every slot
@@ -159,9 +141,9 @@ _OWN_SOURCE = {"R1": 1, "R2": 2}              # relay -> the source it forwards
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
-# longer runs tile one build of at most TILE_PACKETS + 1 packets (the run's
-# parity), stopped at the least run that shows its period and is a whole
-# number of superframes shorter than the run
+# every run starts one watched build of at most TILE_PACKETS + 1 packets
+# (the run's parity), stopped at the least run that shows its period and is
+# a whole number of superframes shorter than the run (build_schedule)
 TILE_PACKETS = 12
 _EMPTY = frozenset()                  # the one empty level and side set
 
@@ -266,10 +248,9 @@ class Schedule:
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
         ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
         vectors a slot sent (after a fault flip, or as recorded) and filled
-        by every sequential pass on this schedule: untiled clean runs (every
-        sweep run), faulted runs, full-build fallbacks and replays.  A
-        lane-parallel run, and a verify_trace that takes its run's carried
-        result, use none."""
+        by every sequential pass on this schedule: clean runs of full
+        builds, faulted runs and replays.  A lane-parallel run, and a
+        verify_trace that takes its run's carried result, use none."""
         return {}, {}
 
     @property
@@ -411,12 +392,12 @@ def _payload_bands(alloc: BitAllocation, rate: int) -> list:
     return [(kind, j) for kind, count in kinds for j in range(count)]
 
 
-def _payload_refs(bands: list, packets: int, first: int = 1) -> tuple:
-    """Payload references (source, packet, kind, index) of packets ``first``
-    to ``packets`` in transmission-plan order: packet by packet, then
+def _payload_refs(bands: list, packets: int) -> tuple:
+    """Payload references (source, packet, kind, index) of a run of
+    ``packets`` packets in transmission-plan order: packet by packet, then
     source, then band (``bands``, from _payload_bands)."""
     # (src, pkt) + (kind, j) in that nesting order, each ref joined in C
-    senders = [(src, pkt) for pkt in range(first, packets + 1) for src in (1, 2)]
+    senders = [(src, pkt) for pkt in range(1, packets + 1) for src in (1, 2)]
     return tuple(itertools.starmap(operator.add, itertools.product(senders, bands)))
 
 
@@ -424,28 +405,44 @@ class _Builder:
     """Schedule construction for all four schemes."""
 
     def __init__(self, scheme: str, p: ChannelParams, packets: int):
-        """A build of ``packets`` packets.  Every set it keeps holds
-        payload_refs positions.  ``payload_refs`` holds the refs, ``index``
-        maps a ref to its position, and ``unit`` holds one immutable Emit
-        per bit, shared by every level that carries that bit alone (hop-1
-        emission and relay forwarding); all three, and the sources'
-        knowledge, hold only the packets sent so far, each made in the
-        first slot that sends it (_send_packet)."""
+        """A build of ``packets`` packets.  Every set it keeps holds payload
+        positions, and it reads its plan by position (_at), from offset
+        tables made once here; a ref is made only for an error text (_ref).
+        ``unit`` holds one immutable Emit per bit, shared by every level that
+        carries that bit alone; it and the sources' knowledge hold only the
+        packets sent so far (_send_packet)."""
         self.scheme = scheme
         self.p = p
         self.packets = packets
         self.mid = scheme == SCHEME_NOFB_MID
         self.alloc, self.formula_rate = _payload_plan(scheme, p, packets)
-        if self.mid:
-            self.code = build_mid_code(p.m, p.n, self.formula_rate)
-            self.fb_plan = {2: (), 3: ()}
-        else:
-            self.lmap1 = level_map(self.alloc, p, 1)
-            self.lmap4 = level_map(self.alloc, p, 4)
-            self.fb_plan = self._feedback_plan()
         self.per_packet = 2 * self.formula_rate
         self.bands = _payload_bands(self.alloc, self.formula_rate)
-        self.payload_refs, self.index, self.unit = [], {}, []
+        offset = {band: k for k, band in enumerate(self.bands)}   # (kind, j) -> offset
+        if self.mid:
+            self.code = build_mid_code(p.m, p.n, self.formula_rate)
+            # the bit offsets each source sends in block slot A and slot B
+            self.mid_levels = (column_levels(self.code.cols_a, 0, p.q),
+                               column_levels(self.code.cols_b, self.code.split, p.q))
+            self.fb_plan = {2: (), 3: ()}
+        else:
+            # (level, bit offset) of phase 1 and phase 4, and (level, coop j)
+            # of phase 4's relayed coop band
+            kinds = {"noncoop": ("n1", "n4"), "coop": ("cp",), "private": ("v1", "v4")}
+            plan1, plan4 = (level_map(self.alloc, p, phase).items() for phase in (1, 4))
+            self.plan1, self.plan4 = (tuple((level, offset[kinds[band][k], j])
+                                            for level, (band, j) in plan if band in kinds)
+                                      for k, plan in enumerate((plan1, plan4)))
+            self.coop4 = tuple((level, j) for level, (band, j) in plan4 if band not in kinds)
+            self.fb_plan = self._feedback_plan()
+        # node -> the offsets within a packet of the bits it forwards once
+        # learned: a relay its own source's, but for the fbxw coop bits
+        rate, alloc = self.formula_rate, self.alloc
+        own = [k for k in range(rate) if not (scheme == SCHEME_FBXW
+                                              and 0 <= k - alloc.noncoop < alloc.coop)]
+        self.forwards = {**dict.fromkeys(_NODES, _EMPTY), "R1": frozenset(own),
+                         "R2": frozenset(k + rate for k in own)}
+        self.unit = []
         self.know = {node: set() for node in _NODES}
         self.fifo = {"R1": deque(), "R2": deque()}
         # relay receptions with two unknown bits: insertion number ->
@@ -466,14 +463,19 @@ class _Builder:
         self.period_start = None
         self.states = {}
 
+    def _at(self, src, pkt, k=0):
+        """The position of bit offset ``k`` of source ``src``'s packet ``pkt``."""
+        return (pkt - 1) * self.per_packet + (src - 1) * self.formula_rate + k
+
+    def _ref(self, i):
+        """The ref (source, packet, kind, index) of position ``i``."""
+        pkt, k = divmod(i, self.per_packet)
+        return (k // self.formula_rate + 1, pkt + 1, *self.bands[k % self.formula_rate])
+
     def _send_packet(self, pkt):
-        """Make packet ``pkt``'s refs, index entries, unit Emits and its
-        sources' knowledge of their own bits: a watched build that stops at
-        P0' packets makes no others."""
+        """Make packet ``pkt``'s unit Emits and its sources' knowledge of their
+        own bits: a watched build that stops at P0' packets makes no others."""
         lo, hi = (pkt - 1) * self.per_packet, pkt * self.per_packet
-        refs = _payload_refs(self.bands, pkt, pkt)
-        self.payload_refs += refs
-        self.index.update(zip(refs, range(lo, hi)))
         self.unit.extend(map(Emit, map(frozenset, zip(range(lo, hi)))))
         self.know["S1"].update(range(lo, lo + self.formula_rate))   # source 1's bits
         self.know["S2"].update(range(lo + self.formula_rate, hi))   # then source 2's
@@ -511,27 +513,22 @@ class _Builder:
 
     # -- knowledge propagation ----------------------------------------------
 
-    def _learn(self, node, slot, obs, refs, target):
-        self._record(node, slot, obs, refs, target)
-        if node in ("R1", "R2"):
-            self._drain_pending(node, slot, target)
-
     def _record(self, node, slot, obs, refs, target):
-        side = refs - {target}
-        if len(side) == 1:                   # share the one-bit set
-            side = self.unit[next(iter(side))].refs
-        elif not side:                       # and the one empty set
+        if len(refs) == 1:                   # the one empty side set
             side = _EMPTY
-        ref = self.payload_refs[target]
-        if not side <= self.know[node]:
-            raise PipelineError(f"{node} lacks side info for {ref} at slot {slot}")
-        if target in self.know[node]:
-            raise PipelineError(f"{node} relearns {ref} at slot {slot}")
-        self.know[node].add(target)
+        elif len(refs) == 2:                 # the other bit's shared one-bit set
+            a, b = refs
+            side = self.unit[b if a == target else a].refs
+        else:
+            side = refs - {target}
+        know = self.know[node]
+        if not side <= know:
+            raise PipelineError(f"{node} lacks side info for {self._ref(target)} at slot {slot}")
+        if target in know:
+            raise PipelineError(f"{node} relearns {self._ref(target)} at slot {slot}")
+        know.add(target)
         self.slot_steps.append(DecodeStep(node, obs, side, target))
-        # a relay forwards its own source's bits, but for the fbxw coop bits
-        if _OWN_SOURCE.get(node) == ref[0] and not (self.scheme == SCHEME_FBXW
-                                                     and ref[2] == "cp"):
+        if target % self.per_packet in self.forwards[node]:
             self.fifo[node].append((target, slot))
 
     def _drain_pending(self, node, slot, learned):
@@ -559,18 +556,22 @@ class _Builder:
 
     def _scan_relay(self, node, signal, slot, sym_vec):
         fresh = []
-        know = self.know[node]
+        know, waiting = self.know[node], self.waiting[node]
         for position, refs in enumerate(sym_vec):
+            if refs <= know:                 # nothing new, or an empty level
+                continue
             unknown = refs - know
             if len(unknown) == 1:
-                self._learn(node, slot, ((signal, slot, position),), refs,
-                            next(iter(unknown)))
+                target, = unknown
+                self._record(node, slot, ((signal, slot, position),), refs, target)
+                if target in waiting:
+                    self._drain_pending(node, slot, target)
             elif len(unknown) == 2:
                 entry = ((signal, slot, position), refs)
                 arrival = next(self.arrivals)
                 self.pending[node][arrival] = entry
                 for i in unknown:
-                    self.waiting[node].setdefault(i, []).append(arrival)
+                    waiting.setdefault(i, []).append(arrival)
                 fresh.append(entry)
             elif len(unknown) > 2:
                 raise PipelineError(f"{node} sees {len(unknown)} unknowns at slot {slot}")
@@ -579,49 +580,44 @@ class _Builder:
     # -- per-slot planning ---------------------------------------------------
 
     def _hop1_emits(self, t):
-        q = self.p.q
+        q, unit = self.p.q, self.unit
         emits = {1: [None] * q, 2: [None] * q}
-        kind1 = {"noncoop": "n1", "coop": "cp", "private": "v1"}
-        kind4 = {"noncoop": "n4", "private": "v4"}
-        unit, index = self.unit, self.index
         if t % 2 == 1 and (t + 1) // 2 <= self.packets:
-            pkt = (t + 1) // 2
             for src in (1, 2):
-                for level, (band, j) in self.lmap1.items():
-                    emits[src][level] = unit[index[(src, pkt, kind1[band], j)]]
+                lo, sent = self._at(src, (t + 1) // 2), emits[src]
+                for level, k in self.plan1:
+                    sent[level] = unit[lo + k]
         if t % 2 == 0 and 1 <= t // 2 - 1 <= self.packets:
             pkt = t // 2 - 1
             for src in (1, 2):
-                node, other = f"S{src}", 3 - src
-                for level, (band, j) in self.lmap4.items():
-                    if band == "coop_relay":
-                        emits[src][level] = self._coop_relay_emit(node, other, pkt, j, t)
-                    else:
-                        emits[src][level] = unit[index[(src, pkt, kind4[band], j)]]
+                lo, sent = self._at(src, pkt), emits[src]
+                for level, k in self.plan4:
+                    sent[level] = unit[lo + k]
+                for level, j in self.coop4:
+                    sent[level] = self._coop_relay_emit(f"S{src}", 3 - src, pkt, j, t)
         return emits
 
     def _mid_hop1_emits(self, t):
         """Block (t+1)//2: user 1 sends the slot-A columns in the odd slot and
         the slot-B columns in the even one, user 2 the other way round."""
-        q, code, blk = self.p.q, self.code, (t + 1) // 2
+        q, blk = self.p.q, (t + 1) // 2
         emits = {1: [None] * q, 2: [None] * q}
         if blk > self.packets:
             return emits
         for src in (1, 2):
-            use_a = (t % 2 == 1) == (src == 1)
-            cols, base = (code.cols_a, 0) if use_a else (code.cols_b, code.split)
-            for level, bits in enumerate(column_levels(cols, base, q)):
+            lo = self._at(src, blk)
+            levels = self.mid_levels[(t % 2 == 1) != (src == 1)]    # slot A, then B
+            for level, bits in enumerate(levels):
                 if bits:
-                    emits[src][level] = Emit(frozenset(
-                        self.index[(src, blk, "mb", k)] for k in bits))
+                    emits[src][level] = Emit(frozenset([lo + k for k in bits]))
         return emits
 
     def _coop_relay_emit(self, node, other, pkt, j, t):
         if self.scheme in (SCHEME_FBXW, SCHEME_RSW):
-            ref = (other, pkt, "cp", j)
-            if self.index[ref] not in self.know[node]:
-                raise PipelineError(f"{node} has not learned {ref} by slot {t}")
-            return self.unit[self.index[ref]]
+            i = self._at(other, pkt, self.alloc.noncoop + j)     # its coop bit j
+            if i not in self.know[node]:
+                raise PipelineError(f"{node} has not learned {self._ref(i)} by slot {t}")
+            return self.unit[i]
         items = self.echo[node].get(pkt, [])
         if len(items) != self.alloc.coop:
             raise PipelineError(f"{node} captured {len(items)} echoes for packet {pkt}")
@@ -639,28 +635,25 @@ class _Builder:
                 for level, j in self.fb_plan[phase]:
                     emits[relay][level] = self._feedback_emit(relay, own, pkt, j)
         for relay in ("R1", "R2"):
+            fifo, sent = self.fifo[relay], emits[relay]
             for level in range(f):
-                if emits[relay][level] is not None:
-                    continue
-                if self.fifo[relay] and self.fifo[relay][0][1] < t:
-                    i, _ = self.fifo[relay].popleft()
-                    emits[relay][level] = self.unit[i]
+                if not fifo or fifo[0][1] >= t:
+                    break
+                if sent[level] is None:
+                    sent[level] = self.unit[fifo.popleft()[0]]
         return emits, phase, pkt
 
     def _feedback_emit(self, relay, own, pkt, j):
-        if self.scheme == SCHEME_FBXW:
-            ref = (own, pkt, "cp", j)
-            if self.index[ref] not in self.know[relay]:
-                raise PipelineError(f"{relay} misses own coop bit {ref}")
-            return self.unit[self.index[ref]]
         if self.scheme == SCHEME_RSW:
             residuals = self.residual_store.get((relay, pkt), ())
             obs, refs = residuals[j]
             return Emit(refs, obs)
-        ref = (3 - own, pkt, "cp", j)
-        if self.index[ref] not in self.know[relay]:
-            raise PipelineError(f"{relay} misses cross coop bit {ref}")
-        return self.unit[self.index[ref]]
+        # fbxw feeds back its own source's coop bit j, rss the cross one's
+        src, which = (own, "own") if self.scheme == SCHEME_FBXW else (3 - own, "cross")
+        i = self._at(src, pkt, self.alloc.noncoop + j)
+        if i not in self.know[relay]:
+            raise PipelineError(f"{relay} misses {which} coop bit {self._ref(i)}")
+        return self.unit[i]
 
     # -- per-slot reception processing ----------------------------------------
 
@@ -678,12 +671,15 @@ class _Builder:
                     self.echo[node].setdefault(pkt, []).append(
                         ((signal, t, position), remaining, known)
                     )
+            know = self.know[node]
             for position, refs in enumerate(sym_vec):
-                unknown = refs - self.know[node]
+                if refs <= know:             # nothing new, or an empty level
+                    continue
+                unknown = refs - know
                 if len(unknown) == 1:
-                    self._learn(node, t, ((signal, t, position),), refs,
-                                next(iter(unknown)))
-                elif len(unknown) > 1 and self.scheme != SCHEME_RSS:
+                    target, = unknown
+                    self._record(node, t, ((signal, t, position),), refs, target)
+                elif self.scheme != SCHEME_RSS:
                     raise PipelineError(f"{node} cannot track slot {t} pos {position}")
 
     def _process_relays(self, t, y_r):
@@ -706,26 +702,27 @@ class _Builder:
             return
         done = t // 2
         for relay_idx, (relay, signal) in enumerate((("R1", "Y_R1"), ("R2", "Y_R2"))):
+            lo = self._at(relay_idx + 1, done)
             for k, recipe in enumerate(self.code.own_recipes[relay_idx]):
                 obs = tuple((signal, t - 1 + s_off, position)
                             for s_off, position in recipe)
-                target = self.index[(relay_idx + 1, done, "mb", k)]
-                self._learn(relay, t, obs, self.unit[target].refs, target)
+                self._record(relay, t, obs, self.unit[lo + k].refs, lo + k)
 
     def _process_dest(self, t, y_d):
-        for dst, node, signal, sym_vec in ((1, "D1", "Y_D1", y_d[0]),
-                                           (2, "D2", "Y_D2", y_d[1])):
+        # a destination takes a level that carries one bit of its own source,
+        # whose offset within its packet is in [lo, lo + formula_rate)
+        per_packet, rate, delivered = self.per_packet, self.formula_rate, self.delivered
+        add_step = self.slot_steps.append
+        for lo, node, signal, sym_vec in ((0, "D1", "Y_D1", y_d[0]),
+                                          (rate, "D2", "Y_D2", y_d[1])):
             for position, refs in enumerate(sym_vec):
-                if len(refs) != 1:
-                    continue
-                i = next(iter(refs))
-                if self.payload_refs[i][0] != dst:
-                    continue
-                if i in self.delivered:
-                    raise PipelineError(f"{self.payload_refs[i]} delivered twice")
-                self.delivered.add(i)
-                self.slot_steps.append(DecodeStep(
-                    node, ((signal, t, position),), _EMPTY, i, deliver=True))
+                if len(refs) == 1:
+                    i, = refs
+                    if 0 <= i % per_packet - lo < rate:
+                        if i in delivered:
+                            raise PipelineError(f"{self._ref(i)} delivered twice")
+                        delivered.add(i)
+                        add_step(DecodeStep(node, ((signal, t, position),), _EMPTY, i, True))
 
     # -- period detection ------------------------------------------------------
 
@@ -751,11 +748,11 @@ class _Builder:
         """
         base, per_packet = t // 2, self.per_packet
         d, off = -base, -base * per_packet
-        fifo = tuple(tuple((i + off, slot + 2 * d) for i, slot in self.fifo[relay])
-                     for relay in ("R1", "R2"))
-        pending = tuple(tuple((_shift_obs(o, d), _shift_refs(rs, off))
-                              for o, rs in self.pending[relay].values())
-                        for relay in ("R1", "R2"))
+        fifo = tuple([tuple([(i + off, slot + 2 * d) for i, slot in self.fifo[relay]])
+                      for relay in ("R1", "R2")])
+        pending = tuple([tuple([(_shift_obs(o, d), _shift_refs(rs, off))
+                                for o, rs in self.pending[relay].values()])
+                         for relay in ("R1", "R2")])
         echo = {(node, pkt + d): tuple((_shift_obs(o, d), _shift_refs(rest, off),
                                         _shift_refs(known, off))
                                        for o, rest, known in items)
@@ -766,15 +763,16 @@ class _Builder:
                     for (relay, pkt), items in self.residual_store.items()
                     if pkt >= base}
         # every FIFO entry, as a FIFO is in learning order, not position order
-        least = min(itertools.chain(
-            (i for queue in fifo for i, _ in queue),
-            (i for entries in pending for _, rs in entries for i in rs),
-            (i for items in echo.values() for item in items for rs in item[1:] for i in rs),
-            (i for items in residual.values() for _, rs in items for i in rs)), default=None)
+        least = min([i for queue in fifo for i, _ in queue]
+                    + [i for entries in pending for _, rs in entries for i in rs]
+                    + [i for items in echo.values() for item in items for rs in item[1:]
+                       for i in rs]
+                    + [i for items in residual.values() for _, rs in items for i in rs],
+                    default=None)
         oldest = 0 if least is None else min(0, least // per_packet + 1)
         window = range((base + oldest - 1) * per_packet, (t + 1) // 2 * per_packet)
-        know = tuple(frozenset(map(off.__add__, self.know[node].intersection(window)))
-                     for node in _NODES)
+        know = tuple([frozenset(map(off.__add__, self.know[node].intersection(window)))
+                      for node in _NODES])
         delivered = frozenset(map(off.__add__, self.delivered.intersection(window)))
         return oldest, fifo, pending, echo, residual, know, delivered
 
@@ -811,8 +809,8 @@ class _Builder:
             hop1 = self._mid_hop1_emits(t) if self.mid else self._hop1_emits(t)
             hop2, phase, pkt = self._hop2_emits(t)
             sent = (hop1[1], hop1[2], hop2["R1"], hop2["R2"])
-            s1, s2, r1, r2 = (tuple(e.refs if e else _EMPTY for e in emits)
-                              for emits in sent)
+            s1, s2, r1, r2 = [tuple([e.refs if e else _EMPTY for e in emits])
+                              for emits in sent]
             y_r = _first_hop(s1, s2, p, _EMPTY)
             y_d1, y_d2, y_s1, y_s2 = _second_hop(r1, r2, p, _EMPTY)
 
@@ -832,11 +830,10 @@ class _Builder:
             if t % 2 == 0 and 1 <= t // 2 - lag <= P:
                 done = t // 2 - lag
                 for relay, src in _OWN_SOURCE.items():
-                    lo = (done - 1) * self.per_packet + (src - 1) * self.formula_rate
-                    missing = [self.payload_refs[i]
-                               for i in range(lo, lo + self.formula_rate)
-                               if i not in self.know[relay]]
-                    if missing:
+                    lo = self._at(src, done)
+                    own = range(lo, lo + self.formula_rate)
+                    if not self.know[relay].issuperset(own):
+                        missing = [self._ref(i) for i in own if i not in self.know[relay]]
                         raise PipelineError(f"{relay} missing {missing} after hop 1")
             if self.watch:
                 self._watch_period(t)
@@ -859,21 +856,21 @@ class _Builder:
 
 
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
-    """The schedule of a ``packets``-packet run.
+    """The schedule of a ``packets``-packet run, from one path for every run.
 
-    Up to TILE_PACKETS packets it is one full build.  A longer run starts a
-    watched build at TILE_PACKETS or TILE_PACKETS + 1 packets, whichever has
-    the parity of ``packets``.  Once the period shows, that build stops as
-    the P0-packet build: P0 is the least run of at least 4 packets that is
-    a whole number of superframes shorter than the started one, whose watch
-    reaches the period (_Builder._watch_period).  The started build has the
-    parity of ``packets`` and a superframe is one or two packets, so
-    P - P0 is a whole number of superframes too, as the tiling needs.  The
-    input up to the last packet's first hop-1 slot does not depend on the
-    run length, so the slots built so far are the P0 build's, which finds
-    the same period.
-    The P0 build is tiled out to ``packets``.  Why that is the full build
-    at ``packets``:
+    A watched build starts at ``packets`` or, beyond TILE_PACKETS, at
+    TILE_PACKETS or TILE_PACKETS + 1 packets, whichever has the parity of
+    ``packets``.  Once the period shows, that build stops as the P0-packet
+    build: P0 is the least run of at least 4 packets that is a whole number
+    of superframes shorter than the started one, whose watch reaches the
+    period (_Builder._watch_period).  The started build has the parity of
+    ``packets`` and a superframe is one or two packets, so P - P0 is a whole
+    number of superframes too, as the tiling needs.  The input up to the
+    last packet's first hop-1 slot does not depend on the run length, so the
+    slots built so far are the P0 build's, which finds the same period.  A
+    build started at ``packets`` that no shorter run's period cuts is the
+    run's full build, returned as it is.  Otherwise the P0 build is tiled
+    out to ``packets``.  Why that is the full build at ``packets``:
 
     The builder is deterministic, and its input at slot t, the hop-1
     emissions and the phase of the slot, is its input at slot t + 2k with
@@ -891,12 +888,10 @@ def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
     where the next two periods of the P0 run are still far from its end.
     As a second guard each record of the period, moved by a superframe,
     must be the next period's record (_tile compares them in place), and
-    the tiled deliveries must cover every payload bit.  When any of this
-    fails, or no state recurs, the run is built in full at ``packets``.
+    the tiled deliveries must cover every payload bit.  When either guard
+    fails, the run is built in full at ``packets``.
     """
-    if packets <= TILE_PACKETS:
-        return _Builder(scheme, p, packets).build()
-    builder = _Builder(scheme, p, TILE_PACKETS + (packets - TILE_PACKETS) % 2)
+    builder = _Builder(scheme, p, min(packets, TILE_PACKETS + (packets - TILE_PACKETS) % 2))
     builder.watch = True
     base = builder.build()
     if builder.packets == packets:
@@ -1055,37 +1050,32 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
 
-    It makes every faulted run, the clean run of every schedule that is not
-    tiled, and every replay verify_trace needs (see there); a clean tiled
-    run is evaluated lane-parallel (_run_lanes), and this
-    engine is its oracle.  Returns (columns, errors, faults_found, stores, wrong):
+    It makes every faulted run, the clean run of every full build, and
+    every replay verify_trace needs; it is the oracle of the lane path
+    (_run_lanes).  Returns (columns, errors, faults_found, stores, wrong):
     ``columns`` as in SimulationTrace.slots, ``wrong`` the (node, position)
     of each store a step wrote with a value other than the payload bit, and
     ``errors`` the (slot, dest, position) of each delivery among them, in
-    slot order; which steps deliver, and so how many, is the schedule's
-    (Schedule.counts).  In replay mode the recorded vectors drive all node
-    behaviour, so a corrupted level shows up exactly where the recording
-    first deviates from the protocol.  ``faults`` is checked by run_scheme
-    (_check_faults), ``recorded`` by verify_trace.
+    slot order; which steps deliver is the schedule's (Schedule.counts).  In
+    replay mode the recorded vectors drive all node behaviour, so a
+    corrupted level shows up exactly where the recording first deviates
+    from the protocol.  ``faults`` is checked by run_scheme, ``recorded`` by
+    verify_trace.
 
-    Every payload bit is addressed by its position in ``payload_refs``, the
-    one address the builder writes into the records: a known Emit XORs its
-    ``refs``, an echo XORs its ``cancel`` off the level it replays, and a
-    DecodeStep XORs its ``side`` into the observation and stores the result
-    at ``target``, each record read by unpacking (see Emit).  A node's
-    store is one list over those positions, None where it lacks the bit.
-    The engine walks the tiling itself (Schedule._walk): a slot that repeats
-    its built slot d packets on reads the built records as they are, each
-    slot they name moved by dt = 2d and each position by off = d * (refs per
-    packet), as ``payload_refs`` run packet by packet.  ``bits`` holds the
-    payload by position (_payload_bits), and wrong stores and deliveries
-    name their bit by that position too.
+    The records name payload bits by position, read by unpacking (see
+    Emit): a known Emit XORs its ``refs``, an echo XORs its ``cancel`` off
+    the level it replays, and a DecodeStep XORs its ``side`` into the
+    observation and stores the result at ``target``.  A node's store is one
+    list over the positions, None where it lacks the bit.  A slot that
+    repeats its built slot d packets on (Schedule._walk) reads the built
+    records as they are, each slot they name moved by dt = 2d and each
+    position by off = d * (refs per packet).  ``bits`` holds the payload by
+    position (_payload_bits).
 
     The received vectors are looked up in the schedule's ``channel_maps``
-    (see the module docstring) by the slot's transmit vectors.  A run flips
-    its faults only in the slots that have one: a transmit flip before the
-    lookup, a receive flip after it, so the maps hold only what the geometry
-    returns.  Each signal's vectors are kept slot by slot and joined into
+    by the slot's transmit vectors.  A run flips its faults only in the
+    slots that have one: a transmit flip before the lookup, a receive flip
+    after it.  Each signal's vectors are kept slot by slot and joined into
     its column at the end of a run.  A replay cuts ``recorded`` so, never
     writing it, compares a slot's four transmit vectors in one comparison
     and its six received ones in another, looks for the differing signals
@@ -1245,13 +1235,18 @@ class _LaneGroup:
                 continue
             known, echo_src, cancel = emit
             if echo_src:
-                value, known = self._seen(*echo_src), cancel
+                value, known = self._echo(emit), cancel
             else:
                 value = 0
             for i in known:
                 value ^= lanes[i]
             levels.append(value)
         return tuple(levels)
+
+    def _echo(self, emit):
+        """The lane level an echo Emit replays, before its cancel bits come
+        off (the lanes' _echo_value)."""
+        return self._seen(*emit.echo_src)
 
     def _seen(self, signal, slot, position):
         """The lane level ``signal`` carries at ``position`` in built slot

@@ -48,7 +48,12 @@ class SweepSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("seed", "sample", "scheme_packets"):
+            if type(getattr(self, name)) is not int:
+                raise ChannelDomainError(f"{name} {getattr(self, name)!r} is not an int")
         for key, (lo, hi) in self.ranges.items():
+            if type(lo) is not int or type(hi) is not int:
+                raise ChannelDomainError(f"sweep range {key} bounds {(lo, hi)!r} are not ints")
             if key not in DEFAULT_RANGES or lo > hi or lo < 0:
                 raise ChannelDomainError(f"bad sweep range {key}={lo}..{hi}")
         missing = [key for key in DEFAULT_RANGES if key not in self.ranges]

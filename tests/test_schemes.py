@@ -995,7 +995,7 @@ def test_generate_payload_is_the_per_ref_draw():
 
 
 # ---------------------------------------------------------------------------
-# Tiling: a run longer than TILE_PACKETS is one small build, repeated.
+# Tiling: a run whose period shows is one small build, repeated.
 
 FBXW_WIDE = ChannelParams(16, 32, 8, 8, 24)
 TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
@@ -1208,17 +1208,19 @@ def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, pack
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
 def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets):
-    """A watched build that stops at P0' packets makes the refs, the ref
-    index, the unit Emits and the sources' knowledge of exactly those P0'
-    packets."""
+    """A watched build that stops at P0' packets makes the unit Emits and the
+    sources' knowledge of exactly those P0' packets, and names each of their
+    positions, for its error texts, by the ref the run's payload_refs gives
+    it."""
     watched = _Builder(scheme, p, packets)
     watched.watch = True
     watched.build()
     least, per_packet = watched.packets, watched.per_packet
     assert least < packets
-    assert (len(watched.payload_refs) == len(watched.unit) == len(watched.index)
-            == least * per_packet)
-    assert tuple(watched.payload_refs) == build_schedule(scheme, p, least).payload_refs
+    assert len(watched.unit) == least * per_packet
+    assert [emit.refs for emit in watched.unit] == [{i} for i in range(least * per_packet)]
+    refs = build_schedule(scheme, p, least).payload_refs
+    assert tuple(map(watched._ref, range(least * per_packet))) == refs
     assert watched.know["S1"] | watched.know["S2"] >= set(range(least * per_packet))
     assert max(watched.know["S1"] | watched.know["S2"]) == least * per_packet - 1
 
@@ -1513,24 +1515,27 @@ def test_runs_read_no_schedule_table(scheme, p, monkeypatch):
     assert verify_trace(parse_trace(text)).ok
 
 
-@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
-    """A clean run, its replay, its formatting and its parse, full build (8)
-    and tiled (30) alike, read no ref table and draw no payload dict; a
-    faulted replay names its wrong bits, and only those, by ref."""
+    """A clean run, its replay, its formatting and its parse, full build (4)
+    and tiled (8, 30) alike, read no ref table and draw no payload dict; a
+    faulted replay names its wrong bits, and only those, by ref.  Every
+    ONE_PER_SCHEME point shows its period within 8 packets, and a run of 4
+    cannot stop shorter, so it is built in full."""
     def refuse(*args):
         raise AssertionError("a payload bit was named")
     monkeypatch.setattr(Schedule, "payload_refs", property(refuse))
     monkeypatch.setattr(pipeline, "generate_payload", refuse)
     trace = run_scheme(scheme, p, packets)
-    assert bool(trace._schedule.tiling[2]) == (packets > TILE_PACKETS)
+    assert bool(trace._schedule.tiling[2]) == (packets > 4)
     text = format_trace(trace)
     assert verify_trace(trace).ok
     assert verify_trace(parse_trace(text)).ok
     monkeypatch.undo()
     schedule = build_schedule(scheme, p, packets)
-    t, step = next((t, step) for t, slot in schedule.slots() if t > 10
+    after = 10 if packets > 4 else 4          # a delivery past the warm-up
+    t, step = next((t, step) for t, slot in schedule.slots() if t > after
                    for step in slot.steps if step.deliver)
     signal, _, level = step.obs[0]
     faults = {(t, signal): level}
@@ -1546,11 +1551,11 @@ def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
     assert report.packet_verdicts[ref[1]] is False
 
 
-@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_deliveries_name_bits_by_position(scheme, p, packets):
     """A wrong delivery's third field is its bit's payload_refs position,
-    full build (8) and tiled schedule (30) alike: a flipped delivering level
+    full build (4) and tiled schedule (8, 30) alike: a flipped delivering level
     makes the engine list that step's (slot, dest, position), and every
     delivery it lists, named through payload_refs, is a delivering step of
     the schedule."""
@@ -1565,11 +1570,11 @@ def test_deliveries_name_bits_by_position(scheme, p, packets):
     assert {(slot, d, refs[i]) for slot, d, i in errors} <= set(_deliveries(schedule))
 
 
-@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
     """A run, its replay and its formatting pass plain level tuples through
-    the channel's private geometry, full build (8) and tiled (30) alike;
+    the channel's private geometry, full build (4) and tiled (8, 30) alike;
     only parse_trace, which reads outside input, makes GfVecs."""
     def refuse(*args, **kwargs):
         raise AssertionError("a GfVec was constructed")
@@ -1586,10 +1591,10 @@ def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
 
 @pytest.mark.parametrize("scheme,p,packets",
                          [(s, p, n) for n in (8, 30) for s, p in ONE_PER_SCHEME]
-                         + [("fbxw", FBXW_WIDE, 300)])
+                         + [("fbxw", FBXW_WIDE, 300)] + [(s, p, 4) for s, p in ONE_PER_SCHEME])
 def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeypatch):
     """A clean run's verify_trace takes the run's columns, wrong deliveries
-    and wrong stores, full build and tiled alike, and reports as a fresh
+    and wrong stores, full build (4) and tiled alike, and reports as a fresh
     verify of the same columns does, key order included."""
     trace = run_scheme(scheme, p, packets)
     fresh = verify_trace(replace(trace))      # the same columns, nothing carried
@@ -1605,7 +1610,7 @@ def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeyp
     assert trace._clean is None
 
 
-@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("whole", [False, True], ids=["in-place", "new-dict"])
 def test_column_replaced_after_the_run_is_located(packets, whole):
     """The carried result is a dict of its own: a column replaced after the
@@ -1621,7 +1626,7 @@ def test_column_replaced_after_the_run_is_located(packets, whole):
     assert report.faults == [(9, "Y_D1", 2)] and not report.ok
 
 
-@pytest.mark.parametrize("packets", [8, 30])
+@pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("change", ["schedule", "seed", "packets"])
 def test_changed_run_does_not_use_the_carried_columns(change, packets):
     """The carried result is used only with the very Schedule that made it
@@ -1651,14 +1656,21 @@ def test_faulted_run_carries_no_result():
     assert verify_trace(trace).faults[0] == (9, "Y_R1", 0)
 
 
+# per WORKED point, the longest run whose period does not show within its
+# own length, so that it is built in full; one packet more tiles
+UNTILED_UP_TO = [5, 7, 7, 5, 7, 4, 4]
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=st.integers(0, len(WORKED) - 1), packets=st.integers(4, 12),
-       seed=st.integers(0, 2**32 - 1), faulty=st.booleans(), data=st.data())
-def test_untiled_verify_is_the_replay(case, packets, seed, faulty, data):
+@given(case=st.integers(0, len(WORKED) - 1), seed=st.integers(0, 2**32 - 1),
+       faulty=st.booleans(), data=st.data())
+def test_untiled_verify_is_the_replay(case, seed, faulty, data):
     """With no carried result, a full build's verify_trace is the sequential
     replay of the recording, clean or with one flip, and makes no clean run
     first: its report is _report of that replay, key order included."""
     scheme, p, _ = WORKED[case]
+    packets = data.draw(st.integers(4, UNTILED_UP_TO[case]), label="packets")
+    assert build_schedule(scheme, p, UNTILED_UP_TO[case] + 1).tiling[2]
     faults = None
     if faulty:
         slot, signal, level = _draw_flip(data, scheme, p, packets)
@@ -1728,8 +1740,7 @@ def _assert_lane_report_is_sequential(trace, stores):
 @given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.integers(14, 60),
        seed=st.integers(0, 2**32 - 1))
 def test_lane_path_equals_sequential_engine(case, packets, seed):
-    """The sequential engine is the oracle of a clean tiled run (13 packets
-    is a full build): it gets every bit right, the lane path gives its
+    """The sequential engine is the oracle of a clean tiled run: it gets every bit right, the lane path gives its
     columns, a replay of those columns finds nothing, the engine's stores
     are the schedule's decode targets, verify_trace's report from the lanes
     is the one it makes from a sequential replay of the same columns, and a
@@ -1759,11 +1770,11 @@ def test_lane_path_equals_sequential_engine(case, packets, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.sampled_from([8, 30]),
+@given(case=st.integers(0, len(TILE_CASES) - 1), packets=st.sampled_from([4, 8, 30]),
        data=st.data())
 def test_flipped_column_byte_is_the_first_fault(case, packets, data):
-    """Byte i of one column of a clean trace flipped, on a full build (8)
-    and a tiled run (30) alike, is the first fault verify_trace reports:
+    """Byte i of one column of a clean trace flipped, on a full build (4)
+    and a tiled run (8, 30) alike, is the first fault verify_trace reports:
     slot i // L + 1, the column's signal, level i % L, where L is that
     signal's vector length."""
     scheme, p = TILE_CASES[case]
@@ -1779,17 +1790,21 @@ def test_flipped_column_byte_is_the_first_fault(case, packets, data):
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_clean_tiled_run_and_its_verify_take_the_lane_path(scheme, p, monkeypatch):
+    """A clean tiled run, 30 packets or the sweep's 8, and the verify of its
+    trace and of its parse run on lanes; a faulted run and a full build (4
+    packets, which shows no period) run on the sequential engine."""
     def refuse(*args, **kwargs):
         raise AssertionError("the sequential engine ran")
-    trace = run_scheme(scheme, p, 30)
-    text = format_trace(trace)
     monkeypatch.setattr(pipeline, "_run_engine", refuse)
-    assert verify_trace(trace).ok
-    assert verify_trace(parse_trace(text)).ok
+    for packets in (30, 8):
+        trace = run_scheme(scheme, p, packets)
+        text = format_trace(trace)
+        assert verify_trace(trace).ok
+        assert verify_trace(parse_trace(text)).ok
     with pytest.raises(AssertionError, match="sequential engine"):
         run_scheme(scheme, p, 30, faults={(20, "X_S1"): 0})
     with pytest.raises(AssertionError, match="sequential engine"):
-        run_scheme(scheme, p, 8)
+        run_scheme(scheme, p, 4)
 
 
 def _drop_side_position(schedule):
@@ -1895,7 +1910,7 @@ def test_clean_tiled_run_and_verify_keep_no_store(scheme, p, monkeypatch):
 
 
 @pytest.mark.parametrize("packets,faults",
-                         [(30, None), (8, None), (30, {(20, "Y_R1"): 0})],
+                         [(30, None), (4, None), (30, {(20, "Y_R1"): 0})],
                          ids=["lanes", "sequential", "faulted"])
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_deliveries_are_in_slot_order(scheme, p, packets, faults):

@@ -1,5 +1,6 @@
 """Sweep machinery: checks, counterexample plumbing, curves, frequency choice."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,18 @@ class TestSweep:
         with pytest.raises(ChannelDomainError):
             SweepSpec(ranges={"m": (3, 1), "n": (0, 2), "mbar": (0, 1),
                               "nbar": (0, 1), "f": (0, 2)})
+        # the seed, the sample, the packet count and the range bounds are
+        # ints, bools excluded, checked when the spec is made
+        for field, value in (("seed", "3"), ("seed", 1.5), ("seed", True),
+                             ("sample", 2.5), ("sample", None), ("sample", False),
+                             ("scheme_packets", 8.0), ("scheme_packets", "8")):
+            text = re.escape(f"{field} {value!r} is not an int")
+            with pytest.raises(ChannelDomainError, match=f"^{text}$"):
+                small_spec(**{field: value})
+        for bound in ((0, 4.0), ("0", 4), (False, 4), (0, None)):
+            text = re.escape(f"sweep range m bounds {bound!r} are not ints")
+            with pytest.raises(ChannelDomainError, match=f"^{text}$"):
+                small_spec(ranges={**CI_GRID, "m": bound})
         with pytest.raises(ChannelDomainError):
             small_spec(checks=("NOT_A_CHECK",))
         with pytest.raises(ChannelDomainError):
@@ -137,11 +150,19 @@ def _shift_weak_private(monkeypatch):
 
 
 def _flip_echo_levels(monkeypatch):
-    echo_value = pipeline._echo_value
+    """Every echo replays its level flipped, on both evaluators: the
+    sequential engine's _echo_value, and the lanes' echo read, every lane of
+    it.  A flipped lane echo fails its decode check, so the run falls back to
+    the (flipped) engine."""
+    echo_value, lane_echo = pipeline._echo_value, pipeline._LaneGroup._echo
 
     def flipped(level, *where):
         return echo_value(level, *where) ^ 1
+
+    def flipped_lanes(group, emit):
+        return lane_echo(group, emit) ^ ((1 << group.width) - 1)
     monkeypatch.setattr(pipeline, "_echo_value", flipped)
+    monkeypatch.setattr(pipeline._LaneGroup, "_echo", flipped_lanes)
 
 
 _IO, _C1, _T3, _BC = "INNER_LE_OUTER", "COROLLARY1", "THEOREM3", "BOUNDARY_CONTINUITY"
