@@ -41,9 +41,12 @@ slot by slot, one 0/1 byte each, as the payload bits and the lanes are laid
 out, so level j of slot t is byte (t - 1) * length + j (length q on hop 1,
 qbar on hop 2).  Its text is the header lines _header makes from the run,
 which format_trace writes and parse_trace requires line for line, then one
-row per slot.  A run builds its schedule, draws its payload and evaluates
-its clean run once: a trace from run_scheme carries the schedule, the bits
-and, with no faults, its result to the one verify_trace that follows, which
+row per slot.  Rows whose indices have as many digits are as long, so each
+such group is a fixed-stride block, which format_trace writes and
+parse_trace checks and reads with one extended slice per level and index
+digit.  A run builds its schedule, draws its payload and evaluates its
+clean run once: a trace from run_scheme carries the schedule, the bits and,
+with no faults, its result to the one verify_trace that follows, which
 compares the result's ten columns with the recording; with no result, a
 tiled schedule's clean run is made on lanes for that comparison.  Any other
 recording, and every one of a full build, is replayed by the sequential
@@ -736,15 +739,15 @@ class _Builder:
 
         That is the relay FIFOs with their enqueue slots, the pending relay
         decodes in arrival order, the rss echo and rsw residual stores of
-        packets not yet past their use, and what each node knows or has
-        delivered of the packets from the oldest one any of these names up
-        to the newest one sent, each a set intersection moved by one map.
-        No later slot reads anything older, and no newer packet is made yet
-        (_send_packet).  The relays' waiting index follows from these: after
-        a slot it lists each pending decode, in arrival order, under the two
-        positions of its refs its relay does not know, and nothing else (a
-        learned position's list is dropped, and a decode leaves pending only
-        once both its positions are known).
+        packets not yet past their use, and what each source or relay knows (a
+        destination only delivers) or is delivered, of the packets from the
+        oldest one any of these names up to the newest one sent, each a set
+        intersection moved by one map.  No later slot reads anything older,
+        and no newer packet is made yet (_send_packet).  The relays' waiting
+        index follows from these: after a slot it lists each pending decode,
+        in arrival order, under the two positions of its refs its relay does
+        not know, and nothing else (a learned position's list is dropped, and
+        a decode leaves pending only once both its positions are known).
         """
         base, per_packet = t // 2, self.per_packet
         d, off = -base, -base * per_packet
@@ -772,7 +775,7 @@ class _Builder:
         oldest = 0 if least is None else min(0, least // per_packet + 1)
         window = range((base + oldest - 1) * per_packet, (t + 1) // 2 * per_packet)
         know = tuple([frozenset(map(off.__add__, self.know[node].intersection(window)))
-                      for node in _NODES])
+                      for node in ("S1", "S2", "R1", "R2")])
         delivered = frozenset(map(off.__add__, self.delivered.intersection(window)))
         return oldest, fifo, pending, echo, residual, know, delivered
 
@@ -1527,8 +1530,8 @@ def _header(scheme: str, p: ChannelParams, packets: int, seed: int,
 
 def _row_layout(p: ChannelParams):
     """A row's vectors at ``p`` with every level '1', and per signal (signal,
-    start, length): level j of its field is character ``start + j``, a row
-    every ``len(shape) + 1``, so a level moves in one extended slice."""
+    start, length): level j of its field is character ``start + j`` of the
+    vectors, so in a block of rows (_row_groups) it is one extended slice."""
     fields, start = [], 0
     for signal, length in _signal_lengths(p).items():
         fields.append((signal, start, length))
@@ -1536,57 +1539,128 @@ def _row_layout(p: ChannelParams):
     return " ".join("1" * length or "-" for _, _, length in fields), fields
 
 
+def _row_groups(n_slots: int, shape: str):
+    """(width, lo, hi, row) per index width of rows 1..n_slots: each row lo..hi
+    is laid out as ``row`` (``width`` digits '1', the row shape), one block."""
+    width, lo = 1, 1
+    while lo <= n_slots:
+        yield width, lo, min(10 * lo - 1, n_slots), f"{'1' * width} {shape}\n".encode()
+        width, lo = width + 1, 10 * lo
+
+
+def _index_digits(width: int, j: int, lo: int, hi: int) -> bytes:
+    """Digit j (0 the leading one) of the ``width``-digit indices lo..hi, in
+    ASCII: a cycle of '0'..'9', each held for 10 ** (width - 1 - j) indices."""
+    cycle = b"".join([bytes((digit,)) * 10 ** (width - 1 - j) for digit in b"0123456789"])
+    return (cycle * (hi // len(cycle) + 1))[lo:hi + 1]
+
+
 def format_trace(trace: SimulationTrace) -> str:
-    """The trace file text: the _header lines, then one row per slot.  The
-    rows' vectors are the row shape (_row_layout) repeated, each level
-    written over it from its column in one extended slice, then made text
-    by the table ``_vec_str`` uses."""
+    """The trace file text: the _header lines, then the rows block by block
+    (_row_groups): the block's row repeated, each level written from its
+    column in one extended slice, the ``_vec_str`` table applied, then each
+    index digit written in one extended slice."""
     shape, fields = _row_layout(trace.p)
-    rows = bytearray((shape + "\n").encode() * trace.n_slots)
-    for signal, start, length in fields:
-        for level in range(length):
-            rows[start + level::len(shape) + 1] = trace.slots[signal][level::length]
-    rows = rows.translate(_LEVEL_TEXT).decode().split("\n")
-    lines = _header(trace.scheme, trace.p, trace.packets, trace.seed,
-                    trace.alloc, trace.formula_rate)
-    lines.extend(map(" ".join, zip(map(str, range(1, trace.n_slots + 1)), rows)))
-    return "\n".join([*lines, ""])
+    text = ["\n".join([*_header(trace.scheme, trace.p, trace.packets, trace.seed,
+                                trace.alloc, trace.formula_rate), ""])]
+    for width, lo, hi, row in _row_groups(trace.n_slots, shape):
+        block = bytearray(row) * (hi - lo + 1)
+        for signal, start, length in fields:
+            # stop counts from the column's end: a column of another length does not fit
+            column, stop = trace.slots[signal], (hi - trace.n_slots) * length or None
+            for level in range(length):
+                block[width + 1 + start + level::len(row)] = \
+                    column[(lo - 1) * length + level:stop:length]
+        block = block.translate(_LEVEL_TEXT)
+        for j in range(width):
+            block[j::len(row)] = _index_digits(width, j, lo, hi)
+        text.append(block.decode())
+    return "".join(text)
+
+
+def _read_rows(data, at: int, shape: str, fields):
+    """(n_slots, columns) from the rows of ASCII ``data`` past ``at``, their
+    count from their length, or None unless they are what format_trace
+    writes: per block (_row_groups), each index digit compared and made '1',
+    the levels moved out, the block, every '0' made '1', compared with its row."""
+    n_slots, left = 0, len(data) - at
+    for width, lo, hi, row in _row_groups(left, shape):
+        count = min(left // len(row), hi - lo + 1)
+        n_slots, left = n_slots + count, left - count * len(row)
+    if left:
+        return None
+    columns = {signal: bytearray(n_slots * length) for signal, _, length in fields}
+    for width, lo, hi, row in _row_groups(n_slots, shape):
+        block = bytearray(data[at:at + (hi - lo + 1) * len(row)])
+        at += len(block)
+        for j in range(width):
+            if block[j::len(row)] != _index_digits(width, j, lo, hi):
+                return None
+            block[j::len(row)] = b"1" * (hi - lo + 1)
+        for signal, start, length in fields:
+            for level in range(length):
+                columns[signal][(lo - 1) * length + level:hi * length:length] = \
+                    block[width + 1 + start + level::len(row)]
+        block = block.translate(bytes.maketrans(b"0", b"1"))   # frees the text's copy
+        if block != row * (hi - lo + 1):
+            return None
+    return n_slots, {signal: bytes(column).translate(_TEXT_LEVEL)
+                     for signal, column in columns.items()}
+
+
+def _name_bad_line(text: str, header: list, shape: str, fields) -> None:
+    """Raise the error of the first line of ``text`` that format_trace would
+    not write: a header line, named with the line expected there, or a row,
+    read field by field.  Only a refused text comes here: finding none is a bug."""
+    lines = text[:-1].split("\n")
+    for lineno, want in enumerate(header, start=1):
+        if lines[lineno - 1:lineno] != [want]:
+            found = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of text"
+            raise ChannelDomainError(f"line {lineno}: found {found}, expected {want!r}")
+    for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
+        slot, (index, _, vectors) = lineno - len(header), line.partition(" ")
+        if index == str(slot) and vectors.replace("0", "1") == shape:
+            continue
+        texts = line.split(" ")
+        if len(texts) != 1 + len(SIGNALS):
+            raise ChannelDomainError(
+                f"line {lineno}: {len(texts)} columns, expected {1 + len(SIGNALS)}")
+        if texts[0] != str(slot):
+            raise ChannelDomainError(f"line {lineno}: slot index {texts[0]!r}, expected {slot}")
+        for (signal, _, length), field_text in zip(fields, texts[1:]):
+            try:
+                vec = GfVec.from_string(field_text)   # the one vector reader
+            except ChannelDomainError as exc:
+                raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
+            if len(vec) != length:
+                raise ChannelDomainError(
+                    f"line {lineno}: {signal} has length {len(vec)}, expected {length}")
+    raise PipelineError("trace rows refused as blocks were read row by row")
 
 
 def parse_trace(text: str) -> SimulationTrace:
     """Read a trace written by format_trace; reject anything malformed.
 
-    Only a newline ends a line, as in the text format_trace writes, and
-    errors name the 1-based line they were found on.  The run line (line 2)
-    names the run: its scheme, link strengths, packet count and seed.  A
-    field missing from it or not an integer, or a run that cannot exist (a
-    negative link strength, an unknown scheme, too few packets, a scheme
-    outside its regime), raises on line 2 what run_scheme would, RegimeError
-    included.  The text must then begin with exactly the _header lines
-    format_trace writes for that run; the first line that differs is named
-    with the line expected there.  Every other line is a row: the slot
-    index, then one vector per signal, each of its signal's length, joined
-    by single spaces (a tab, a doubled, leading or trailing space or a
-    ``\r`` makes a column count or a vector string that is rejected).  A
-    row is checked in one comparison of its vectors, every '0' made '1',
-    with the run's row shape; only a row that fails it is read field by
-    field, to name its first bad field.  The rows then fill
-    each column, one extended slice per level (_row_layout).  Only the
-    recorded vectors are read back: the allocation and the formula rate
-    follow from the run line.  A parsed trace carries no schedule, draws no
+    Only a newline ends a line, and errors name the 1-based line they were
+    found on; a text without its final newline reads as with it.  The run
+    line (line 2) names the run: a field missing from it or not an integer,
+    or a run that cannot exist, raises on line 2 what run_scheme would,
+    RegimeError included.  The text must then begin with exactly the
+    _header lines format_trace writes for that run, and every other line is
+    a row: the slot index, then one vector per signal, each of its signal's
+    length, joined by single spaces.  The rows are read as blocks
+    (_read_rows); a text that is not ASCII (format_trace writes none) or
+    that fails those checks goes to _name_bad_line, which names its first
+    bad line and field.  A parsed trace carries no schedule, draws no
     payload and holds no counts (its ``delivered_bits`` and
-    ``steady_state_rate`` are 0); verify_trace builds a fresh schedule to
-    replay the vectors.
+    ``steady_state_rate`` are 0): the allocation and formula rate follow
+    from the run line, and verify_trace builds a fresh schedule.
     """
-    lines = text.removesuffix("\n").split("\n")
-
-    def expect(lineno, want):
-        if lines[lineno - 1:lineno] != [want]:
-            found = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of text"
-            raise ChannelDomainError(f"line {lineno}: found {found}, expected {want!r}")
-
-    expect(1, _TRACE_VERSION)
-    run_line = lines[1] if len(lines) > 1 else ""
+    if not text.endswith("\n"):
+        text += "\n"
+    version, run_line = text.split("\n", 2)[:2]    # the text has two lines or more
+    if version != _TRACE_VERSION:
+        _name_bad_line(text, [_TRACE_VERSION], "", ())
     run = dict(token.partition("=")[::2] for token in run_line.split())
 
     def value(key, cast=int):
@@ -1606,38 +1680,10 @@ def parse_trace(text: str) -> SimulationTrace:
     except ChannelDomainError as exc:
         raise type(exc)(f"line 2: {exc}") from exc
     header = _header(scheme, p, packets, seed, alloc, formula_rate)
-    for lineno, want in enumerate(header, start=1):
-        expect(lineno, want)
-    shape, fields = _row_layout(p)
-    rows = []
-    for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
-        index, _, vectors = line.partition(" ")
-        if index != str(len(rows) + 1) or vectors.replace("0", "1") != shape:
-            # read field by field, to name the first bad one and its signal
-            texts = line.split(" ")
-            if len(texts) != 1 + len(SIGNALS):
-                raise ChannelDomainError(
-                    f"line {lineno}: {len(texts)} columns, expected {1 + len(SIGNALS)}")
-            if texts[0] != str(len(rows) + 1):
-                raise ChannelDomainError(f"line {lineno}: slot index {texts[0]!r}, "
-                                         f"expected {len(rows) + 1}")
-            for (signal, _, length), field_text in zip(fields, texts[1:]):
-                try:
-                    vec = GfVec.from_string(field_text)   # the one vector reader
-                except ChannelDomainError as exc:
-                    raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
-                if len(vec) != length:
-                    raise ChannelDomainError(
-                        f"line {lineno}: {signal} has length {len(vec)}, expected {length}")
-        rows.append(vectors)
-    levels = " ".join(rows).encode().translate(_TEXT_LEVEL)
-    slots = {}
-    for signal, start, length in fields:
-        column = bytearray(len(rows) * length)
-        for level in range(length):
-            column[level::length] = levels[start + level::len(shape) + 1]
-        slots[signal] = bytes(column)
-    return SimulationTrace(
-        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(rows),
-        slots=slots, formula_rate=formula_rate, alloc=alloc,
-    )
+    head, (shape, fields) = "\n".join([*header, ""]), _row_layout(p)
+    rows = text.isascii() and text.startswith(head) and _read_rows(
+        memoryview(text.encode()), len(head), shape, fields)
+    if not rows:
+        _name_bad_line(text, header, shape, fields)
+    return SimulationTrace(scheme=scheme, p=p, packets=packets, seed=seed, n_slots=rows[0],
+                           slots=rows[1], formula_rate=formula_rate, alloc=alloc)

@@ -27,7 +27,7 @@ from ofbic import (
     verify_trace,
 )
 from ofbic import pipeline
-from ofbic.channel import _first_hop, _second_hop
+from ofbic.channel import _LEVEL_TEXT, _TEXT_LEVEL, _first_hop, _second_hop
 from ofbic.pipeline import (
     DEFAULT_SEED,
     SIGNALS,
@@ -609,6 +609,184 @@ def test_parse_trace_takes_only_what_format_trace_writes(scheme, data):
         assert named and 1 <= int(named.group(1)) <= edited.count("\n"), str(exc)
     else:
         assert format_trace(parsed) == edited
+
+
+# The trace codec as it was before traces were written and read in
+# fixed-stride blocks: one row at a time.  The block codec must write the
+# same text, and read back the same trace or raise the same error.
+
+def _oracle_format_trace(trace):
+    shape, fields = pipeline._row_layout(trace.p)
+    rows = bytearray((shape + "\n").encode() * trace.n_slots)
+    for signal, start, length in fields:
+        for level in range(length):
+            rows[start + level::len(shape) + 1] = trace.slots[signal][level::length]
+    rows = rows.translate(_LEVEL_TEXT).decode().split("\n")
+    lines = pipeline._header(trace.scheme, trace.p, trace.packets, trace.seed,
+                             trace.alloc, trace.formula_rate)
+    lines.extend(map(" ".join, zip(map(str, range(1, trace.n_slots + 1)), rows)))
+    return "\n".join([*lines, ""])
+
+
+def _oracle_parse_trace(text):
+    lines = text.removesuffix("\n").split("\n")
+
+    def expect(lineno, want):
+        if lines[lineno - 1:lineno] != [want]:
+            found = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of text"
+            raise ChannelDomainError(f"line {lineno}: found {found}, expected {want!r}")
+
+    expect(1, pipeline._TRACE_VERSION)
+    run_line = lines[1] if len(lines) > 1 else ""
+    run = dict(token.partition("=")[::2] for token in run_line.split())
+
+    def value(key, cast=int):
+        if key not in run:
+            raise ChannelDomainError(f"run line has no {key}= field")
+        try:
+            return cast(run[key])
+        except ValueError:
+            raise ChannelDomainError(
+                f"header field {key}={run[key]!r} is not an integer") from None
+
+    try:
+        p = ChannelParams(*map(value, ("m", "n", "mbar", "nbar", "f")))
+        scheme, packets, seed = value("scheme", str), value("packets"), value("seed")
+        pipeline._check_seed(seed)
+        alloc, formula_rate = pipeline._payload_plan(scheme, p, packets)
+    except ChannelDomainError as exc:
+        raise type(exc)(f"line 2: {exc}") from exc
+    header = pipeline._header(scheme, p, packets, seed, alloc, formula_rate)
+    for lineno, want in enumerate(header, start=1):
+        expect(lineno, want)
+    shape, fields = pipeline._row_layout(p)
+    rows = []
+    for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
+        index, _, vectors = line.partition(" ")
+        if index != str(len(rows) + 1) or vectors.replace("0", "1") != shape:
+            texts = line.split(" ")
+            if len(texts) != 1 + len(SIGNALS):
+                raise ChannelDomainError(
+                    f"line {lineno}: {len(texts)} columns, expected {1 + len(SIGNALS)}")
+            if texts[0] != str(len(rows) + 1):
+                raise ChannelDomainError(f"line {lineno}: slot index {texts[0]!r}, "
+                                         f"expected {len(rows) + 1}")
+            for (signal, _, length), field_text in zip(fields, texts[1:]):
+                try:
+                    vec = GfVec.from_string(field_text)
+                except ChannelDomainError as exc:
+                    raise ChannelDomainError(f"line {lineno}: {signal}: {exc}") from exc
+                if len(vec) != length:
+                    raise ChannelDomainError(
+                        f"line {lineno}: {signal} has length {len(vec)}, expected {length}")
+        rows.append(vectors)
+    levels = " ".join(rows).encode().translate(_TEXT_LEVEL)
+    slots = {}
+    for signal, start, length in fields:
+        column = bytearray(len(rows) * length)
+        for level in range(length):
+            column[level::length] = levels[start + level::len(shape) + 1]
+        slots[signal] = bytes(column)
+    return pipeline.SimulationTrace(
+        scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(rows),
+        slots=slots, formula_rate=formula_rate, alloc=alloc,
+    )
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the trace, or the error's class and
+    message."""
+    try:
+        return parse(text)
+    except ChannelDomainError as exc:
+        return type(exc), str(exc)
+
+
+# row counts on and next to 9/10, 99/100 and 999/1000, where the index widens
+INDEX_WIDTH_POINTS = [(point, packets)
+                      for point in ((0, 0, 0, 0, 0), (3, 4, 0, 0, 8))
+                      for packets in (4, 5, 49, 50, 499, 500)]
+
+
+@functools.lru_cache(maxsize=None)
+def _width_trace(point, packets):
+    return run_scheme("nofb-mid", ChannelParams(*point), packets)
+
+
+def test_index_width_corpus_spans_each_width_change():
+    counts = sorted(_width_trace(*case).n_slots for case in INDEX_WIDTH_POINTS)
+    assert counts == [8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001]
+
+
+@pytest.mark.parametrize("point,packets", INDEX_WIDTH_POINTS)
+def test_trace_codec_equals_the_row_by_row_codec(point, packets):
+    """At every row count by an index width change, format_trace writes the
+    row-by-row codec's text, which parse_trace reads back as that codec
+    does, and so does its text without the final newline."""
+    trace = _width_trace(point, packets)
+    text = format_trace(trace)
+    assert text == _oracle_format_trace(trace)
+    parsed = parse_trace(text)
+    assert parsed == _oracle_parse_trace(text) and parsed.slots == trace.slots
+    assert parse_trace(text[:-1]) == _oracle_parse_trace(text[:-1]) == parsed
+
+
+_ONE_CHARACTERS = ["0", "1", "5", "9", " ", "\r", "\t", "\n", "-", "é", "١", "\ud800"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(INDEX_WIDTH_POINTS), data=st.data())
+def test_parse_trace_of_an_edited_trace_is_the_row_by_row_parse(case, data):
+    """One character of a trace changed, inserted or deleted anywhere (an
+    index digit, a space or a newline in particular), to a digit, a space,
+    a ``\\r``, a tab, a newline, a non-ASCII character or a lone surrogate:
+    parse_trace returns the trace the row-by-row parse returns, or raises
+    the same error class with the same message."""
+    text = format_trace(_width_trace(*case))
+    where = data.draw(st.sampled_from(["anywhere", "index", "space", "newline"]), label="where")
+    if where == "anywhere":
+        at = data.draw(st.integers(0, len(text) - 1), label="at")
+    else:
+        char = {"index": "\n", "space": " ", "newline": "\n"}[where]
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c == char]), label="at")
+        at += where == "index"
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+    char = data.draw(st.sampled_from(_ONE_CHARACTERS), label="char")
+    at = min(at, len(text) - 1)
+    edited = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+    assert _outcome(parse_trace, edited) == _outcome(_oracle_parse_trace, edited)
+
+
+@pytest.mark.parametrize("packets", [8, 300, 1000])
+@pytest.mark.parametrize("scheme", sorted(P8_POINTS))
+def test_valid_trace_is_read_without_the_row_reader(scheme, packets, monkeypatch):
+    """A valid trace is read as blocks alone: neither the row reader, which
+    only names the error of a refused text, nor GfVec.from_string runs.  A
+    text without its final newline reads as with it, and a header-only
+    text, with or without its final newline, has no slots."""
+    trace = run_scheme(scheme, ChannelParams(*P8_POINTS[scheme]), packets)
+    text = format_trace(trace)
+
+    def refused(*args):
+        raise AssertionError("a valid trace took the row path")
+    monkeypatch.setattr(pipeline, "_name_bad_line", refused)
+    monkeypatch.setattr(GfVec, "from_string", refused)
+    parsed = parse_trace(text)
+    assert parsed.slots == trace.slots and parse_trace(text[:-1]) == parsed
+    head = text[:text.index("\n1 ") + 1]
+    for header_only in (head, head[:-1]):
+        parsed = parse_trace(header_only)
+        assert parsed.n_slots == 0 and set(parsed.slots.values()) == {b""}
+
+
+def test_row_reader_that_finds_no_bad_line_is_an_invariant_error():
+    """The row reader runs only on a text the block reader refused; one it
+    would accept means the two readers disagree, a PipelineError."""
+    text = _p8_text("rss")
+    header = text.splitlines()[:5]
+    shape, fields = pipeline._row_layout(ChannelParams(*P8_POINTS["rss"]))
+    with pytest.raises(pipeline.PipelineError):
+        pipeline._name_bad_line(text, header, shape, fields)
 
 
 class TestFaultInjection:
@@ -1249,6 +1427,34 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
         for scheme, _ in schemes_at(p):
             build_schedule(scheme, p, 14)
     assert len(seen) > 1395
+
+
+class _DestinationKnowledgeBuilder(_Builder):
+    """A builder whose period state also holds what D1 and D2 know, as the
+    state did before it left them out."""
+
+    def _state(self, t):
+        assert not self.know["D1"] and not self.know["D2"], (self.scheme, self.p, t)
+        return *super()._state(t), frozenset(self.know["D1"]), frozenset(self.know["D2"])
+
+
+def test_period_state_without_the_destinations_finds_the_same_period():
+    """A destination learns only through its deliveries, so its knowledge
+    set stays empty and the period state leaves it out: on every in-regime
+    CI-grid pair at 14 packets, and at the tile cases' TILE_PACKETS, a build
+    whose state holds it finds the same period start and builds the same
+    records."""
+    cases = [(scheme, ChannelParams(*point), 14)
+             for point in itertools.product(range(5), range(5), range(3), range(3), range(5))
+             for scheme, _ in schemes_at(ChannelParams(*point))]
+    cases += [(scheme, p, TILE_PACKETS) for scheme, p in TILE_CASES]
+    for scheme, p, packets in cases:
+        builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
+        for builder in builders:
+            builder.watch = True
+            builder.build()
+        plain, full = builders
+        assert (plain.period_start, plain.built) == (full.period_start, full.built), (scheme, p)
 
 
 def test_every_ci_grid_pair_tiles():
