@@ -153,24 +153,28 @@ def cmd_simulate(args) -> int:
 
 def _read_config(path: str) -> dict:
     config = {}                       # key -> (value, line number)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(
-                    f"config {path} line {lineno}: expected key = value, "
-                    f"got {raw.strip()!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in config:
-                raise UsageError(
-                    f"config {path} line {lineno}: {key!r} already set on "
-                    f"line {config[key][1]}"
-                )
-            config[key] = (value.strip(), lineno)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(
+                f"config {path} line {lineno}: expected key = value, "
+                f"got {raw.strip()!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in config:
+            raise UsageError(
+                f"config {path} line {lineno}: {key!r} already set on "
+                f"line {config[key][1]}"
+            )
+        config[key] = (value.strip(), lineno)
     return config
 
 

@@ -17,24 +17,25 @@ The run is split into two layers:
   explicit list of decode steps.  One slot loop serves all four schemes;
   nofb-mid differs only in its hop-1 emission (MidCode columns) and in its
   relays' two-slot decode recipes.
-* A sequential *engine* evaluates the schedule on concrete payload bits,
-  slot by slot, pushing vectors of 0/1 bytes through the same geometry and
-  executing the decode steps against the actually received vectors.  Every
-  node's store is one list over the positions, and a wrong delivery names
-  its bit by position too.  Reference tuples ``(source, packet, kind,
-  index)`` name bits only at the edge: in error texts, and in
-  ``generate_payload`` and ``SimulationTrace.payload``, drawn when read.  A
-  run applies its faults only in the slots that have one.
-* A clean tiled run is evaluated *lane-parallel* instead (_run_lanes).  The
-  channel is linear, and in a clean run every store a node reads holds its
-  payload bit, so every level is the XOR of the payload bits of its
-  position set, and the repeats of the tiled period are one GF(2)-linear
-  map applied to payload bits one period apart.  Each level of the repeated
-  block is one Python int holding one bit, a lane, per repeat; the same
-  geometry runs on those ints, and every decode step is checked on all
-  lanes at once.  The head and tail of the run are groups of one lane.  A
-  check that fails hands the run to the sequential engine, which also runs
-  every faulted run and every full build.
+* Every clean run is evaluated *lane-parallel* (_run_lanes).  The channel
+  is linear, and in a clean run every store a node reads holds its payload
+  bit, so every level is the XOR of the payload bits of its position set,
+  and the repeats of a tiled period are one GF(2)-linear map applied to
+  payload bits one period apart.  Each level of the repeated block is one
+  Python int holding one bit, a lane, per repeat; the same geometry runs on
+  those ints, and every decode step is checked on all lanes at once.  The
+  head and tail of a tiled run, and the whole of a full build, are groups
+  of one lane.
+* A sequential *engine* (_run_engine) does what lanes cannot: a faulted
+  run, the replay of a recording that differs from the clean run, and a
+  clean run whose lane check fails.  It pushes vectors of 0/1 bytes through
+  the same geometry slot by slot and executes the decode steps against the
+  actually received vectors.  Every node's store is one list over the
+  positions, and a wrong delivery names its bit by position too.
+  Reference tuples ``(source, packet, kind, index)`` name bits only at the
+  edge: in error texts, and in ``generate_payload`` and
+  ``SimulationTrace.payload``, drawn when read.  A run applies its faults
+  only in the slots that have one.
 
 A trace holds one column per signal (SimulationTrace.slots): its levels
 slot by slot, one 0/1 byte each, as the payload bits and the lanes are laid
@@ -45,13 +46,12 @@ row per slot.  Rows whose indices have as many digits are as long, so each
 such group is a fixed-stride block, which format_trace writes and
 parse_trace checks and reads with one extended slice per level and index
 digit.  A run builds its schedule, draws its payload and evaluates its
-clean run once: a trace from run_scheme carries the schedule, the bits and,
-with no faults, its result to the one verify_trace that follows, which
-compares the result's ten columns with the recording; with no result, a
-tiled schedule's clean run is made on lanes for that comparison.  Any other
-recording, and every one of a full build, is replayed by the sequential
-engine, which reports the first point where it deviates from what the
-protocol would have produced (nothing, for a clean recording).
+clean run once: a trace from run_scheme carries all three to the one
+verify_trace that follows, which compares the clean run's ten columns with
+the recording; with none carried, the clean run is made on lanes.  A
+recording that differs is replayed by the sequential engine, which reports
+the first point where it deviates from what the protocol would have
+produced.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order (each runs in the record's slot) and its feedback
@@ -76,8 +76,8 @@ verify takes its counts from Schedule.counts.
 A Schedule also caches the channel map at its ``p`` for the sequential
 engine (``channel_maps``): a dict per hop from the two transmitted vectors
 of a slot to the vectors they are received as, with a few hundred distinct
-pairs in a whole run at a small point, filled by a sequential run_scheme and
-read by the replay of its faulted trace.  They cannot change a result: a
+pairs in a whole run at a small point, filled by a faulted run_scheme and
+read by the replay of its trace.  They cannot change a result: a
 miss calls the same geometry, the key is the vectors the slot actually sent
 (after a fault flip, or as recorded), and a fault or recorded deviation in
 a received vector is applied after the lookup.
@@ -251,9 +251,8 @@ class Schedule:
         ``(x_s1, x_s2) -> (y_r1, y_r2)`` and hop 2
         ``(x_r1, x_r2) -> (y_d1, y_d2, y_s1, y_s2)``, keyed by the transmit
         vectors a slot sent (after a fault flip, or as recorded) and filled
-        by every sequential pass on this schedule: clean runs of full
-        builds, faulted runs and replays.  A lane-parallel run, and a
-        verify_trace that takes its run's carried result, use none."""
+        by every sequential pass (_run_engine) on this schedule; a clean
+        run, on lanes, uses none."""
         return {}, {}
 
     @property
@@ -367,9 +366,12 @@ def _recurs(a, b, d, off):
 
 def _payload_plan(scheme: str, p: ChannelParams, packets: int):
     """(alloc, formula_rate) of a run; alloc is None for nofb-mid.  A run
-    carries 2 * formula_rate payload bits per packet."""
+    carries 2 * formula_rate payload bits per packet.  A packet count that
+    is not an int of at least 4 is a ChannelDomainError."""
     if scheme not in ALL_SCHEMES:
         raise ChannelDomainError(f"unknown scheme {scheme!r}")
+    if type(packets) is not int:                  # bools excluded, as for seeds
+        raise ChannelDomainError(f"packets {packets!r} is not an int")
     if packets < 4:
         raise ChannelDomainError("need at least 4 packets to fill the pipeline")
     if scheme == SCHEME_NOFB_MID:
@@ -894,7 +896,8 @@ def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
     the tiled deliveries must cover every payload bit.  When either guard
     fails, the run is built in full at ``packets``.
     """
-    builder = _Builder(scheme, p, min(packets, TILE_PACKETS + (packets - TILE_PACKETS) % 2))
+    builder = _Builder(scheme, p, packets)            # checks the run's plan
+    builder.packets = min(packets, TILE_PACKETS + (packets - TILE_PACKETS) % 2)
     builder.watch = True
     base = builder.build()
     if builder.packets == packets:
@@ -949,14 +952,11 @@ class SimulationTrace:
     decode_errors: int = 0
     delivered_bits: int = 0
     steady_state_rate: Fraction = Fraction(0)
-    # run_scheme's Schedule, (seed, payload bits) and, for a run with no
-    # faults, its result (that Schedule, {signal: column}, wrong deliveries,
-    # wrong stores), held for the one verify_trace that follows and dropped
-    # by it; never set by parse_trace
-    _schedule: Schedule = field(default=None, init=False, repr=False,
-                                compare=False)
-    _bits: tuple = field(default=None, init=False, repr=False, compare=False)
-    _clean: tuple = field(default=None, init=False, repr=False, compare=False)
+    # run_scheme's (Schedule, seed, payload bits, clean columns): the columns
+    # are a dict of their own, and None unless the lanes made them; held
+    # for the one verify_trace that follows and dropped by it; never set by
+    # parse_trace
+    _run: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def payload(self) -> dict:
@@ -1053,13 +1053,14 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
 
-    It makes every faulted run, the clean run of every full build, and
-    every replay verify_trace needs; it is the oracle of the lane path
-    (_run_lanes).  Returns (columns, errors, faults_found, stores, wrong):
-    ``columns`` as in SimulationTrace.slots, ``wrong`` the (node, position)
-    of each store a step wrote with a value other than the payload bit, and
-    ``errors`` the (slot, dest, position) of each delivery among them, in
-    slot order; which steps deliver is the schedule's (Schedule.counts).  In
+    It makes every faulted run, the clean run of a schedule whose lane
+    check fails, and every replay verify_trace needs; it is the oracle of
+    the lane path (_run_lanes).  Returns (columns, errors, faults_found,
+    stores, wrong): ``columns`` as in SimulationTrace.slots, ``wrong`` the
+    (node, position) of each store a step wrote with a value other than the
+    payload bit, and ``errors`` the (slot, dest, position) of each delivery
+    among them, in slot order; which steps deliver is the schedule's
+    (Schedule.counts).  In
     replay mode the recorded vectors drive all node behaviour, so a
     corrupted level shows up exactly where the recording first deviates
     from the protocol.  ``faults`` is checked by run_scheme, ``recorded`` by
@@ -1159,7 +1160,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     return recorded, errors, found, stores, wrong
 
 
-# -- a clean tiled run, lane-parallel -------------------------------------------
+# -- a clean run, lane-parallel -------------------------------------------------
 
 class _Sequential(Exception):
     """A clean run the lanes do not vouch for: the sequential engine runs it."""
@@ -1181,7 +1182,7 @@ class _PayloadLanes(dict):
 
 
 class _LaneGroup:
-    """Built slots ``lo + 1 .. hi`` of a clean tiled run, in ``width`` lanes.
+    """Built slots ``lo + 1 .. hi`` of a clean run, in ``width`` lanes.
 
     Lane k is those slots moved ``d + k * period // 2`` packets: built slot s
     is run slot ``s + 2 * d + k * period`` and a position i is payload bit
@@ -1307,15 +1308,15 @@ class _LaneGroup:
 
 
 def _run_lanes(schedule: Schedule, bits):
-    """The columns ``_run_engine(schedule, bits)`` returns for a clean tiled
-    run, evaluated lane-parallel; None when a check fails.
+    """The columns ``_run_engine(schedule, bits)`` returns for a clean run,
+    evaluated lane-parallel; None when a check fails.
 
     Each part of the tiling (Schedule._parts) is one group, lane k its k-th
     copy: the period has R = 2 * shift / period + 1 lanes, the head and the
-    tail one.  Each group checks its decode steps, then writes its columns,
-    which later groups read.  A group whose decode checks do not all hold,
-    or whose echoes read their own lanes, leaves the run to the sequential
-    engine.
+    tail one; a full build is all tail.  Each group checks its decode
+    steps, then writes its columns, which later groups read.  A group whose
+    decode checks do not all hold, or whose echoes read their own lanes,
+    leaves the run to the sequential engine.
     """
     at = {signal: (bytearray(schedule.n_slots * length), length)
           for signal, length in _signal_lengths(schedule.p).items()}
@@ -1340,31 +1341,28 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     is a ChannelDomainError, and so is a seed that is not an int (bools
     included), which the trace header could not carry.
 
-    A clean tiled run is evaluated lane-parallel (_run_lanes); a faulted
-    run, a full build, or a clean run whose lane checks fail runs on the
-    sequential engine.  Either way the delivered and steady counts are the
-    schedule's (Schedule.counts).  The trace carries the schedule, the
-    payload bits and, from a run with no faults, its result (its columns in
-    a dict of its own, its wrong deliveries and stores) to the verify_trace
-    that follows, which then evaluates nothing again.
+    A clean run is evaluated lane-parallel (_run_lanes); a faulted run, or
+    a clean run whose lane checks fail, runs on the sequential engine.
+    Either way the delivered and steady counts are the schedule's
+    (Schedule.counts).  The trace carries the schedule, the seed, the
+    payload bits and the lanes' columns, in a dict of their own, to the
+    verify_trace that follows, which then makes no clean pass of its own.
     """
     _check_seed(seed)
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
-    columns = _run_lanes(schedule, bits) if not faults and schedule.tiling[2] else None
-    errors = wrong = ()
+    columns = clean = None if faults else _run_lanes(schedule, bits)
+    errors = ()
     if columns is None:
-        columns, errors, _, _, wrong = _run_engine(schedule, bits, faults=faults)
+        columns, errors, *_ = _run_engine(schedule, bits, faults=faults)
     delivered, steady, _ = schedule.counts
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
         slots=columns, formula_rate=schedule.formula_rate, alloc=schedule.alloc,
         decode_errors=len(errors), delivered_bits=delivered, steady_state_rate=steady,
     )
-    trace._schedule, trace._bits = schedule, (seed, bits)
-    if not faults:
-        trace._clean = (schedule, dict(columns), errors, wrong)
+    trace._run = (schedule, seed, bits, clean and dict(clean))
     return trace
 
 
@@ -1416,32 +1414,29 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     protocol produces from the recorded inputs (locating any injected
     fault), and every delivered bit matches the seeded payload.
 
-    A trace from run_scheme carries its schedule, used while the trace
-    names the same (scheme, p, packets), its payload bits, used while it
-    also names the same seed, and, from a run with no faults, that run's
-    result, used only with that very schedule and those bits; it gives all
-    three up here.  A parsed trace, a changed one or a second verification
-    starts afresh.
+    A trace from run_scheme carries its run (its schedule, seed, payload
+    bits and, from the lanes, its clean columns), used only while the trace
+    names the same scheme, p, packets and seed; it gives the run up here.
+    A parsed trace, a changed one or a second verification starts afresh.
 
-    A recording whose ten columns equal the carried result's is that run,
-    with its wrong deliveries and stores (none on lanes), and makes no lane
-    or engine pass.  With no carried result, a tiled schedule's clean run is
-    made lane-parallel (_run_lanes), and a recording equal to it is that
-    run, with none.  Any other recording is replayed by the sequential
-    engine, which locates its faults; a clean one, which only an untiled
-    schedule or a failed lane check sends there, replays to the clean run's
-    report.  _report takes the rest from the schedule's counts.
+    The clean columns are the carried ones or else made lane-parallel
+    (_run_lanes), which checks every decode; a recording equal to them is
+    that clean run.  Any other recording, or every one when the lane check
+    fails, is replayed by the sequential engine, which locates its faults.
+    _report takes the rest from the schedule's counts.
 
     A trace whose row count is not the run's is a ChannelDomainError naming
     the line of its first missing or extra row, as format_trace would write
-    it, and so is a column of another length, naming its signal.
+    it, and so is a missing column or one of another length, naming its
+    signal.
     """
-    schedule, trace._schedule = trace._schedule, None
-    drawn, trace._bits = trace._bits, None
-    clean, trace._clean = trace._clean, None
-    if schedule is None or (schedule.scheme, schedule.p, schedule.packets) != (
-            trace.scheme, trace.p, trace.packets):
-        schedule, drawn = build_schedule(trace.scheme, trace.p, trace.packets), None
+    run, trace._run = trace._run, None
+    if run and (run[0].scheme, run[0].p, run[0].packets, run[1]) == (
+            trace.scheme, trace.p, trace.packets, trace.seed):
+        schedule, _, bits, columns = run
+    else:
+        schedule = build_schedule(trace.scheme, trace.p, trace.packets)
+        bits = columns = None
     n_slots = trace.n_slots
     if n_slots != schedule.n_slots:
         header = _header(trace.scheme, trace.p, trace.packets, trace.seed,
@@ -1450,19 +1445,14 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
             f"line {len(header) + min(n_slots, schedule.n_slots) + 1}: "
             f"trace has {n_slots} slots, run needs {schedule.n_slots}")
     for signal, length in _signal_lengths(trace.p).items():
-        if len(trace.slots[signal]) != n_slots * length:
-            raise ChannelDomainError(f"recorded {signal} has {len(trace.slots[signal])} "
-                                     f"levels, {n_slots} slots need {n_slots * length}")
-    if drawn and drawn[0] == trace.seed:
-        bits = drawn[1]
-    else:
-        bits, clean = _payload_bits(2 * schedule.formula_rate * schedule.packets,
-                                    trace.seed), None
-    if clean and clean[0] is schedule:
-        _, columns, errors, wrong = clean
-        if columns == trace.slots:
-            return _report(schedule, errors=errors, wrong=wrong)
-    elif schedule.tiling[2] and _run_lanes(schedule, bits) == trace.slots:
+        column = trace.slots.get(signal)
+        if column is None or len(column) != n_slots * length:
+            found = "no column" if column is None else f"{len(column)} levels"
+            raise ChannelDomainError(f"recorded {signal} has {found}, "
+                                     f"{n_slots} slots need {n_slots * length}")
+    if bits is None:
+        bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
+    if (columns or _run_lanes(schedule, bits)) == trace.slots:
         return _report(schedule)
     _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
     return _report(schedule, found, errors, wrong)

@@ -343,6 +343,14 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: ") and "sample" in err
 
+    def test_config_not_utf8_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_bytes(b"m_max = 2\n\xff\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {config} is not UTF-8 text: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_malformed_config_line_exit_2(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("m_max = 2\ngarbage line\n")

@@ -101,7 +101,7 @@ def test_determinism():
 def test_per_window_delivery_is_constant_after_warmup():
     for scheme, p, rate in WORKED:
         trace = run_scheme(scheme, p, 10)
-        schedule = trace._schedule
+        schedule = trace._run[0]
         _assert_counts_are_delivering_steps(trace, schedule)
         assert trace.decode_errors == 0
         per_window = {}
@@ -865,6 +865,20 @@ def test_seed_that_is_not_an_int_is_rejected(seed, builds):
     assert builds == []
 
 
+@pytest.mark.parametrize("packets", [4.5, 8.0, "8", None, True],
+                         ids=["float", "whole-float", "str", "none", "bool"])
+def test_packets_that_is_not_an_int_is_rejected(packets, builds):
+    """A packet count that is not an int (bools included) is bad input, a
+    ChannelDomainError before any build, not an internal invariant of the
+    build or a TypeError."""
+    match = f"^packets {re.escape(repr(packets))} is not an int$"
+    with pytest.raises(ChannelDomainError, match=match):
+        run_scheme("fbxw", ChannelParams(2, 4, 1, 1, 3), packets)
+    with pytest.raises(ChannelDomainError, match=match):
+        build_schedule("fbxw", ChannelParams(2, 4, 1, 1, 3), packets)
+    assert builds == []
+
+
 @pytest.mark.parametrize("seed", [-1, -5, -2**64])
 def test_negative_seed_is_rejected(seed, builds):
     """random.Random(-s) seeds as Random(s), so a negative seed would draw the
@@ -1102,8 +1116,8 @@ def test_changed_trace_verified_against_fresh_build(builds):
 
 def test_run_then_verify_draws_the_payload_once(monkeypatch):
     """A trace from run_scheme carries the payload bits it drew to its one
-    verify_trace, which drops them with the schedule; a second verification,
-    and one of a trace whose seed was changed, draw afresh."""
+    verify_trace, which drops them with the rest of its run; a second
+    verification, and one of a trace whose seed was changed, draw afresh."""
     draws = []
     real = pipeline._payload_bits
 
@@ -1112,9 +1126,9 @@ def test_run_then_verify_draws_the_payload_once(monkeypatch):
         return real(n, seed)
     monkeypatch.setattr(pipeline, "_payload_bits", counting)
     trace = run_scheme("fbxw", FBXW_SMALL, 30)
-    assert trace._clean is not None
+    assert trace._run[3] is not None
     assert verify_trace(trace).ok and draws == [DEFAULT_SEED]
-    assert trace._schedule is None and trace._bits is None and trace._clean is None
+    assert trace._run is None
     assert verify_trace(trace).ok and draws == [DEFAULT_SEED] * 2
     changed = run_scheme("fbxw", FBXW_SMALL, 30)
     changed.seed += 1
@@ -1126,13 +1140,13 @@ def test_carried_schedule_outside_repr_and_eq():
     carried = run_scheme("fbxw", FBXW_SMALL, 8)
     released = run_scheme("fbxw", FBXW_SMALL, 8)
     verify_trace(released)
-    assert carried._schedule is not None and released._schedule is None
-    assert carried._clean is not None and released._clean is None
+    assert carried._run is not None and released._run is None
+    assert carried._run[3] is not None
     assert carried == released
     assert repr(carried) == repr(released)
-    assert "Schedule" not in repr(carried) and "_clean" not in repr(carried)
+    assert "Schedule" not in repr(carried) and "_run" not in repr(carried)
     parsed = parse_trace(format_trace(carried))
-    assert parsed._schedule is None and parsed._clean is None
+    assert parsed._run is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -1212,8 +1226,8 @@ def test_tiled_fault_report_same_on_warm_and_cold_channel_maps(case, packets, da
     scheme, p = TILE_CASES[case]
     slot, signal, level = _draw_flip(data, scheme, p, packets)
     trace = run_scheme(scheme, p, packets, faults={(slot, signal): level})
-    assert trace._schedule.tiling != (0, 0, 0)
-    assert any(trace._schedule.channel_maps)
+    assert trace._run[0].tiling != (0, 0, 0)
+    assert any(trace._run[0].channel_maps)
     parsed = parse_trace(format_trace(trace))
     warm = verify_trace(trace)
     assert verify_trace(parsed) == warm
@@ -1254,6 +1268,24 @@ def test_recorded_vector_of_wrong_length_is_rejected(signal):
         format_trace(trace)
     with pytest.raises(ChannelDomainError,
                        match=f"^recorded {signal} has 59 levels, 20 slots need 60$"):
+        verify_trace(trace)
+
+
+@pytest.mark.parametrize("carried", [True, False], ids=["carried", "fresh"])
+@pytest.mark.parametrize("scheme,p,signal,need", [
+    ("fbxw", FBXW_SMALL, "Y_D1", "12 slots need 36"),
+    ("nofb-mid", ChannelParams(0, 0, 0, 0, 0), "X_S1", "8 slots need 0"),
+], ids=["fbxw-Y_D1", "empty-vectors-X_S1"])
+def test_missing_recorded_column_is_rejected(scheme, p, signal, need, carried):
+    """A hand-built trace without one of its columns fails verify_trace's
+    column check, naming the signal, as a column of another length does;
+    so does one whose vectors are all empty, where the missing column would
+    have no levels either."""
+    trace = run_scheme(scheme, p, 4)
+    if not carried:
+        trace = replace(trace)
+    del trace.slots[signal]
+    with pytest.raises(ChannelDomainError, match=f"^recorded {signal} has no column, {need}$"):
         verify_trace(trace)
 
 
@@ -1327,13 +1359,13 @@ def test_replay_of_a_run_reads_its_channel_maps(monkeypatch):
     and a parsed trace's fresh build starts with empty maps."""
     calls = _count_engine_hops(monkeypatch)
     trace = run_scheme("fbxw", FBXW_SMALL, 300, faults={(100, "X_R2"): 1})
-    hop1, hop2 = trace._schedule.channel_maps
+    hop1, hop2 = trace._run[0].channel_maps
     assert (calls.count(1), calls.count(2)) == (len(hop1), len(hop2))
     assert len(hop1) + len(hop2) < trace.n_slots
     text = format_trace(trace)
     del calls[:]
     assert verify_trace(trace).faults == [(100, "X_R2", 1)]
-    assert calls == [] and trace._schedule is None
+    assert calls == [] and trace._run is None
     assert verify_trace(parse_trace(text)).faults == [(100, "X_R2", 1)]
     assert (calls.count(1), calls.count(2)) == (len(hop1), len(hop2))
 
@@ -1734,7 +1766,7 @@ def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
     monkeypatch.setattr(Schedule, "payload_refs", property(refuse))
     monkeypatch.setattr(pipeline, "generate_payload", refuse)
     trace = run_scheme(scheme, p, packets)
-    assert bool(trace._schedule.tiling[2]) == (packets > 4)
+    assert bool(trace._run[0].tiling[2]) == (packets > 4)
     text = format_trace(trace)
     assert verify_trace(trace).ok
     assert verify_trace(parse_trace(text)).ok
@@ -1799,9 +1831,9 @@ def test_runs_make_no_gfvec(scheme, p, packets, monkeypatch):
                          [(s, p, n) for n in (8, 30) for s, p in ONE_PER_SCHEME]
                          + [("fbxw", FBXW_WIDE, 300)] + [(s, p, 4) for s, p in ONE_PER_SCHEME])
 def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeypatch):
-    """A clean run's verify_trace takes the run's columns, wrong deliveries
-    and wrong stores, full build (4) and tiled alike, and reports as a fresh
-    verify of the same columns does, key order included."""
+    """A clean run's verify_trace takes the columns the run's lanes made,
+    full build (4) and tiled alike, and reports as a fresh verify of the
+    same columns does, key order included."""
     trace = run_scheme(scheme, p, packets)
     fresh = verify_trace(replace(trace))      # the same columns, nothing carried
 
@@ -1813,7 +1845,7 @@ def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeyp
     assert carried == fresh and carried.ok
     assert list(carried.node_verdicts) == list(fresh.node_verdicts)
     assert list(carried.packet_verdicts) == list(fresh.packet_verdicts)
-    assert trace._clean is None
+    assert trace._run is None
 
 
 @pytest.mark.parametrize("packets", [4, 8, 30])
@@ -1835,12 +1867,13 @@ def test_column_replaced_after_the_run_is_located(packets, whole):
 @pytest.mark.parametrize("packets", [4, 8, 30])
 @pytest.mark.parametrize("change", ["schedule", "seed", "packets"])
 def test_changed_run_does_not_use_the_carried_columns(change, packets):
-    """The carried result is used only with the very Schedule that made it
-    and the same seed: a swapped ``_schedule`` or a changed seed makes a
-    lane or engine pass, and a changed packet count meets a fresh build."""
+    """The carried run is used only while its schedule's scheme, p and
+    packets and its seed are the trace's: a run record holding a schedule
+    of another packet count or a changed seed makes a lane or engine pass,
+    and a changed packet count meets a fresh build."""
     trace = run_scheme("fbxw", FBXW_SMALL, packets)
     if change == "schedule":
-        trace._schedule = build_schedule("fbxw", FBXW_SMALL, packets)
+        trace._run = (build_schedule("fbxw", FBXW_SMALL, packets + 1), *trace._run[1:])
     elif change == "seed":
         trace.seed += 1
     else:
@@ -1853,12 +1886,12 @@ def test_changed_run_does_not_use_the_carried_columns(change, packets):
         else:
             assert verify_trace(trace).ok == (change == "schedule")
             assert lanes.called or engine.called
-    assert trace._clean is None
+    assert trace._run is None
 
 
 def test_faulted_run_carries_no_result():
     trace = run_scheme("fbxw", FBXW_SMALL, 30, faults={(9, "Y_R1"): 0})
-    assert trace._clean is None and trace._schedule is not None
+    assert trace._run[3] is None and trace._run[0] is not None
     assert verify_trace(trace).faults[0] == (9, "Y_R1", 0)
 
 
@@ -1871,9 +1904,10 @@ UNTILED_UP_TO = [5, 7, 7, 5, 7, 4, 4]
 @given(case=st.integers(0, len(WORKED) - 1), seed=st.integers(0, 2**32 - 1),
        faulty=st.booleans(), data=st.data())
 def test_untiled_verify_is_the_replay(case, seed, faulty, data):
-    """With no carried result, a full build's verify_trace is the sequential
-    replay of the recording, clean or with one flip, and makes no clean run
-    first: its report is _report of that replay, key order included."""
+    """A full build's clean recording is verified on lanes, carried from its
+    run or made afresh for its parse, and one with a flip is replayed by the
+    sequential engine; either way the report is _report of the sequential
+    replay of the recording, key order included."""
     scheme, p, _ = WORKED[case]
     packets = data.draw(st.integers(4, UNTILED_UP_TO[case]), label="packets")
     assert build_schedule(scheme, p, UNTILED_UP_TO[case] + 1).tiling[2]
@@ -1888,11 +1922,14 @@ def test_untiled_verify_is_the_replay(case, seed, faulty, data):
     bits = _payload_bits(len(schedule.payload_refs), seed)
     _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
     oracle = pipeline._report(schedule, found, errors, wrong)
-    with mock.patch.object(pipeline, "_run_engine", wraps=_run_engine) as engine:
+    with mock.patch.object(pipeline, "_run_lanes", wraps=_run_lanes) as lanes, \
+            mock.patch.object(pipeline, "_run_engine", wraps=_run_engine) as engine:
         reports = verify_trace(trace), verify_trace(parsed)
-    # the faulted run carries no result; each pass is a replay
+    # the clean run carries its lane columns, so only the parse makes lanes;
+    # the faulted run carries none, and both recordings are replayed
+    assert lanes.call_count == 1 + bool(faults)
     assert [call.kwargs for call in engine.call_args_list] == (
-        [{"recorded": trace.slots}] * (1 + bool(faults)))
+        [{"recorded": trace.slots}] * (2 * bool(faults)))
     for report in reports:
         assert report == oracle and report.ok == (faults is None)
         assert list(report.node_verdicts) == list(oracle.node_verdicts)
@@ -1921,10 +1958,11 @@ def _assert_lane_report_is_sequential(trace, stores):
     one _report makes of that replay, key order included; its counts are
     the schedule's delivering steps read slot by slot, and the (node,
     packet) pairs the engine's decoder ``stores`` hold."""
-    schedule = trace._schedule
+    run = trace._run
+    schedule = run[0]
     _assert_counts_are_delivering_steps(trace, schedule)
     from_lanes = verify_trace(trace)
-    trace._schedule = schedule
+    trace._run = (*run[:3], None)              # the run, without its lane columns
     with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
         replayed = verify_trace(trace)
     assert lanes.called and from_lanes.ok
@@ -1996,21 +2034,20 @@ def test_flipped_column_byte_is_the_first_fault(case, packets, data):
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_clean_tiled_run_and_its_verify_take_the_lane_path(scheme, p, monkeypatch):
-    """A clean tiled run, 30 packets or the sweep's 8, and the verify of its
-    trace and of its parse run on lanes; a faulted run and a full build (4
-    packets, which shows no period) run on the sequential engine."""
+    """Every clean run, tiled (30 packets or the sweep's 8) or a full build
+    (4 packets, which shows no period), and the verify of its trace and of
+    its parse run on lanes; a faulted run runs on the sequential engine."""
     def refuse(*args, **kwargs):
         raise AssertionError("the sequential engine ran")
     monkeypatch.setattr(pipeline, "_run_engine", refuse)
-    for packets in (30, 8):
+    for packets in (30, 8, 4):
         trace = run_scheme(scheme, p, packets)
+        assert bool(trace._run[0].tiling[2]) == (packets > 4)
         text = format_trace(trace)
         assert verify_trace(trace).ok
         assert verify_trace(parse_trace(text)).ok
     with pytest.raises(AssertionError, match="sequential engine"):
         run_scheme(scheme, p, 30, faults={(20, "X_S1"): 0})
-    with pytest.raises(AssertionError, match="sequential engine"):
-        run_scheme(scheme, p, 4)
 
 
 def _drop_side_position(schedule):
@@ -2066,14 +2103,21 @@ def _echo_own_unit(schedule):
 def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypatch):
     """A schedule whose lanes do not check out is run, exactly, by the
     sequential engine: the lane path returns None, and run_scheme's trace
-    is the engine's on that schedule, its wrong deliveries counted."""
+    is the engine's on that schedule, its wrong deliveries counted.  The
+    trace carries no lane columns, so its verify replays the engine's
+    columns and finds the same wrong deliveries and stores.  (The replay may
+    also report deviations: the echo-own-unit mutant's first echo names
+    slot 0, which no run has, and a run and a replay read it differently.)"""
     mutant = mutate(build_schedule(scheme, p, 60))
     bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
     assert _run_lanes(mutant, bits) is None
-    rows, errors, *_ = _run_engine(mutant, bits)
+    rows, errors, _, _, wrong = _run_engine(mutant, bits)
     monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
     trace = run_scheme(scheme, p, 60)
     assert (trace.slots, trace.decode_errors) == (rows, len(errors))
+    assert trace._run[3] is None
+    report = verify_trace(trace)
+    assert report == pipeline._report(mutant, report.faults, errors, wrong)
 
 
 def test_every_ci_grid_pair_runs_on_lanes():
@@ -2087,7 +2131,7 @@ def test_every_ci_grid_pair_runs_on_lanes():
         p = ChannelParams(*point)
         for scheme, _ in schemes_at(p):
             trace = run_scheme(scheme, p, 14, seed=7)
-            schedule = trace._schedule
+            schedule = trace._run[0]
             bits = _payload_bits(len(schedule.payload_refs), 7)
             lanes = _run_lanes(schedule, bits)
             if lanes is None:
