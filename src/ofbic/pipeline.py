@@ -23,17 +23,17 @@ The run is split into two layers:
   and the repeats of a tiled period are one GF(2)-linear map applied to
   payload bits one period apart.  Each level of the repeated block is one
   Python int holding one bit, a lane, per repeat; the same geometry runs on
-  those ints, and every decode step is checked on all lanes at once.  The
-  head and tail of a tiled run, and the whole of a full build, are groups
-  of one lane.
+  those ints, and every decode step is checked on all lanes at once; a
+  check that fails is a PipelineError.  The head and tail of a tiled run,
+  and the whole of a full build, are groups of one lane.
 * A sequential *engine* (_run_engine) does what lanes cannot: a faulted
-  run, the replay of a recording that differs from the clean run, and a
-  clean run whose lane check fails.  It pushes vectors of 0/1 bytes through
-  the same geometry slot by slot and executes the decode steps against the
-  actually received vectors.  Every node's store is one list over the
-  positions, and a wrong delivery names its bit by position too.
-  Reference tuples ``(source, packet, kind, index)`` name bits only at the
-  edge: in error texts, and in ``generate_payload`` and
+  run and the replay of a recording that differs from the clean run; it
+  is also the oracle the tests hold the lanes to.  It pushes vectors of 0/1
+  bytes through the same geometry slot by slot and executes the decode
+  steps against the actually received vectors.  Every node's store is one
+  list over the positions, and a wrong delivery names its bit by position
+  too.  Reference tuples ``(source, packet, kind, index)`` name bits only
+  at the edge: in error texts, and in ``generate_payload`` and
   ``SimulationTrace.payload``, drawn when read.  A run applies its faults
   only in the slots that have one.
 
@@ -58,14 +58,14 @@ in execution order (each runs in the record's slot) and its feedback
 levels.  Every scheme repeats itself after a short warm-up: one period is
 two superframes (two or four slots), and the next period is the same with
 packet indices raised by a superframe (_Slot.shifted).  So build_schedule
-has one path for every run: one build, of the run's length but at most
-TILE_PACKETS + 1 packets, watches for the builder's live state to recur,
-stops at the least run that shows that period and is a whole number of
-superframes shorter than the run (4 to 8 packets on the CI grid), and is
-tiled once each of the next period's records is checked, in place, to be
-its shifted one; build time and schedule memory do not grow with the packet
-count.  A run whose period does not show within its own length, or fails
-that check, is built in full.  The engine walks the tiling over the records
+is one build of the run's length that watches for the builder's live state
+to recur, builds one period more, checks each of its records, in place, to
+be the shifted record of the period before, and only then stops at the
+least run that shows that period and is a whole number of superframes
+shorter than the run (4 to 8 packets on the CI grid), tiled out to the
+run; build time and schedule memory do not grow with the packet count.  A
+build whose period never shows, or fails that check, runs on in full, with
+tiling (0, 0, 0).  The engine walks the tiling over the records
 directly (Schedule._walk), and the lane path reads its head, period and
 tail from them; Schedule.slots() is the one reader of a run slot by slot,
 each record moved to its own packets, as a full build would have it.  Which
@@ -97,7 +97,7 @@ import operator
 import random
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -144,10 +144,6 @@ _OWN_SOURCE = {"R1": 1, "R2": 2}              # relay -> the source it forwards
 
 DEFAULT_SEED = 1009
 WARMUP_PACKETS = 2
-# every run starts one watched build of at most TILE_PACKETS + 1 packets
-# (the run's parity), stopped at the least run that shows its period and is
-# a whole number of superframes shorter than the run (build_schedule)
-TILE_PACKETS = 12
 _EMPTY = frozenset()                  # the one empty level and side set
 
 
@@ -341,7 +337,7 @@ def _recurs(a, b, d, off):
     """Whether slot record ``b`` is ``a.shifted(d, per_packet)``, with
     ``off = d * per_packet``: the same feedback, and field by field each
     Emit and DecodeStep of ``a`` moved, compared in place without making
-    the moved records (_tile's period check).  Both records come from one
+    the moved records (_Builder._proves).  Both records come from one
     build, so their tx have the same shape."""
     if a.feedback != b.feedback or len(a.steps) != len(b.steps):
         return False
@@ -467,6 +463,7 @@ class _Builder:
         self.period = 2 * (self.alloc.superframe if self.alloc else 1)
         self.period_start = None
         self.states = {}
+        self.tiling = (0, 0, 0)        # the Schedule's, once a period is proved
 
     def _at(self, src, pkt, k=0):
         """The position of bit offset ``k`` of source ``src``'s packet ``pkt``."""
@@ -782,25 +779,45 @@ class _Builder:
         return oldest, fifo, pending, echo, residual, know, delivered
 
     def _watch_period(self, t):
-        """Snapshot the state after slot ``t`` and take ``t - period`` as the
-        period start if it matches, cutting the run to the least one that
-        finds it and is a whole number of superframes shorter (any length
-        at a superframe of one packet, the same parity at two).  Only slots
-        whose next two periods are still run as in an endless build count
-        (phase 1 of the last packet is at slot 2P - 1)."""
-        if t + self.period > 2 * self.packets - 1:
+        """Snapshot the state after slot ``t``, keeping one period of them,
+        and take ``t - period`` as the period start if it matches; only
+        slots whose next two periods run as in an endless build count (phase
+        1 of the last packet is at slot 2P - 1).  A period later, if it is
+        proved, cut the run to the least one that finds it and is a whole
+        number of superframes shorter (any length at a superframe of one
+        packet, the same parity at two), tiled out to this one's length."""
+        period, start = self.period, self.period_start
+        if start is None:
+            if t + period > 2 * self.packets - 1:
+                self.watch = False
+                return
+            state = self._state(t)
+            if self.states.pop(t - period, None) == state:
+                self.period_start, self.states = t - period, {}
+            else:
+                self.states[t] = state
+        elif t == start + 2 * period:
             self.watch = False
-            return
-        self.states[t] = self._state(t)
-        if self.states.get(t - self.period) == self.states[t]:
-            self.period_start = t - self.period
-            self.watch = False
-            self.states = {}
-            # the least run whose watch reaches t, a whole number of
-            # superframes short of this one: the slots so far are its slots,
-            # and it finds this period (build_schedule)
-            least = max(4, (t + self.period + 2) // 2)
-            self.packets = least + (self.packets - least) % (self.period // 2)
+            # the least run whose watch reaches the match at t - period: the
+            # slots so far are its slots, and it finds this period
+            least = max(4, (t + 2) // 2)
+            least += (self.packets - least) % (period // 2)
+            if least < self.packets and self._proves(start):
+                self.tiling = (start, period, self.packets - least)
+                self.packets = least
+
+    def _proves(self, start):
+        """Whether built slots ``start + 1 .. start + period``, moved by one
+        period (``period // 2`` packets), are the build's own next period,
+        each record compared with its next-period record in place (_recurs),
+        and deliver their ``2 * formula_rate`` bits per packet."""
+        period, d = self.period, self.period // 2
+        one = self.built[start:start + period]
+        two = self.built[start + period:start + 2 * period]
+        return (len(two) == period
+                and all(_recurs(a, b, d, d * self.per_packet) for a, b in zip(one, two))
+                and sum(step.deliver for slot in one for step in slot.steps)
+                == period * self.formula_rate)
 
     # -- main loop -------------------------------------------------------------
 
@@ -842,7 +859,7 @@ class _Builder:
                         raise PipelineError(f"{relay} missing {missing} after hop 1")
             if self.watch:
                 self._watch_period(t)
-                # a period found cuts the run short, before any drain slot
+                # a proven period cuts the run short, before any drain slot
                 P = self.packets
                 budget, n_slots = 2 * P + 4, 2 * (P + lag)
 
@@ -856,76 +873,48 @@ class _Builder:
             raise PipelineError("undelivered bits at end of run")
         if len(self.delivered) != self.packets * self.per_packet:
             raise PipelineError("not every payload bit was delivered")
-        return Schedule(scheme=self.scheme, p=p, packets=P, alloc=self.alloc, n_slots=n_slots,
-                        formula_rate=self.formula_rate, built=tuple(self.built))
+        shift = self.tiling[2]
+        return Schedule(scheme=self.scheme, p=p, packets=P + shift, alloc=self.alloc,
+                        n_slots=n_slots + 2 * shift, formula_rate=self.formula_rate,
+                        built=tuple(self.built), tiling=self.tiling)
 
 
 def build_schedule(scheme: str, p: ChannelParams, packets: int) -> Schedule:
-    """The schedule of a ``packets``-packet run, from one path for every run.
+    """The schedule of a ``packets``-packet run: one watched build.
 
-    A watched build starts at ``packets`` or, beyond TILE_PACKETS, at
-    TILE_PACKETS or TILE_PACKETS + 1 packets, whichever has the parity of
-    ``packets``.  Once the period shows, that build stops as the P0-packet
-    build: P0 is the least run of at least 4 packets that is a whole number
-    of superframes shorter than the started one, whose watch reaches the
-    period (_Builder._watch_period).  The started build has the parity of
-    ``packets`` and a superframe is one or two packets, so P - P0 is a whole
-    number of superframes too, as the tiling needs.  The input up to the
-    last packet's first hop-1 slot does not depend on the run length, so the
-    slots built so far are the P0 build's, which finds the same period.  A
-    build started at ``packets`` that no shorter run's period cuts is the
-    run's full build, returned as it is.  Otherwise the P0 build is tiled
-    out to ``packets``.  Why that is the full build at ``packets``:
+    The build runs at ``packets`` until its state after slot b + L (L
+    slots = one period = two superframes) is its state after slot b shifted
+    by one superframe, then one period more, which must prove the period
+    (_Builder._proves: each record, moved by a superframe, is the next
+    period's record, and the period delivers every bit it carries).  Only
+    then is it cut to P0 packets, the least run of at least 4 that is a
+    whole number of superframes shorter and whose watch reaches the period
+    (_Builder._watch_period), and tiled out to ``packets``: the input up to
+    the last packet's first hop-1 slot does not depend on the run length,
+    so the slots built so far are the P0 build's.  A build whose state
+    never recurs, whose proof fails or whose P0 would be ``packets`` runs on
+    as the full build, with tiling (0, 0, 0).  Why the tiling is the full
+    build at ``packets``:
 
     The builder is deterministic, and its input at slot t, the hop-1
     emissions and the phase of the slot, is its input at slot t + 2k with
     every packet index raised by k, as long as neither slot reaches past the
-    last packet's first hop-1 slot.  Suppose the state after slot b + L (L
-    slots = one period = two superframes, see _Builder._state for what the
-    state holds) is the state after slot b shifted by one superframe.  Then
-    each following period emits the slots b+1..b+L again, shifted by one
-    more superframe, and ends in a state shifted once more, for as long as
-    the input stays shift-invariant: up to packet P.  A run at P therefore
-    reaches, after slot b + L + 2(P - P0), the P0 run's state after slot
-    b + L shifted by P - P0 packets; from there its input is the P0 run's
-    shifted too, last packet and drain included, so its remaining slots are
-    the P0 run's remaining slots shifted.  The state comparison only counts
-    where the next two periods of the P0 run are still far from its end.
-    As a second guard each record of the period, moved by a superframe,
-    must be the next period's record (_tile compares them in place), and
-    the tiled deliveries must cover every payload bit.  When either guard
-    fails, the run is built in full at ``packets``.
+    last packet's first hop-1 slot.  Suppose the state after slot b + L is
+    the state after slot b shifted by one superframe (see _Builder._state
+    for what the state holds).  Then each following period emits the slots
+    b+1..b+L again, shifted by one more superframe, and ends in a state
+    shifted once more, for as long as the input stays shift-invariant: up
+    to packet P.  A run at P therefore reaches, after slot b + L + 2(P - P0),
+    the P0 run's state after slot b + L shifted by P - P0 packets; from
+    there its input is the P0 run's shifted too, last packet and drain
+    included, so its remaining slots are the P0 run's remaining slots
+    shifted.  The state comparison only counts where the next two periods
+    of the P0 run are still far from its end, and the proof is a second
+    guard on the comparison.
     """
-    builder = _Builder(scheme, p, packets)            # checks the run's plan
-    builder.packets = min(packets, TILE_PACKETS + (packets - TILE_PACKETS) % 2)
+    builder = _Builder(scheme, p, packets)
     builder.watch = True
-    base = builder.build()
-    if builder.packets == packets:
-        return base
-    tiled = _tile(base, builder.period_start, builder.period, packets)
-    return tiled or _Builder(scheme, p, packets).build()
-
-
-def _tile(base: Schedule, start, period: int, packets: int):
-    """``base`` tiled out to ``packets`` by repeating its slots
-    ``start + 1 .. start + period``, or None if those slots, moved by one
-    period (``period // 2`` packets), are not the build's own next period or
-    do not deliver every bit.  The period check compares each record with
-    its next-period record in place (_recurs)."""
-    if start is None:
-        return None
-    one = base.built[start:start + period]
-    two = base.built[start + period:start + 2 * period]
-    d, per_packet = period // 2, 2 * base.formula_rate
-    if len(two) < period or not all(_recurs(a, b, d, d * per_packet) for a, b in zip(one, two)):
-        return None
-    # the P0 build delivered its 2 * formula_rate bits per packet
-    delivered = sum(step.deliver for slot in one for step in slot.steps)
-    if delivered != period * base.formula_rate:
-        return None
-    shift = packets - base.packets
-    return replace(base, packets=packets, n_slots=base.n_slots + 2 * shift,
-                   tiling=(start, period, shift))
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -1053,18 +1042,17 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
 
-    It makes every faulted run, the clean run of a schedule whose lane
-    check fails, and every replay verify_trace needs; it is the oracle of
-    the lane path (_run_lanes).  Returns (columns, errors, faults_found,
-    stores, wrong): ``columns`` as in SimulationTrace.slots, ``wrong`` the
-    (node, position) of each store a step wrote with a value other than the
-    payload bit, and ``errors`` the (slot, dest, position) of each delivery
-    among them, in slot order; which steps deliver is the schedule's
-    (Schedule.counts).  In
-    replay mode the recorded vectors drive all node behaviour, so a
-    corrupted level shows up exactly where the recording first deviates
-    from the protocol.  ``faults`` is checked by run_scheme, ``recorded`` by
-    verify_trace.
+    It makes every faulted run and every replay of a recording that
+    differs from its clean run (verify_trace), and the tests hold the lane
+    path (_run_lanes) to it as their oracle.  Returns (columns, errors,
+    faults_found, stores, wrong): ``columns`` as in SimulationTrace.slots,
+    ``wrong`` the (node, position) of each store a step wrote with a value
+    other than the payload bit, and ``errors`` the (slot, dest, position) of
+    each delivery among them, in slot order; which steps deliver is the
+    schedule's (Schedule.counts).  In replay mode the recorded vectors drive
+    all node behaviour, so a corrupted level shows up exactly where the
+    recording first deviates from the protocol.  ``faults`` is checked by
+    run_scheme, ``recorded`` by verify_trace.
 
     The records name payload bits by position, read by unpacking (see
     Emit): a known Emit XORs its ``refs``, an echo XORs its ``cancel`` off
@@ -1162,10 +1150,6 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
 
 # -- a clean run, lane-parallel -------------------------------------------------
 
-class _Sequential(Exception):
-    """A clean run the lanes do not vouch for: the sequential engine runs it."""
-
-
 class _PayloadLanes(dict):
     """payload_refs position i -> its lane: the int whose bit ``width - 1 - k``
     is the payload bit at ``i + off + k * step``."""
@@ -1200,6 +1184,7 @@ class _LaneGroup:
         _, self.period, _ = schedule.tiling
         per_packet = 2 * schedule.formula_rate
         self.built, self.p, self.at = schedule.built, schedule.p, at
+        self.where = f"{schedule.scheme} {schedule.p.short()}"
         self.lo, self.hi, self.width, self.d = lo, hi, width, d
         off = d * per_packet
         # a one-lane level is its value, so a one-lane group's lanes are bits
@@ -1212,11 +1197,14 @@ class _LaneGroup:
         self.levels = {slot: {**self._unit(slot, 1), **self._unit(slot, 2)}
                        for slot in range(lo + 1, hi + 1)}
 
-    def _unit(self, slot, hop):
-        """The lane levels ``slot`` sends and receives on hop ``hop``."""
+    def _unit(self, slot, hop, signal=None, position=None):
+        """The lane levels ``slot`` sends and receives on hop ``hop``; an
+        echo that reads one of them, ``signal`` at ``position``, while they
+        are made is a PipelineError."""
         unit = self.units.get((slot, hop), ())
         if unit is None:
-            raise _Sequential           # an echo reads its own unit's lanes
+            raise PipelineError(f"an echo reads {signal} position {position} of built slot "
+                                f"{slot} from its own lanes at {self.where}")
         if unit:
             return unit
         self.units[slot, hop] = None
@@ -1257,12 +1245,13 @@ class _LaneGroup:
         ``slot``, which a step or echo of this group names."""
         hop = 1 if signal in _HOP1_SIGNALS else 2
         if slot > self.lo:
-            return self._unit(slot, hop)[signal][position]
+            return self._unit(slot, hop, signal, position)[signal][position]
         width, period = self.width, self.period
         back = (self.lo - slot) // period + 1       # lanes back into the group
         value = 0
         if back < width:
-            value = self._unit(slot + back * period, hop)[signal][position] >> back
+            later = self._unit(slot + back * period, hop, signal, position)
+            value = later[signal][position] >> back
         column, length = self.at[signal]
         first = (slot + 2 * self.d - 1) * length + position
         for k in range(min(back, width)):
@@ -1276,10 +1265,10 @@ class _LaneGroup:
         is its target's lane; by induction over the slots, every store the
         sequential engine would write is then its payload bit, so the lanes
         keep no stores, and every delivery the schedule counts is right.
-        The first step that does not hold raises _Sequential."""
+        The first step that does not hold is a PipelineError."""
         lanes, levels, lo = self.lanes, self.levels, self.lo
         for slot in range(lo + 1, self.hi + 1):
-            for _, obs, side, target, _ in self.built[slot - 1].steps:
+            for node, obs, side, target, _ in self.built[slot - 1].steps:
                 value = lanes[target]
                 for signal, seen, position in obs:
                     value ^= (levels[seen][signal][position] if seen > lo
@@ -1287,7 +1276,8 @@ class _LaneGroup:
                 for i in side:
                     value ^= lanes[i]
                 if value:
-                    raise _Sequential
+                    raise PipelineError(f"lane check fails: {node} decodes position {target} "
+                                        f"wrong in built slot {slot} at {self.where}")
 
     def write(self):
         """Write every level into its column: lane k of built slot s is run
@@ -1309,24 +1299,21 @@ class _LaneGroup:
 
 def _run_lanes(schedule: Schedule, bits):
     """The columns ``_run_engine(schedule, bits)`` returns for a clean run,
-    evaluated lane-parallel; None when a check fails.
+    evaluated lane-parallel.
 
     Each part of the tiling (Schedule._parts) is one group, lane k its k-th
     copy: the period has R = 2 * shift / period + 1 lanes, the head and the
     tail one; a full build is all tail.  Each group checks its decode
-    steps, then writes its columns, which later groups read.  A group whose
-    decode checks do not all hold, or whose echoes read their own lanes,
-    leaves the run to the sequential engine.
+    steps, then writes its columns, which later groups read.  A decode check
+    that does not hold, or an echo that reads its own lanes, is a
+    PipelineError: a clean run of a sound schedule never fails one.
     """
     at = {signal: (bytearray(schedule.n_slots * length), length)
           for signal, length in _signal_lengths(schedule.p).items()}
-    try:
-        for lo, hi, width, d in schedule._parts:
-            group = _LaneGroup(schedule, bits, at, lo, hi, width, d)
-            group.decode()
-            group.write()
-    except _Sequential:
-        return None
+    for lo, hi, width, d in schedule._parts:
+        group = _LaneGroup(schedule, bits, at, lo, hi, width, d)
+        group.decode()
+        group.write()
     return {signal: bytes(column) for signal, (column, _) in at.items()}
 
 
@@ -1341,28 +1328,29 @@ def run_scheme(scheme: str, p: ChannelParams, packets: int,
     is a ChannelDomainError, and so is a seed that is not an int (bools
     included), which the trace header could not carry.
 
-    A clean run is evaluated lane-parallel (_run_lanes); a faulted run, or
-    a clean run whose lane checks fail, runs on the sequential engine.
-    Either way the delivered and steady counts are the schedule's
+    A clean run is evaluated lane-parallel (_run_lanes), and a lane check
+    that fails is a PipelineError; a faulted run runs on the sequential
+    engine.  Either way the delivered and steady counts are the schedule's
     (Schedule.counts).  The trace carries the schedule, the seed, the
-    payload bits and the lanes' columns, in a dict of their own, to the
+    payload bits and a clean run's columns, in a dict of their own, to the
     verify_trace that follows, which then makes no clean pass of its own.
     """
     _check_seed(seed)
     schedule = build_schedule(scheme, p, packets)
     _check_faults(schedule, faults)
     bits = _payload_bits(2 * schedule.formula_rate * packets, seed)
-    columns = clean = None if faults else _run_lanes(schedule, bits)
     errors = ()
-    if columns is None:
+    if faults:
         columns, errors, *_ = _run_engine(schedule, bits, faults=faults)
+    else:
+        columns = _run_lanes(schedule, bits)
     delivered, steady, _ = schedule.counts
     trace = SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=schedule.n_slots,
         slots=columns, formula_rate=schedule.formula_rate, alloc=schedule.alloc,
         decode_errors=len(errors), delivered_bits=delivered, steady_state_rate=steady,
     )
-    trace._run = (schedule, seed, bits, clean and dict(clean))
+    trace._run = (schedule, seed, bits, None if faults else dict(columns))
     return trace
 
 
@@ -1420,15 +1408,15 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
     A parsed trace, a changed one or a second verification starts afresh.
 
     The clean columns are the carried ones or else made lane-parallel
-    (_run_lanes), which checks every decode; a recording equal to them is
-    that clean run.  Any other recording, or every one when the lane check
-    fails, is replayed by the sequential engine, which locates its faults.
-    _report takes the rest from the schedule's counts.
+    (_run_lanes), which checks every decode and raises PipelineError if one
+    fails; a recording equal to them is that clean run.  Any other recording
+    is replayed by the sequential engine, which locates its faults.  _report
+    takes the rest from the schedule's counts.
 
     A trace whose row count is not the run's is a ChannelDomainError naming
     the line of its first missing or extra row, as format_trace would write
     it, and so is a missing column or one of another length, naming its
-    signal.
+    signal, and a column under a key that is not a signal, naming the key.
     """
     run, trace._run = trace._run, None
     if run and (run[0].scheme, run[0].p, run[0].packets, run[1]) == (
@@ -1444,7 +1432,11 @@ def verify_trace(trace: SimulationTrace) -> VerifyReport:
         raise ChannelDomainError(
             f"line {len(header) + min(n_slots, schedule.n_slots) + 1}: "
             f"trace has {n_slots} slots, run needs {schedule.n_slots}")
-    for signal, length in _signal_lengths(trace.p).items():
+    lengths = _signal_lengths(trace.p)
+    unknown = [key for key in trace.slots if key not in lengths]
+    if unknown:
+        raise ChannelDomainError(f"recorded column {unknown[0]!r} is not a signal")
+    for signal, length in lengths.items():
         column = trace.slots.get(signal)
         if column is None or len(column) != n_slots * length:
             found = "no column" if column is None else f"{len(column)} levels"

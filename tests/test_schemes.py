@@ -31,17 +31,16 @@ from ofbic.channel import _LEVEL_TEXT, _TEXT_LEVEL, _first_hop, _second_hop
 from ofbic.pipeline import (
     DEFAULT_SEED,
     SIGNALS,
-    TILE_PACKETS,
     WARMUP_PACKETS,
     DecodeStep,
     Emit,
+    PipelineError,
     _FEEDBACK_SIGNALS,
     _TX_SIGNALS,
     _Builder,
     _payload_bits,
     _run_engine,
     _run_lanes,
-    _tile,
     generate_payload,
 )
 from ofbic.rates import schemes_at
@@ -1198,12 +1197,12 @@ TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.integers(0, len(TILE_CASES) - 1),
-       packets=st.integers(4, TILE_PACKETS + 6))
+       packets=st.integers(4, 18))
 def test_tiled_schedule_equals_full_build(case, packets):
-    """Up to three two-packet periods past TILE_PACKETS, the tiled schedule
-    renders as the full build and reads, slot by slot, as the full build's
-    records.  The engine, which moves the built positions itself, gives the
-    same rows, wrong deliveries and node stores on both."""
+    """From 4 to 18 packets, the tiled schedule renders as the full build
+    and reads, slot by slot, as the full build's records.  The engine,
+    which moves the built positions itself, gives the same rows, wrong
+    deliveries and node stores on both."""
     scheme, p = TILE_CASES[case]
     tiled = build_schedule(scheme, p, packets)
     full = _Builder(scheme, p, packets).build()
@@ -1286,6 +1285,21 @@ def test_missing_recorded_column_is_rejected(scheme, p, signal, need, carried):
         trace = replace(trace)
     del trace.slots[signal]
     with pytest.raises(ChannelDomainError, match=f"^recorded {signal} has no column, {need}$"):
+        verify_trace(trace)
+
+
+@pytest.mark.parametrize("carried", [True, False], ids=["carried", "fresh"])
+@pytest.mark.parametrize("key", ["EXTRA", 5])
+def test_column_under_a_key_that_is_not_a_signal_is_rejected(key, carried):
+    """A trace whose columns hold one more, under a key that is not a
+    signal, fails verify_trace's column check, naming the key: the lane
+    columns would differ from it as dicts, and the replay, which reads
+    signals only, would pass it."""
+    trace = run_scheme("fbxw", FBXW_SMALL, 8)
+    if not carried:
+        trace = replace(trace)
+    trace.slots[key] = b"\x01"
+    with pytest.raises(ChannelDomainError, match=f"^recorded column {key!r} is not a signal$"):
         verify_trace(trace)
 
 
@@ -1388,32 +1402,35 @@ def test_tiling_at_30_packets_is_pinned(case, tiling, built):
     assert len(schedule.built) == built
 
 
-@pytest.mark.parametrize("packets", [TILE_PACKETS, TILE_PACKETS + 1])
+@pytest.mark.parametrize("packets", [12, 13])
 @pytest.mark.parametrize("scheme,p", TILE_CASES,
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
 def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, packets):
-    """A watched build that finds its period stops as the least run a whole
-    number of superframes shorter whose watch reaches that slot: it is a
-    direct watched build of that length, record for record, and one
-    superframe fewer would be under 4 or would stop watching before the
-    period shows."""
+    """A watched build that proves its period stops as the least run a whole
+    number of superframes shorter whose watch reaches that slot: its records
+    are a direct watched build of that length, record for record, which
+    finds the same period but is not cut, and one superframe fewer would be
+    under 4 or would stop watching before the period shows."""
     watched = _Builder(scheme, p, packets)
     watched.watch = True
-    base = watched.build()
+    tiled = watched.build()
     least, period = watched.packets, watched.period
     sf = period // 2                              # packets per superframe
     assert 4 <= least < packets and (packets - least) % sf == 0
     direct = _Builder(scheme, p, least)
     direct.watch = True
     short = direct.build()
-    assert (base.built, base.packets, base.n_slots) == (short.built, least, short.n_slots)
+    assert (tiled.built, tiled.packets, tiled.n_slots) == (
+        short.built, packets, short.n_slots + 2 * (packets - least))
+    assert tiled.tiling == (watched.period_start, period, packets - least)
+    assert short.tiling == (0, 0, 0) and short.packets == least
     assert watched.period_start == direct.period_start is not None
     found = watched.period_start + period         # the slot the watch found it at
     assert least - sf < 4 or found + period > 2 * (least - sf) - 1
 
 
-@pytest.mark.parametrize("packets", [TILE_PACKETS, TILE_PACKETS + 1])
+@pytest.mark.parametrize("packets", [12, 13])
 @pytest.mark.parametrize("scheme,p", TILE_CASES,
                          ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
                               for s, p in TILE_CASES])
@@ -1473,13 +1490,13 @@ class _DestinationKnowledgeBuilder(_Builder):
 def test_period_state_without_the_destinations_finds_the_same_period():
     """A destination learns only through its deliveries, so its knowledge
     set stays empty and the period state leaves it out: on every in-regime
-    CI-grid pair at 14 packets, and at the tile cases' TILE_PACKETS, a build
+    CI-grid pair at 14 packets, and at the tile cases at 12 packets, a build
     whose state holds it finds the same period start and builds the same
     records."""
     cases = [(scheme, ChannelParams(*point), 14)
              for point in itertools.product(range(5), range(5), range(3), range(3), range(5))
              for scheme, _ in schemes_at(ChannelParams(*point))]
-    cases += [(scheme, p, TILE_PACKETS) for scheme, p in TILE_CASES]
+    cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
     for scheme, p, packets in cases:
         builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
         for builder in builders:
@@ -1571,8 +1588,8 @@ def test_superframe_one_base_does_not_depend_on_the_parity_of_the_run():
 def test_long_run_builds_once_at_tile_size(builds):
     short = build_schedule("fbxw", FBXW_WIDE, 1000)
     long = build_schedule("fbxw", FBXW_WIDE, 2000)
-    assert len(builds) == 2
-    assert all(packets <= TILE_PACKETS + 2 for _, packets in builds)
+    assert builds == [("fbxw", 1000), ("fbxw", 2000)]
+    assert len(long.built) == 14                  # cut to the least run showing its period
     assert long.n_slots - short.n_slots == 2 * 1000
     assert long.built is not short.built
     assert len(long.built) == len(short.built)   # the same small build
@@ -1582,73 +1599,121 @@ def test_failed_period_check_builds_in_full(builds, monkeypatch):
     monkeypatch.setattr(_Builder, "_state", lambda self, t: object())
     case = ("rsw", (2, 4, 0, 1, 3), 30)
     schedule = build_schedule("rsw", ChannelParams(2, 4, 0, 1, 3), 30)
-    assert builds == [("rsw", TILE_PACKETS), ("rsw", 30)]
+    assert builds == [("rsw", 30)]
     assert schedule.tiling == (0, 0, 0)
     assert _schedule_digest(schedule) == FROZEN_SCHEDULE_DIGESTS[case]
 
 
-def test_period_whose_slots_do_not_recur_is_refused():
-    builder = _Builder("fbxw", FBXW_SMALL, TILE_PACKETS)
-    builder.watch = True
-    base = builder.build()
-    assert builder.period_start is not None
-    assert _tile(base, builder.period_start, builder.period, 30) is not None
-    # slots 1-2 (hop 1 only) do not recur in slots 3-4
-    assert _tile(base, 0, builder.period, 30) is None
-    assert _tile(base, None, builder.period, 30) is None
+@pytest.mark.parametrize("refused", [None, "state", "period"])
+@pytest.mark.parametrize("packets", [4, 8, 13, 30, 300, 2000])
+def test_build_schedule_builds_once(packets, refused, builds, monkeypatch):
+    """build_schedule makes one build at the run's length, whether it tiles,
+    its state never recurs or its period proof fails (_recurs refusing every
+    record): the last two run on as the full build, which is the one
+    FROZEN_SCHEDULE_DIGESTS pins."""
+    if refused == "state":
+        monkeypatch.setattr(_Builder, "_state", lambda self, t: object())
+    elif refused == "period":
+        monkeypatch.setattr(pipeline, "_recurs", lambda *args: False)
+    schedule = build_schedule("fbxw", FBXW_SMALL, packets)
+    assert builds == [("fbxw", packets)]
+    assert bool(schedule.tiling[2]) == (refused is None and packets > UNTILED_UP_TO[0])
+    assert schedule.packets == packets and schedule.n_slots == 2 * packets + 4
+    case = ("fbxw", (2, 4, 1, 1, 3), packets)
+    if case in FROZEN_SCHEDULE_DIGESTS:
+        assert _schedule_digest(schedule) == FROZEN_SCHEDULE_DIGESTS[case]
+
+
+def test_watch_keeps_the_last_period_of_snapshots(monkeypatch):
+    """After every watched slot the builder holds at most one period of state
+    snapshots, also when its state never recurs and it watches to the end."""
+    watch, most = _Builder._watch_period, []
+
+    def checked(self, t):
+        watch(self, t)
+        assert len(self.states) <= self.period, (self.scheme, self.p, t)
+        most.append(len(self.states) == self.period)
+    monkeypatch.setattr(_Builder, "_watch_period", checked)
+    for scheme, p in TILE_CASES:
+        build_schedule(scheme, p, 30)
+    monkeypatch.setattr(_Builder, "_state", lambda self, t: object())
+    for scheme, p in TILE_CASES:
+        build_schedule(scheme, p, 30)
+    assert any(most)
 
 
 def _watched_build():
-    builder = _Builder("fbxw", FBXW_SMALL, TILE_PACKETS)
+    """A watched 12-packet fbxw build that proved its period, and the
+    records it built."""
+    builder = _Builder("fbxw", FBXW_SMALL, 12)
     builder.watch = True
-    return builder.build(), builder.period_start, builder.period
+    assert builder.build().tiling[2]
+    return builder, tuple(builder.built)
+
+
+def _proves(builder, built):
+    """Whether ``builder``'s period proof holds on ``built`` as its records."""
+    builder.built = list(built)
+    return builder._proves(builder.period_start)
+
+
+def test_period_whose_slots_do_not_recur_is_refused():
+    builder, built = _watched_build()
+    assert builder.period_start is not None and _proves(builder, built)
+    # slots 1-2 (hop 1 only) do not recur in slots 3-4
+    assert not builder._proves(0)
+    # a state that never recurs leaves no period to prove
+    never = _Builder("fbxw", FBXW_SMALL, 12)
+    never.watch, never._state = True, lambda t: object()
+    assert never.build().tiling == (0, 0, 0) and never.period_start is None
 
 
 def test_period_past_the_end_of_the_build_is_refused():
     """A next period cut short by the end of the build is refused, although
     every slot it does have repeats the period."""
-    base, start, period = _watched_build()
-    whole = replace(base, built=base.built[:start + 2 * period])
-    cut = replace(base, built=base.built[:start + 2 * period - 1])
-    assert _tile(whole, start, period, 30) is not None
-    assert _tile(cut, start, period, 30) is None
+    builder, built = _watched_build()
+    start, period = builder.period_start, builder.period
+    assert _proves(builder, built[:start + 2 * period])
+    assert not _proves(builder, built[:start + 2 * period - 1])
 
 
 def test_period_differing_only_in_feedback_is_refused():
-    base, start, period = _watched_build()
-    built = list(base.built)
+    builder, own = _watched_build()
+    start, period = builder.period_start, builder.period
+    built = list(own)
     slot = built[start + period]             # first slot of the next period
     *kept, (level, j) = slot.feedback[1]
     built[start + period] = slot._replace(
         feedback=(slot.feedback[0], (*kept, (level, j + 1))))
-    assert _tile(base, start, period, 30) is not None
-    assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
+    assert _proves(builder, own)
+    assert not _proves(builder, built)
 
 
 def test_period_differing_only_in_a_target_position_is_refused():
-    base, start, period = _watched_build()
-    built = list(base.built)
+    builder, own = _watched_build()
+    start, period = builder.period_start, builder.period
+    built = list(own)
     k = next(k for k in range(start + period, start + 2 * period) if built[k].steps)
     step, *rest = built[k].steps
     built[k] = built[k]._replace(
         steps=(step._replace(target=step.target + 1), *rest))
-    assert _tile(base, start, period, 30) is not None
-    assert _tile(replace(base, built=tuple(built)), start, period, 30) is None
+    assert _proves(builder, own)
+    assert not _proves(builder, built)
 
 
-def _next_period_changed(base, start, period, field):
-    """(``base`` with ``field`` changed in one record of the period after
-    its tiled one, whether the changed record had the field set): the first
-    Emit or DecodeStep there, or slot for the feedback, that has it set,
-    or else the first one.  Field ``tx`` leaves the first sent level of
-    that period unsent, and ``steps`` drops the last decode step of its
-    first slot that has any."""
-    built = list(base.built)
+def _next_period_changed(own, start, period, field):
+    """(the records ``own`` with ``field`` changed in one record of the
+    period after the proved one, whether the changed record had the field
+    set): the first Emit or DecodeStep there, or slot for the feedback, that
+    has it set, or else the first one.  Field ``tx`` leaves the first sent
+    level of that period unsent, and ``steps`` drops the last decode step of
+    its first slot that has any."""
+    built = list(own)
     slots = range(start + period, start + 2 * period)
     if field == "steps":
         k = next(k for k in slots if built[k].steps)
         built[k] = built[k]._replace(steps=built[k].steps[:-1])
-        return replace(base, built=tuple(built)), True
+        return built, True
     if field == "feedback":
         k = next((k for k in slots if built[k].feedback), slots[0])
         feedback = built[k].feedback
@@ -1658,7 +1723,7 @@ def _next_period_changed(base, start, period, field):
         else:
             changed = (((0, 0),), ())
         built[k] = built[k]._replace(feedback=changed)
-        return replace(base, built=tuple(built)), bool(feedback)
+        return built, bool(feedback)
     change = {
         "tx": lambda e: None,
         "refs": lambda e: e._replace(refs=e.refs ^ {0}),
@@ -1689,36 +1754,36 @@ def _next_period_changed(base, start, period, field):
         steps = list(built[k].steps)
         steps[n] = change(record)
         built[k] = built[k]._replace(steps=tuple(steps))
-    assert built[k] != base.built[k]
-    return replace(base, built=tuple(built)), bool(getattr(record, field, True))
+    assert built[k] != own[k]
+    return built, bool(getattr(record, field, True))
 
 
 @pytest.mark.parametrize("field", ["refs", "echo_src", "cancel", "node", "obs", "side",
                                    "target", "deliver", "feedback", "tx", "steps"])
 def test_period_differing_in_one_field_of_one_record_is_refused(field):
-    """The period check compares every field of every record with its
+    """The period proof compares every field of every record with its
     next-period record: one field changed in one record of the next
     period, a level left unsent or a decode step dropped, at every
-    TILE_CASES base, refuses the tiling, and the base as built tiles.  Some
-    base changes a record that has the field set, so the moved value is
-    compared, not only its presence."""
+    TILE_CASES build, refuses the period, and the records as built prove
+    it.  Some build changes a record that has the field set, so the moved
+    value is compared, not only its presence."""
     set_somewhere = False
     for scheme, p in TILE_CASES:
-        builder = _Builder(scheme, p, TILE_PACKETS)
+        builder = _Builder(scheme, p, 12)
         builder.watch = True
-        base = builder.build()
-        start, period = builder.period_start, builder.period
-        assert _tile(base, start, period, 30) is not None
-        changed, was_set = _next_period_changed(base, start, period, field)
-        assert _tile(changed, start, period, 30) is None, (scheme, p)
+        assert builder.build().tiling[2]
+        own, start, period = tuple(builder.built), builder.period_start, builder.period
+        assert _proves(builder, own)
+        changed, was_set = _next_period_changed(own, start, period, field)
+        assert not _proves(builder, changed), (scheme, p)
         set_somewhere |= was_set
     assert set_somewhere
 
 
 def test_short_runs_build_once(builds):
-    build_schedule("fbxw", FBXW_SMALL, TILE_PACKETS)
+    build_schedule("fbxw", FBXW_SMALL, 12)
     build_schedule("fbxw", FBXW_SMALL, 5)
-    assert builds == [("fbxw", TILE_PACKETS), ("fbxw", 5)]
+    assert builds == [("fbxw", 12), ("fbxw", 5)]
 
 
 def test_schedule_views_are_read_only_mappings():
@@ -1954,10 +2019,10 @@ def _assert_stores_are_decode_targets(schedule, bits, stores):
 def _assert_lane_report_is_sequential(trace, stores):
     """verify_trace's report of a clean tiled run, ``from_lanes``, made from
     the lane result its run carried, is the one verify_trace makes when the
-    lanes fail and the sequential engine replays the same columns, and the
-    one _report makes of that replay, key order included; its counts are
-    the schedule's delivering steps read slot by slot, and the (node,
-    packet) pairs the engine's decoder ``stores`` hold."""
+    sequential engine replays the same columns (the lanes mocked to make
+    none), and the one _report makes of that replay, key order included;
+    its counts are the schedule's delivering steps read slot by slot, and
+    the (node, packet) pairs the engine's decoder ``stores`` hold."""
     run = trace._run
     schedule = run[0]
     _assert_counts_are_delivering_steps(trace, schedule)
@@ -2100,33 +2165,36 @@ def _echo_own_unit(schedule):
     ("rss", ChannelParams(4, 1, 1, 1, 2), _drop_cancel_position),
     ("rss", ChannelParams(4, 1, 1, 1, 2), _echo_own_unit),
 ], ids=["side-fbxw", "side-fbxw-wide", "side-rss", "cancel-rss", "echo-own-unit"])
-def test_broken_lane_check_falls_back_to_the_engine(scheme, p, mutate, monkeypatch):
-    """A schedule whose lanes do not check out is run, exactly, by the
-    sequential engine: the lane path returns None, and run_scheme's trace
-    is the engine's on that schedule, its wrong deliveries counted.  The
-    trace carries no lane columns, so its verify replays the engine's
-    columns and finds the same wrong deliveries and stores.  (The replay may
-    also report deviations: the echo-own-unit mutant's first echo names
-    slot 0, which no run has, and a run and a replay read it differently.)"""
+def test_broken_lane_check_raises(scheme, p, mutate, monkeypatch):
+    """A schedule whose lanes do not check out is a PipelineError naming
+    the node or signal, the built slot and the point, in run_scheme and in
+    a fresh verify_trace of a clean trace: no evaluator stands in for the
+    lanes.  The sequential engine, the tests' oracle, still runs the mutant
+    and reports its wrong stores, and the wrong deliveries among them."""
     mutant = mutate(build_schedule(scheme, p, 60))
     bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
-    assert _run_lanes(mutant, bits) is None
-    rows, errors, _, _, wrong = _run_engine(mutant, bits)
-    monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
+    _, errors, _, _, wrong = _run_engine(mutant, bits)
+    assert wrong and {(node, i) for _, node, i in errors} <= set(wrong)
+    text = (r"^an echo reads Y_R1 position 0 of built slot \d+ from its own lanes"
+            if mutate is _echo_own_unit
+            else r"^lane check fails: [SRD][12] decodes position \d+ wrong in built slot \d+")
+    text += f" at {scheme} {re.escape(p.short())}$"
+    with pytest.raises(PipelineError, match=text):
+        _run_lanes(mutant, bits)
     trace = run_scheme(scheme, p, 60)
-    assert (trace.slots, trace.decode_errors) == (rows, len(errors))
-    assert trace._run[3] is None
-    report = verify_trace(trace)
-    assert report == pipeline._report(mutant, report.faults, errors, wrong)
+    monkeypatch.setattr(pipeline, "build_schedule", lambda *args: mutant)
+    with pytest.raises(PipelineError, match=text):
+        run_scheme(scheme, p, 60)
+    with pytest.raises(PipelineError, match=text):
+        verify_trace(replace(trace))
 
 
 def test_every_ci_grid_pair_runs_on_lanes():
     """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
-    included, runs clean on the lane path, with no fallback, and gives the
-    sequential engine's rows, which has no wrong delivery; the engine's
-    stores are the schedule's decode targets, and verify_trace's report from
-    the lanes is the one a sequential replay makes."""
-    fallbacks = []
+    included, runs clean on the lane path and gives the sequential engine's
+    rows, which has no wrong delivery; the engine's stores are the
+    schedule's decode targets, and verify_trace's report from the lanes is
+    the one a sequential replay makes."""
     for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
         p = ChannelParams(*point)
         for scheme, _ in schemes_at(p):
@@ -2134,15 +2202,11 @@ def test_every_ci_grid_pair_runs_on_lanes():
             schedule = trace._run[0]
             bits = _payload_bits(len(schedule.payload_refs), 7)
             lanes = _run_lanes(schedule, bits)
-            if lanes is None:
-                fallbacks.append((scheme, point))
-                continue
             rows, errors, _, stores, _ = _run_engine(schedule, bits)
             assert lanes == rows == trace.slots
             assert errors == [] and trace.decode_errors == 0
             _assert_stores_are_decode_targets(schedule, bits, stores)
             _assert_lane_report_is_sequential(trace, stores)
-    assert fallbacks == []
 
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)

@@ -152,8 +152,9 @@ def _shift_weak_private(monkeypatch):
 def _flip_echo_levels(monkeypatch):
     """Every echo replays its level flipped, on both evaluators: the
     sequential engine's _echo_value, and the lanes' echo read, every lane of
-    it.  A flipped lane echo fails its decode check, so the run falls back to
-    the (flipped) engine."""
+    it.  A flipped lane echo fails its decode check, which raises
+    PipelineError; the sweep reports that raised invariant under
+    SCHEME_VS_FORMULA, the only check that runs the schemes."""
     echo_value, lane_echo = pipeline._echo_value, pipeline._LaneGroup._echo
 
     def flipped(level, *where):
