@@ -1038,6 +1038,28 @@ def _source_stores(schedule: Schedule, bits) -> dict:
     return stores
 
 
+def _read_before_run(record, k, slot, where) -> PipelineError:
+    """The error of ``record``, in built slot ``k``, naming ``slot`` < 1 to
+    read: a slot before the run, which neither evaluator has."""
+    return PipelineError(f"built slot {k} holds {record!r}, which reads slot {slot}, "
+                         f"before the run, at {where}")
+
+
+def _refuse_reads_before_run(schedule: Schedule) -> None:
+    """Raise _read_before_run for the first record, in built order, whose
+    ``obs`` or ``echo_src`` names a slot before the run."""
+    where = f"{schedule.scheme} {schedule.p.short()}"
+    for k, slot in enumerate(schedule.built, start=1):
+        for emits in slot.tx:
+            for emit in emits:
+                if emit and emit.echo_src and emit.echo_src[1] < 1:
+                    raise _read_before_run(emit, k, emit.echo_src[1], where)
+        for step in slot.steps:
+            for _, seen, _ in step.obs:
+                if seen < 1:
+                    raise _read_before_run(step, k, seen, where)
+
+
 def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
@@ -1052,7 +1074,9 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     schedule's (Schedule.counts).  In replay mode the recorded vectors drive
     all node behaviour, so a corrupted level shows up exactly where the
     recording first deviates from the protocol.  ``faults`` is checked by
-    run_scheme, ``recorded`` by verify_trace.
+    run_scheme, ``recorded`` by verify_trace.  A record that names a slot
+    before the run (built slot < 1) is a PipelineError naming it, checked
+    once per built record (_refuse_reads_before_run).
 
     The records name payload bits by position, read by unpacking (see
     Emit): a known Emit XORs its ``refs``, an echo XORs its ``cancel`` off
@@ -1073,6 +1097,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     and its six received ones in another, looks for the differing signals
     and levels only on a mismatch, and returns ``recorded`` as its columns.
     """
+    _refuse_reads_before_run(schedule)
     p = schedule.p
     faults = faults or {}
     fault_slots = {t for t, _ in faults} if recorded is None else ()
@@ -1210,15 +1235,16 @@ class _LaneGroup:
         self.units[slot, hop] = None
         tx = self.built[slot - 1].tx
         if hop == 1:
-            x1, x2 = self._send(tx[0]), self._send(tx[1])
+            x1, x2 = self._send(tx[0], slot), self._send(tx[1], slot)
             unit = dict(zip(_HOP1_SIGNALS, (x1, x2, *_first_hop(x1, x2, self.p, 0))))
         else:
-            x1, x2 = self._send(tx[2]), self._send(tx[3])
+            x1, x2 = self._send(tx[2], slot), self._send(tx[3], slot)
             unit = dict(zip(_HOP2_SIGNALS, (x1, x2, *_second_hop(x1, x2, self.p, 0))))
         self.units[slot, hop] = unit
         return unit
 
-    def _send(self, emits):
+    def _send(self, emits, slot):
+        """The lane levels of ``emits``, sent in built slot ``slot``."""
         lanes = self.lanes
         levels = []
         for emit in emits:
@@ -1227,7 +1253,7 @@ class _LaneGroup:
                 continue
             known, echo_src, cancel = emit
             if echo_src:
-                value, known = self._echo(emit), cancel
+                value, known = self._echo(emit, slot), cancel
             else:
                 value = 0
             for i in known:
@@ -1235,17 +1261,20 @@ class _LaneGroup:
             levels.append(value)
         return tuple(levels)
 
-    def _echo(self, emit):
-        """The lane level an echo Emit replays, before its cancel bits come
-        off (the lanes' _echo_value)."""
-        return self._seen(*emit.echo_src)
+    def _echo(self, emit, slot):
+        """The lane level an echo Emit of built slot ``slot`` replays, before
+        its cancel bits come off (the lanes' _echo_value)."""
+        return self._seen(*emit.echo_src, slot, emit)
 
-    def _seen(self, signal, slot, position):
+    def _seen(self, signal, slot, position, k, record):
         """The lane level ``signal`` carries at ``position`` in built slot
-        ``slot``, which a step or echo of this group names."""
+        ``slot``, which ``record``, a step or echo of built slot ``k`` in
+        this group, names; a slot before the run is _read_before_run."""
         hop = 1 if signal in _HOP1_SIGNALS else 2
         if slot > self.lo:
             return self._unit(slot, hop, signal, position)[signal][position]
+        if slot < 1:
+            raise _read_before_run(record, k, slot, self.where)
         width, period = self.width, self.period
         back = (self.lo - slot) // period + 1       # lanes back into the group
         value = 0
@@ -1268,11 +1297,12 @@ class _LaneGroup:
         The first step that does not hold is a PipelineError."""
         lanes, levels, lo = self.lanes, self.levels, self.lo
         for slot in range(lo + 1, self.hi + 1):
-            for node, obs, side, target, _ in self.built[slot - 1].steps:
+            for step in self.built[slot - 1].steps:
+                node, obs, side, target, _ = step
                 value = lanes[target]
                 for signal, seen, position in obs:
                     value ^= (levels[seen][signal][position] if seen > lo
-                              else self._seen(signal, seen, position))
+                              else self._seen(signal, seen, position, slot, step))
                 for i in side:
                     value ^= lanes[i]
                 if value:
@@ -1305,8 +1335,9 @@ def _run_lanes(schedule: Schedule, bits):
     copy: the period has R = 2 * shift / period + 1 lanes, the head and the
     tail one; a full build is all tail.  Each group checks its decode
     steps, then writes its columns, which later groups read.  A decode check
-    that does not hold, or an echo that reads its own lanes, is a
-    PipelineError: a clean run of a sound schedule never fails one.
+    that does not hold, an echo that reads its own lanes, or a record that
+    reads a slot before the run is a PipelineError: a clean run of a sound
+    schedule never fails one.
     """
     at = {signal: (bytearray(schedule.n_slots * length), length)
           for signal, length in _signal_lengths(schedule.p).items()}

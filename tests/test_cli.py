@@ -1,12 +1,15 @@
 """CLI surface: golden outputs, exit codes, config file, output directory."""
 
+import hashlib
+import json
 import os
 import runpy
+import subprocess
 import sys
 
 import pytest
 
-from ofbic import cli, rates
+from ofbic import ChannelParams, cli, format_trace, parse_trace, rates, run_scheme
 from ofbic.cli import main
 from ofbic.sweep import SweepReport, SweepSpec
 
@@ -274,6 +277,14 @@ class TestSweep:
         )
         assert code == 0 and out == SWEEP_TINY
 
+    def test_default_report_is_pinned(self, capsys):
+        """The default sweep (18,225 formula points, 800 runs of 8
+        packets) writes the pinned report."""
+        code, out, _ = run_cli(capsys, "sweep")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5a15469d6b86192af33de0a52cb0a4180d87d761778e5a877e34cfc88f1e449d")
+
     def test_compact_grid_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--grid", "m=0:2,n=0:2,f=0:2", "--mbar-max", "1",
@@ -479,3 +490,84 @@ def test_python_m_ofbic_runs_cli(capsys, monkeypatch):
 def test_domain_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "rates", "--m", "-1", "--n", "2")
     assert code == 3 and "non-negative" in err
+
+
+# ---------------------------------------------------------------------------
+# `python -m ofbic` in a process of its own, as a user runs it.
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SMALL_GRID = ["--grid", "m=0:4,n=0:4,mbar=0:2,nbar=0:2,f=0:4", "--sample", "5"]
+
+
+def _python(*argv, cwd):
+    """``python *argv`` in ``cwd``, with this checkout's package first on
+    the path: the finished process."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("command", [
+    ("fbxw", (2, 4, 1, 1, 3), 8),
+    ("rsw", (2, 4, 0, 1, 3), 60),            # tiled, superframe 2
+    ("fbxw", (16, 32, 8, 8, 24), 300),       # the wide point, tiled
+    ("nofb-mid", (3, 4, 0, 0, 8), 300),      # two-observation decodes
+    ("rss", (4, 1, 1, 1, 2), 300),           # echo cancel sets
+    ("fbxw", (2, 4, 1, 1, 3), 300),
+    ("rss", (4, 1, 1, 3, 2), 300),
+    ("rsw", (2, 4, 0, 4, 3), 300),
+    ["sweep", *SMALL_GRID],
+    ["sweep", *SMALL_GRID, "--packets", "16"],   # the sampled runs tiled
+], ids=["simulate-fbxw-P8", "simulate-rsw-P60", "simulate-fbxw-wide-P300",
+        "simulate-nofb-mid-P300", "simulate-rss-P300", "simulate-fbxw-P300",
+        "simulate-rss-3-P300", "simulate-rsw-4-P300", "sweep-small-grid",
+        "sweep-small-grid-P16"])
+def test_python_m_ofbic_passes(command, tmp_path):
+    """A simulation passes its replay and writes the trace of the same run
+    in process, whose digest the pinned 300-packet runs hold in
+    test_schemes.FROZEN_DIGESTS; a sweep of the CI grid finds no
+    counterexample."""
+    if isinstance(command, list):
+        proc = _python("-m", "ofbic", *command, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "total counterexamples: 0" in proc.stdout, proc.stdout
+        return
+    scheme, point, packets = command
+    flags = [arg for key, value in zip(("m", "n", "mbar", "nbar", "f"), point)
+             for arg in (f"--{key}", str(value))]
+    proc = _python("-m", "ofbic", "simulate", "--scheme", scheme, *flags,
+                   "--packets", str(packets), "--out", "trace.txt", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: pass" in proc.stdout.splitlines(), proc.stdout
+    written = (tmp_path / "trace.txt").read_text()
+    assert written == format_trace(run_scheme(scheme, ChannelParams(*point), packets))
+
+
+# Runs ``python -m ofbic`` with its arguments and prints its exit code, its
+# output and the peak RSS of its children, which is the run's alone.
+_PEAK_PROBE = """\
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "ofbic", *sys.argv[1:]],
+                      capture_output=True, text=True)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout, "err": proc.stderr,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+def test_wide_run_of_10000_packets_fits_90_mb_and_writes_the_pinned_trace(tmp_path):
+    """ofbic simulate at the wide point with 10,000 packets passes, peaks at
+    most 90 MB of RSS and writes the pinned trace, whose parse (five index
+    widths) formats back to it."""
+    probe = _python("-c", _PEAK_PROBE, "simulate", "--scheme", "fbxw", "--m", "16",
+                    "--n", "32", "--mbar", "8", "--nbar", "8", "--f", "24",
+                    "--packets", "10000", "--out", "wide10k.txt", cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    run = json.loads(probe.stdout)
+    assert run["code"] == 0 and "result: pass" in run["out"], run["err"]
+    assert run["peak_kb"] / 1024 <= 90, f"the run peaks at {run['peak_kb'] / 1024:.1f} MB"
+    data = (tmp_path / "wide10k.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "2a0f04b6bc8d721fa08ed2a03aa2e4225932f94b316bcef64c1f9564b2ba3243")
+    text = data.decode()
+    assert format_trace(parse_trace(text)) == text

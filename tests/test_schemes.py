@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -210,15 +211,32 @@ FROZEN_DIGESTS = [
      "6f7ad669fc8b1895591838f50b5a232df1b8a0bc3f466fb16f919765dd5184dd"),
     ("nofb-mid", (3, 4, 1, 1, 3), 30, 600,
      "4c6f0bda43533fcf7b91adec42b1c2f55061c851fc1ff5ed5561e4694450d8f5"),
+    # the default-seed 300-packet traces `ofbic simulate` writes: four small
+    # points and the wide point of the simulate-wide benchmark
+    ("fbxw", (2, 4, 1, 1, 3), 300, 9606,
+     "5813f9915dd1955f64478da2052d611574c6145c82a1efecd8ed2d54c6e5b6f2"),
+    ("nofb-mid", (3, 4, 0, 0, 8), 300, 6000,
+     "6a1ce18d4442343ff4c6e6903ded0bf43f5c1d2a19befeb1ddcb000922c5583f"),
+    ("rss", (4, 1, 1, 3, 2), 300, 7208,
+     "25dd2bb498f4674d242c234f07bf3caeb69e67d59c6ed1206b5164265c2d145a"),
+    ("rsw", (2, 4, 0, 4, 3), 300, 9600,
+     "4cfc56624a3b3da71626c8e1a59846669a5a960003af32072646f35d672ff3e5"),
+    ("fbxw", (16, 32, 8, 8, 24), 300, 76848,
+     "82778e88a356340f29b4226df40eb92a6a9b41d17d87e7a66de8023ad4a2c521"),
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _run_text(scheme, point, packets):
+    """The trace text of the default-seed run, as `ofbic simulate` writes it."""
+    return format_trace(run_scheme(scheme, ChannelParams(*point), packets))
 
 
 @pytest.mark.parametrize("scheme,point,packets,steps,digest", FROZEN_DIGESTS)
 def test_trace_digest_golden(scheme, point, packets, steps, digest):
-    p = ChannelParams(*point)
-    text = format_trace(run_scheme(scheme, p, packets))
+    text = _run_text(scheme, point, packets)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    schedule = build_schedule(scheme, p, packets)
+    schedule = build_schedule(scheme, ChannelParams(*point), packets)
     assert sum(len(slot.steps) for _, slot in schedule.slots()) == steps
 
 
@@ -438,21 +456,29 @@ def test_parse_trace_rejects_malformed_line(lineno, edit):
         parse_trace(text)
 
 
-@pytest.mark.parametrize("lineno,edit", [
-    (8, lambda ls: ls[:7] + ["# a note"] + ls[7:]),
-    (8, lambda ls: ls[:7] + [""] + ls[7:]),
-    (4, lambda ls: ls[:3] + ls[4:] + ls[3:4]),
-    (5, lambda ls: ls[:4] + ls[5:] + ls[4:5]),
-    (2, lambda ls: [ls[0], ls[2], ls[1]] + ls[3:]),
-    (2, lambda ls: [ls[0], *ls[1].replace(" nbar=", "\n# nbar=").split("\n")] + ls[2:]),
-    (3, lambda ls: ls[:2] + [ls[2] + " formula_rate=3"] + ls[4:]),
+def _note_after_header(lines):
+    """``lines`` with "# note" just below the "# columns:" line."""
+    header = 1 + next(i for i, line in enumerate(lines) if line.startswith("# columns:"))
+    return lines[:header] + ["# note"] + lines[header:]
+
+
+@pytest.mark.parametrize("run,lineno,edit", [
+    (None, 8, lambda ls: ls[:7] + ["# a note"] + ls[7:]),
+    (None, 8, lambda ls: ls[:7] + [""] + ls[7:]),
+    (None, 4, lambda ls: ls[:3] + ls[4:] + ls[3:4]),
+    (None, 5, lambda ls: ls[:4] + ls[5:] + ls[4:5]),
+    (None, 2, lambda ls: [ls[0], ls[2], ls[1]] + ls[3:]),
+    (None, 2, lambda ls: [ls[0], *ls[1].replace(" nbar=", "\n# nbar=").split("\n")] + ls[2:]),
+    (None, 3, lambda ls: ls[:2] + [ls[2] + " formula_rate=3"] + ls[4:]),
+    (("fbxw", (16, 32, 8, 8, 24), 300), 6, _note_after_header),
 ], ids=["note-among-rows", "blank-among-rows", "formula-rate-below-rows",
         "columns-at-end", "alloc-before-run", "run-line-split",
-        "formula-rate-on-alloc-line"])
-def test_parse_trace_rejects_moved_line(lineno, edit):
+        "formula-rate-on-alloc-line", "note-after-header-wide"])
+def test_parse_trace_rejects_moved_line(run, lineno, edit):
     """Header lines come in the order format_trace writes them, and every
-    line below them is a row."""
-    text = "\n".join(edit(FROZEN_TRACE.splitlines())) + "\n"
+    line below them is a row: in FROZEN_TRACE, and in the wide 300-packet
+    trace, whose five header lines end at line 5."""
+    text = "\n".join(edit((_run_text(*run) if run else FROZEN_TRACE).splitlines())) + "\n"
     with pytest.raises(ChannelDomainError, match=f"^line {lineno}: "):
         parse_trace(text)
 
@@ -498,20 +524,25 @@ def test_parse_trace_names_line_and_signal(edit, message):
     ("fbxw", (16, 32, 8, 8, 24), 300),
     ("nofb-mid", (0, 0, 0, 0, 0), 8),
     ("nofb-mid", (0, 0, 0, 1, 2), 8),
-], ids=["fbxw-wide-P300", "nofb-mid-empty-P8", "nofb-mid-empty-hop1-P8"])
+    ("fbxw", (2, 4, 1, 1, 3), 300),
+    ("nofb-mid", (3, 4, 0, 0, 8), 300),
+    ("rss", (4, 1, 1, 3, 2), 300),
+    ("rsw", (2, 4, 0, 4, 3), 300),
+], ids=["fbxw-wide-P300", "nofb-mid-empty-P8", "nofb-mid-empty-hop1-P8",
+        "fbxw-P300", "nofb-mid-P300", "rss-P300", "rsw-P300"])
 def test_trace_text_round_trip(scheme, point, packets):
     """format_trace(parse_trace(text)) is the text itself, beyond the small
     points of FROZEN_DIGESTS: thousands of distinct strings at the wide
-    point, and the only points whose vectors are empty ('-').  The parsed
-    trace holds the run's columns: per signal, n_slots vectors of its
-    length, one 0/1 byte per level."""
+    point, the only points whose vectors are empty ('-'), and the pinned
+    300-packet traces.  The parsed trace holds the run's columns: per
+    signal, n_slots vectors of its length, one 0/1 byte per level."""
     p = ChannelParams(*point)
     trace = run_scheme(scheme, p, packets)
-    text = format_trace(trace)
+    text = _run_text(scheme, point, packets)
     parsed = parse_trace(text)
     assert format_trace(parsed) == text
     assert verify_trace(parsed).ok
-    assert (" - " in text) == (scheme == "nofb-mid")
+    assert (" - " in text) == (0 in (p.q, p.qbar))
     assert parsed.slots == trace.slots
     assert list(parsed.slots) == list(SIGNALS)
     for signal, column in parsed.slots.items():
@@ -559,14 +590,47 @@ def test_row_count_against_the_run_names_its_line(edit, message):
         verify_trace(parsed)
 
 
+def _flip_level(text, slot, signal, level):
+    """``text`` with level ``level`` of ``signal`` flipped in the row of
+    slot ``slot``."""
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.split()[0] == str(slot))
+    fields = lines[row].split()
+    column = 1 + SIGNALS.index(signal)
+    vec = fields[column]
+    fields[column] = vec[:level] + "10"[int(vec[level])] + vec[level + 1:]
+    lines[row] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_flipped_received_level_of_the_wide_trace_is_located():
+    """A flipped Y_D1 level in the last packet's row of the written wide
+    300-packet trace is the first fault its replay reports."""
+    text = _flip_level(_run_text("fbxw", (16, 32, 8, 8, 24), 300), 300, "Y_D1", 5)
+    report = verify_trace(parse_trace(text))
+    assert not report.ok and report.first_fault == (300, "Y_D1", 5)
+
+
+def test_flipped_echo_source_of_a_tiled_trace_is_located_with_its_echo():
+    """A flipped level that the first echo after slot 200 of a tiled rss
+    300-packet run replays is reported, and so is that echo's transmission,
+    and nothing else."""
+    schedule = build_schedule("rss", ChannelParams(4, 1, 1, 1, 2), 300)
+    assert schedule.tiling[2]
+    signal, slot, level = next(
+        emit.echo_src for t, record in schedule.slots() if t > 200
+        for emits in record.tx for emit in emits if emit and emit.echo_src)
+    text = _flip_level(_run_text("rss", (4, 1, 1, 1, 2), 300), slot, signal, level)
+    assert verify_trace(parse_trace(text)).faults == [(200, "Y_S1", 1), (202, "X_S1", 1)]
+
+
 # one trace per scheme at P=8; nofb-mid has no "# alloc" line
 P8_POINTS = {"fbxw": (2, 4, 1, 1, 3), "rsw": (2, 4, 0, 1, 3),
              "rss": (4, 1, 1, 1, 2), "nofb-mid": (3, 4, 0, 0, 8)}
 
 
-@functools.lru_cache(maxsize=None)
 def _p8_text(scheme):
-    return format_trace(run_scheme(scheme, ChannelParams(*P8_POINTS[scheme]), 8))
+    return _run_text(scheme, P8_POINTS[scheme], 8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1193,6 +1257,19 @@ TILE_CASES = [(scheme, p) for scheme, p, _ in WORKED] + [
     ("nofb-mid", ChannelParams(3, 4, 1, 1, 3)),
     ("fbxw", FBXW_WIDE),
 ]
+# the benchmark's six simulate-examples chains and its wide point
+EXAMPLE_CHAINS = [(scheme, p) for scheme, p, _ in WORKED[:5]] + [
+    ("nofb-mid", ChannelParams(3, 4, 0, 0, 8)),
+    ("fbxw", FBXW_WIDE),
+]
+# every in-regime (scheme, point) of the CI grid: m, n, f in 0..4, mbar, nbar in 0..2
+CI_GRID_PAIRS = tuple((scheme, p) for point in itertools.product(
+    range(5), range(5), range(3), range(3), range(5))
+    for p in [ChannelParams(*point)] for scheme, _ in schemes_at(p))
+
+
+def _ids(cases):
+    return [f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}" for s, p in cases]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1213,6 +1290,24 @@ def test_tiled_schedule_equals_full_build(case, packets):
     bits = _payload_bits(len(full.payload_refs), 1)
     # rows, no wrong delivery, no faults found, stores, no wrong store
     assert _run_engine(tiled, bits) == _run_engine(full, bits)
+
+
+@pytest.mark.parametrize("packets", [13, 14, 30, 31, 41])
+@pytest.mark.parametrize("scheme,p", EXAMPLE_CHAINS, ids=_ids(EXAMPLE_CHAINS))
+def test_tiled_run_of_every_example_chain_is_its_full_build(scheme, p, packets):
+    """Runs of 13, 14, 30 and 31 packets, and an odd run at superframe 2
+    (41), tile, read slot by slot as their full builds and count as them,
+    and the columns of the run are the sequential engine's on the full
+    build, with no wrong delivery."""
+    tiled = build_schedule(scheme, p, packets)
+    full = _Builder(scheme, p, packets).build()
+    assert tiled.tiling[2]
+    assert tiled.n_slots == full.n_slots and list(tiled.slots()) == list(full.slots())
+    assert tiled.counts == full.counts
+    trace = run_scheme(scheme, p, packets)
+    columns, errors, *_ = _run_engine(full, _payload_bits(2 * full.formula_rate * packets,
+                                                          trace.seed))
+    assert (trace.slots, errors, trace.decode_errors) == (columns, [], 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1327,9 +1422,7 @@ def test_record_fields_are_pinned():
     assert DecodeStep._fields == ("node", "obs", "side", "target", "deliver")
 
 
-@pytest.mark.parametrize("scheme,p", TILE_CASES,
-                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
-                              for s, p in TILE_CASES])
+@pytest.mark.parametrize("scheme,p", TILE_CASES, ids=_ids(TILE_CASES))
 def test_clean_run_rows_are_the_channel_map(scheme, p):
     """Every slot of a clean run receives what the channel geometry, called
     directly, makes of the slot's transmitted vectors, each read from its
@@ -1393,8 +1486,7 @@ BUILT_AT_30 = [14, 15, 15, 14, 18, 9, 10, 10, 14]
 
 
 @pytest.mark.parametrize("case,tiling,built", zip(TILE_CASES, TILING_AT_30, BUILT_AT_30),
-                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
-                              for s, p in TILE_CASES])
+                         ids=_ids(TILE_CASES))
 def test_tiling_at_30_packets_is_pinned(case, tiling, built):
     scheme, p = case
     schedule = build_schedule(scheme, p, 30)
@@ -1403,9 +1495,7 @@ def test_tiling_at_30_packets_is_pinned(case, tiling, built):
 
 
 @pytest.mark.parametrize("packets", [12, 13])
-@pytest.mark.parametrize("scheme,p", TILE_CASES,
-                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
-                              for s, p in TILE_CASES])
+@pytest.mark.parametrize("scheme,p", TILE_CASES, ids=_ids(TILE_CASES))
 def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, packets):
     """A watched build that proves its period stops as the least run a whole
     number of superframes shorter whose watch reaches that slot: its records
@@ -1431,9 +1521,7 @@ def test_watched_build_stops_at_the_least_run_showing_its_period(scheme, p, pack
 
 
 @pytest.mark.parametrize("packets", [12, 13])
-@pytest.mark.parametrize("scheme,p", TILE_CASES,
-                         ids=[f"{s}-{p.m}.{p.n}.{p.mbar}.{p.nbar}.{p.f}"
-                              for s, p in TILE_CASES])
+@pytest.mark.parametrize("scheme,p", TILE_CASES, ids=_ids(TILE_CASES))
 def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets):
     """A watched build that stops at P0' packets makes the unit Emits and the
     sources' knowledge of exactly those P0' packets, and names each of their
@@ -1471,10 +1559,8 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
         seen.append(t)
         return snapshot(self, t)
     monkeypatch.setattr(_Builder, "_state", checked)
-    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
-        p = ChannelParams(*point)
-        for scheme, _ in schemes_at(p):
-            build_schedule(scheme, p, 14)
+    for scheme, p in CI_GRID_PAIRS:
+        build_schedule(scheme, p, 14)
     assert len(seen) > 1395
 
 
@@ -1493,9 +1579,7 @@ def test_period_state_without_the_destinations_finds_the_same_period():
     CI-grid pair at 14 packets, and at the tile cases at 12 packets, a build
     whose state holds it finds the same period start and builds the same
     records."""
-    cases = [(scheme, ChannelParams(*point), 14)
-             for point in itertools.product(range(5), range(5), range(3), range(3), range(5))
-             for scheme, _ in schemes_at(ChannelParams(*point))]
+    cases = [(scheme, p, 14) for scheme, p in CI_GRID_PAIRS]
     cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
     for scheme, p, packets in cases:
         builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
@@ -1509,20 +1593,39 @@ def test_period_state_without_the_destinations_finds_the_same_period():
 def test_every_ci_grid_pair_tiles():
     """Every in-regime (scheme, point) of the CI grid finds its period, so a
     long run never falls back to a full build without notice."""
-    pairs, rate_zero, untiled = 0, 0, []
-    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
-        p = ChannelParams(*point)
-        for scheme, _ in schemes_at(p):
-            pairs += 1
-            schedule = build_schedule(scheme, p, 30)
-            if schedule.formula_rate == 0:
-                rate_zero += 1
-            if schedule.tiling == (0, 0, 0):
-                untiled.append((scheme, point))
+    rate_zero, untiled = 0, []
+    for scheme, p in CI_GRID_PAIRS:
+        schedule = build_schedule(scheme, p, 30)
+        if schedule.formula_rate == 0:
+            rate_zero += 1
+        if schedule.tiling == (0, 0, 0):
+            untiled.append((scheme, p))
     # A rate-0 pair tiles while delivering nothing, so its delivery check is
     # vacuous: count it apart, so that a pair that falls to rate 0 shows.
-    assert (pairs - rate_zero, rate_zero) == (1032, 363)
+    assert (len(CI_GRID_PAIRS) - rate_zero, rate_zero) == (1032, 363)
     assert untiled == []
+
+
+# the in-regime CI-grid pairs that tile at 4 to 8 packets
+@pytest.mark.parametrize("packets,tiled", [(4, 0), (5, 1222), (6, 1270), (7, 1277), (8, 1389)])
+def test_every_ci_grid_pair_reads_as_its_full_build(packets, tiled):
+    """At 4 to 8 packets every in-regime CI-grid pair, tiled or not, reads
+    as its full build slot by slot and counts as it, and every untiled
+    pair's lanes give the sequential engine's columns, with no wrong
+    delivery.  The number of pairs that tile is pinned, so a tiling
+    regression fails here."""
+    assert len(CI_GRID_PAIRS) == 1395
+    count = 0
+    for scheme, p in CI_GRID_PAIRS:
+        schedule, full = build_schedule(scheme, p, packets), _Builder(scheme, p, packets).build()
+        count += bool(schedule.tiling[2])
+        assert (schedule.n_slots, schedule.counts) == (full.n_slots, full.counts), (scheme, p)
+        assert list(schedule.slots()) == list(full.slots()), (scheme, p)
+        if not schedule.tiling[2]:
+            bits = _payload_bits(2 * schedule.formula_rate * packets, 7)
+            columns, errors, *_ = _run_engine(schedule, bits)
+            assert (_run_lanes(schedule, bits), errors) == (columns, []), (scheme, p)
+    assert count == tiled
 
 
 @pytest.mark.parametrize("packets", [8, 13, 14, 31])
@@ -1533,18 +1636,16 @@ def test_counts_are_the_slot_by_slot_oracle_on_the_ci_grid(packets):
     written (node, packet) pairs in order.  Each verdict decoder writes
     every packet of the run, or none at rate 0."""
     full, none = 0, 0
-    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
-        p = ChannelParams(*point)
-        for scheme, _ in schemes_at(p):
-            schedule = build_schedule(scheme, p, packets)
-            delivered, steady, _ = schedule.counts
-            assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
-                schedule), (scheme, point)
-            ranges = {written for _, written in schedule.counts[2]}
-            if schedule.formula_rate:
-                full += ranges == {range(1, packets + 1)}
-            else:
-                none += ranges == {range(0)}
+    for scheme, p in CI_GRID_PAIRS:
+        schedule = build_schedule(scheme, p, packets)
+        delivered, steady, _ = schedule.counts
+        assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
+            schedule), (scheme, p)
+        ranges = {written for _, written in schedule.counts[2]}
+        if schedule.formula_rate:
+            full += ranges == {range(1, packets + 1)}
+        else:
+            none += ranges == {range(0)}
     assert (full, none) == (1032, 363)
 
 
@@ -1570,15 +1671,14 @@ def test_superframe_two_points_tile_by_two_packets():
 def test_superframe_one_base_does_not_depend_on_the_parity_of_the_run():
     """At superframe 1 every run is a whole number of superframes longer
     than the least run that shows its period, so runs of 30 and 31 packets
-    tile the same base build: every superframe-1 TILE_CASES point and every
-    tenth superframe-1 in-regime pair of the CI grid."""
-    grid = [(scheme, p) for point in itertools.product(range(5), range(5), range(3),
-                                                       range(3), range(5))
-            for p in [ChannelParams(*point)] for scheme, _ in schemes_at(p)]
-    one = [(scheme, p) for scheme, p in grid if _Builder(scheme, p, 4).period == 2]
-    cases = [(scheme, p) for scheme, p in TILE_CASES
+    tile the same base build: every superframe-1 TILE_CASES point and
+    example chain, and every tenth superframe-1 in-regime pair of the CI
+    grid."""
+    one = [(scheme, p) for scheme, p in CI_GRID_PAIRS if _Builder(scheme, p, 4).period == 2]
+    named = TILE_CASES + [case for case in EXAMPLE_CHAINS if case not in TILE_CASES]
+    cases = [(scheme, p) for scheme, p in named
              if _Builder(scheme, p, 4).period == 2] + one[::10]
-    assert len(cases) == 7 + 128
+    assert len(cases) == 8 + 128
     for scheme, p in cases:
         even, odd = build_schedule(scheme, p, 30), build_schedule(scheme, p, 31)
         assert even.built == odd.built, (scheme, p)
@@ -1586,10 +1686,12 @@ def test_superframe_one_base_does_not_depend_on_the_parity_of_the_run():
 
 
 def test_long_run_builds_once_at_tile_size(builds):
+    wide = build_schedule("fbxw", FBXW_WIDE, 300)
     short = build_schedule("fbxw", FBXW_WIDE, 1000)
     long = build_schedule("fbxw", FBXW_WIDE, 2000)
-    assert builds == [("fbxw", 1000), ("fbxw", 2000)]
-    assert len(long.built) == 14                  # cut to the least run showing its period
+    assert builds == [("fbxw", 300), ("fbxw", 1000), ("fbxw", 2000)]
+    # cut to the least run showing its period
+    assert len(wide.built) == len(long.built) == 14
     assert long.n_slots - short.n_slots == 2 * 1000
     assert long.built is not short.built
     assert len(long.built) == len(short.built)   # the same small build
@@ -1901,16 +2003,63 @@ def test_carried_verify_makes_no_lane_or_engine_pass(scheme, p, packets, monkeyp
     same columns does, key order included."""
     trace = run_scheme(scheme, p, packets)
     fresh = verify_trace(replace(trace))      # the same columns, nothing carried
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the clean run was evaluated again")
-    monkeypatch.setattr(pipeline, "_run_lanes", refuse)
-    monkeypatch.setattr(pipeline, "_run_engine", refuse)
+    _refuse_clean_passes(monkeypatch)
     carried = verify_trace(trace)
     assert carried == fresh and carried.ok
     assert list(carried.node_verdicts) == list(fresh.node_verdicts)
     assert list(carried.packet_verdicts) == list(fresh.packet_verdicts)
     assert trace._run is None
+
+
+def _refuse_clean_passes(monkeypatch):
+    """Make a lane or engine pass an AssertionError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clean run was evaluated again")
+    monkeypatch.setattr(pipeline, "_run_lanes", refuse)
+    monkeypatch.setattr(pipeline, "_run_engine", refuse)
+
+
+def _traced(call, *args):
+    """``call(*args)`` under tracemalloc: its result, and the MB still
+    traced after it and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held / 1e6, peak / 1e6
+
+
+@pytest.mark.parametrize("scheme,p", EXAMPLE_CHAINS, ids=_ids(EXAMPLE_CHAINS))
+def test_long_run_is_the_sequential_engine_and_carries_its_verify(scheme, p, monkeypatch):
+    """At 3000 packets a clean run's lanes give the sequential engine's
+    columns, with no wrong delivery, and deliver every bit; no run, engine
+    pass or verify reads the ref table; the carried verify makes no lane
+    or engine pass, counts as the run, and is the report a sequential
+    replay of the trace makes, key order included.  At the wide point the
+    trace holds at most 6 MB after its run and verify_trace peaks at most
+    at 5 MB (tracemalloc)."""
+    trace, held_mb, _ = _traced(run_scheme, scheme, p, 3000)
+    schedule = trace._run[0]
+    bits = _payload_bits(2 * schedule.formula_rate * schedule.packets, trace.seed)
+    columns, errors, *_ = _run_engine(schedule, bits)
+    with monkeypatch.context() as patched:
+        _refuse_clean_passes(patched)
+        report, _, peak_mb = _traced(verify_trace, trace)
+    assert "payload_refs" not in vars(schedule)
+    assert (trace.slots, errors, trace.decode_errors) == (columns, [], 0)
+    assert ((trace.delivered_bits, trace.steady_state_rate)
+            == (report.delivered_bits, report.steady_state_rate))
+    assert trace.delivered_bits == 2 * schedule.formula_rate * schedule.packets
+    assert report.ok
+    if p == FBXW_WIDE:
+        assert peak_mb <= 5 and held_mb <= 6, (peak_mb, held_mb)
+    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
+        replayed = verify_trace(trace)
+    assert lanes.called and replayed == report
+    assert list(replayed.node_verdicts) == list(report.node_verdicts)
+    assert list(replayed.packet_verdicts) == list(report.packet_verdicts)
 
 
 @pytest.mark.parametrize("packets", [4, 8, 30])
@@ -2144,12 +2293,13 @@ def _drop_cancel_position(schedule):
 
 
 def _echo_own_unit(schedule):
-    """The schedule with the first rss echo Emit of the repeated block
-    replaying a hop-1 level one period back: in lanes it reads its own hop's
-    lanes of the previous repeat, which the lane path cannot evaluate."""
+    """The schedule with the first rss echo Emit of the repeated block that
+    lies past the first period made to replay a hop-1 level one period
+    back, a slot of the run: in lanes it reads its own hop's lanes of the
+    previous repeat, which the lane path cannot evaluate."""
     start, period, _ = schedule.tiling
     built = list(schedule.built)
-    k, n, i = next((k, n, i) for k in range(start, start + period)
+    k, n, i = next((k, n, i) for k in range(max(start, period), start + period)
                    for n, emits in enumerate(built[k].tx[:2])
                    for i, emit in enumerate(emits) if emit and emit.echo_src)
     tx = [list(emits) for emits in built[k].tx]
@@ -2189,24 +2339,66 @@ def test_broken_lane_check_raises(scheme, p, mutate, monkeypatch):
         verify_trace(replace(trace))
 
 
+def _read_slot_0(schedule, field):
+    """``schedule`` with its first decode step (``field`` "obs") or echo
+    Emit ("echo_src") moved to read slot 0, before the run; with that
+    record's built slot and the record."""
+    built = list(schedule.built)
+    if field == "obs":
+        k = next(k for k, slot in enumerate(built) if slot.steps)
+        first, *rest = built[k].steps
+        record = first._replace(
+            obs=tuple((signal, 0, position) for signal, _, position in first.obs))
+        built[k] = built[k]._replace(steps=(record, *rest))
+    else:
+        k, n, i = next((k, n, i) for k, slot in enumerate(built)
+                       for n, emits in enumerate(slot.tx)
+                       for i, emit in enumerate(emits) if emit and emit.echo_src)
+        tx = [list(emits) for emits in built[k].tx]
+        signal, _, position = tx[n][i].echo_src
+        record = tx[n][i] = tx[n][i]._replace(echo_src=(signal, 0, position))
+        built[k] = built[k]._replace(tx=tuple(map(tuple, tx)))
+    return replace(schedule, built=tuple(built)), k + 1, record
+
+
+@pytest.mark.parametrize("packets", [4, 8, 30])
+@pytest.mark.parametrize("scheme,p,field", [
+    ("fbxw", FBXW_SMALL, "obs"),
+    ("rss", ChannelParams(4, 1, 1, 1, 2), "echo_src"),
+], ids=["obs-fbxw", "echo-rss"])
+def test_record_that_reads_before_the_run_is_refused(scheme, p, field, packets):
+    """A decode step or echo that names built slot 0 to read is a
+    PipelineError naming the record, its built slot and the point, in the
+    sequential engine's run and replay and on lanes, full build (4) and
+    tiled alike: the engine would read the run's last vector so far, or
+    the recording's last, and the lanes a column not yet written."""
+    mutant, k, record = _read_slot_0(build_schedule(scheme, p, packets), field)
+    bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
+    text = (f"^built slot {k} holds {re.escape(repr(record))}, which reads slot 0, "
+            f"before the run, at {scheme} {re.escape(p.short())}$")
+    recorded = run_scheme(scheme, p, packets).slots
+    for evaluate in (_run_engine, functools.partial(_run_engine, recorded=recorded),
+                     _run_lanes):
+        with pytest.raises(PipelineError, match=text):
+            evaluate(mutant, bits)
+
+
 def test_every_ci_grid_pair_runs_on_lanes():
     """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
     included, runs clean on the lane path and gives the sequential engine's
     rows, which has no wrong delivery; the engine's stores are the
     schedule's decode targets, and verify_trace's report from the lanes is
     the one a sequential replay makes."""
-    for point in itertools.product(range(5), range(5), range(3), range(3), range(5)):
-        p = ChannelParams(*point)
-        for scheme, _ in schemes_at(p):
-            trace = run_scheme(scheme, p, 14, seed=7)
-            schedule = trace._run[0]
-            bits = _payload_bits(len(schedule.payload_refs), 7)
-            lanes = _run_lanes(schedule, bits)
-            rows, errors, _, stores, _ = _run_engine(schedule, bits)
-            assert lanes == rows == trace.slots
-            assert errors == [] and trace.decode_errors == 0
-            _assert_stores_are_decode_targets(schedule, bits, stores)
-            _assert_lane_report_is_sequential(trace, stores)
+    for scheme, p in CI_GRID_PAIRS:
+        trace = run_scheme(scheme, p, 14, seed=7)
+        schedule = trace._run[0]
+        bits = _payload_bits(len(schedule.payload_refs), 7)
+        lanes = _run_lanes(schedule, bits)
+        rows, errors, _, stores, _ = _run_engine(schedule, bits)
+        assert lanes == rows == trace.slots
+        assert errors == [] and trace.decode_errors == 0
+        _assert_stores_are_decode_targets(schedule, bits, stores)
+        _assert_lane_report_is_sequential(trace, stores)
 
 
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
