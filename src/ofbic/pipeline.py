@@ -55,7 +55,10 @@ produced.
 
 A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order (each runs in the record's slot) and its feedback
-levels.  Every scheme repeats itself after a short warm-up: one period is
+levels.  The read rule: a DecodeStep's ``obs`` name slots 1 up to its own
+built slot, an echo's ``echo_src`` one up to the slot before its own, and
+each a level within its signal's length; Schedule checks it when made.
+Every scheme repeats itself after a short warm-up: one period is
 two superframes (two or four slots), and the next period is the same with
 packet indices raised by a superframe (_Slot.shifted).  So build_schedule
 is one build of the run's length that watches for the builder's live state
@@ -234,6 +237,32 @@ class Schedule:
     formula_rate: int
     built: tuple = field(repr=False)
     tiling: tuple = (0, 0, 0)
+
+    def __post_init__(self):
+        """Refuse the first built record that breaks the read rule."""
+        lengths = _signal_lengths(self.p)
+        for k, slot in enumerate(self.built, start=1):
+            for step in slot.steps:
+                for read in step.obs:
+                    if not (0 < read[1] <= k and 0 <= read[2] < lengths.get(read[0], 0)):
+                        raise self._bad_read(k, step, read, k, lengths)
+            for emit in filter(None, itertools.chain.from_iterable(slot.tx)):
+                read = emit.echo_src
+                if read and not (0 < read[1] < k and 0 <= read[2] < lengths.get(read[0], 0)):
+                    raise self._bad_read(k, emit, read, k - 1, lengths)
+
+    def _bad_read(self, k, record, read, last, lengths):
+        """The error of ``record``, in built slot ``k``, whose ``read`` names
+        a slot before the run or after ``last``, or a level its signal lacks."""
+        signal, seen, position = read
+        if seen < 1:
+            why = f"slot {seen}, before the run"
+        elif seen > last:
+            why = f"slot {seen}, {'after' if last == k else 'not before'} its own"
+        else:
+            why = f"{signal} level {position}, outside its {lengths.get(signal, 0)} levels"
+        return PipelineError(f"built slot {k} holds {record!r}, which reads {why}, "
+                             f"at {self.scheme} {self.p.short()}")
 
     @cached_property
     def payload_refs(self):
@@ -1038,28 +1067,6 @@ def _source_stores(schedule: Schedule, bits) -> dict:
     return stores
 
 
-def _read_before_run(record, k, slot, where) -> PipelineError:
-    """The error of ``record``, in built slot ``k``, naming ``slot`` < 1 to
-    read: a slot before the run, which neither evaluator has."""
-    return PipelineError(f"built slot {k} holds {record!r}, which reads slot {slot}, "
-                         f"before the run, at {where}")
-
-
-def _refuse_reads_before_run(schedule: Schedule) -> None:
-    """Raise _read_before_run for the first record, in built order, whose
-    ``obs`` or ``echo_src`` names a slot before the run."""
-    where = f"{schedule.scheme} {schedule.p.short()}"
-    for k, slot in enumerate(schedule.built, start=1):
-        for emits in slot.tx:
-            for emit in emits:
-                if emit and emit.echo_src and emit.echo_src[1] < 1:
-                    raise _read_before_run(emit, k, emit.echo_src[1], where)
-        for step in slot.steps:
-            for _, seen, _ in step.obs:
-                if seen < 1:
-                    raise _read_before_run(step, k, seen, where)
-
-
 def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     """Execute (recorded=None) or replay-and-diff (recorded given), slot by
     slot: the sequential engine.
@@ -1074,9 +1081,7 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     schedule's (Schedule.counts).  In replay mode the recorded vectors drive
     all node behaviour, so a corrupted level shows up exactly where the
     recording first deviates from the protocol.  ``faults`` is checked by
-    run_scheme, ``recorded`` by verify_trace.  A record that names a slot
-    before the run (built slot < 1) is a PipelineError naming it, checked
-    once per built record (_refuse_reads_before_run).
+    run_scheme, ``recorded`` by verify_trace.
 
     The records name payload bits by position, read by unpacking (see
     Emit): a known Emit XORs its ``refs``, an echo XORs its ``cancel`` off
@@ -1097,7 +1102,6 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     and its six received ones in another, looks for the differing signals
     and levels only on a mismatch, and returns ``recorded`` as its columns.
     """
-    _refuse_reads_before_run(schedule)
     p = schedule.p
     faults = faults or {}
     fault_slots = {t for t, _ in faults} if recorded is None else ()
@@ -1235,16 +1239,15 @@ class _LaneGroup:
         self.units[slot, hop] = None
         tx = self.built[slot - 1].tx
         if hop == 1:
-            x1, x2 = self._send(tx[0], slot), self._send(tx[1], slot)
+            x1, x2 = self._send(tx[0]), self._send(tx[1])
             unit = dict(zip(_HOP1_SIGNALS, (x1, x2, *_first_hop(x1, x2, self.p, 0))))
         else:
-            x1, x2 = self._send(tx[2], slot), self._send(tx[3], slot)
+            x1, x2 = self._send(tx[2]), self._send(tx[3])
             unit = dict(zip(_HOP2_SIGNALS, (x1, x2, *_second_hop(x1, x2, self.p, 0))))
         self.units[slot, hop] = unit
         return unit
 
-    def _send(self, emits, slot):
-        """The lane levels of ``emits``, sent in built slot ``slot``."""
+    def _send(self, emits):
         lanes = self.lanes
         levels = []
         for emit in emits:
@@ -1253,7 +1256,7 @@ class _LaneGroup:
                 continue
             known, echo_src, cancel = emit
             if echo_src:
-                value, known = self._echo(emit, slot), cancel
+                value, known = self._echo(emit), cancel
             else:
                 value = 0
             for i in known:
@@ -1261,20 +1264,17 @@ class _LaneGroup:
             levels.append(value)
         return tuple(levels)
 
-    def _echo(self, emit, slot):
-        """The lane level an echo Emit of built slot ``slot`` replays, before
-        its cancel bits come off (the lanes' _echo_value)."""
-        return self._seen(*emit.echo_src, slot, emit)
+    def _echo(self, emit):
+        """The lane level an echo Emit replays, before its cancel bits come
+        off (the lanes' _echo_value)."""
+        return self._seen(*emit.echo_src)
 
-    def _seen(self, signal, slot, position, k, record):
+    def _seen(self, signal, slot, position):
         """The lane level ``signal`` carries at ``position`` in built slot
-        ``slot``, which ``record``, a step or echo of built slot ``k`` in
-        this group, names; a slot before the run is _read_before_run."""
+        ``slot``, which a step or echo of this group names."""
         hop = 1 if signal in _HOP1_SIGNALS else 2
         if slot > self.lo:
             return self._unit(slot, hop, signal, position)[signal][position]
-        if slot < 1:
-            raise _read_before_run(record, k, slot, self.where)
         width, period = self.width, self.period
         back = (self.lo - slot) // period + 1       # lanes back into the group
         value = 0
@@ -1297,12 +1297,11 @@ class _LaneGroup:
         The first step that does not hold is a PipelineError."""
         lanes, levels, lo = self.lanes, self.levels, self.lo
         for slot in range(lo + 1, self.hi + 1):
-            for step in self.built[slot - 1].steps:
-                node, obs, side, target, _ = step
+            for node, obs, side, target, _ in self.built[slot - 1].steps:
                 value = lanes[target]
                 for signal, seen, position in obs:
                     value ^= (levels[seen][signal][position] if seen > lo
-                              else self._seen(signal, seen, position, slot, step))
+                              else self._seen(signal, seen, position))
                 for i in side:
                     value ^= lanes[i]
                 if value:
@@ -1335,9 +1334,8 @@ def _run_lanes(schedule: Schedule, bits):
     copy: the period has R = 2 * shift / period + 1 lanes, the head and the
     tail one; a full build is all tail.  Each group checks its decode
     steps, then writes its columns, which later groups read.  A decode check
-    that does not hold, an echo that reads its own lanes, or a record that
-    reads a slot before the run is a PipelineError: a clean run of a sound
-    schedule never fails one.
+    that does not hold, or an echo that reads its own lanes, is a
+    PipelineError: a clean run of a sound schedule never fails one.
     """
     at = {signal: (bytearray(schedule.n_slots * length), length)
           for signal, length in _signal_lengths(schedule.p).items()}

@@ -1541,10 +1541,12 @@ def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets
 
 
 def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
-    """The period state leaves out the relays' waiting index because, after
-    every watched slot of every in-regime CI-grid pair at 14 packets, it is
-    the pending decodes, in arrival order, listed under the two positions
-    of their refs the relay does not know, and nothing else."""
+    """The period state leaves out the relays' waiting index and what the
+    destinations know.  After every watched slot of every in-regime CI-grid
+    pair at 14 packets, and of the tile cases at 12, the index is the
+    pending decodes, in arrival order, listed under the two positions of
+    their refs the relay does not know, and nothing else; and D1 and D2 know
+    nothing, since a destination learns only through its deliveries."""
     snapshot, seen = _Builder._state, []
 
     def checked(self, t):
@@ -1556,38 +1558,15 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
                 for i in unknown:
                     derived.setdefault(i, []).append(arrival)
             assert self.waiting[relay] == derived, (self.scheme, self.p, t)
+        assert not self.know["D1"] and not self.know["D2"], (self.scheme, self.p, t)
         seen.append(t)
         return snapshot(self, t)
     monkeypatch.setattr(_Builder, "_state", checked)
-    for scheme, p in CI_GRID_PAIRS:
-        build_schedule(scheme, p, 14)
-    assert len(seen) > 1395
-
-
-class _DestinationKnowledgeBuilder(_Builder):
-    """A builder whose period state also holds what D1 and D2 know, as the
-    state did before it left them out."""
-
-    def _state(self, t):
-        assert not self.know["D1"] and not self.know["D2"], (self.scheme, self.p, t)
-        return *super()._state(t), frozenset(self.know["D1"]), frozenset(self.know["D2"])
-
-
-def test_period_state_without_the_destinations_finds_the_same_period():
-    """A destination learns only through its deliveries, so its knowledge
-    set stays empty and the period state leaves it out: on every in-regime
-    CI-grid pair at 14 packets, and at the tile cases at 12 packets, a build
-    whose state holds it finds the same period start and builds the same
-    records."""
     cases = [(scheme, p, 14) for scheme, p in CI_GRID_PAIRS]
     cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
     for scheme, p, packets in cases:
-        builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
-        for builder in builders:
-            builder.watch = True
-            builder.build()
-        plain, full = builders
-        assert (plain.period_start, plain.built) == (full.period_start, full.built), (scheme, p)
+        build_schedule(scheme, p, packets)
+    assert len(seen) > 1395
 
 
 def test_every_ci_grid_pair_tiles():
@@ -2339,48 +2318,77 @@ def test_broken_lane_check_raises(scheme, p, mutate, monkeypatch):
         verify_trace(replace(trace))
 
 
-def _read_slot_0(schedule, field):
-    """``schedule`` with its first decode step (``field`` "obs") or echo
-    Emit ("echo_src") moved to read slot 0, before the run; with that
-    record's built slot and the record."""
-    built = list(schedule.built)
+def _move_read(schedule, field, move):
+    """The records of ``schedule`` with the reads of its first decode step
+    (``field`` "obs") or its first echo Emit ("echo_src") moved:
+    ``move(k, read, length)`` gives each read's new value, from its
+    record's built slot k and the length of its signal; with k and the
+    moved record."""
+    built, lengths = list(schedule.built), pipeline._signal_lengths(schedule.p)
     if field == "obs":
-        k = next(k for k, slot in enumerate(built) if slot.steps)
-        first, *rest = built[k].steps
+        k = next(k for k, slot in enumerate(built, start=1) if slot.steps)
+        first, *rest = built[k - 1].steps
         record = first._replace(
-            obs=tuple((signal, 0, position) for signal, _, position in first.obs))
-        built[k] = built[k]._replace(steps=(record, *rest))
+            obs=tuple(move(k, read, lengths[read[0]]) for read in first.obs))
+        built[k - 1] = built[k - 1]._replace(steps=(record, *rest))
     else:
-        k, n, i = next((k, n, i) for k, slot in enumerate(built)
+        k, n, i = next((k, n, i) for k, slot in enumerate(built, start=1)
                        for n, emits in enumerate(slot.tx)
                        for i, emit in enumerate(emits) if emit and emit.echo_src)
-        tx = [list(emits) for emits in built[k].tx]
-        signal, _, position = tx[n][i].echo_src
-        record = tx[n][i] = tx[n][i]._replace(echo_src=(signal, 0, position))
-        built[k] = built[k]._replace(tx=tuple(map(tuple, tx)))
-    return replace(schedule, built=tuple(built)), k + 1, record
+        tx = [list(emits) for emits in built[k - 1].tx]
+        read = tx[n][i].echo_src
+        record = tx[n][i] = tx[n][i]._replace(echo_src=move(k, read, lengths[read[0]]))
+        built[k - 1] = built[k - 1]._replace(tx=tuple(map(tuple, tx)))
+    return tuple(built), k, record
+
+
+def _slot_0(k, read, length):
+    return read[0], 0, read[2]
+
+
+def _own_slot(k, read, length):
+    return read[0], k, read[2]
+
+
+def _next_slot(k, read, length):
+    return read[0], k + 1, read[2]
+
+
+def _past_its_levels(k, read, length):
+    return read[0], read[1], length
+
+
+RSS_SMALL, RSW_SMALL = ChannelParams(4, 1, 1, 1, 2), ChannelParams(2, 4, 0, 1, 3)
 
 
 @pytest.mark.parametrize("packets", [4, 8, 30])
-@pytest.mark.parametrize("scheme,p,field", [
-    ("fbxw", FBXW_SMALL, "obs"),
-    ("rss", ChannelParams(4, 1, 1, 1, 2), "echo_src"),
-], ids=["obs-fbxw", "echo-rss"])
-def test_record_that_reads_before_the_run_is_refused(scheme, p, field, packets):
-    """A decode step or echo that names built slot 0 to read is a
-    PipelineError naming the record, its built slot and the point, in the
-    sequential engine's run and replay and on lanes, full build (4) and
-    tiled alike: the engine would read the run's last vector so far, or
-    the recording's last, and the lanes a column not yet written."""
-    mutant, k, record = _read_slot_0(build_schedule(scheme, p, packets), field)
-    bits = _payload_bits(len(mutant.payload_refs), DEFAULT_SEED)
-    text = (f"^built slot {k} holds {re.escape(repr(record))}, which reads slot 0, "
-            f"before the run, at {scheme} {re.escape(p.short())}$")
-    recorded = run_scheme(scheme, p, packets).slots
-    for evaluate in (_run_engine, functools.partial(_run_engine, recorded=recorded),
-                     _run_lanes):
-        with pytest.raises(PipelineError, match=text):
-            evaluate(mutant, bits)
+@pytest.mark.parametrize("scheme,p,field,move,why", [
+    ("fbxw", FBXW_SMALL, "obs", _slot_0, "slot {1}, before the run"),
+    ("fbxw", FBXW_SMALL, "obs", _next_slot, "slot {1}, after its own"),
+    ("fbxw", FBXW_SMALL, "obs", _past_its_levels, "{0} level {2}, outside its {2} levels"),
+    ("rss", RSS_SMALL, "echo_src", _slot_0, "slot {1}, before the run"),
+    ("rss", RSS_SMALL, "echo_src", _own_slot, "slot {1}, not before its own"),
+    ("rsw", RSW_SMALL, "echo_src", _own_slot, "slot {1}, not before its own"),
+    ("rss", RSS_SMALL, "echo_src", _next_slot, "slot {1}, not before its own"),
+    ("rsw", RSW_SMALL, "echo_src", _next_slot, "slot {1}, not before its own"),
+    ("rss", RSS_SMALL, "echo_src", _past_its_levels, "{0} level {2}, outside its {2} levels"),
+], ids=["obs-fbxw", "obs-next-fbxw", "obs-level-fbxw", "echo-rss", "echo-own-rss",
+        "echo-own-rsw", "echo-next-rss", "echo-next-rsw", "echo-level-rss"])
+def test_record_that_reads_before_the_run_is_refused(scheme, p, field, move, why, packets):
+    """The read rule: a record may read only a level the run has made
+    before it runs.  A decode step that reads slot 0 or the slot after its
+    own, an echo that reads slot 0, its own slot or the next one, and
+    either reading a level past its signal's length is a PipelineError
+    naming the record, its built slot, the read and the point, raised where
+    the Schedule is made, full build (4) and tiled alike: no evaluator ever
+    sees it."""
+    schedule = build_schedule(scheme, p, packets)
+    built, k, record = _move_read(schedule, field, move)
+    read = record.obs[0] if field == "obs" else record.echo_src
+    text = (f"^built slot {k} holds {re.escape(repr(record))}, which reads "
+            f"{re.escape(why.format(*read))}, at {scheme} {re.escape(p.short())}$")
+    with pytest.raises(PipelineError, match=text):
+        replace(schedule, built=built)
 
 
 def test_every_ci_grid_pair_runs_on_lanes():

@@ -160,8 +160,8 @@ def _flip_echo_levels(monkeypatch):
     def flipped(level, *where):
         return echo_value(level, *where) ^ 1
 
-    def flipped_lanes(group, emit, slot):
-        return lane_echo(group, emit, slot) ^ ((1 << group.width) - 1)
+    def flipped_lanes(group, emit):
+        return lane_echo(group, emit) ^ ((1 << group.width) - 1)
     monkeypatch.setattr(pipeline, "_echo_value", flipped)
     monkeypatch.setattr(pipeline._LaneGroup, "_echo", flipped_lanes)
 
