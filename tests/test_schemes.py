@@ -1541,12 +1541,11 @@ def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets
 
 
 def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
-    """The period state leaves out the relays' waiting index and what the
-    destinations know.  After every watched slot of every in-regime CI-grid
-    pair at 14 packets, and of the tile cases at 12, the index is the
-    pending decodes, in arrival order, listed under the two positions of
-    their refs the relay does not know, and nothing else; and D1 and D2 know
-    nothing, since a destination learns only through its deliveries."""
+    """The period state leaves out the relays' waiting index because, after
+    every watched slot of every in-regime CI-grid pair at 14 packets, and of
+    the tile cases at 12, it is the pending decodes, in arrival order,
+    listed under the two positions of their refs the relay does not know,
+    and nothing else."""
     snapshot, seen = _Builder._state, []
 
     def checked(self, t):
@@ -1558,7 +1557,6 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
                 for i in unknown:
                     derived.setdefault(i, []).append(arrival)
             assert self.waiting[relay] == derived, (self.scheme, self.p, t)
-        assert not self.know["D1"] and not self.know["D2"], (self.scheme, self.p, t)
         seen.append(t)
         return snapshot(self, t)
     monkeypatch.setattr(_Builder, "_state", checked)
@@ -1567,6 +1565,32 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
     for scheme, p, packets in cases:
         build_schedule(scheme, p, packets)
     assert len(seen) > 1395
+
+
+class _DestinationKnowledgeBuilder(_Builder):
+    """A builder whose period state also holds what D1 and D2 know, as the
+    state did before it left them out."""
+
+    def _state(self, t):
+        assert not self.know["D1"] and not self.know["D2"], (self.scheme, self.p, t)
+        return *super()._state(t), frozenset(self.know["D1"]), frozenset(self.know["D2"])
+
+
+def test_period_state_without_the_destinations_finds_the_same_period():
+    """A destination learns only through its deliveries, so its knowledge
+    set stays empty and the period state leaves it out: on every in-regime
+    CI-grid pair at 14 packets, and at the tile cases at 12 packets, a build
+    whose state holds it finds the same period start and builds the same
+    records."""
+    cases = [(scheme, p, 14) for scheme, p in CI_GRID_PAIRS]
+    cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
+    for scheme, p, packets in cases:
+        builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
+        for builder in builders:
+            builder.watch = True
+            builder.build()
+        plain, full = builders
+        assert (plain.period_start, plain.built) == (full.period_start, full.built), (scheme, p)
 
 
 def test_every_ci_grid_pair_tiles():
