@@ -51,7 +51,10 @@ class SweepSpec:
         for name in ("seed", "sample", "scheme_packets"):
             if type(getattr(self, name)) is not int:
                 raise ChannelDomainError(f"{name} {getattr(self, name)!r} is not an int")
-        for key, (lo, hi) in self.ranges.items():
+        for key, bounds in self.ranges.items():
+            if type(bounds) is not tuple or len(bounds) != 2:
+                raise ChannelDomainError(f"sweep range {key} {bounds!r} is not a (lo, hi) pair")
+            lo, hi = bounds
             if type(lo) is not int or type(hi) is not int:
                 raise ChannelDomainError(f"sweep range {key} bounds {(lo, hi)!r} are not ints")
             if key not in DEFAULT_RANGES or lo > hi or lo < 0:
@@ -64,6 +67,9 @@ class SweepSpec:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ChannelDomainError(f"unknown checks {sorted(unknown)}")
+        repeated = sorted({check for check in self.checks if self.checks.count(check) > 1})
+        if repeated:
+            raise ChannelDomainError(f"repeated checks {repeated}")
         if self.sample < 0:
             raise ChannelDomainError(f"sample must be non-negative, got {self.sample}")
         if self.seed < 0:       # random.Random(-s) draws as Random(s)

@@ -325,6 +325,11 @@ class TestSweep:
         assert code == 3
         assert err == "error: no sweep checks selected\n"
 
+    def test_repeated_check_is_domain_error_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--grid", "m=0:2,n=0:2,mbar=0:0,nbar=0:0,f=0:2",
+                                 "--checks", "corollary1,COROLLARY1")
+        assert (code, out, err) == (3, "", "error: repeated checks ['COROLLARY1']\n")
+
     def test_broken_formula_is_a_counterexample_exit_1(self, capsys,
                                                         monkeypatch):
         _break_fbxw_rate(monkeypatch)

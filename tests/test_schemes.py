@@ -1,5 +1,6 @@
 """End-to-end scheme runs: exact rates, replay, fault injection, structure."""
 
+import collections
 import copy
 import functools
 import hashlib
@@ -44,7 +45,7 @@ from ofbic.pipeline import (
     _run_lanes,
     generate_payload,
 )
-from ofbic.rates import schemes_at
+from ofbic.rates import Regime, r_fbxw, r_nom, r_rss, r_rsw, regime_of, schemes_at
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -102,10 +103,11 @@ def test_per_window_delivery_is_constant_after_warmup():
     for scheme, p, rate in WORKED:
         trace = run_scheme(scheme, p, 10)
         schedule = trace._run[0]
-        _assert_counts_are_delivering_steps(trace, schedule)
+        slots = list(schedule.slots())
+        _assert_counts_are_delivering_steps(trace, schedule, slots)
         assert trace.decode_errors == 0
         per_window = {}
-        for slot, _, _ in _deliveries(schedule):
+        for slot, _, _ in _deliveries(schedule, slots):
             per_window[slot // 2] = per_window.get(slot // 2, 0) + 1
         for w in range(WARMUP_PACKETS + 1, trace.packets + 1):
             got = per_window.get(w, 0)
@@ -329,27 +331,28 @@ def _schedule_digest(schedule):
              for t, slot in slots if slot.steps]
     feedback = sorted(((signal, t), plan) for t, slot in slots
                       for signal, plan in zip(_FEEDBACK_SIGNALS, slot.feedback))
-    text = repr((tx, steps, _deliveries(schedule), feedback, schedule.n_slots))
+    text = repr((tx, steps, _deliveries(schedule, slots), feedback, schedule.n_slots))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _deliveries(schedule):
-    """(slot, dest, ref) of every delivering decode step, in order."""
+def _deliveries(schedule, slots):
+    """(slot, dest, ref) of every delivering decode step of ``slots``, the
+    schedule's ``slots()``, in order."""
     refs = schedule.payload_refs
-    return tuple((t, step.node, refs[step.target]) for t, slot in schedule.slots()
+    return tuple((t, step.node, refs[step.target]) for t, slot in slots
                  for step in slot.steps if step.deliver)
 
 
-def _counts_slot_by_slot(schedule):
-    """The oracle of Schedule.counts, read from ``schedule.slots()`` one slot
-    at a time: the delivering steps, those in the steady window, and the
-    (node, packet) pairs each verdict decoder's steps write, node by node
-    in packet order."""
+def _counts_slot_by_slot(schedule, slots):
+    """The oracle of Schedule.counts, read from ``slots``, the schedule's
+    ``slots()``, one slot at a time: the delivering steps, those in the
+    steady window, and the (node, packet) pairs each verdict decoder's steps
+    write, node by node in packet order."""
     per_packet = 2 * schedule.formula_rate
     lo, hi = 2 * WARMUP_PACKETS + 2, 2 * schedule.packets + 1
     delivered = steady = 0
     written = {node: set() for node in ("R1", "R2", "D1", "D2")}
-    for t, slot in schedule.slots():
+    for t, slot in slots:
         for step in slot.steps:
             delivered += step.deliver
             steady += step.deliver and lo <= t <= hi
@@ -364,19 +367,35 @@ def _written_pairs(schedule):
     return [(node, packet) for node, packets in schedule.counts[2] for packet in packets]
 
 
-def _assert_counts_are_delivering_steps(trace, schedule):
+def _assert_counts_are_delivering_steps(trace, schedule, slots):
     """A run's delivered bits, steady-state rate and measured sum rate are
-    counted over the delivering steps of ``schedule`` read slot by slot:
-    one delivery per step, the steady window clear of the warm-up packets
-    and the drain; and its schedule's written pairs are the ones its
-    verdict decoders' steps write, read slot by slot."""
-    slots = [t for t, _, _ in _deliveries(schedule)]
+    counted over the delivering steps of ``schedule`` read slot by slot
+    from ``slots``, its ``slots()``: one delivery per step, the steady
+    window clear of the warm-up packets and the drain; and its schedule's
+    written pairs are the ones its verdict decoders' steps write, read slot
+    by slot."""
+    delivering = [t for t, _, _ in _deliveries(schedule, slots)]
     lo, hi = 2 * WARMUP_PACKETS + 2, 2 * trace.packets + 1
-    assert trace.delivered_bits == len(slots)
-    assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in slots),
+    assert trace.delivered_bits == len(delivering)
+    assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in delivering),
                                                hi - lo + 1)
-    assert trace.measured_sum_rate == Fraction(len(slots), schedule.n_slots)
-    assert _written_pairs(schedule) == _counts_slot_by_slot(schedule)[2]
+    assert trace.measured_sum_rate == Fraction(len(delivering), schedule.n_slots)
+    assert _written_pairs(schedule) == _counts_slot_by_slot(schedule, slots)[2]
+
+
+def _counts_are_the_oracle(schedule, slots):
+    """Assert that Schedule.counts, counted once per built slot, is the
+    oracle that reads ``slots``, the schedule's ``slots()``, one by one:
+    delivered bits, steady rate, and the written (node, packet) pairs in
+    order.  Return "full" if each verdict decoder writes every packet of the
+    run, "none" if, at rate 0, none writes any, and None otherwise."""
+    delivered, steady, written = schedule.counts
+    assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
+        schedule, slots), (schedule.scheme, schedule.p)
+    ranges = {packets for _, packets in written}
+    if schedule.formula_rate:
+        return "full" if ranges == {range(1, schedule.packets + 1)} else None
+    return "none" if ranges == {range(0)} else None
 
 
 @pytest.mark.parametrize("case", FROZEN_SCHEDULE_DIGESTS,
@@ -999,7 +1018,7 @@ class TestStructure:
         slots = dict(sched.slots())
         assert slots[slot].feedback[0] == ((0, 0),)     # X_R1
         delivered_here = [
-            d for d in _deliveries(sched)
+            d for d in _deliveries(sched, sched.slots())
             if d[0] == slot and d[1] == "D1" and d[2][2] == "cp"
         ]
         assert delivered_here, "coop feedback level must double as payload"
@@ -1095,28 +1114,25 @@ def test_zero_capacity_runs_cleanly():
 
 
 def test_full_regime_coverage_small_grid():
-    """Every in-regime tuple on a small grid hits its closed form exactly."""
-    from ofbic.rates import Regime, r_fbxw, r_nom, r_rss, r_rsw, regime_of
-
-    for m, n, mbar, nbar, f in itertools.product(
-        range(5), range(5), range(3), range(3), range(5)
-    ):
-        p = ChannelParams(m, n, mbar, nbar, f)
+    """Every in-regime tuple on a small grid, the CI grid, runs the schemes
+    its regimes name, each with its closed form: fbxw in the weak regime,
+    with rsw too when mbar = 0; rss in the strong one; nofb-mid in the mid
+    and degenerate ones.  That rule is schemes_at's, so the 8-packet case of
+    test_every_ci_grid_pair_reads_as_its_full_build, which runs each of them
+    and checks that it hits its closed form exactly within 2P + 4 slots and
+    verifies, covers every regime."""
+    for p in CI_GRID:
         tags = regime_of(p)
         jobs = []
         if Regime.WEAK in tags:
             jobs.append(("fbxw", r_fbxw(p)))
-            if mbar == 0:
+            if p.mbar == 0:
                 jobs.append(("rsw", r_rsw(p)))
         if Regime.STRONG in tags:
             jobs.append(("rss", r_rss(p)))
         if Regime.MID in tags or Regime.DEGENERATE in tags:
             jobs.append(("nofb-mid", r_nom(p)))
-        for scheme, want in jobs:
-            trace = run_scheme(scheme, p, 8)
-            assert trace.steady_state_rate == want, (scheme, p.short())
-            assert trace.n_slots <= 2 * 8 + 4
-            assert verify_trace(trace).ok, (scheme, p.short())
+        assert schemes_at(p) == jobs, p.short()
 
 
 # ---------------------------------------------------------------------------
@@ -1262,10 +1278,11 @@ EXAMPLE_CHAINS = [(scheme, p) for scheme, p, _ in WORKED[:5]] + [
     ("nofb-mid", ChannelParams(3, 4, 0, 0, 8)),
     ("fbxw", FBXW_WIDE),
 ]
-# every in-regime (scheme, point) of the CI grid: m, n, f in 0..4, mbar, nbar in 0..2
-CI_GRID_PAIRS = tuple((scheme, p) for point in itertools.product(
-    range(5), range(5), range(3), range(3), range(5))
-    for p in [ChannelParams(*point)] for scheme, _ in schemes_at(p))
+# the CI grid: m, n, f in 0..4, mbar, nbar in 0..2
+CI_GRID = tuple(itertools.starmap(ChannelParams, itertools.product(
+    range(5), range(5), range(3), range(3), range(5))))
+# every in-regime (scheme, point) of the CI grid
+CI_GRID_PAIRS = tuple((scheme, p) for p in CI_GRID for scheme, _ in schemes_at(p))
 
 
 def _ids(cases):
@@ -1540,12 +1557,12 @@ def test_watched_base_build_makes_tables_for_its_packets_only(scheme, p, packets
     assert max(watched.know["S1"] | watched.know["S2"]) == least * per_packet - 1
 
 
-def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
-    """The period state leaves out the relays' waiting index because, after
-    every watched slot of every in-regime CI-grid pair at 14 packets, and of
-    the tile cases at 12, it is the pending decodes, in arrival order,
-    listed under the two positions of their refs the relay does not know,
-    and nothing else."""
+def _check_waiting_index(monkeypatch):
+    """Make every _Builder._state check, after each watched slot, that a
+    relay's waiting index is its pending decodes, in arrival order, listed
+    under the two positions of their refs the relay does not know, and
+    nothing else: the reason the period state leaves the index out.  Return
+    the list of slots checked, which grows as builds run."""
     snapshot, seen = _Builder._state, []
 
     def checked(self, t):
@@ -1560,11 +1577,7 @@ def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
         seen.append(t)
         return snapshot(self, t)
     monkeypatch.setattr(_Builder, "_state", checked)
-    cases = [(scheme, p, 14) for scheme, p in CI_GRID_PAIRS]
-    cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
-    for scheme, p, packets in cases:
-        build_schedule(scheme, p, packets)
-    assert len(seen) > 1395
+    return seen
 
 
 class _DestinationKnowledgeBuilder(_Builder):
@@ -1576,21 +1589,39 @@ class _DestinationKnowledgeBuilder(_Builder):
         return *super()._state(t), frozenset(self.know["D1"]), frozenset(self.know["D2"])
 
 
-def test_period_state_without_the_destinations_finds_the_same_period():
+def _assert_destinations_leave_the_period_alone(schedule):
     """A destination learns only through its deliveries, so its knowledge
-    set stays empty and the period state leaves it out: on every in-regime
-    CI-grid pair at 14 packets, and at the tile cases at 12 packets, a build
-    whose state holds it finds the same period start and builds the same
-    records."""
-    cases = [(scheme, p, 14) for scheme, p in CI_GRID_PAIRS]
-    cases += [(scheme, p, 12) for scheme, p in TILE_CASES]
-    for scheme, p, packets in cases:
-        builders = _Builder(scheme, p, packets), _DestinationKnowledgeBuilder(scheme, p, packets)
-        for builder in builders:
-            builder.watch = True
-            builder.build()
-        plain, full = builders
-        assert (plain.period_start, plain.built) == (full.period_start, full.built), (scheme, p)
+    set stays empty and the period state leaves it out: a watched build of
+    ``schedule``'s run whose state holds it finds the same period start
+    (tiling[0] of a run that tiles) and builds the same records."""
+    builder = _DestinationKnowledgeBuilder(schedule.scheme, schedule.p, schedule.packets)
+    builder.watch = True
+    full = builder.build()
+    assert schedule.tiling[2], (schedule.scheme, schedule.p)
+    assert (full.tiling, full.built) == (schedule.tiling, schedule.built), (
+        schedule.scheme, schedule.p)
+
+
+def test_waiting_index_follows_from_the_pending_decodes(monkeypatch):
+    """The period state leaves out the relays' waiting index because, after
+    every watched slot of the tile cases at 12 packets, it is the pending
+    decodes, in arrival order, listed under the two positions of their refs
+    the relay does not know, and nothing else.  (The CI-grid pairs at 14
+    packets are checked by test_every_ci_grid_pair_runs_on_lanes.)"""
+    seen = _check_waiting_index(monkeypatch)
+    for scheme, p in TILE_CASES:
+        checked = len(seen)
+        build_schedule(scheme, p, 12)
+        assert len(seen) > checked, (scheme, p)
+
+
+def test_period_state_without_the_destinations_finds_the_same_period():
+    """At the tile cases at 12 packets, a build whose period state also
+    holds what the destinations know finds the same period start and builds
+    the same records.  (The CI-grid pairs at 14 packets are checked by
+    test_every_ci_grid_pair_runs_on_lanes.)"""
+    for scheme, p in TILE_CASES:
+        _assert_destinations_leave_the_period_alone(build_schedule(scheme, p, 12))
 
 
 def test_every_ci_grid_pair_tiles():
@@ -1611,45 +1642,100 @@ def test_every_ci_grid_pair_tiles():
 
 # the in-regime CI-grid pairs that tile at 4 to 8 packets
 @pytest.mark.parametrize("packets,tiled", [(4, 0), (5, 1222), (6, 1270), (7, 1277), (8, 1389)])
-def test_every_ci_grid_pair_reads_as_its_full_build(packets, tiled):
+def test_every_ci_grid_pair_reads_as_its_full_build(packets, tiled, builds):
     """At 4 to 8 packets every in-regime CI-grid pair, tiled or not, reads
     as its full build slot by slot and counts as it, and every untiled
     pair's lanes give the sequential engine's columns, with no wrong
     delivery.  The number of pairs that tile is pinned, so a tiling
-    regression fails here."""
+    regression fails here.
+
+    At 8 packets, the sweep's run length, each pair's schedule is the one
+    its run_scheme builds, and the run also reaches its closed-form sum
+    rate within 2P + 4 slots and verifies; its counts are the slot-by-slot
+    oracle (each verdict decoder writes every packet, or none at rate 0).
+    The schemes that run at each grid point, and their closed forms, are
+    the ones its regimes name (test_full_regime_coverage_small_grid).  Each
+    pair is built twice, the run's build and the full one."""
     assert len(CI_GRID_PAIRS) == 1395
+    rates = {(scheme, p): rate for p in CI_GRID for scheme, rate in schemes_at(p)}
+    written = collections.Counter()
     count = 0
     for scheme, p in CI_GRID_PAIRS:
-        schedule, full = build_schedule(scheme, p, packets), _Builder(scheme, p, packets).build()
+        if packets == 8:
+            trace = run_scheme(scheme, p, packets)
+            schedule = trace._run[0]
+        else:
+            schedule = build_schedule(scheme, p, packets)
+        full = _Builder(scheme, p, packets).build()
+        slots = list(schedule.slots())
         count += bool(schedule.tiling[2])
         assert (schedule.n_slots, schedule.counts) == (full.n_slots, full.counts), (scheme, p)
-        assert list(schedule.slots()) == list(full.slots()), (scheme, p)
+        assert slots == list(full.slots()), (scheme, p)
         if not schedule.tiling[2]:
             bits = _payload_bits(2 * schedule.formula_rate * packets, 7)
             columns, errors, *_ = _run_engine(schedule, bits)
             assert (_run_lanes(schedule, bits), errors) == (columns, []), (scheme, p)
+        if packets == 8:
+            written[_counts_are_the_oracle(schedule, slots)] += 1
+            assert trace.steady_state_rate == rates[scheme, p], (scheme, p.short())
+            assert trace.n_slots <= 2 * 8 + 4
+            assert verify_trace(trace).ok, (scheme, p.short())
     assert count == tiled
+    if packets == 8:
+        assert (written["full"], written["none"]) == (1032, 363)
+    assert builds == [(scheme, packets) for scheme, _ in CI_GRID_PAIRS for _ in range(2)]
 
 
-@pytest.mark.parametrize("packets", [8, 13, 14, 31])
+def test_every_ci_grid_pair_runs_on_lanes(builds, monkeypatch):
+    """Every in-regime (scheme, point) of the CI grid at 14 packets, rate-0
+    pairs included, from one run_scheme each:
+
+    * its watched build keeps each relay's waiting index equal to its
+      pending decodes after every watched slot, and a build whose period
+      state also holds what the destinations know finds its period and
+      records (the two things the state leaves out);
+    * its counts are the slot-by-slot oracle, and each verdict decoder
+      writes every packet, or none at rate 0;
+    * it runs clean on the lane path and gives the sequential engine's
+      rows, which has no wrong delivery; the engine's stores are the
+      schedule's decode targets, and verify_trace's report from the lanes is
+      the one a sequential replay makes.
+
+    Each pair is built twice, the run's build and the destination one."""
+    seen = _check_waiting_index(monkeypatch)
+    written = collections.Counter()
+    for scheme, p in CI_GRID_PAIRS:
+        trace = run_scheme(scheme, p, 14, seed=7)
+        schedule = trace._run[0]
+        _assert_destinations_leave_the_period_alone(schedule)
+        slots = list(schedule.slots())
+        written[_counts_are_the_oracle(schedule, slots)] += 1
+        bits = _payload_bits(len(schedule.payload_refs), 7)
+        rows, errors, _, stores, _ = _run_engine(schedule, bits)
+        assert rows == trace.slots, (scheme, p)
+        assert errors == [] and trace.decode_errors == 0
+        _assert_stores_are_decode_targets(schedule, bits, stores, slots)
+        _assert_lane_report_is_sequential(trace, stores, slots)
+    assert (written["full"], written["none"]) == (1032, 363)
+    assert len(seen) > 1395
+    assert builds == [(scheme, 14) for scheme, _ in CI_GRID_PAIRS for _ in range(2)]
+
+
+@pytest.mark.parametrize("packets", [13, 31])
 def test_counts_are_the_slot_by_slot_oracle_on_the_ci_grid(packets):
     """On every in-regime (scheme, point) of the CI grid, rate-0 pairs
     included, Schedule.counts, counted once per built slot, is the oracle
     that reads the run slot by slot: delivered bits, steady rate, and the
     written (node, packet) pairs in order.  Each verdict decoder writes
-    every packet of the run, or none at rate 0."""
-    full, none = 0, 0
+    every packet of the run, or none at rate 0.  (At 8 and 14 packets,
+    test_every_ci_grid_pair_reads_as_its_full_build[8-1389] and
+    test_every_ci_grid_pair_runs_on_lanes check this on the builds they
+    make.)"""
+    written = collections.Counter()
     for scheme, p in CI_GRID_PAIRS:
         schedule = build_schedule(scheme, p, packets)
-        delivered, steady, _ = schedule.counts
-        assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
-            schedule), (scheme, p)
-        ranges = {written for _, written in schedule.counts[2]}
-        if schedule.formula_rate:
-            full += ranges == {range(1, packets + 1)}
-        else:
-            none += ranges == {range(0)}
-    assert (full, none) == (1032, 363)
+        written[_counts_are_the_oracle(schedule, schedule.slots())] += 1
+    assert (written["full"], written["none"]) == (1032, 363)
 
 
 def test_decoder_packets_that_are_not_one_run_are_an_invariant_error():
@@ -1975,7 +2061,8 @@ def test_deliveries_name_bits_by_position(scheme, p, packets):
     bits = _payload_bits(len(refs), DEFAULT_SEED)
     errors = _run_engine(schedule, bits, faults={(t, signal): level})[1]
     assert (t, step.node, step.target) in errors
-    assert {(slot, d, refs[i]) for slot, d, i in errors} <= set(_deliveries(schedule))
+    assert {(slot, d, refs[i]) for slot, d, i in errors} <= set(
+        _deliveries(schedule, schedule.slots()))
 
 
 @pytest.mark.parametrize("packets", [4, 8, 30])
@@ -2157,27 +2244,29 @@ def test_untiled_verify_is_the_replay(case, seed, faulty, data):
 # Lane path: a clean tiled run evaluated lane-parallel, checked against the
 # sequential engine.
 
-def _assert_stores_are_decode_targets(schedule, bits, stores):
+def _assert_stores_are_decode_targets(schedule, bits, stores, slots):
     """A clean run's stores hold the payload bit exactly where a source
-    starts with it or a decode step of the schedule writes it, and None
-    elsewhere: what verify_trace's counts from the schedule rely on."""
+    starts with it or a decode step of the schedule, read from ``slots``,
+    its ``slots()``, writes it, and None elsewhere: what verify_trace's
+    counts from the schedule rely on."""
     want = pipeline._source_stores(schedule, bits)
-    for _, slot in schedule.slots():
+    for _, slot in slots:
         for step in slot.steps:
             want[step.node][step.target] = bits[step.target]
     assert stores == want
 
 
-def _assert_lane_report_is_sequential(trace, stores):
+def _assert_lane_report_is_sequential(trace, stores, slots):
     """verify_trace's report of a clean tiled run, ``from_lanes``, made from
     the lane result its run carried, is the one verify_trace makes when the
     sequential engine replays the same columns (the lanes mocked to make
     none), and the one _report makes of that replay, key order included;
-    its counts are the schedule's delivering steps read slot by slot, and
-    the (node, packet) pairs the engine's decoder ``stores`` hold."""
+    its counts are the schedule's delivering steps read slot by slot from
+    ``slots``, its ``slots()``, and the (node, packet) pairs the engine's
+    decoder ``stores`` hold."""
     run = trace._run
     schedule = run[0]
-    _assert_counts_are_delivering_steps(trace, schedule)
+    _assert_counts_are_delivering_steps(trace, schedule, slots)
     from_lanes = verify_trace(trace)
     trace._run = (*run[:3], None)              # the run, without its lane columns
     with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
@@ -2212,12 +2301,13 @@ def test_lane_path_equals_sequential_engine(case, packets, seed):
     bits = _payload_bits(len(schedule.payload_refs), seed)
     columns, errors, found, stores, wrong = _run_engine(schedule, bits)
     assert (errors, found, wrong) == ([], [], [])
-    _assert_stores_are_decode_targets(schedule, bits, stores)
+    slots = list(schedule.slots())
+    _assert_stores_are_decode_targets(schedule, bits, stores, slots)
     assert _run_lanes(schedule, bits) == columns
     assert _run_engine(schedule, bits, recorded=columns)[1:] == ([], [], stores, [])
     trace = run_scheme(scheme, p, packets, seed=seed)
     assert (trace.slots, trace.decode_errors) == (columns, 0)
-    _assert_lane_report_is_sequential(trace, stores)
+    _assert_lane_report_is_sequential(trace, stores, slots)
     signal = next(s for s in SIGNALS if columns[s])
     changed = bytearray(columns[signal])
     changed[len(changed) // 2] ^= 1
@@ -2415,24 +2505,6 @@ def test_record_that_reads_before_the_run_is_refused(scheme, p, field, move, why
         replace(schedule, built=built)
 
 
-def test_every_ci_grid_pair_runs_on_lanes():
-    """Every in-regime (scheme, point) of the CI grid, rate-0 pairs
-    included, runs clean on the lane path and gives the sequential engine's
-    rows, which has no wrong delivery; the engine's stores are the
-    schedule's decode targets, and verify_trace's report from the lanes is
-    the one a sequential replay makes."""
-    for scheme, p in CI_GRID_PAIRS:
-        trace = run_scheme(scheme, p, 14, seed=7)
-        schedule = trace._run[0]
-        bits = _payload_bits(len(schedule.payload_refs), 7)
-        lanes = _run_lanes(schedule, bits)
-        rows, errors, _, stores, _ = _run_engine(schedule, bits)
-        assert lanes == rows == trace.slots
-        assert errors == [] and trace.decode_errors == 0
-        _assert_stores_are_decode_targets(schedule, bits, stores)
-        _assert_lane_report_is_sequential(trace, stores)
-
-
 @pytest.mark.parametrize("scheme,p", ONE_PER_SCHEME)
 def test_clean_tiled_run_and_verify_keep_no_store(scheme, p, monkeypatch):
     """The lane path keeps no node store: a clean tiled run and its verify
@@ -2465,7 +2537,7 @@ def test_deliveries_are_in_slot_order(scheme, p, packets, faults):
             signal, _, level = step.obs[0]
             faults = {**faults, (t, signal): level}
     trace = run_scheme(scheme, p, packets, faults=faults)
-    _assert_counts_are_delivering_steps(trace, schedule)
+    _assert_counts_are_delivering_steps(trace, schedule, list(schedule.slots()))
     bits = _payload_bits(len(schedule.payload_refs), trace.seed)
     errors = _run_engine(schedule, bits, faults=faults)[1]
     assert trace.decode_errors == len(errors)

@@ -88,8 +88,20 @@ class TestSweep:
             text = re.escape(f"sweep range m bounds {bound!r} are not ints")
             with pytest.raises(ChannelDomainError, match=f"^{text}$"):
                 small_spec(ranges={**CI_GRID, "m": bound})
+        # a range is a (lo, hi) pair, not a bare bound or a longer tuple
+        for bounds in (3, (0,), (0, 1, 2), [0, 2], None):
+            text = re.escape(f"sweep range m {bounds!r} is not a (lo, hi) pair")
+            with pytest.raises(ChannelDomainError, match=f"^{text}$"):
+                small_spec(ranges={**CI_GRID, "m": bounds})
         with pytest.raises(ChannelDomainError):
             small_spec(checks=("NOT_A_CHECK",))
+        # a check named twice would be evaluated, and reported, twice
+        for checks, repeated in ((("COROLLARY1", "COROLLARY1"), "['COROLLARY1']"),
+                                 (("THEOREM3", "COROLLARY1", "THEOREM3", "COROLLARY1",
+                                   "THEOREM3"), "['COROLLARY1', 'THEOREM3']")):
+            text = re.escape(f"repeated checks {repeated}")
+            with pytest.raises(ChannelDomainError, match=f"^{text}$"):
+                small_spec(checks=checks)
         with pytest.raises(ChannelDomainError):
             small_spec(checks=ALL_CHECKS, scheme_packets=4)
         with pytest.raises(ChannelDomainError, match="lack n, mbar, nbar, f"):
