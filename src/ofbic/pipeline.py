@@ -57,7 +57,10 @@ A build is one _Slot record per slot: what the slot sends, its decode steps
 in execution order (each runs in the record's slot) and its feedback
 levels.  The read rule: a DecodeStep's ``obs`` name slots 1 up to its own
 built slot, an echo's ``echo_src`` one up to the slot before its own, and
-each a level within its signal's length; Schedule checks it when made.
+each a level within its signal's length.  A Schedule, when made, reads its
+records once: that one pass checks the rule and makes the counts of every
+run and verify of it (Schedule.counts), since which bits a run delivers,
+and in which slot, follow from the schedule alone, not from the values.
 Every scheme repeats itself after a short warm-up: one period is
 two superframes (two or four slots), and the next period is the same with
 packet indices raised by a superframe (_Slot.shifted).  So build_schedule
@@ -71,10 +74,7 @@ build whose period never shows, or fails that check, runs on in full, with
 tiling (0, 0, 0).  The engine walks the tiling over the records
 directly (Schedule._walk), and the lane path reads its head, period and
 tail from them; Schedule.slots() is the one reader of a run slot by slot,
-each record moved to its own packets, as a full build would have it.  Which
-bits a run delivers, and in which slot, follow from the schedule alone (the
-values decide only whether each delivery is right), so every run and
-verify takes its counts from Schedule.counts.
+each record moved to its own packets, as a full build would have it.
 
 A Schedule also caches the channel map at its ``p`` for the sequential
 engine (``channel_maps``): a dict per hop from the two transmitted vectors
@@ -237,19 +237,46 @@ class Schedule:
     formula_rate: int
     built: tuple = field(repr=False)
     tiling: tuple = (0, 0, 0)
+    counts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Refuse the first built record that breaks the read rule."""
+        """Read the built records once, in built order (_parts): refuse the
+        first that breaks the read rule, and make ``counts`` = (delivered,
+        steady, written): a run's delivering steps, those in slots
+        2 * WARMUP_PACKETS + 2 .. 2 * packets + 1 (clear of the warm-up and
+        the drain), and each _VERDICT_NODES decoder with the one range of
+        packets it writes (else PipelineError); a record counts all its copies."""
         lengths = _signal_lengths(self.p)
-        for k, slot in enumerate(self.built, start=1):
-            for step in slot.steps:
-                for read in step.obs:
-                    if not (0 < read[1] <= k and 0 <= read[2] < lengths.get(read[0], 0)):
-                        raise self._bad_read(k, step, read, k, lengths)
-            for emit in filter(None, itertools.chain.from_iterable(slot.tx)):
-                read = emit.echo_src
-                if read and not (0 < read[1] < k and 0 <= read[2] < lengths.get(read[0], 0)):
-                    raise self._bad_read(k, emit, read, k - 1, lengths)
+        period, first, last = self.tiling[1], 2 * WARMUP_PACKETS + 2, 2 * self.packets + 1
+        every, half = period or 1, period // 2 or 1    # one copy takes any step
+        per_packet, deliver = 2 * self.formula_rate, operator.itemgetter(4)  # .deliver
+        delivered = steady = 0
+        written = dict.fromkeys(_NODES, 0)             # node -> bit k set: writes packet k
+        for lo, hi, copies, d in self._parts:
+            for k, slot in enumerate(self.built[lo:hi], start=lo + 1):
+                for step in slot.steps:
+                    for read in step.obs:
+                        if not (0 < read[1] <= k and 0 <= read[2] < lengths.get(read[0], 0)):
+                            raise self._bad_read(k, step, read, k, lengths)
+                for emit in filter(None, itertools.chain.from_iterable(slot.tx)):
+                    read = emit.echo_src
+                    if read and not (0 < read[1] < k and 0 <= read[2] < lengths.get(read[0], 0)):
+                        raise self._bad_read(k, emit, read, k - 1, lengths)
+                count, t = sum(map(deliver, slot.steps)), k + 2 * d
+                # its copies t + i * every, 0 <= i < copies, in the steady window
+                window = range(max(0, -((t - first) // every)),
+                               min(copies, (last - t) // every + 1))
+                delivered, steady = delivered + count * copies, steady + count * len(window)
+            bits = ((1 << copies * half) - 1) // ((1 << half) - 1)   # bits 0, half, ...
+            for node, j in {(node, target // per_packet) for slot in self.built[lo:hi]
+                            for node, _, _, target, _ in slot.steps}:
+                written[node] |= bits << (j + d + 1)
+        ranges = tuple((node, range(max(0, (mask & -mask).bit_length() - 1), mask.bit_length()))
+                       for node, mask in ((node, written[node]) for node in _VERDICT_NODES))
+        for node, packets in ranges:
+            if written[node] != (1 << packets.stop) - (1 << packets.start):
+                raise PipelineError(f"{node}'s packets are not one run at {self.p.short()}")
+        self.counts = delivered, Fraction(steady, last - first + 1), ranges  # 4+ packets
 
     def _bad_read(self, k, record, read, last, lengths):
         """The error of ``record``, in built slot ``k``, whose ``read`` names
@@ -303,41 +330,6 @@ class Schedule:
         per_packet = 2 * self.formula_rate
         for t, (slot, d) in enumerate(self._walk(), start=1):
             yield t, slot.shifted(d, per_packet)
-
-    @cached_property
-    def counts(self):
-        """(delivered, steady, written) of every run of this schedule: its
-        delivering steps, those in the steady window (slots
-        ``2 * WARMUP_PACKETS + 2 .. 2 * packets + 1``, clear of the warm-up
-        and the drain), and each _VERDICT_NODES decoder with the range of
-        packets its steps write (PipelineError if they are not one range).
-        Each built slot is read once: its copies (_parts) are arithmetic
-        progressions of slots and packets.  run_scheme and the verify_trace
-        it hands the schedule to read them."""
-        period, first, last = self.tiling[1], 2 * WARMUP_PACKETS + 2, 2 * self.packets + 1
-        every, half = period or 1, period // 2 or 1    # one copy takes any step
-        per_packet, deliver = 2 * self.formula_rate, operator.itemgetter(4)  # .deliver
-        delivered = steady = 0
-        written = dict.fromkeys(_NODES, 0)             # node -> bit k set: writes packet k
-        for lo, hi, copies, d in self._parts:
-            for t, slot in enumerate(self.built[lo:hi], start=lo + 1 + 2 * d):
-                count = sum(map(deliver, slot.steps))
-                # its copies t + k * every, 0 <= k < copies, in the steady window
-                window = range(max(0, -((t - first) // every)),
-                               min(copies, (last - t) // every + 1))
-                delivered, steady = delivered + count * copies, steady + count * len(window)
-            bits = ((1 << copies * half) - 1) // ((1 << half) - 1)   # bits 0, half, ...
-            for node, k in {(node, target // per_packet) for slot in self.built[lo:hi]
-                            for node, _, _, target, _ in slot.steps}:
-                written[node] |= bits << (k + d + 1)
-        ranges = []
-        for node in _VERDICT_NODES:
-            mask = written[node]
-            packets = range(max(0, (mask & -mask).bit_length() - 1), mask.bit_length())
-            if mask != (1 << packets.stop) - (1 << packets.start):
-                raise PipelineError(f"{node}'s packets are not one run at {self.p.short()}")
-            ranges.append((node, packets))
-        return delivered, Fraction(steady, last - first + 1), tuple(ranges)  # 4+ packets
 
     @property
     def steps(self):
@@ -1484,8 +1476,8 @@ def _report(schedule: Schedule, found=(), errors=(), wrong=()) -> VerifyReport:
     deviations, ``errors`` its wrong deliveries (slot, dest, position) and
     ``wrong`` the (node, position) of its wrong stores.  The rest, the
     delivered, missing and steady-window bits and the (node, packet) pairs
-    a decoder writes, is the same for every replay of the schedule, and
-    comes from Schedule.counts, whose packet ranges it expands."""
+    a decoder writes, is the same for every replay of the schedule: the
+    counts it made when made (Schedule.counts), their ranges expanded."""
     delivered, steady, written = schedule.counts
     per_packet = 2 * schedule.formula_rate
     node_verdicts = dict.fromkeys(itertools.chain.from_iterable(

@@ -1,5 +1,6 @@
 """CLI surface: golden outputs, exit codes, config file, output directory."""
 
+import ast
 import hashlib
 import json
 import os
@@ -502,6 +503,19 @@ def test_domain_error_exit_3(capsys):
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SMALL_GRID = ["--grid", "m=0:4,n=0:4,mbar=0:2,nbar=0:2,f=0:4", "--sample", "5"]
+
+
+def test_package_holds_no_assert_statement():
+    """Every invariant of the package is a raised exception, never an
+    assert, so that it still holds under python -O."""
+    package = os.path.join(SRC, "ofbic")
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "pipeline.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as source:
+            tree = ast.parse(source.read(), name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{name} asserts at lines {lines}"
 
 
 def _python(*argv, cwd):

@@ -367,31 +367,32 @@ def _written_pairs(schedule):
     return [(node, packet) for node, packets in schedule.counts[2] for packet in packets]
 
 
-def _assert_counts_are_delivering_steps(trace, schedule, slots):
+def _assert_counts_are_delivering_steps(trace, schedule, slots, oracle=None):
     """A run's delivered bits, steady-state rate and measured sum rate are
     counted over the delivering steps of ``schedule`` read slot by slot
     from ``slots``, its ``slots()``: one delivery per step, the steady
     window clear of the warm-up packets and the drain; and its schedule's
     written pairs are the ones its verdict decoders' steps write, read slot
-    by slot."""
+    by slot (``oracle``, _counts_slot_by_slot of ``slots``, if made)."""
     delivering = [t for t, _, _ in _deliveries(schedule, slots)]
     lo, hi = 2 * WARMUP_PACKETS + 2, 2 * trace.packets + 1
     assert trace.delivered_bits == len(delivering)
     assert trace.steady_state_rate == Fraction(sum(lo <= t <= hi for t in delivering),
                                                hi - lo + 1)
     assert trace.measured_sum_rate == Fraction(len(delivering), schedule.n_slots)
-    assert _written_pairs(schedule) == _counts_slot_by_slot(schedule, slots)[2]
+    oracle = oracle or _counts_slot_by_slot(schedule, slots)
+    assert _written_pairs(schedule) == oracle[2]
 
 
-def _counts_are_the_oracle(schedule, slots):
-    """Assert that Schedule.counts, counted once per built slot, is the
-    oracle that reads ``slots``, the schedule's ``slots()``, one by one:
+def _counts_are_the_oracle(schedule, oracle):
+    """Assert that Schedule.counts, counted once per built slot, is
+    ``oracle``, _counts_slot_by_slot of the schedule's ``slots()``:
     delivered bits, steady rate, and the written (node, packet) pairs in
     order.  Return "full" if each verdict decoder writes every packet of the
     run, "none" if, at rate 0, none writes any, and None otherwise."""
     delivered, steady, written = schedule.counts
-    assert (delivered, steady, _written_pairs(schedule)) == _counts_slot_by_slot(
-        schedule, slots), (schedule.scheme, schedule.p)
+    assert (delivered, steady, _written_pairs(schedule)) == oracle, (
+        schedule.scheme, schedule.p)
     ranges = {packets for _, packets in written}
     if schedule.formula_rate:
         return "full" if ranges == {range(1, schedule.packets + 1)} else None
@@ -1676,7 +1677,7 @@ def test_every_ci_grid_pair_reads_as_its_full_build(packets, tiled, builds):
             columns, errors, *_ = _run_engine(schedule, bits)
             assert (_run_lanes(schedule, bits), errors) == (columns, []), (scheme, p)
         if packets == 8:
-            written[_counts_are_the_oracle(schedule, slots)] += 1
+            written[_counts_are_the_oracle(schedule, _counts_slot_by_slot(schedule, slots))] += 1
             assert trace.steady_state_rate == rates[scheme, p], (scheme, p.short())
             assert trace.n_slots <= 2 * 8 + 4
             assert verify_trace(trace).ok, (scheme, p.short())
@@ -1701,23 +1702,34 @@ def test_every_ci_grid_pair_runs_on_lanes(builds, monkeypatch):
       schedule's decode targets, and verify_trace's report from the lanes is
       the one a sequential replay makes.
 
-    Each pair is built twice, the run's build and the destination one."""
+    Each pair is built twice, the run's build and the destination one, and
+    run twice on the sequential engine, as the oracle of its run and as the
+    replay of verify_trace."""
     seen = _check_waiting_index(monkeypatch)
+    replays = []                   # per sequential pass: replays a recording
+
+    def engine(*args, **kwargs):
+        replays.append("recorded" in kwargs)
+        return _run_engine(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_run_engine", engine)
     written = collections.Counter()
     for scheme, p in CI_GRID_PAIRS:
         trace = run_scheme(scheme, p, 14, seed=7)
         schedule = trace._run[0]
         _assert_destinations_leave_the_period_alone(schedule)
         slots = list(schedule.slots())
-        written[_counts_are_the_oracle(schedule, slots)] += 1
+        oracle = _counts_slot_by_slot(schedule, slots)
+        written[_counts_are_the_oracle(schedule, oracle)] += 1
         bits = _payload_bits(len(schedule.payload_refs), 7)
-        rows, errors, _, stores, _ = _run_engine(schedule, bits)
+        rows, errors, _, stores, _ = pipeline._run_engine(schedule, bits)
         assert rows == trace.slots, (scheme, p)
         assert errors == [] and trace.decode_errors == 0
         _assert_stores_are_decode_targets(schedule, bits, stores, slots)
-        _assert_lane_report_is_sequential(trace, stores, slots)
+        _assert_lane_report_is_sequential(trace, stores, slots, oracle)
     assert (written["full"], written["none"]) == (1032, 363)
     assert len(seen) > 1395
+    assert replays == [False, True] * len(CI_GRID_PAIRS)
     assert builds == [(scheme, 14) for scheme, _ in CI_GRID_PAIRS for _ in range(2)]
 
 
@@ -1734,13 +1746,15 @@ def test_counts_are_the_slot_by_slot_oracle_on_the_ci_grid(packets):
     written = collections.Counter()
     for scheme, p in CI_GRID_PAIRS:
         schedule = build_schedule(scheme, p, packets)
-        written[_counts_are_the_oracle(schedule, schedule.slots())] += 1
+        written[_counts_are_the_oracle(
+            schedule, _counts_slot_by_slot(schedule, schedule.slots()))] += 1
     assert (written["full"], written["none"]) == (1032, 363)
 
 
 def test_decoder_packets_that_are_not_one_run_are_an_invariant_error():
     """counts holds each decoder's written packets as one range, so a
-    schedule in which D1 writes no bit of packet 4 of 8 cannot be counted."""
+    schedule in which D1 writes no bit of packet 4 of 8 cannot be counted,
+    and so cannot be made."""
     schedule = build_schedule("fbxw", FBXW_SMALL, 8)
     per_packet = 2 * schedule.formula_rate
     built = tuple(slot._replace(steps=tuple(
@@ -1748,7 +1762,15 @@ def test_decoder_packets_that_are_not_one_run_are_an_invariant_error():
         if (step.node, step.target // per_packet + 1) != ("D1", 4)))
         for slot in schedule.built)
     with pytest.raises(pipeline.PipelineError, match="^D1's packets are not one run"):
-        replace(schedule, built=built).counts
+        replace(schedule, built=built)
+
+
+def test_a_schedule_is_counted_when_it_is_made():
+    """The pass that checks the read rule also makes counts, so a Schedule
+    holds them before anything reads them: a tiled one from build_schedule
+    and a full build alike."""
+    assert "counts" in vars(build_schedule("fbxw", FBXW_SMALL, 30))
+    assert "counts" in vars(_Builder("fbxw", FBXW_SMALL, 30).build())
 
 
 def test_superframe_two_points_tile_by_two_packets():
@@ -2256,25 +2278,34 @@ def _assert_stores_are_decode_targets(schedule, bits, stores, slots):
     assert stores == want
 
 
-def _assert_lane_report_is_sequential(trace, stores, slots):
+def _assert_lane_report_is_sequential(trace, stores, slots, oracle=None):
     """verify_trace's report of a clean tiled run, ``from_lanes``, made from
     the lane result its run carried, is the one verify_trace makes when the
     sequential engine replays the same columns (the lanes mocked to make
-    none), and the one _report makes of that replay, key order included;
-    its counts are the schedule's delivering steps read slot by slot from
-    ``slots``, its ``slots()``, and the (node, packet) pairs the engine's
-    decoder ``stores`` hold."""
+    none), and the one _report makes of that replay, which is read from
+    the engine call of that verify_trace, key order included; its counts
+    are the schedule's delivering steps read slot by slot from ``slots``,
+    its ``slots()`` (``oracle``, _counts_slot_by_slot of them, if made),
+    and the (node, packet) pairs the engine's decoder ``stores`` hold."""
     run = trace._run
     schedule = run[0]
-    _assert_counts_are_delivering_steps(trace, schedule, slots)
+    _assert_counts_are_delivering_steps(trace, schedule, slots, oracle)
     from_lanes = verify_trace(trace)
     trace._run = (*run[:3], None)              # the run, without its lane columns
-    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes:
+    engine, replays = pipeline._run_engine, []
+
+    def replay(*args, **kwargs):
+        replays.append((args, kwargs, engine(*args, **kwargs)))
+        return replays[-1][2]
+
+    with mock.patch.object(pipeline, "_run_lanes", return_value=None) as lanes, \
+            mock.patch.object(pipeline, "_run_engine", replay):
         replayed = verify_trace(trace)
     assert lanes.called and from_lanes.ok
     assert replayed == from_lanes
     bits = _payload_bits(len(stores["S1"]), trace.seed)
-    _, errors, found, _, wrong = _run_engine(schedule, bits, recorded=trace.slots)
+    (args, kwargs, (_, errors, found, _, wrong)), = replays
+    assert (args, kwargs) == ((schedule, bits), {"recorded": trace.slots})
     assert pipeline._report(schedule, found, errors, wrong) == from_lanes
     assert list(replayed.node_verdicts) == list(from_lanes.node_verdicts)
     assert list(replayed.packet_verdicts) == list(from_lanes.packet_verdicts)
