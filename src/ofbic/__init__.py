@@ -24,17 +24,7 @@ from .channel import (
     shift,
 )
 from .midcode import MidCode, MidCodeError, build_mid_code
-from .pipeline import (
-    DEFAULT_SEED,
-    Schedule,
-    SimulationTrace,
-    VerifyReport,
-    build_schedule,
-    format_trace,
-    parse_trace,
-    run_scheme,
-    verify_trace,
-)
+from .pipeline import DEFAULT_SEED, VerifyReport, run_scheme, verify_trace
 from .rates import (
     AuxQuantities,
     RateBundle,
@@ -54,5 +44,7 @@ from .rates import (
     rate_bundle,
     regime_of,
 )
+from .schedule import Schedule, build_schedule
+from .trace import SimulationTrace, format_trace, parse_trace
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ Conventions used across the whole package:
   ``qbar = max(mbar, nbar, f)``.
 
 All operations are pure functions on immutable values.  ``GfVec`` is the
-checked public type; ``ofbic.pipeline`` runs the private geometry on tuples.
+checked public type; schedules and runs apply the private geometry to tuples.
 """
 
 from __future__ import annotations

@@ -20,14 +20,9 @@ from fractions import Fraction
 
 from .allocation import ALL_SCHEMES
 from .channel import ChannelDomainError, ChannelParams
-from .pipeline import (
-    DEFAULT_SEED,
-    INVARIANT_ERRORS,
-    format_trace,
-    run_scheme,
-    verify_trace,
-)
+from .pipeline import DEFAULT_SEED, run_scheme, verify_trace
 from .rates import aux_quantities, dfb_reference, nofb_reference, rate_bundle
+from .schedule import INVARIANT_ERRORS
 from .sweep import (
     DEFAULT_RANGES,
     SweepSpec,
@@ -37,6 +32,7 @@ from .sweep import (
     frequency_choice_report,
     sweep,
 )
+from .trace import format_trace
 
 OUT_DIR_ENV = "OFBIC_OUT_DIR"
 

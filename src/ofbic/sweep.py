@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from .allocation import ALL_SCHEMES, PACKET_SCHEMES, allocate
 from .channel import ChannelDomainError, ChannelParams
-from .pipeline import DEFAULT_SEED, INVARIANT_ERRORS, run_scheme, verify_trace
+from .pipeline import DEFAULT_SEED, run_scheme, verify_trace
 from .rates import Regime, dfb_reference, nofb_reference, rate_bundle
 from .rates import _evaluate
+from .schedule import INVARIANT_ERRORS
 
 ALL_CHECKS = (
     "INNER_LE_OUTER",

@@ -19,8 +19,8 @@ from ofbic import (
     regime_of,
 )
 from ofbic.allocation import PACKET_SCHEMES, _finish, allocate
-from ofbic.pipeline import _payload_plan
 from ofbic.rates import SCHEMES, InvariantError, pos, schemes_at
+from ofbic.schedule import _payload_plan
 
 
 def cp(m, n, mbar=0, nbar=0, f=0):

@@ -29,9 +29,11 @@ from ofbic import (
     verify_trace,
 )
 from ofbic import pipeline
+from ofbic import schedule as schedule_mod
+from ofbic import trace as trace_mod
 from ofbic.channel import _LEVEL_TEXT, _TEXT_LEVEL, _first_hop, _second_hop
-from ofbic.pipeline import (
-    DEFAULT_SEED,
+from ofbic.pipeline import DEFAULT_SEED, _run_engine, _run_lanes
+from ofbic.schedule import (
     SIGNALS,
     WARMUP_PACKETS,
     DecodeStep,
@@ -40,11 +42,8 @@ from ofbic.pipeline import (
     _FEEDBACK_SIGNALS,
     _TX_SIGNALS,
     _Builder,
-    _payload_bits,
-    _run_engine,
-    _run_lanes,
-    generate_payload,
 )
+from ofbic.trace import _payload_bits, generate_payload
 from ofbic.rates import Regime, r_fbxw, r_nom, r_rss, r_rsw, regime_of, schemes_at
 
 WORKED = [
@@ -699,13 +698,13 @@ def test_parse_trace_takes_only_what_format_trace_writes(scheme, data):
 # same text, and read back the same trace or raise the same error.
 
 def _oracle_format_trace(trace):
-    shape, fields = pipeline._row_layout(trace.p)
+    shape, fields = trace_mod._row_layout(trace.p)
     rows = bytearray((shape + "\n").encode() * trace.n_slots)
     for signal, start, length in fields:
         for level in range(length):
             rows[start + level::len(shape) + 1] = trace.slots[signal][level::length]
     rows = rows.translate(_LEVEL_TEXT).decode().split("\n")
-    lines = pipeline._header(trace.scheme, trace.p, trace.packets, trace.seed,
+    lines = trace_mod._header(trace.scheme, trace.p, trace.packets, trace.seed,
                              trace.alloc, trace.formula_rate)
     lines.extend(map(" ".join, zip(map(str, range(1, trace.n_slots + 1)), rows)))
     return "\n".join([*lines, ""])
@@ -719,7 +718,7 @@ def _oracle_parse_trace(text):
             found = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of text"
             raise ChannelDomainError(f"line {lineno}: found {found}, expected {want!r}")
 
-    expect(1, pipeline._TRACE_VERSION)
+    expect(1, trace_mod._TRACE_VERSION)
     run_line = lines[1] if len(lines) > 1 else ""
     run = dict(token.partition("=")[::2] for token in run_line.split())
 
@@ -735,14 +734,14 @@ def _oracle_parse_trace(text):
     try:
         p = ChannelParams(*map(value, ("m", "n", "mbar", "nbar", "f")))
         scheme, packets, seed = value("scheme", str), value("packets"), value("seed")
-        pipeline._check_seed(seed)
-        alloc, formula_rate = pipeline._payload_plan(scheme, p, packets)
+        trace_mod._check_seed(seed)
+        alloc, formula_rate = schedule_mod._payload_plan(scheme, p, packets)
     except ChannelDomainError as exc:
         raise type(exc)(f"line 2: {exc}") from exc
-    header = pipeline._header(scheme, p, packets, seed, alloc, formula_rate)
+    header = trace_mod._header(scheme, p, packets, seed, alloc, formula_rate)
     for lineno, want in enumerate(header, start=1):
         expect(lineno, want)
-    shape, fields = pipeline._row_layout(p)
+    shape, fields = trace_mod._row_layout(p)
     rows = []
     for lineno, line in enumerate(lines[len(header):], start=len(header) + 1):
         index, _, vectors = line.partition(" ")
@@ -770,7 +769,7 @@ def _oracle_parse_trace(text):
         for level in range(length):
             column[level::length] = levels[start + level::len(shape) + 1]
         slots[signal] = bytes(column)
-    return pipeline.SimulationTrace(
+    return trace_mod.SimulationTrace(
         scheme=scheme, p=p, packets=packets, seed=seed, n_slots=len(rows),
         slots=slots, formula_rate=formula_rate, alloc=alloc,
     )
@@ -852,7 +851,7 @@ def test_valid_trace_is_read_without_the_row_reader(scheme, packets, monkeypatch
 
     def refused(*args):
         raise AssertionError("a valid trace took the row path")
-    monkeypatch.setattr(pipeline, "_name_bad_line", refused)
+    monkeypatch.setattr(trace_mod, "_name_bad_line", refused)
     monkeypatch.setattr(GfVec, "from_string", refused)
     parsed = parse_trace(text)
     assert parsed.slots == trace.slots and parse_trace(text[:-1]) == parsed
@@ -867,9 +866,9 @@ def test_row_reader_that_finds_no_bad_line_is_an_invariant_error():
     would accept means the two readers disagree, a PipelineError."""
     text = _p8_text("rss")
     header = text.splitlines()[:5]
-    shape, fields = pipeline._row_layout(ChannelParams(*P8_POINTS["rss"]))
-    with pytest.raises(pipeline.PipelineError):
-        pipeline._name_bad_line(text, header, shape, fields)
+    shape, fields = trace_mod._row_layout(ChannelParams(*P8_POINTS["rss"]))
+    with pytest.raises(schedule_mod.PipelineError):
+        trace_mod._name_bad_line(text, header, shape, fields)
 
 
 class TestFaultInjection:
@@ -1199,7 +1198,7 @@ def test_run_then_verify_draws_the_payload_once(monkeypatch):
     verify_trace, which drops them with the rest of its run; a second
     verification, and one of a trace whose seed was changed, draw afresh."""
     draws = []
-    real = pipeline._payload_bits
+    real = trace_mod._payload_bits
 
     def counting(n, seed):
         draws.append(seed)
@@ -1761,7 +1760,7 @@ def test_decoder_packets_that_are_not_one_run_are_an_invariant_error():
         step for step in slot.steps
         if (step.node, step.target // per_packet + 1) != ("D1", 4)))
         for slot in schedule.built)
-    with pytest.raises(pipeline.PipelineError, match="^D1's packets are not one run"):
+    with pytest.raises(schedule_mod.PipelineError, match="^D1's packets are not one run"):
         replace(schedule, built=built)
 
 
@@ -1827,7 +1826,7 @@ def test_build_schedule_builds_once(packets, refused, builds, monkeypatch):
     if refused == "state":
         monkeypatch.setattr(_Builder, "_state", lambda self, t: object())
     elif refused == "period":
-        monkeypatch.setattr(pipeline, "_recurs", lambda *args: False)
+        monkeypatch.setattr(schedule_mod, "_recurs", lambda *args: False)
     schedule = build_schedule("fbxw", FBXW_SMALL, packets)
     assert builds == [("fbxw", packets)]
     assert bool(schedule.tiling[2]) == (refused is None and packets > UNTILED_UP_TO[0])
@@ -2042,7 +2041,7 @@ def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
     def refuse(*args):
         raise AssertionError("a payload bit was named")
     monkeypatch.setattr(Schedule, "payload_refs", property(refuse))
-    monkeypatch.setattr(pipeline, "generate_payload", refuse)
+    monkeypatch.setattr(trace_mod, "generate_payload", refuse)
     trace = run_scheme(scheme, p, packets)
     assert bool(trace._run[0].tiling[2]) == (packets > 4)
     text = format_trace(trace)
@@ -2469,7 +2468,7 @@ def _move_read(schedule, field, move):
     ``move(k, read, length)`` gives each read's new value, from its
     record's built slot k and the length of its signal; with k and the
     moved record."""
-    built, lengths = list(schedule.built), pipeline._signal_lengths(schedule.p)
+    built, lengths = list(schedule.built), schedule_mod._signal_lengths(schedule.p)
     if field == "obs":
         k = next(k for k, slot in enumerate(built, start=1) if slot.steps)
         first, *rest = built[k - 1].steps
