@@ -505,17 +505,66 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SMALL_GRID = ["--grid", "m=0:4,n=0:4,mbar=0:2,nbar=0:2,f=0:4", "--sample", "5"]
 
 
+def _package_trees():
+    """(file name, syntax tree) of every module of the package; the three
+    layer modules must be among them, so no test passes over a missing one."""
+    package = os.path.join(SRC, "ofbic")
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert {"schedule.py", "trace.py", "pipeline.py"} <= set(modules)
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as source:
+            yield name, ast.parse(source.read(), name)
+
+
 def test_package_holds_no_assert_statement():
     """Every invariant of the package is a raised exception, never an
     assert, so that it still holds under python -O."""
-    package = os.path.join(SRC, "ofbic")
-    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
-    assert "pipeline.py" in modules
-    for name in modules:
-        with open(os.path.join(package, name), encoding="utf-8") as source:
-            tree = ast.parse(source.read(), name)
+    for name, tree in _package_trees():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{name} asserts at lines {lines}"
+
+
+def test_layers_import_only_from_below():
+    """The run's layers import downwards only, channel <- schedule <- trace
+    <- pipeline: schedule.py imports nothing from ofbic.trace or
+    ofbic.pipeline, and trace.py nothing from ofbic.pipeline.  No module
+    imports ``*``."""
+    above = {"schedule.py": {"trace", "pipeline"}, "trace.py": {"pipeline"}}
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "*" not in [alias.name for alias in node.names], \
+                    f"{name} imports * at line {node.lineno}"
+                module = node.module or ""
+                if node.level == 0 and not module.startswith("ofbic"):
+                    continue
+                module = module.removeprefix("ofbic").lstrip(".")
+                imported = {module} if module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported = {alias.name.removeprefix("ofbic.") for alias in node.names}
+            else:
+                continue
+            wrong = imported & above.get(name, set())
+            assert not wrong, f"{name} imports from {sorted(wrong)} at line {node.lineno}"
+
+
+def test_pipeline_serves_the_benchmark_names():
+    """bench/run.py reads six names from ofbic.pipeline; each is the very
+    object its home module defines."""
+    from ofbic import pipeline
+    from ofbic import schedule as schedule_mod
+    from ofbic import trace as trace_mod
+    homes = {"build_schedule": schedule_mod, "generate_payload": trace_mod,
+             "run_scheme": pipeline, "verify_trace": pipeline,
+             "format_trace": trace_mod, "parse_trace": trace_mod}
+    with open(os.path.join(os.path.dirname(SRC), "bench", "run.py"), encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "pl"}
+    assert read == set(homes)
+    for name, home in homes.items():
+        assert getattr(pipeline, name) is getattr(home, name), name
+        assert getattr(home, name).__module__ == home.__name__, name
 
 
 def _python(*argv, cwd):
