@@ -71,6 +71,7 @@ from .allocation import (
 from .channel import ChannelDomainError, ChannelParams, _first_hop, _second_hop
 from .midcode import MidCodeError, build_mid_code, column_levels
 from .rates import InvariantError, pos, r_nom, require_scheme
+
 SIGNALS = (
     "X_S1", "X_S2", "Y_R1", "Y_R2", "X_R1", "X_R2",
     "Y_D1", "Y_D2", "Y_S1", "Y_S2",

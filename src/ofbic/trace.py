@@ -30,6 +30,8 @@ from .schedule import (
     _payload_refs,
     _signal_lengths,
 )
+
+
 @dataclass
 class SimulationTrace:
     """A run's columns (module docstring) and counts; ``payload`` (ref ->
