@@ -43,8 +43,8 @@ from ofbic.schedule import (
     _TX_SIGNALS,
     _Builder,
 )
-from ofbic.trace import _payload_bits, generate_payload
 from ofbic.rates import Regime, r_fbxw, r_nom, r_rss, r_rsw, regime_of, schemes_at
+from ofbic.trace import _payload_bits, generate_payload
 
 WORKED = [
     ("fbxw", ChannelParams(2, 4, 1, 1, 3), 6),
@@ -705,7 +705,7 @@ def _oracle_format_trace(trace):
             rows[start + level::len(shape) + 1] = trace.slots[signal][level::length]
     rows = rows.translate(_LEVEL_TEXT).decode().split("\n")
     lines = trace_mod._header(trace.scheme, trace.p, trace.packets, trace.seed,
-                             trace.alloc, trace.formula_rate)
+                              trace.alloc, trace.formula_rate)
     lines.extend(map(" ".join, zip(map(str, range(1, trace.n_slots + 1)), rows)))
     return "\n".join([*lines, ""])
 
