@@ -150,37 +150,25 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
     The received vectors are looked up in the schedule's ``channel_maps``
     by the slot's transmit vectors.  A run flips its faults only in the
     slots that have one: a transmit flip before the lookup, a receive flip
-    after it.  A replay takes each slot's vectors from ``recorded``, never
-    writing it, compares its four transmit vectors in one comparison and its
-    six received ones in another, and looks for the differing signals and
-    levels only on a mismatch.  Either way, each signal's actual vectors are
-    kept slot by slot, as no record reads a later slot than its own; a run
-    joins them into its columns at the end, and a replay returns
-    ``recorded`` as its columns.
+    after it.  Each signal's vectors are kept slot by slot and joined into
+    its column at the end of a run.  A replay cuts ``recorded`` so, never
+    writing it, compares a slot's four transmit vectors in one comparison
+    and its six received ones in another, looks for the differing signals
+    and levels only on a mismatch, and returns ``recorded`` as its columns.
     """
     p = schedule.p
+    faults = faults or {}
+    fault_slots = {t for t, _ in faults} if recorded is None else ()
     hop1, hop2 = schedule.channel_maps
     per_packet = 2 * schedule.formula_rate
     stores = _source_stores(schedule, bits)
     senders = tuple(stores[_TX_NODE[signal]] for signal in _TX_SIGNALS)
-    vectors = {signal: [] for signal in SIGNALS}      # signal -> its vectors slot by slot
-    kept = [vectors[s] for s in _TX_SIGNALS + _RX_SIGNALS]
+    # signal -> its vectors slot by slot: none yet, or the recorded ones
+    vectors = {signal: [] for signal in SIGNALS} if recorded is None else {
+        signal: [recorded[signal][t * size:(t + 1) * size] for t in range(schedule.n_slots)]
+        for signal, size in _signal_lengths(p).items()}
+    sent_by, heard_by = [vectors[s] for s in _TX_SIGNALS], [vectors[s] for s in _RX_SIGNALS]
     errors, found, wrong = [], [], []
-    if recorded is None:
-        fault_slots = {t for t, _ in faults or ()}
-
-        def actual(t, signals, computed):
-            return _flip(t, signals, computed, faults) if t in fault_slots else computed
-    else:
-        lengths = _signal_lengths(p)
-        cuts = {signals: [(recorded[s], lengths[s]) for s in signals]
-                for signals in (_TX_SIGNALS, _RX_SIGNALS)}
-
-        def actual(t, signals, computed):
-            vecs = [column[(t - 1) * length:t * length] for column, length in cuts[signals]]
-            if vecs != computed:
-                _diff(found, t, signals, vecs, computed)
-            return vecs
 
     for t, (slot, d) in enumerate(schedule._walk(), start=1):
         dt, off = 2 * d, d * per_packet
@@ -200,7 +188,14 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                     value ^= store[i + off]
                 levels.append(value)
             tx.append(bytes(levels))
-        tx = actual(t, _TX_SIGNALS, tx)
+        if recorded is None:
+            if t in fault_slots:
+                tx = _flip(t, _TX_SIGNALS, tx, faults)
+        else:
+            sent = [vecs[t - 1] for vecs in sent_by]
+            if sent != tx:
+                _diff(found, t, _TX_SIGNALS, sent, tx)
+            tx = sent
         x_s1, x_s2, x_r1, x_r2 = tx
         y_r = hop1.get((x_s1, x_s2))
         if y_r is None:
@@ -208,8 +203,16 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
         y_dr = hop2.get((x_r1, x_r2))
         if y_dr is None:
             y_dr = hop2[x_r1, x_r2] = tuple(map(bytes, _second_hop(x_r1, x_r2, p, 0)))
-        for vecs, vec in zip(kept, tx + actual(t, _RX_SIGNALS, [*y_r, *y_dr])):
-            vecs.append(vec)
+        received = [*y_r, *y_dr]
+        if recorded is None:
+            if t in fault_slots:
+                received = _flip(t, _RX_SIGNALS, received, faults)
+            for vecs, vec in zip(sent_by + heard_by, tx + received):
+                vecs.append(vec)
+        else:
+            heard = [vecs[t - 1] for vecs in heard_by]
+            if heard != received:
+                _diff(found, t, _RX_SIGNALS, heard, received)
         for node, obs, side, target, deliver in slot.steps:
             value = 0
             for signal, seen, position in obs:
@@ -223,8 +226,9 @@ def _run_engine(schedule: Schedule, bits, faults=None, recorded=None):
                 wrong.append((node, target))
                 if deliver:
                     errors.append((t, node, target))
-    columns = recorded or {signal: b"".join(vecs) for signal, vecs in vectors.items()}
-    return columns, errors, found, stores, wrong
+    if recorded is None:
+        recorded = {signal: b"".join(vecs) for signal, vecs in vectors.items()}
+    return recorded, errors, found, stores, wrong
 
 
 # -- a clean run, lane-parallel -------------------------------------------------
