@@ -526,22 +526,27 @@ def test_package_holds_no_assert_statement():
 
 def test_layers_import_only_from_below():
     """The run's layers import downwards only, channel <- schedule <- trace
-    <- pipeline: schedule.py imports nothing from ofbic.trace or
-    ofbic.pipeline, and trace.py nothing from ofbic.pipeline.  No module
-    imports ``*``."""
-    above = {"schedule.py": {"trace", "pipeline"}, "trace.py": {"pipeline"}}
-    for name, tree in _package_trees():
+    <- pipeline: no layer module imports a layer above it or the package
+    itself (``import ofbic``, or a name ``from . import`` takes from the
+    package), whose __init__ imports the pipeline.  No module imports ``*``."""
+    trees = dict(_package_trees())
+    modules = {name.removesuffix(".py") for name in trees}
+    layers = ["channel", "schedule", "trace", "pipeline"]
+    above = {f"{layer}.py": {*layers[i + 1:], "ofbic"} for i, layer in enumerate(layers)}
+    for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 assert "*" not in [alias.name for alias in node.names], \
                     f"{name} imports * at line {node.lineno}"
                 module = node.module or ""
-                if node.level == 0 and not module.startswith("ofbic"):
+                if node.level == 0 and module.split(".")[0] != "ofbic":
                     continue
                 module = module.removeprefix("ofbic").lstrip(".")
-                imported = {module} if module else {alias.name for alias in node.names}
+                imported = {module} if module else {
+                    alias.name if alias.name in modules else "ofbic" for alias in node.names}
             elif isinstance(node, ast.Import):
-                imported = {alias.name.removeprefix("ofbic.") for alias in node.names}
+                imported = {alias.name.removeprefix("ofbic.") for alias in node.names
+                            if alias.name.split(".")[0] == "ofbic"}
             else:
                 continue
             wrong = imported & above.get(name, set())

@@ -1203,7 +1203,8 @@ def test_run_then_verify_draws_the_payload_once(monkeypatch):
     def counting(n, seed):
         draws.append(seed)
         return real(n, seed)
-    monkeypatch.setattr(pipeline, "_payload_bits", counting)
+    for module in (pipeline, trace_mod):
+        monkeypatch.setattr(module, "_payload_bits", counting)
     trace = run_scheme("fbxw", FBXW_SMALL, 30)
     assert trace._run[3] is not None
     assert verify_trace(trace).ok and draws == [DEFAULT_SEED]
@@ -2041,7 +2042,8 @@ def test_clean_runs_name_no_bits(scheme, p, packets, monkeypatch):
     def refuse(*args):
         raise AssertionError("a payload bit was named")
     monkeypatch.setattr(Schedule, "payload_refs", property(refuse))
-    monkeypatch.setattr(trace_mod, "generate_payload", refuse)
+    for module in (pipeline, trace_mod):
+        monkeypatch.setattr(module, "generate_payload", refuse)
     trace = run_scheme(scheme, p, packets)
     assert bool(trace._run[0].tiling[2]) == (packets > 4)
     text = format_trace(trace)
